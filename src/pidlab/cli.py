@@ -117,14 +117,13 @@ def load_config(path):
         if not cp.has_section(section):
             raise ConfigError(f"missing [{section}] section", path)
 
+    if cp.has_option("noise", "seed"):
+        raise ConfigError("[noise] seed is not used; set [oracle] base_seed instead",
+                          path, "seed")
     noise = NoiseSpec(
-        sensor_sigma=_get_float(cp, path, "noise", "sensor_sigma", 0.0)
-        if cp.has_section("noise") else 0.0,
-        disturbance_amp=_get_float(cp, path, "noise", "disturbance_amp", 0.0)
-        if cp.has_section("noise") else 0.0,
-        disturbance_freq=_get_float(cp, path, "noise", "disturbance_freq", 0.0)
-        if cp.has_section("noise") else 0.0,
-        seed=_get_int(cp, path, "noise", "seed", 0) if cp.has_section("noise") else 0,
+        sensor_sigma=_get_float(cp, path, "noise", "sensor_sigma", 0.0),
+        disturbance_amp=_get_float(cp, path, "noise", "disturbance_amp", 0.0),
+        disturbance_freq=_get_float(cp, path, "noise", "disturbance_freq", 0.0),
     )
     try:
         plant = PlantModel(a1=_get_float(cp, path, "plant", "a1", 1.0),
@@ -176,18 +175,14 @@ def load_config(path):
             raise ConfigError(f"[oracle] formula: {exc}", path, "formula") from exc
     try:
         oracle = OracleConfig(kind=kind, window=window,
-                              repeats=_get_int(cp, path, "oracle", "repeats", 1)
-                              if cp.has_section("oracle") else 1,
-                              base_seed=_get_int(cp, path, "oracle", "base_seed", 0)
-                              if cp.has_section("oracle") else 0)
+                              repeats=_get_int(cp, path, "oracle", "repeats", 1),
+                              base_seed=_get_int(cp, path, "oracle", "base_seed", 0))
     except ValueError as exc:
         raise ConfigError(f"[oracle] {exc}", path) from exc
 
     search = {
-        "budget": _get_int(cp, path, "search", "budget", 200)
-        if cp.has_section("search") else 200,
-        "seed": _get_int(cp, path, "search", "seed", 0)
-        if cp.has_section("search") else 0,
+        "budget": _get_int(cp, path, "search", "budget", 200),
+        "seed": _get_int(cp, path, "search", "seed", 0),
         "strides": _parse_strides(cp, path),
     }
     return AppConfig(plant, mission, space, oracle, formula, search)
@@ -430,13 +425,10 @@ def cmd_plot(out_svg, grid_path=None, boundary_path=None, p=None, a1=None,
     return 0
 
 
-def _workers(args):
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get("PIDLAB_WORKERS", "").strip()
-    if env.isdigit() and int(env) >= 1:
-        return int(env)
-    return os.cpu_count() or 1
+def _worker_count(raw):
+    if not raw.isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def build_parser():
@@ -447,7 +439,7 @@ def build_parser():
     gt = sub.add_parser("ground-truth", help="label a grid by brute force")
     gt.add_argument("--config", required=True)
     gt.add_argument("--out", required=True)
-    gt.add_argument("--workers", type=int)
+    gt.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1)
     gt.add_argument("--oracle", choices=("offline", "online"))
     gt.add_argument("--window", type=int)
     gt.add_argument("--repeats", type=int)
@@ -458,7 +450,7 @@ def build_parser():
     se.add_argument("--out", required=True)
     se.add_argument("--budget", type=int)
     se.add_argument("--seed", type=int)
-    se.add_argument("--workers", type=int)
+    se.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1)
     se.add_argument("--oracle", choices=("offline", "online"))
     se.add_argument("--window", type=int)
     se.add_argument("--repeats", type=int)
@@ -488,11 +480,11 @@ def main(argv=None):
     try:
         if args.command == "ground-truth":
             return cmd_ground_truth(args.config, args.out,
-                                    workers=_workers(args), args=args)
+                                    workers=args.workers, args=args)
         if args.command == "search":
             return cmd_search(args.config, args.algorithm, args.out,
                               budget=args.budget, seed=args.seed,
-                              workers=_workers(args), args=args)
+                              workers=args.workers, args=args)
         if args.command == "eval":
             return cmd_eval(args.gt, args.result, args.out)
         if args.command == "plot":

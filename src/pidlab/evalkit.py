@@ -8,11 +8,11 @@ measured against a brute-force labeled grid (exhaustive or strided).
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
-from .search import ALL_INVALID, ALL_VALID, BOUNDARY
-from .validator import SimulationValidator, note_queries
+from .search import ALL_INVALID, ALL_VALID, BOUNDARY, _resolve_validator
+from .validator import SimulationValidator, fan_out
 
 VALID = "valid"
 INVALID = "invalid"
@@ -44,13 +44,11 @@ class ClassifiedGrid:
 
 def _label_chunk(space, validator, triples):
     out = []
-    n = 0
     for trip in triples:
         pid = space.pid_at(*trip)
         verdict = validator.classify(pid)
-        n += 1
         out.append((pid, VALID if verdict.valid else INVALID))
-    return out, n
+    return out
 
 
 def ground_truth(space, mission=None, plant=None, cfg=None, validator=None,
@@ -61,21 +59,12 @@ def ground_truth(space, mission=None, plant=None, cfg=None, validator=None,
     Results do not depend on the worker count; configs are embarrassingly
     parallel.
     """
-    if validator is None:
-        if mission is None or plant is None or cfg is None:
-            raise ValueError("need either a validator or (mission, plant, cfg)")
-        validator = SimulationValidator(plant, mission, cfg)
+    validator = _resolve_validator(mission, plant, cfg, validator)
     triples = list(space.iter_indices(strides))
+    n_chunks = max(1, min(workers, len(triples)))
+    chunks = [triples[k::n_chunks] for k in range(n_chunks)]
     labels = {}
-    if workers > 1 and len(triples) > workers:
-        chunks = [triples[k::workers] for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, n in pool.map(_label_chunk, [space] * workers,
-                                    [validator] * workers, chunks):
-                labels.update(part)
-                note_queries(n)  # folded in from worker processes
-    else:
-        part, _ = _label_chunk(space, validator, triples)
+    for part in fan_out(partial(_label_chunk, space, validator), chunks, workers):
         labels.update(part)
     coverage = "exhaustive" if strides == (1, 1, 1) else ("sampled", tuple(strides))
     return ClassifiedGrid(space=space, labels=labels, coverage=coverage)

@@ -17,11 +17,11 @@ from __future__ import annotations
 import csv
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .plant import PidConfig
-from .validator import SimulationValidator, note_queries
+from .validator import SimulationValidator, fan_out
 
 BOUNDARY = "boundary"
 ALL_VALID = "all_valid"
@@ -150,18 +150,6 @@ class BoundaryLine:
         raise KeyError(f"no column at p={p}, d={d}")
 
 
-class _Counting:
-    """Wraps a validator to count this run's queries locally."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.count = 0
-
-    def classify(self, pid):
-        self.count += 1
-        return self.inner.classify(pid)
-
-
 def _resolve_validator(mission, plant, cfg, validator):
     if validator is not None:
         return validator
@@ -216,22 +204,21 @@ def search_column(space, validator, p_idx, d_idx, i_start_idx, direction,
 
 
 def _search_plane(space, validator, p_idx, dsoff):
-    counting = _Counting(validator)
     records = []
     carry = space.n_i - 1
     for d_idx in range(space.n_d):
         pid = space.pid_at(p_idx, carry, d_idx)
-        entry_valid = counting.classify(pid).valid
+        entry_valid = validator.classify(pid).valid
         p_val = space.p_value(p_idx)
         d_val = space.d_value(d_idx)
         if entry_valid:
-            status, i_idx = search_column(space, counting, p_idx, d_idx, carry,
+            status, i_idx = search_column(space, validator, p_idx, d_idx, carry,
                                           UP, entry_verdict=True)
         elif dsoff:
             # ablated variant: no downward search, keep the carried height
             status, i_idx = BOUNDARY, carry
         else:
-            status, i_idx = search_column(space, counting, p_idx, d_idx, carry,
+            status, i_idx = search_column(space, validator, p_idx, d_idx, carry,
                                           DOWN, entry_verdict=False)
         if status == BOUNDARY:
             records.append(ColumnRecord(p_val, d_val, BOUNDARY, space.i_value(i_idx)))
@@ -242,7 +229,7 @@ def _search_plane(space, validator, p_idx, dsoff):
         else:
             records.append(ColumnRecord(p_val, d_val, ALL_INVALID, None))
             carry = 0
-    return records, counting.count
+    return records
 
 
 def identify_boundary(space, mission=None, plant=None, cfg=None, validator=None,
@@ -260,20 +247,9 @@ def identify_boundary(space, mission=None, plant=None, cfg=None, validator=None,
         BoundaryLine with one ColumnRecord per (kp, kd) column.
     """
     validator = _resolve_validator(mission, plant, cfg, validator)
-    columns = []
-    if workers > 1 and space.n_p > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_search_plane, space, validator, ip, dsoff)
-                    for ip in range(space.n_p)]
-            for fut in futs:
-                records, n = fut.result()
-                columns.extend(records)
-                note_queries(n)  # workers counted in their own process
-    else:
-        for ip in range(space.n_p):
-            records, _ = _search_plane(space, validator, ip, dsoff)
-            columns.extend(records)
-    return BoundaryLine(space=space, columns=columns)
+    planes = fan_out(partial(_search_plane, space, validator, dsoff=dsoff),
+                     range(space.n_p), workers)
+    return BoundaryLine(space=space, columns=[c for plane in planes for c in plane])
 
 
 def identify_boundary_dsoff(space, mission=None, plant=None, cfg=None,

@@ -3,12 +3,16 @@
 A validator answers one question: is this gain triple valid for the mission?
 Every classify() call counts as exactly one oracle query against the global
 counter, regardless of how many repeated simulations back the vote.
+fan_out() is the one way to spread oracle work over processes; it folds the
+queries the workers spend back into this process's counter.
 """
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from .mtl import And, eval_offline, eval_online, mode_spec
 from .plant import simulate
@@ -18,9 +22,7 @@ _lock = threading.Lock()
 _queries = 0
 
 
-def note_queries(n=1):
-    """Add n to the global oracle-query counter (used by parallel drivers
-    to fold in counts accumulated in worker processes)."""
+def _note_queries(n=1):
     global _queries
     with _lock:
         _queries += n
@@ -35,6 +37,30 @@ def reset_query_count():
     global _queries
     with _lock:
         _queries = 0
+
+
+def _counted_call(fn, job):
+    # A forked worker starts with the parent's count, so report the delta.
+    before = query_count()
+    result = fn(job)
+    return result, query_count() - before
+
+
+def fan_out(fn, jobs, workers):
+    """[fn(job) for job in jobs], on up to `workers` processes.
+
+    Runs in this process when workers <= 1 or there is at most one job.
+    Otherwise fn and each job must pickle; the oracle queries the workers
+    spend are added to this process's counter, so query_count() grows by
+    the same amount either way.
+    """
+    jobs = list(jobs)
+    if workers <= 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        done = list(pool.map(_counted_call, repeat(fn), jobs))
+    _note_queries(sum(n for _, n in done))
+    return [result for result, _ in done]
 
 
 @dataclass(frozen=True)
@@ -91,7 +117,7 @@ class SimulationValidator(Validator):
         self.formula = mode_spec(mission) if formula is None else formula
 
     def classify(self, pid):
-        note_queries()
+        _note_queries()
         cfg = self.cfg
         votes = 0
         violated = None
@@ -136,7 +162,7 @@ class RouthValidator(Validator):
         self.a2 = a2
 
     def classify(self, pid):
-        note_queries()
+        _note_queries()
         ok = routh_stable(pid, self.a1, self.a2)
         return Verdict(valid=ok, violated_spec=None if ok else "routh_hurwitz",
                        runs=1, votes_valid=int(ok))
@@ -149,7 +175,7 @@ class LookupValidator(Validator):
         self.fn = fn
 
     def classify(self, pid):
-        note_queries()
+        _note_queries()
         ok = bool(self.fn(pid))
         return Verdict(valid=ok, violated_spec=None if ok else "lookup",
                        runs=1, votes_valid=int(ok))

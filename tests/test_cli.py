@@ -4,7 +4,7 @@ import re
 import pytest
 
 from pidlab import ParamSpace, compute_metrics, region_from_boundary
-from pidlab.cli import ConfigError, _workers, load_config, main
+from pidlab.cli import ConfigError, load_config, main
 from pidlab.evalkit import grid_from_csv
 from pidlab.search import boundary_from_csv
 
@@ -65,7 +65,6 @@ class TestLoadConfig:
         config.write_text(BASE_CONFIG + """
 [noise]
 sensor_sigma = 0.01
-seed = 3
 
 [oracle]
 kind = online
@@ -79,7 +78,7 @@ strides = 1 2 1
 """)
         app = load_config(config)
         assert app.plant.noise.sensor_sigma == 0.01
-        assert app.plant.noise.seed == 3
+        assert app.plant.noise.seed == 0
         assert (app.oracle.kind, app.oracle.window, app.oracle.repeats) == \
             ("online", 120, 3)
         assert app.search == {"budget": 44, "seed": 9, "strides": (1, 2, 1)}
@@ -96,6 +95,7 @@ strides = 1 2 1
         (lambda t: t + "\n[oracle]\nformula = (G\n", "formula"),
         (lambda t: t + "\n[search]\nstrides = 1 2\n", "strides"),
         (lambda t: t.replace("p_min = 2.0\n", ""), "p_min"),
+        (lambda t: t + "\n[noise]\nseed = 3\n", "base_seed"),
     ])
     def test_bad_configs_raise(self, config, mutate, fragment):
         config.write_text(mutate(BASE_CONFIG))
@@ -298,11 +298,9 @@ class TestArgumentHandling:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
 
-    def test_workers_resolution(self, monkeypatch):
-        ns = type("NS", (), {"workers": None})()
-        monkeypatch.setenv("PIDLAB_WORKERS", "3")
-        assert _workers(ns) == 3
-        monkeypatch.setenv("PIDLAB_WORKERS", "junk")
-        assert _workers(ns) >= 1
-        ns.workers = 5
-        assert _workers(ns) == 5
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    def test_workers_below_one_is_usage_error(self, config, tmp_path, workers):
+        assert main(["search", "--config", str(config), "--algorithm",
+                     "boundary", "--out", str(tmp_path / "bl.csv"),
+                     "--workers", workers]) == 2
+        assert not (tmp_path / "bl.csv").exists()

@@ -189,6 +189,22 @@ class TestGroundTruth:
         assert a.labels == b.labels
         assert query_count() == n
 
+    def test_parallel_adds_the_serial_count_without_a_reset(self):
+        # forked workers start from the parent's count; only their own
+        # queries may be added back
+        s = ParamSpace(0.5, 1.5, 0.5, 0.1, 2.0, 0.1, 0.0, 1.0, 0.5)
+        a = ground_truth(s, validator=RouthValidator(1, 1))
+        n = query_count()
+        b = ground_truth(s, validator=RouthValidator(1, 1), workers=2)
+        assert a.labels == b.labels
+        assert query_count() == 2 * n == 2 * s.size()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_label_serially(self, workers):
+        s = worked_space()
+        gt = ground_truth(s, validator=RouthValidator(1, 1), workers=workers)
+        assert len(gt.labels) == s.size() == query_count()
+
     def test_requires_oracle_ingredients(self):
         with pytest.raises(ValueError):
             ground_truth(worked_space())

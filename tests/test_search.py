@@ -185,6 +185,17 @@ class TestIdentifyBoundary:
         assert parallel.columns == serial.columns
         assert query_count() == n_serial
 
+    def test_parallel_adds_the_serial_count_without_a_reset(self):
+        # forked workers start from the parent's count; only their own
+        # queries may be added back
+        s = ParamSpace(0.5, 1.5, 0.5, 0.1, 4.0, 0.1, 0.0, 1.0, 0.5)
+        serial = identify_boundary(s, validator=RouthValidator(1, 1))
+        n_serial = query_count()
+        parallel = identify_boundary(s, validator=RouthValidator(1, 1),
+                                     workers=2)
+        assert parallel.columns == serial.columns
+        assert query_count() == 2 * n_serial
+
     def test_simulation_oracle_end_to_end(self):
         s = ParamSpace(1.0, 1.0, 1.0, 0.2, 3.0, 0.4, 0.2, 0.8, 0.3)
         bl = identify_boundary(s, hold_mission(), PlantModel(), OracleConfig())

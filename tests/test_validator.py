@@ -6,7 +6,7 @@ from pidlab import (OracleConfig, PidConfig, PlantModel, RouthValidator,
                     SimulationValidator, hold_mission, query_count,
                     reset_query_count, routh_stable, validate)
 from pidlab.mtl import And, Atom, Globally
-from pidlab.validator import LookupValidator, note_queries
+from pidlab.validator import LookupValidator
 
 
 @pytest.fixture(autouse=True)
@@ -123,7 +123,9 @@ class TestQueryCounter:
         assert query_count() == 1
 
     def test_reset(self):
-        note_queries(5)
+        v = LookupValidator(lambda pid: True)
+        for _ in range(5):
+            v.classify(PidConfig(1, 1, 1))
         assert query_count() == 5
         reset_query_count()
         assert query_count() == 0
