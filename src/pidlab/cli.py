@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,21 +51,25 @@ _MISSION_BUILDERS = {
 class ConfigError(Exception):
     """Configuration problem, with a best-effort file:line anchor."""
 
-    def __init__(self, message, path=None, key=None):
+    def __init__(self, message, path=None, section=None, key=None):
         self.path = path
-        line = _find_line(path, key) if path and key else None
+        line = _find_line(path, section, key) if path and key else None
         if path is not None:
             at = f"{path}:{line}" if line else str(path)
             message = f"{at}: {message}"
         super().__init__(message)
 
 
-def _find_line(path, key):
+def _find_line(path, section, key):
+    current = None
     try:
         with open(path) as fh:
             for lineno, text in enumerate(fh, start=1):
-                stripped = text.split("=")[0].split(":")[0].strip()
-                if stripped == key:
+                header = configparser.ConfigParser.SECTCRE.match(text.strip())
+                if header:
+                    current = header.group("header")
+                elif (current == section
+                      and text.split("=")[0].split(":")[0].strip() == key):
                     return lineno
     except OSError:
         return None
@@ -74,21 +79,22 @@ def _find_line(path, key):
 def _get_float(cp, path, section, key, default=None):
     if not cp.has_option(section, key):
         if default is None:
-            raise ConfigError(f"[{section}] is missing required key '{key}'", path, key)
+            raise ConfigError(f"[{section}] is missing required key '{key}'",
+                              path, section, key)
         return default
     raw = cp.get(section, key)
     try:
         return float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}",
-                          path, key) from None
+                          path, section, key) from None
 
 
 def _get_int(cp, path, section, key, default=None):
     val = _get_float(cp, path, section, key,
                      default=float(default) if default is not None else None)
     if val != int(val):
-        raise ConfigError(f"[{section}] {key} must be an integer", path, key)
+        raise ConfigError(f"[{section}] {key} must be an integer", path, section, key)
     return int(val)
 
 
@@ -119,7 +125,7 @@ def load_config(path):
 
     if cp.has_option("noise", "seed"):
         raise ConfigError("[noise] seed is not used; set [oracle] base_seed instead",
-                          path, "seed")
+                          path, "noise", "seed")
     noise = NoiseSpec(
         sensor_sigma=_get_float(cp, path, "noise", "sensor_sigma", 0.0),
         disturbance_amp=_get_float(cp, path, "noise", "disturbance_amp", 0.0),
@@ -137,7 +143,7 @@ def load_config(path):
     mode = cp.get("mission", "mode", fallback=None)
     if mode not in _MISSION_BUILDERS:
         raise ConfigError(f"[mission] mode must be one of {sorted(_MISSION_BUILDERS)}, "
-                          f"got {mode!r}", path, "mode")
+                          f"got {mode!r}", path, "mission", "mode")
     builder, keys = _MISSION_BUILDERS[mode]
     kwargs = {}
     for key in keys:
@@ -166,13 +172,17 @@ def load_config(path):
     window = None
     if cp.has_option("oracle", "window") and cp.get("oracle", "window").strip():
         window = _get_int(cp, path, "oracle", "window")
+        if kind == "offline":
+            raise ConfigError("[oracle] window has no effect on an offline oracle; "
+                              "set kind = online or drop it", path, "oracle", "window")
     formula = None
     raw_formula = cp.get("oracle", "formula", fallback="").strip()
     if raw_formula:
         try:
             formula = parse_formula(raw_formula)
         except MtlSyntaxError as exc:
-            raise ConfigError(f"[oracle] formula: {exc}", path, "formula") from exc
+            raise ConfigError(f"[oracle] formula: {exc}", path, "oracle",
+                              "formula") from exc
     try:
         oracle = OracleConfig(kind=kind, window=window,
                               repeats=_get_int(cp, path, "oracle", "repeats", 1),
@@ -195,7 +205,7 @@ def _parse_strides(cp, path):
     parts = raw.replace(",", " ").split()
     if len(parts) != 3 or not all(p.isdigit() and int(p) >= 1 for p in parts):
         raise ConfigError(f"[search] strides must be three positive integers, "
-                          f"got {raw!r}", path, "strides")
+                          f"got {raw!r}", path, "search", "strides")
     return tuple(int(p) for p in parts)
 
 
@@ -237,12 +247,13 @@ def _apply_oracle_overrides(app, args):
     changes = {}
     if getattr(args, "oracle", None):
         changes["kind"] = args.oracle
+        if args.oracle == "offline":
+            changes["window"] = None  # an inherited window has no effect offline
     if getattr(args, "window", None) is not None:
         changes["window"] = args.window
     if getattr(args, "repeats", None) is not None:
         changes["repeats"] = args.repeats
     if changes:
-        from dataclasses import replace
         try:
             app.oracle = replace(app.oracle, **changes)
         except ValueError as exc:

@@ -11,6 +11,15 @@ a violation as soon as any window fails. Obligations whose interval reaches
 past the window's end cannot be resolved there and are treated as satisfied,
 which is exactly why long-horizon Eventually properties can slip past an
 online monitor.
+
+Window starts are judged blockwise rather than one at a time: row w0 of a
+block holds the satisfaction at samples w0 .. w0 + window - 1 with horizon
+w0 + window - 1, so every row has the same horizon column and a temporal
+operator takes all its windowed counts from one row-wise cumsum (the
+windowed-count idea of Donze, Ferrere & Maler, CAV 2013). Atoms are computed
+once over the whole trace and each row is a view into them. A block holds at
+most _BLOCK_ELEMS samples (or one window, if that is longer), and the first
+block with a violated window ends the evaluation.
 """
 
 from __future__ import annotations
@@ -19,9 +28,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SIGNALS = ("x", "v", "r", "e", "abs_e", "t", "mode")
 COMPARATORS = ("<", "<=", ">", ">=", "=")
+
+# Samples (window starts x window offsets) per block of eval_online; fixes
+# its working set whatever the trace length or window.
+_BLOCK_ELEMS = 1 << 16
 
 
 class MtlSyntaxError(ValueError):
@@ -223,6 +237,74 @@ def _sat_range(node, ctx, j0, j1, h, optimistic):
     return sat
 
 
+def _atom_rows(node, ctx):
+    """(window start, window offset) view of an atom over the whole trace."""
+    rows = ctx["atoms"].get(node)
+    if rows is None:
+        whole = _eval_atom(node, ctx, 0, len(ctx["sig"]["t"]) - 1)
+        rows = ctx["atoms"][node] = sliding_window_view(whole, ctx["window"])
+    return rows
+
+
+def _sat_block(node, ctx, r0, r1, c0, c1):
+    """Online satisfaction of node for window starts r0 .. r1 - 1 (rows) at
+    window offsets c0 .. c1 (columns, inclusive).
+
+    Row w0, column off is _sat_range at sample w0 + off with horizon
+    w0 + window - 1, i.e. column window - 1 in every row, so the interval
+    rules of _sat_range apply unchanged to column indices. The result may
+    be a read-only view; nothing here writes into a child's result.
+    """
+    if isinstance(node, Atom):
+        return _atom_rows(node, ctx)[r0:r1, c0:c1 + 1]
+    if isinstance(node, Not):
+        return ~_sat_block(node.child, ctx, r0, r1, c0, c1)
+    if isinstance(node, And):
+        parts = [_sat_block(c, ctx, r0, r1, c0, c1) for c in node.children]
+        return np.logical_and.reduce(parts)
+    if isinstance(node, Or):
+        parts = [_sat_block(c, ctx, r0, r1, c0, c1) for c in node.children]
+        return np.logical_or.reduce(parts)
+    if isinstance(node, Implies):
+        a = _sat_block(node.lhs, ctx, r0, r1, c0, c1)
+        b = _sat_block(node.rhs, ctx, r0, r1, c0, c1)
+        return ~a | b
+
+    h = ctx["window"] - 1
+    lo, hi = _offsets(node, ctx["dt"])
+    shape = (r1 - r0, c1 - c0 + 1)
+    offs = np.arange(c0, c1 + 1)
+    starts = offs + lo
+    if hi is None:
+        ends = np.full_like(offs, h)
+        beyond = np.ones(len(offs), dtype=bool)
+    else:
+        ends = np.minimum(offs + hi, h)
+        beyond = offs + hi > h
+    if isinstance(node, Eventually) and beyond.all():
+        # every obligation reaches past the horizon, so none can fail here
+        return np.ones(shape, dtype=bool)
+    k0 = c0 + lo
+    k1 = int(ends.max())
+    if k0 > h or k1 < k0:
+        # no child sample is ever visible (also when rounding leaves hi < lo)
+        held = isinstance(node, Globally) | beyond
+        return np.broadcast_to(held, shape)
+    child = _sat_block(node.child, ctx, r0, r1, k0, k1)
+    width = k1 - k0 + 1
+    cs = np.zeros((shape[0], width + 1), dtype=np.int32)  # counts <= window
+    np.cumsum(child, axis=1, dtype=np.int32, out=cs[:, 1:])
+    empty = starts > ends
+    s_off = np.clip(starts - k0, 0, width)
+    e_off = np.clip(ends - k0 + 1, 0, width)
+    counts = cs[:, e_off] - cs[:, s_off]
+    if isinstance(node, Globally):
+        return empty | (counts == e_off - s_off)
+    sat = ~empty & (counts > 0)
+    sat |= beyond
+    return sat
+
+
 def _context(traj):
     return {"sig": {"x": traj.x, "v": traj.v, "r": traj.r, "e": traj.e,
                     "t": traj.t},
@@ -244,7 +326,8 @@ def eval_online(formula, traj, window):
     Evaluates the formula at the start of every window of `window` samples,
     with obligations reaching past the window's end treated as satisfied.
     False iff some window is violated. A window spanning the whole trace (or
-    more) degenerates to eval_offline.
+    more) degenerates to eval_offline. Window starts are judged in blocks
+    of _BLOCK_ELEMS // window (at least one; see the module docstring).
 
     Args:
         formula: MTL formula.
@@ -259,8 +342,12 @@ def eval_online(formula, traj, window):
     if window >= n:
         return eval_offline(formula, traj)
     ctx = _context(traj)
-    for w0 in range(n - window + 1):
-        if not _sat_range(formula, ctx, w0, w0, w0 + window - 1, True)[0]:
+    ctx["window"] = window
+    ctx["atoms"] = {}
+    n_starts = n - window + 1
+    rows = max(1, _BLOCK_ELEMS // window)
+    for r0 in range(0, n_starts, rows):
+        if not _sat_block(formula, ctx, r0, min(r0 + rows, n_starts), 0, 0).all():
             return False
     return True
 

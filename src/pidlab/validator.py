@@ -68,7 +68,8 @@ class OracleConfig:
     """How validity is judged.
 
     kind: "offline" (whole trace) or "online" (sliding window).
-    window: window length in samples, required for online.
+    window: window length in samples, required for online and
+        rejected for offline, where it would have no effect.
     repeats: odd number of simulations per query; the majority vote wins.
     base_seed: run j of a query simulates with noise seed base_seed + j.
     """
@@ -83,6 +84,8 @@ class OracleConfig:
             raise ValueError(f"oracle kind must be offline or online, got {self.kind!r}")
         if self.kind == "online" and (self.window is None or self.window < 2):
             raise ValueError("online oracle needs a window of >= 2 samples")
+        if self.kind == "offline" and self.window is not None:
+            raise ValueError("offline oracle takes no window")
         if self.repeats < 1 or self.repeats % 2 == 0:
             raise ValueError("repeats must be a positive odd number")
 

@@ -96,6 +96,8 @@ strides = 1 2 1
         (lambda t: t + "\n[search]\nstrides = 1 2\n", "strides"),
         (lambda t: t.replace("p_min = 2.0\n", ""), "p_min"),
         (lambda t: t + "\n[noise]\nseed = 3\n", "base_seed"),
+        (lambda t: t + "\n[oracle]\nkind = offline\nwindow = 200\n", "window"),
+        (lambda t: t + "\n[oracle]\nwindow = 200\n", "window"),
     ])
     def test_bad_configs_raise(self, config, mutate, fragment):
         config.write_text(mutate(BASE_CONFIG))
@@ -112,6 +114,14 @@ strides = 1 2 1
         with pytest.raises(ConfigError) as err:
             load_config(config)
         assert re.search(r"run\.ini:\d+", str(err.value))
+
+    def test_error_points_at_the_key_in_its_own_section(self, config):
+        text = BASE_CONFIG + "\n[search]\nseed = 4\n\n[noise]\nseed = 3\n"
+        config.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        noise_seed = text.splitlines().index("seed = 3") + 1
+        assert f"run.ini:{noise_seed}: [noise] seed" in str(err.value)
 
 
 class TestGroundTruthCommand:
@@ -191,6 +201,30 @@ class TestSearchCommand:
         assert main(["search", "--config", str(config), "--algorithm",
                      "simulated-annealing", "--out", str(tmp_path / "x.csv"),
                      "--workers", "1"]) == 2
+
+
+class TestOracleOverrides:
+    def run(self, config, tmp_path, *extra):
+        return main(["search", "--config", str(config), "--algorithm",
+                     "random-fuzz", "--out", str(tmp_path / "fuzz.csv"),
+                     "--budget", "1", "--workers", "1", *extra])
+
+    def test_window_with_offline_oracle_is_config_error(self, config, tmp_path, capsys):
+        assert self.run(config, tmp_path, "--window", "50") == 2
+        assert "window" in capsys.readouterr().err
+        assert not (tmp_path / "fuzz.json").exists()
+
+    def test_online_override_takes_the_window(self, config, tmp_path):
+        assert self.run(config, tmp_path, "--oracle", "online", "--window", "50") == 0
+        oracle = read_json(tmp_path / "fuzz.json")["oracle"]
+        assert (oracle["kind"], oracle["window"]) == ("online", 50)
+
+    def test_offline_override_drops_the_inherited_window(self, config, tmp_path):
+        config.write_text(BASE_CONFIG + "\n[oracle]\nkind = online\nwindow = 120\n")
+        assert self.run(config, tmp_path, "--oracle", "offline") == 0
+        oracle = read_json(tmp_path / "fuzz.json")["oracle"]
+        assert (oracle["kind"], oracle["window"]) == ("offline", None)
+        assert self.run(config, tmp_path, "--oracle", "offline", "--window", "50") == 2
 
 
 class TestEvalCommand:

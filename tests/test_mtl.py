@@ -3,12 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pidlab import (PidConfig, PlantModel, brake_mission, circle_mission,
                     eval_offline, eval_online, hold_mission, mode_spec,
                     parse_formula, return_home_mission, simulate)
+from pidlab import mtl
 from pidlab.mtl import (And, Atom, Eventually, Globally, Implies, MtlSyntaxError,
-                        Not, Or, Prev, circle_lap_spec)
+                        Not, Or, Prev, _context, _sat_block, _sat_range,
+                        circle_lap_spec)
 from pidlab.plant import Trajectory
 
 
@@ -35,7 +39,17 @@ def _ref_cmp(op, a, b):
     return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b, "=": a == b}[op]
 
 
-def ref_sat(node, traj, i, h, optimistic):
+def ref_sat(node, traj, i, h, optimistic, memo=None):
+    """Verdict of node at sample i with horizon h; memo caches verdicts per
+    (node, i, h) across the calls of one top-level evaluation."""
+    memo = {} if memo is None else memo
+    key = (id(node), i, h)
+    if key not in memo:
+        memo[key] = _ref_sat(node, traj, i, h, optimistic, memo)
+    return memo[key]
+
+
+def _ref_sat(node, traj, i, h, optimistic, memo):
     if isinstance(node, Atom):
         if node.signal == "mode":
             return traj.mode == node.rhs
@@ -48,14 +62,14 @@ def ref_sat(node, traj, i, h, optimistic):
             rhs = node.rhs
         return bool(_ref_cmp(node.op, sig[i], rhs))
     if isinstance(node, Not):
-        return not ref_sat(node.child, traj, i, h, optimistic)
+        return not ref_sat(node.child, traj, i, h, optimistic, memo)
     if isinstance(node, And):
-        return all(ref_sat(c, traj, i, h, optimistic) for c in node.children)
+        return all(ref_sat(c, traj, i, h, optimistic, memo) for c in node.children)
     if isinstance(node, Or):
-        return any(ref_sat(c, traj, i, h, optimistic) for c in node.children)
+        return any(ref_sat(c, traj, i, h, optimistic, memo) for c in node.children)
     if isinstance(node, Implies):
-        return (not ref_sat(node.lhs, traj, i, h, optimistic)
-                or ref_sat(node.rhs, traj, i, h, optimistic))
+        return (not ref_sat(node.lhs, traj, i, h, optimistic, memo)
+                or ref_sat(node.rhs, traj, i, h, optimistic, memo))
     if node.t_lo is None:
         lo, hi = 0, None
     else:
@@ -64,8 +78,8 @@ def ref_sat(node, traj, i, h, optimistic):
     last = h if hi is None else min(i + hi, h)
     indices = range(i + lo, last + 1)
     if isinstance(node, Globally):
-        return all(ref_sat(node.child, traj, j, h, optimistic) for j in indices)
-    hit = any(ref_sat(node.child, traj, j, h, optimistic) for j in indices)
+        return all(ref_sat(node.child, traj, j, h, optimistic, memo) for j in indices)
+    hit = any(ref_sat(node.child, traj, j, h, optimistic, memo) for j in indices)
     beyond = hi is None or i + hi > h
     return hit or (optimistic and beyond)
 
@@ -78,7 +92,19 @@ def ref_online(node, traj, window):
     n = len(traj)
     if window >= n:
         return ref_offline(node, traj)
-    return all(ref_sat(node, traj, w0, w0 + window - 1, True)
+    memo = {}
+    return all(ref_sat(node, traj, w0, w0 + window - 1, True, memo)
+               for w0 in range(n - window + 1))
+
+
+def loop_online(node, traj, window):
+    """The per-window evaluator the blockwise eval_online replaced: one
+    _sat_range call per window start, stopping at the first violation."""
+    n = len(traj)
+    if window >= n:
+        return eval_offline(node, traj)
+    ctx = _context(traj)
+    return all(_sat_range(node, ctx, w0, w0, w0 + window - 1, True)[0]
                for w0 in range(n - window + 1))
 
 
@@ -123,6 +149,150 @@ def test_engine_matches_reference_semantics():
         assert eval_offline(f, traj) == ref_offline(f, traj), (trial, f)
         w = rng.randrange(2, len(traj) + 3)
         assert eval_online(f, traj, w) == ref_online(f, traj, w), (trial, f, w)
+
+
+# ---------------------------------------------------------------------------
+# blockwise eval_online against both references
+# ---------------------------------------------------------------------------
+
+_ATOM_CONSTS = (-2.0, -0.5, 0.0, 0.5, 1.0, 3.0)
+_atoms = st.one_of(
+    st.builds(Atom, st.sampled_from(["x", "v", "e", "t", "abs_e"]),
+              st.sampled_from(["<", "<=", ">", ">=", "="]),
+              st.sampled_from(_ATOM_CONSTS)),
+    st.builds(lambda sig, op, off: Atom(sig, op, Prev(sig, off)),
+              st.sampled_from(["x", "e", "abs_e"]), st.sampled_from(["<=", ">"]),
+              st.sampled_from([0.0, 0.5, -0.5])),
+    st.builds(Atom, st.just("mode"), st.just("="), st.sampled_from(["hold", "brake"])),
+)
+# (0.5, 0.5) holds no sample at dt = 1: bounds round toward the interior.
+_BOUNDS = [(None, None), (0.0, 0.0), (0.0, 2.0), (1.0, 3.0), (0.5, 1.5),
+           (0.5, 0.5), (2.5, 8.5)]
+
+
+@st.composite
+def formulas(draw, depth=4):
+    """Formulas up to `depth` operators deep, half of whose operators are
+    temporal, so that nested ones (the case blocks make hard) are common."""
+    kind = draw(st.sampled_from(["atom", "temporal", "temporal", "boolean"])
+                if depth else st.just("atom"))
+    if kind == "atom":
+        return draw(_atoms)
+    if kind == "temporal":
+        cls = draw(st.sampled_from([Globally, Eventually]))
+        lo, hi = draw(st.sampled_from(_BOUNDS))
+        return cls(draw(formulas(depth - 1)), t_lo=lo, t_hi=hi)
+    op = draw(st.sampled_from([Not, And, Or, Implies]))
+    if op is Not:
+        return Not(draw(formulas(depth - 1)))
+    a, b = draw(formulas(depth - 1)), draw(formulas(depth - 1))
+    return Implies(a, b) if op is Implies else op((a, b))
+
+
+@st.composite
+def traces_and_windows(draw):
+    n = draw(st.integers(2, 40))
+    vals = st.lists(st.sampled_from(_ATOM_CONSTS + (0.25, -1.0)), min_size=n, max_size=n)
+    x, v, r = (np.array(draw(vals)) for _ in range(3))
+    dt = draw(st.sampled_from([1.0, 0.5]))
+    traj = Trajectory(dt=dt, t=np.arange(n) * dt, x=x, v=v, r=r, e=r - x,
+                      mode=draw(st.sampled_from(["hold", "brake"])))
+    return traj, draw(st.integers(2, n + 3))
+
+
+@pytest.mark.parametrize("block", [1, 3, mtl._BLOCK_ELEMS])
+@settings(max_examples=200, deadline=None)
+@given(f=formulas(), tw=traces_and_windows())
+def test_blockwise_online_matches_reference(block, f, tw):
+    """Block boundaries fall between window starts at every block size.
+    Beyond the verdict, every (window start, offset) cell of one block
+    spanning all windows must match the reference, so a nested operator
+    that is wrong only away from offset 0 cannot hide behind the root."""
+    traj, window = tw
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mtl, "_BLOCK_ELEMS", block)
+        assert eval_online(f, traj, window) == ref_online(f, traj, window)
+    n = len(traj)
+    if window < n:
+        ctx = _context(traj)
+        ctx.update(window=window, atoms={})
+        got = _sat_block(f, ctx, 0, n - window + 1, 0, window - 1)
+        memo = {}
+        want = [[ref_sat(f, traj, w0 + off, w0 + window - 1, True, memo)
+                 for off in range(window)] for w0 in range(n - window + 1)]
+        assert np.array_equal(got, want)
+
+
+def _short_missions():
+    return [hold_mission(settle_deadline=10.0, duration=20.0),
+            brake_mission(brake_at=8.0, brake_deadline=5.0, duration=20.0),
+            circle_mission(radius=1.0, freq=0.05, duration=25.0),
+            return_home_mission(out_dist=2.0, out_t=6.0, return_t=6.0,
+                                settle_deadline=15.0, mono_margin=1.0,
+                                duration=20.0)]
+
+
+@pytest.fixture(scope="module")
+def simulated_specs():
+    """(spec, trace) for every mode spec and the lap spec, on a well-tuned
+    and an unstable controller."""
+    plant = PlantModel()
+    cases = []
+    for m in _short_missions():
+        specs = [mode_spec(m)]
+        if m.mode == "circle_track":
+            specs.append(circle_lap_spec(m))
+        for gains in ((2, 1, 2), (1, 5, 1)):
+            traj = simulate(plant, PidConfig(*gains), m)
+            cases += [(spec, traj) for spec in specs]
+    return cases
+
+
+def test_online_matches_the_window_loop_on_simulated_traces(simulated_specs):
+    verdicts = set()
+    for spec, traj in simulated_specs:
+        n = len(traj)
+        for window in (2, 37, 200, n - 1, n, n + 5):
+            got = eval_online(spec, traj, window)
+            assert got == loop_online(spec, traj, window), (spec.label, window)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_violation_in_the_first_window_only(simulated_specs):
+    _, traj = simulated_specs[0]  # hold mission, well tuned: starts 1 off
+    spec = Globally(Eventually(Atom("abs_e", "<", 0.9), t_lo=0.0, t_hi=0.2))
+    late = traj.t >= 1.0
+    assert np.all(np.abs(traj.e[:21]) >= 0.9) and np.all(np.abs(traj.e[late]) < 0.9)
+    for window in (37, 200):
+        for block in (1, 1000, mtl._BLOCK_ELEMS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mtl, "_BLOCK_ELEMS", block)
+                assert not eval_online(spec, traj, window)
+                assert eval_online(spec, _tail(traj, 1.0), window)
+        assert not loop_online(spec, traj, window)
+
+
+def test_violation_in_the_last_window_only(simulated_specs):
+    spec, good = simulated_specs[0]
+    spiked = _tail(good, 0.0)
+    spiked.e[-1] = 5.0  # only the last window sees the final sample
+    assert eval_offline(spec, good)
+    for window in (37, 200):
+        for block in (1, 1000, mtl._BLOCK_ELEMS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mtl, "_BLOCK_ELEMS", block)
+                assert eval_online(spec, good, window)
+                assert not eval_online(spec, spiked, window)
+                assert not loop_online(spec, spiked, window)
+
+
+def _tail(traj, t0):
+    """Copy of the trace from time t0 on, keeping absolute times."""
+    keep = traj.t >= t0
+    return Trajectory(dt=traj.dt, t=traj.t[keep], x=traj.x[keep].copy(),
+                      v=traj.v[keep].copy(), r=traj.r[keep].copy(),
+                      e=traj.e[keep].copy(), mode=traj.mode)
 
 
 class TestOfflineSemantics:

@@ -32,6 +32,8 @@ class TestOracleConfig:
             OracleConfig(kind="online")  # window is mandatory
         with pytest.raises(ValueError):
             OracleConfig(kind="online", window=1)
+        with pytest.raises(ValueError):
+            OracleConfig(kind="offline", window=200)  # it would have no effect
 
 
 class TestSimulationValidator:
