@@ -13,6 +13,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -68,8 +69,8 @@ def _find_line(path, section, key):
                 header = configparser.ConfigParser.SECTCRE.match(text.strip())
                 if header:
                     current = header.group("header")
-                elif (current == section
-                      and text.split("=")[0].split(":")[0].strip() == key):
+                elif (current == section  # configparser lower-cases keys
+                      and text.split("=")[0].split(":")[0].strip().lower() == key):
                     return lineno
     except OSError:
         return None
@@ -84,10 +85,13 @@ def _get_float(cp, path, section, key, default=None):
         return default
     raw = cp.get(section, key)
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}",
-                          path, section, key) from None
+        val = math.nan
+    if not math.isfinite(val):
+        raise ConfigError(f"[{section}] {key} must be a finite number, got {raw!r}",
+                          path, section, key)
+    return val
 
 
 def _get_int(cp, path, section, key, default=None):

@@ -6,20 +6,21 @@ finite-trace: a Globally over a truncated interval quantifies over the
 samples that exist, an Eventually that is never satisfied within the trace
 is false.
 
-The online evaluator slides a fixed-length window along the trace and flags
-a violation as soon as any window fails. Obligations whose interval reaches
-past the window's end cannot be resolved there and are treated as satisfied,
-which is exactly why long-horizon Eventually properties can slip past an
-online monitor.
+One evaluator judges a block of windows at once: row w0 holds the
+satisfaction at samples w0 .. w0 + window - 1 with horizon w0 + window - 1,
+so every row has the same horizon column and a temporal operator takes all
+its windowed counts from one row-wise cumsum (the windowed-count idea of
+Donze, Ferrere & Maler, CAV 2013). Atoms are computed once over the whole
+trace and each row is a view into them.
 
-Window starts are judged blockwise rather than one at a time: row w0 of a
-block holds the satisfaction at samples w0 .. w0 + window - 1 with horizon
-w0 + window - 1, so every row has the same horizon column and a temporal
-operator takes all its windowed counts from one row-wise cumsum (the
-windowed-count idea of Donze, Ferrere & Maler, CAV 2013). Atoms are computed
-once over the whole trace and each row is a view into them. A block holds at
-most _BLOCK_ELEMS samples (or one window, if that is longer), and the first
-block with a violated window ends the evaluation.
+Offline evaluation is the one-row block whose window is the whole trace;
+obligations reaching past its end fail. The online evaluator slides a
+shorter window along the trace and flags a violation as soon as any window
+fails. Obligations whose interval reaches past a window's end cannot be
+resolved there and are treated as satisfied, which is exactly why
+long-horizon Eventually properties can slip past an online monitor. Online
+blocks hold at most _BLOCK_ELEMS samples (or one window, if that is
+longer), and the first block with a violated window ends the evaluation.
 """
 
 from __future__ import annotations
@@ -133,16 +134,6 @@ class Eventually:
         _check_bounds(self.t_lo, self.t_hi)
 
 
-def _signal_slice(ctx, name, j0, j1):
-    if name == "mode":
-        return None  # handled in _eval_atom
-    arr = ctx["sig"].get(name)
-    if arr is None and name == "abs_e":
-        arr = np.abs(ctx["sig"]["e"])
-        ctx["sig"]["abs_e"] = arr
-    return arr[j0:j1 + 1]
-
-
 def _compare(op, lhs, rhs):
     if op == "<":
         return lhs < rhs
@@ -155,20 +146,16 @@ def _compare(op, lhs, rhs):
     return lhs == rhs
 
 
-def _eval_atom(node, ctx, j0, j1):
-    m = j1 - j0 + 1
+def _eval_atom(node, ctx):
+    """Truth of an atom at every sample of the trace."""
+    sig = ctx["sig"]
     if node.signal == "mode":
-        hit = _compare("=", ctx["mode"], node.rhs)
-        return np.full(m, bool(hit))
-    lhs = _signal_slice(ctx, node.signal, j0, j1)
+        return np.full(len(sig["t"]), ctx["mode"] == node.rhs)
+    lhs = sig[node.signal]
     if isinstance(node.rhs, Prev):
         # Previous-sample atoms have no obligation at the very first sample.
-        out = np.empty(m, dtype=bool)
-        pj0 = max(j0, 1)
-        prev = _signal_slice(ctx, node.rhs.signal, pj0 - 1, j1 - 1) + node.rhs.offset
-        out[pj0 - j0:] = _compare(node.op, lhs[pj0 - j0:], prev)
-        if j0 == 0:
-            out[0] = True
+        out = np.ones(len(lhs), dtype=bool)
+        out[1:] = _compare(node.op, lhs[1:], sig[node.rhs.signal][:-1] + node.rhs.offset)
         return out
     return _compare(node.op, lhs, np.float64(node.rhs))
 
@@ -182,78 +169,25 @@ def _offsets(node, dt):
     return lo, hi
 
 
-def _sat_range(node, ctx, j0, j1, h, optimistic):
-    """Satisfaction of node at each index in [j0, j1], horizon h (inclusive).
-
-    Indices are absolute trace positions; h is the last sample visible to
-    this evaluation (the trace end offline, the window end online).
-    """
-    if isinstance(node, Atom):
-        return _eval_atom(node, ctx, j0, j1)
-    if isinstance(node, Not):
-        return ~_sat_range(node.child, ctx, j0, j1, h, optimistic)
-    if isinstance(node, And):
-        parts = [_sat_range(c, ctx, j0, j1, h, optimistic) for c in node.children]
-        return np.logical_and.reduce(parts)
-    if isinstance(node, Or):
-        parts = [_sat_range(c, ctx, j0, j1, h, optimistic) for c in node.children]
-        return np.logical_or.reduce(parts)
-    if isinstance(node, Implies):
-        a = _sat_range(node.lhs, ctx, j0, j1, h, optimistic)
-        b = _sat_range(node.rhs, ctx, j0, j1, h, optimistic)
-        return ~a | b
-
-    # Temporal: window of child indices [j + lo, min(j + hi, h)] per j.
-    lo, hi = _offsets(node, ctx["dt"])
-    js = np.arange(j0, j1 + 1)
-    starts = js + lo
-    if hi is None:
-        ends = np.full_like(js, h)
-        beyond = np.ones(len(js), dtype=bool)
-    else:
-        ends = np.minimum(js + hi, h)
-        beyond = js + hi > h
-    c0 = j0 + lo
-    c1 = int(ends.max())
-    if c0 > h or c1 < c0:
-        # no child sample is ever visible
-        empty = np.ones(len(js), dtype=bool)
-        counts = np.zeros(len(js), dtype=int)
-        widths = np.zeros(len(js), dtype=int)
-    else:
-        child = _sat_range(node.child, ctx, c0, c1, h, optimistic)
-        cs = np.concatenate(([0], np.cumsum(child)))
-        empty = starts > ends
-        s_off = np.clip(starts - c0, 0, len(child))
-        e_off = np.clip(ends - c0 + 1, 0, len(child))
-        counts = cs[e_off] - cs[s_off]
-        widths = e_off - s_off
-    if isinstance(node, Globally):
-        # truncated intervals quantify over what exists; empty ones hold
-        return empty | (counts == widths)
-    sat = ~empty & (counts > 0)
-    if optimistic:
-        sat |= beyond
-    return sat
-
-
 def _atom_rows(node, ctx):
     """(window start, window offset) view of an atom over the whole trace."""
     rows = ctx["atoms"].get(node)
     if rows is None:
-        whole = _eval_atom(node, ctx, 0, len(ctx["sig"]["t"]) - 1)
-        rows = ctx["atoms"][node] = sliding_window_view(whole, ctx["window"])
+        rows = ctx["atoms"][node] = sliding_window_view(_eval_atom(node, ctx),
+                                                        ctx["window"])
     return rows
 
 
 def _sat_block(node, ctx, r0, r1, c0, c1):
-    """Online satisfaction of node for window starts r0 .. r1 - 1 (rows) at
-    window offsets c0 .. c1 (columns, inclusive).
+    """Satisfaction of node for window starts r0 .. r1 - 1 (rows) at window
+    offsets c0 .. c1 (columns, inclusive).
 
-    Row w0, column off is _sat_range at sample w0 + off with horizon
-    w0 + window - 1, i.e. column window - 1 in every row, so the interval
-    rules of _sat_range apply unchanged to column indices. The result may
-    be a read-only view; nothing here writes into a child's result.
+    Row w0, column off is the satisfaction at sample w0 + off with horizon
+    w0 + window - 1, i.e. column window - 1 in every row. A temporal
+    operator's window of child columns is [off + lo, min(off + hi, window - 1)];
+    obligations whose interval reaches past the horizon hold if the context
+    is optimistic and fail otherwise. The result may be a read-only view;
+    nothing here writes into a child's result.
     """
     if isinstance(node, Atom):
         return _atom_rows(node, ctx)[r0:r1, c0:c1 + 1]
@@ -277,10 +211,10 @@ def _sat_block(node, ctx, r0, r1, c0, c1):
     starts = offs + lo
     if hi is None:
         ends = np.full_like(offs, h)
-        beyond = np.ones(len(offs), dtype=bool)
+        beyond = np.full(len(offs), ctx["optimistic"])
     else:
         ends = np.minimum(offs + hi, h)
-        beyond = offs + hi > h
+        beyond = (offs + hi > h) & ctx["optimistic"]
     if isinstance(node, Eventually) and beyond.all():
         # every obligation reaches past the horizon, so none can fail here
         return np.ones(shape, dtype=bool)
@@ -299,25 +233,32 @@ def _sat_block(node, ctx, r0, r1, c0, c1):
     e_off = np.clip(ends - k0 + 1, 0, width)
     counts = cs[:, e_off] - cs[:, s_off]
     if isinstance(node, Globally):
+        # truncated intervals quantify over what exists; empty ones hold
         return empty | (counts == e_off - s_off)
-    sat = ~empty & (counts > 0)
-    sat |= beyond
-    return sat
+    return ~empty & (counts > 0) | beyond
 
 
-def _context(traj):
+def _context(traj, window, optimistic):
+    """Evaluation state for one trace: signals, the window length (horizon
+    column window - 1), whether past-horizon obligations hold, and the
+    per-atom cache filled by _atom_rows."""
     return {"sig": {"x": traj.x, "v": traj.v, "r": traj.r, "e": traj.e,
-                    "t": traj.t},
-            "mode": traj.mode, "dt": traj.dt}
+                    "abs_e": np.abs(traj.e), "t": traj.t},
+            "mode": traj.mode, "dt": traj.dt, "window": window,
+            "optimistic": optimistic, "atoms": {}}
 
 
 def eval_offline(formula, traj):
-    """Whole-trace verdict: does the trace satisfy the formula at time 0?"""
+    """Whole-trace verdict: does the trace satisfy the formula at time 0?
+
+    The one-row case of the online evaluation: a single window spanning the
+    trace, in which obligations past the trace end fail.
+    """
     n = len(traj)
     if n == 0:
         raise ValueError("empty trajectory")
-    ctx = _context(traj)
-    return bool(_sat_range(formula, ctx, 0, 0, n - 1, False)[0])
+    ctx = _context(traj, n, optimistic=False)
+    return bool(_sat_block(formula, ctx, 0, 1, 0, 0)[0, 0])
 
 
 def eval_online(formula, traj, window):
@@ -341,9 +282,7 @@ def eval_online(formula, traj, window):
         raise ValueError("empty trajectory")
     if window >= n:
         return eval_offline(formula, traj)
-    ctx = _context(traj)
-    ctx["window"] = window
-    ctx["atoms"] = {}
+    ctx = _context(traj, window, optimistic=True)
     n_starts = n - window + 1
     rows = max(1, _BLOCK_ELEMS // window)
     for r0 in range(0, n_starts, rows):

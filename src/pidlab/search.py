@@ -87,7 +87,9 @@ class ParamSpace:
 
     def _snap(self, value, lo, step, count, name):
         idx = int(round((value - lo) / step))
-        if idx < 0 or idx >= count or abs(lo + idx * step - value) > 1e-6 * max(step, 1.0):
+        # the CSV writers keep 9 significant digits (%.9g): off by <= 5e-9 * |value|
+        tol = 1e-6 * max(step, 1.0) + 5e-9 * abs(value)
+        if idx < 0 or idx >= count or abs(lo + idx * step - value) > tol:
             raise ValueError(f"{name}={value!r} is not on the grid")
         return idx
 

@@ -35,6 +35,25 @@ d_step = 0.3
 """
 
 
+# (key, text replaced in BASE_CONFIG or None to append, new text)
+NON_FINITE = [
+    ("budget", None, "\n[search]\nbudget = inf\n"),
+    ("base_seed", None, "\n[oracle]\nbase_seed = inf\n"),
+    ("repeats", None, "\n[oracle]\nrepeats = 1e400\n"),
+    ("p_max", "p_max = 2.0", "p_max = inf"),
+    ("dt", "dt = 0.01", "dt = nan"),
+    ("duration", "duration = 16", "duration = nan"),
+    ("seed", None, "\n[search]\nseed = nan\n"),
+    ("t_max", "t_max = 120", "t_max = nan"),
+    ("sensor_sigma", None, "\n[noise]\nsensor_sigma = nan\n"),
+    ("hold_tol", "hold_tol = 0.05", "hold_tol = NaN"),
+]
+
+
+def edit(text, old, new):
+    return text.replace(old, new) if old else text + new
+
+
 @pytest.fixture
 def config(tmp_path):
     path = tmp_path / "run.ini"
@@ -98,6 +117,9 @@ strides = 1 2 1
         (lambda t: t + "\n[noise]\nseed = 3\n", "base_seed"),
         (lambda t: t + "\n[oracle]\nkind = offline\nwindow = 200\n", "window"),
         (lambda t: t + "\n[oracle]\nwindow = 200\n", "window"),
+    ] + [
+        (lambda t, old=old, new=new: edit(t, old, new), f"{key} must be a finite number")
+        for key, old, new in NON_FINITE
     ])
     def test_bad_configs_raise(self, config, mutate, fragment):
         config.write_text(mutate(BASE_CONFIG))
@@ -110,18 +132,26 @@ strides = 1 2 1
             load_config(tmp_path / "nope.ini")
 
     def test_error_points_at_the_line(self, config):
-        config.write_text(BASE_CONFIG.replace("i_step = 0.4", "i_step = fast"))
-        with pytest.raises(ConfigError) as err:
-            load_config(config)
-        assert re.search(r"run\.ini:\d+", str(err.value))
+        for _, old, new in [("i_step", "i_step = 0.4", "i_step = fast")] + NON_FINITE:
+            text = edit(BASE_CONFIG, old, new)
+            config.write_text(text)
+            with pytest.raises(ConfigError) as err:
+                load_config(config)
+            at = text.splitlines().index(new.strip().splitlines()[-1]) + 1
+            assert re.search(rf"run\.ini:{at}: ", str(err.value)), new
 
     def test_error_points_at_the_key_in_its_own_section(self, config):
-        text = BASE_CONFIG + "\n[search]\nseed = 4\n\n[noise]\nseed = 3\n"
-        config.write_text(text)
-        with pytest.raises(ConfigError) as err:
-            load_config(config)
-        noise_seed = text.splitlines().index("seed = 3") + 1
-        assert f"run.ini:{noise_seed}: [noise] seed" in str(err.value)
+        # configparser lower-cases keys; the anchor must find them anyway
+        for tail, line, where in [
+                ("\n[search]\nseed = 4\n\n[noise]\nseed = 3\n", "seed = 3", "[noise] seed"),
+                ("\n[search]\nSeed = 4\n\n[noise]\nSeed = 3\n", "Seed = 3", "[noise] seed"),
+                ("\n[oracle]\nWindow = 20\n", "Window = 20", "[oracle] window")]:
+            text = BASE_CONFIG + tail
+            config.write_text(text)
+            with pytest.raises(ConfigError) as err:
+                load_config(config)
+            at = text.splitlines().index(line) + 1
+            assert f"run.ini:{at}: {where}" in str(err.value)
 
 
 class TestGroundTruthCommand:

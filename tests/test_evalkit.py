@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pidlab import (Metrics, OracleConfig, ParamSpace, PidConfig, PlantModel,
                     RouthValidator, compare_oracles, compute_metrics,
@@ -9,7 +11,8 @@ from pidlab import (Metrics, OracleConfig, ParamSpace, PidConfig, PlantModel,
                     region_from_boundary, reset_query_count, routh_stable)
 from pidlab.evalkit import (INVALID, VALID, ClassifiedGrid, configs_from_csv,
                             configs_to_csv, grid_from_csv, grid_to_csv)
-from pidlab.search import BoundaryLine, ColumnRecord
+from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, BoundaryLine,
+                           ColumnRecord, boundary_from_csv, boundary_to_csv)
 from pidlab.validator import LookupValidator
 
 
@@ -281,3 +284,58 @@ class TestCsvRoundTrips:
         path.write_text("kp,ki\n1,0.1\n")
         with pytest.raises(ValueError):
             configs_from_csv(path, worked_space())
+
+
+@st.composite
+def awkward_spaces(draw):
+    """Small grids with steps like 0.1 and 0.05 and offsets with many
+    digits, whose %.9g values are close to but not exactly on the grid."""
+    axes = []
+    for _ in range(3):
+        lo = draw(st.floats(-2e4, 2e4, allow_nan=False))
+        step = draw(st.sampled_from([0.1, 0.05, 0.001, 0.3, 0.025, 7.0]))
+        axes += [lo, lo + draw(st.integers(0, 4)) * step, step]
+    return ParamSpace(*axes)
+
+
+class TestCsvRoundTripProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(space=awkward_spaces(), frac=st.floats(0.25, 0.75))
+    def test_printed_values_snap_back_and_off_grid_ones_raise(self, space, frac):
+        for value, index, lo, step, n in [
+                (space.p_value, space.p_index, space.p_min, space.p_step, space.n_p),
+                (space.i_value, space.i_index, space.i_min, space.i_step, space.n_i),
+                (space.d_value, space.d_index, space.d_min, space.d_step, space.n_d)]:
+            for k in range(n):
+                assert index(float("%.9g" % value(k))) == k
+                with pytest.raises(ValueError):
+                    index(lo + (k + frac) * step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=awkward_spaces(), seed=st.integers(0, 2**16))
+    def test_csvs_round_trip_exactly(self, tmp_path_factory, space, seed):
+        rng = random.Random(seed)
+        cells = [space.pid_at(*idx) for idx in space.iter_indices()]
+        grid = ClassifiedGrid(space, {pid: rng.choice((VALID, INVALID))
+                                      for pid in cells})
+        configs = {pid for pid in cells if rng.random() < 0.5}
+        columns = []
+        for ip in range(space.n_p):
+            for id_ in range(space.n_d):
+                status = rng.choice((BOUNDARY, ALL_VALID, ALL_INVALID))
+                i_save = (space.i_value(rng.randrange(space.n_i))
+                          if status == BOUNDARY else None)
+                columns.append(ColumnRecord(space.p_value(ip), space.d_value(id_),
+                                            status, i_save))
+        line = BoundaryLine(space, columns)
+        d = tmp_path_factory.mktemp("csv")
+        for write, read, obj, same in [
+                (grid_to_csv, grid_from_csv, grid, lambda a, b: a.labels == b.labels),
+                (configs_to_csv, configs_from_csv, configs, lambda a, b: a == b),
+                (boundary_to_csv, boundary_from_csv, line,
+                 lambda a, b: a.columns == b.columns)]:
+            write(obj, d / "a.csv")
+            back = read(d / "a.csv", space)
+            assert same(back, obj)
+            write(back, d / "b.csv")
+            assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from pidlab import (PidConfig, PlantModel, brake_mission, circle_mission,
                     parse_formula, return_home_mission, simulate)
 from pidlab import mtl
 from pidlab.mtl import (And, Atom, Eventually, Globally, Implies, MtlSyntaxError,
-                        Not, Or, Prev, _context, _sat_block, _sat_range,
+                        Not, Or, Prev, _compare, _context, _offsets, _sat_block,
                         circle_lap_spec)
 from pidlab.plant import Trajectory
 
@@ -97,13 +98,112 @@ def ref_online(node, traj, window):
                for w0 in range(n - window + 1))
 
 
+# ---------------------------------------------------------------------------
+# range evaluator: one contiguous run of samples per call with an explicit
+# horizon, no blocks; the second reference behind range_offline and
+# loop_online
+# ---------------------------------------------------------------------------
+
+def _range_context(traj):
+    return {"sig": {"x": traj.x, "v": traj.v, "r": traj.r, "e": traj.e,
+                    "t": traj.t},
+            "mode": traj.mode, "dt": traj.dt}
+
+
+def _signal_slice(ctx, name, j0, j1):
+    if name == "mode":
+        return None  # handled in _eval_atom
+    arr = ctx["sig"].get(name)
+    if arr is None and name == "abs_e":
+        arr = np.abs(ctx["sig"]["e"])
+        ctx["sig"]["abs_e"] = arr
+    return arr[j0:j1 + 1]
+
+
+def _eval_atom(node, ctx, j0, j1):
+    m = j1 - j0 + 1
+    if node.signal == "mode":
+        hit = _compare("=", ctx["mode"], node.rhs)
+        return np.full(m, bool(hit))
+    lhs = _signal_slice(ctx, node.signal, j0, j1)
+    if isinstance(node.rhs, Prev):
+        # Previous-sample atoms have no obligation at the very first sample.
+        out = np.empty(m, dtype=bool)
+        pj0 = max(j0, 1)
+        prev = _signal_slice(ctx, node.rhs.signal, pj0 - 1, j1 - 1) + node.rhs.offset
+        out[pj0 - j0:] = _compare(node.op, lhs[pj0 - j0:], prev)
+        if j0 == 0:
+            out[0] = True
+        return out
+    return _compare(node.op, lhs, np.float64(node.rhs))
+
+
+def _sat_range(node, ctx, j0, j1, h, optimistic):
+    """Satisfaction of node at each index in [j0, j1], horizon h (inclusive).
+
+    Indices are absolute trace positions; h is the last sample visible to
+    this evaluation (the trace end offline, the window end online).
+    """
+    if isinstance(node, Atom):
+        return _eval_atom(node, ctx, j0, j1)
+    if isinstance(node, Not):
+        return ~_sat_range(node.child, ctx, j0, j1, h, optimistic)
+    if isinstance(node, And):
+        parts = [_sat_range(c, ctx, j0, j1, h, optimistic) for c in node.children]
+        return np.logical_and.reduce(parts)
+    if isinstance(node, Or):
+        parts = [_sat_range(c, ctx, j0, j1, h, optimistic) for c in node.children]
+        return np.logical_or.reduce(parts)
+    if isinstance(node, Implies):
+        a = _sat_range(node.lhs, ctx, j0, j1, h, optimistic)
+        b = _sat_range(node.rhs, ctx, j0, j1, h, optimistic)
+        return ~a | b
+
+    # Temporal: window of child indices [j + lo, min(j + hi, h)] per j.
+    lo, hi = _offsets(node, ctx["dt"])
+    js = np.arange(j0, j1 + 1)
+    starts = js + lo
+    if hi is None:
+        ends = np.full_like(js, h)
+        beyond = np.ones(len(js), dtype=bool)
+    else:
+        ends = np.minimum(js + hi, h)
+        beyond = js + hi > h
+    c0 = j0 + lo
+    c1 = int(ends.max())
+    if c0 > h or c1 < c0:
+        # no child sample is ever visible
+        empty = np.ones(len(js), dtype=bool)
+        counts = np.zeros(len(js), dtype=int)
+        widths = np.zeros(len(js), dtype=int)
+    else:
+        child = _sat_range(node.child, ctx, c0, c1, h, optimistic)
+        cs = np.concatenate(([0], np.cumsum(child)))
+        empty = starts > ends
+        s_off = np.clip(starts - c0, 0, len(child))
+        e_off = np.clip(ends - c0 + 1, 0, len(child))
+        counts = cs[e_off] - cs[s_off]
+        widths = e_off - s_off
+    if isinstance(node, Globally):
+        # truncated intervals quantify over what exists; empty ones hold
+        return empty | (counts == widths)
+    sat = ~empty & (counts > 0)
+    if optimistic:
+        sat |= beyond
+    return sat
+
+
+def range_offline(node, traj):
+    return bool(_sat_range(node, _range_context(traj), 0, 0, len(traj) - 1, False)[0])
+
+
 def loop_online(node, traj, window):
     """The per-window evaluator the blockwise eval_online replaced: one
     _sat_range call per window start, stopping at the first violation."""
     n = len(traj)
     if window >= n:
-        return eval_offline(node, traj)
-    ctx = _context(traj)
+        return range_offline(node, traj)
+    ctx = _range_context(traj)
     return all(_sat_range(node, ctx, w0, w0, w0 + window - 1, True)[0]
                for w0 in range(n - window + 1))
 
@@ -205,18 +305,22 @@ def traces_and_windows(draw):
 @given(f=formulas(), tw=traces_and_windows())
 def test_blockwise_online_matches_reference(block, f, tw):
     """Block boundaries fall between window starts at every block size.
-    Beyond the verdict, every (window start, offset) cell of one block
-    spanning all windows must match the reference, so a nested operator
-    that is wrong only away from offset 0 cannot hide behind the root."""
+    Beyond the verdict, every cell of the one-row offline block and every
+    (window start, offset) cell of one online block spanning all windows
+    must match the reference, so a nested operator that is wrong only away
+    from offset 0 cannot hide behind the root."""
     traj, window = tw
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mtl, "_BLOCK_ELEMS", block)
         assert eval_online(f, traj, window) == ref_online(f, traj, window)
     n = len(traj)
+    got = _sat_block(f, _context(traj, n, optimistic=False), 0, 1, 0, n - 1)
+    memo = {}
+    assert np.array_equal(got, [[ref_sat(f, traj, off, n - 1, False, memo)
+                                 for off in range(n)]])
     if window < n:
-        ctx = _context(traj)
-        ctx.update(window=window, atoms={})
-        got = _sat_block(f, ctx, 0, n - window + 1, 0, window - 1)
+        got = _sat_block(f, _context(traj, window, optimistic=True),
+                         0, n - window + 1, 0, window - 1)
         memo = {}
         want = [[ref_sat(f, traj, w0 + off, w0 + window - 1, True, memo)
                  for off in range(window)] for w0 in range(n - window + 1)]
@@ -256,6 +360,27 @@ def test_online_matches_the_window_loop_on_simulated_traces(simulated_specs):
             got = eval_online(spec, traj, window)
             assert got == loop_online(spec, traj, window), (spec.label, window)
             verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_offline_matches_the_range_evaluator_on_simulated_traces():
+    """Every mode spec and the lap spec, on a stable and an unstable
+    controller, at the mission length and at compare_oracles' 10x
+    reference length."""
+    plant = PlantModel()
+    verdicts = set()
+    for short in _short_missions():
+        for m in (short, replace(short, duration=short.duration * 10)):
+            specs = [mode_spec(m)]
+            if m.mode == "circle_track":
+                specs.append(circle_lap_spec(m))
+            long_plant = replace(plant, t_max=max(plant.t_max, m.duration))
+            for gains in ((2, 1, 2), (1, 5, 1)):
+                traj = simulate(long_plant, PidConfig(*gains), m)
+                for spec in specs:
+                    got = eval_offline(spec, traj)
+                    assert got == range_offline(spec, traj), (spec.label, m.duration)
+                    verdicts.add(got)
     assert verdicts == {True, False}
 
 
