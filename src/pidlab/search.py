@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from functools import partial
 
 from .plant import PidConfig
@@ -36,7 +37,10 @@ def _axis_count(lo, hi, step):
         raise ValueError("grid step must be > 0")
     if hi < lo:
         raise ValueError("axis range is empty")
-    return int(math.floor((hi - lo) / step + 1e-9)) + 1
+    # lo and hi carry up to half an ulp of rounding each, which a step much
+    # finer than their magnitude magnifies: the slack grows with max|x| / step
+    slack = 1e-9 + 2 * sys.float_info.epsilon * max(abs(lo), abs(hi)) / step
+    return int(math.floor((hi - lo) / step + slack)) + 1
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,8 @@ class ParamSpace:
 
     Every probe made by any searcher lies exactly on this grid; values are
     always reconstructed as min + index * step so identical indices give
-    bit-identical floats.
+    bit-identical floats. A grid finer than the 9 significant digits its
+    CSVs keep is rejected, because its printed values would merge cells.
     """
 
     p_min: float
@@ -58,20 +63,26 @@ class ParamSpace:
     d_max: float
     d_step: float
 
+    n_p: int = field(init=False, repr=False, compare=False)
+    n_i: int = field(init=False, repr=False, compare=False)
+    n_d: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        self.n_p, self.n_i, self.n_d  # validates all three axes
-
-    @property
-    def n_p(self):
-        return _axis_count(self.p_min, self.p_max, self.p_step)
-
-    @property
-    def n_i(self):
-        return _axis_count(self.i_min, self.i_max, self.i_step)
-
-    @property
-    def n_d(self):
-        return _axis_count(self.d_min, self.d_max, self.d_step)
+        for axis, lo, hi, step in (("p", self.p_min, self.p_max, self.p_step),
+                                   ("i", self.i_min, self.i_max, self.i_step),
+                                   ("d", self.d_min, self.d_max, self.d_step)):
+            count = _axis_count(lo, hi, step)
+            object.__setattr__(self, "n_" + axis, count)
+            name = "k" + axis
+            for k in range(count):
+                value = lo + k * step
+                try:
+                    back = self._snap(float("%.9g" % value), lo, step, count, name)
+                except ValueError:
+                    back = None
+                if back != k:
+                    raise ValueError(f"{name} step {step!r} is finer than the 9 significant "
+                                     f"digits grid CSVs keep at {name}={value!r}")
 
     def p_value(self, idx):
         return self.p_min + idx * self.p_step

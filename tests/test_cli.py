@@ -116,6 +116,9 @@ strides = 1 2 1
         (lambda t: t.replace("p_min = 2.0\n", ""), "p_min"),
         (lambda t: t + "\n[noise]\nseed = 3\n", "base_seed"),
         (lambda t: t + "\n[oracle]\nkind = offline\nwindow = 200\n", "window"),
+        (lambda t: t.replace("p_min = 2.0\np_max = 2.0\np_step = 1.0",
+                             "p_min = 1000000\np_max = 1000000.01\np_step = 0.001"),
+         "[space] kp step 0.001 is finer than the 9 significant digits"),
         (lambda t: t + "\n[oracle]\nwindow = 200\n", "window"),
     ] + [
         (lambda t, old=old, new=new: edit(t, old, new), f"{key} must be a finite number")
@@ -201,6 +204,16 @@ class TestGroundTruthCommand:
         out = tmp_path / "gt.csv"
         assert main(["ground-truth", "--config", str(bad),
                      "--out", str(out)]) == 2
+
+    def test_grid_finer_than_the_csv_digits_exit_code(self, config, tmp_path, capsys):
+        config.write_text(BASE_CONFIG.replace("p_min = 2.0\np_max = 2.0",
+                                              "p_min = 1000000\np_max = 1000000.01")
+                          .replace("p_step = 1.0", "p_step = 0.001"))
+        out = tmp_path / "gt.csv"
+        assert main(["ground-truth", "--config", str(config),
+                     "--out", str(out), "--workers", "1"]) == 2
+        assert "finer than the 9 significant digits" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSearchCommand:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from pidlab import (Metrics, OracleConfig, ParamSpace, PidConfig, PlantModel,
@@ -12,7 +12,8 @@ from pidlab import (Metrics, OracleConfig, ParamSpace, PidConfig, PlantModel,
 from pidlab.evalkit import (INVALID, VALID, ClassifiedGrid, configs_from_csv,
                             configs_to_csv, grid_from_csv, grid_to_csv)
 from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, BoundaryLine,
-                           ColumnRecord, boundary_from_csv, boundary_to_csv)
+                           ColumnRecord, _axis_count, boundary_from_csv,
+                           boundary_to_csv)
 from pidlab.validator import LookupValidator
 
 
@@ -298,6 +299,27 @@ def awkward_spaces(draw):
     return ParamSpace(*axes)
 
 
+@st.composite
+def wide_axes(draw):
+    """(lo, hi, step) for three small axes like awkward_spaces', where a third
+    of the offsets reach 1e8, so some grids are finer than %.9g keeps."""
+    axes = []
+    for _ in range(3):
+        lo = draw(st.floats(-2e4, 2e4) | st.floats(-2e4, 2e4) | st.floats(-1e8, 1e8))
+        step = draw(st.sampled_from([0.1, 0.05, 0.001, 0.3, 0.025, 7.0, 0.01, 1e-4]))
+        axes += [lo, lo + draw(st.integers(0, 4)) * step, step]
+    return axes
+
+
+@st.composite
+def accepted_spaces(draw):
+    """The spaces ParamSpace accepts among wide_axes."""
+    try:
+        return ParamSpace(*draw(wide_axes()))
+    except ValueError:
+        reject()
+
+
 class TestCsvRoundTripProperties:
     @settings(max_examples=150, deadline=None)
     @given(space=awkward_spaces(), frac=st.floats(0.25, 0.75))
@@ -311,8 +333,19 @@ class TestCsvRoundTripProperties:
                 with pytest.raises(ValueError):
                     index(lo + (k + frac) * step)
 
+    @settings(max_examples=150, deadline=None)
+    @given(axes=wide_axes())
+    def test_a_space_is_rejected_only_when_printed_values_leave_their_cell(self, axes):
+        try:
+            ParamSpace(*axes)
+        except ValueError:
+            worst = max(abs(float("%.9g" % (lo + k * step)) - (lo + k * step)) / step
+                        for lo, hi, step in zip(axes[0::3], axes[1::3], axes[2::3])
+                        for k in range(_axis_count(lo, hi, step)))
+            assert worst >= 0.49
+
     @settings(max_examples=60, deadline=None)
-    @given(space=awkward_spaces(), seed=st.integers(0, 2**16))
+    @given(space=accepted_spaces(), seed=st.integers(0, 2**16))
     def test_csvs_round_trip_exactly(self, tmp_path_factory, space, seed):
         rng = random.Random(seed)
         cells = [space.pid_at(*idx) for idx in space.iter_indices()]

@@ -6,7 +6,7 @@ from pidlab import (BoundaryLine, OracleConfig, ParamSpace, PidConfig,
                     identify_boundary, identify_boundary_dsoff, query_count,
                     random_fuzz, reset_query_count, routh_stable)
 from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, DOWN, UP,
-                           ColumnRecord, search_column)
+                           ColumnRecord, _axis_count, search_column)
 from pidlab.validator import LookupValidator
 
 
@@ -34,6 +34,29 @@ class TestParamSpace:
     def test_count_handles_inexact_ranges(self):
         s = ParamSpace(0.1, 0.3, 0.1, 0.1, 0.3, 0.1, 0.1, 0.3, 0.1)
         assert s.n_i == 3  # 0.3 - 0.1 is slightly under 0.2 in floats
+
+    def test_count_keeps_the_last_point_at_large_offsets(self):
+        # (hi - lo) / step reads 3.99999996: the rounding of lo and hi is
+        # far larger than an absolute 1e-9 slack at this offset
+        assert _axis_count(1e6, 1e6 + 0.004, 0.001) == 5
+        assert _axis_count(-1e6 - 0.004, -1e6, 0.001) == 5
+        assert _axis_count(0.0, 0.004, 0.001) == 5
+        s = ParamSpace(1e4, 1e4 + 3e-4, 1e-4, 0, 1, 1, 0, 1, 1)
+        assert s.n_p == 4
+        assert [s.p_index(float("%.9g" % s.p_value(k))) for k in range(4)] == [0, 1, 2, 3]
+
+    def test_count_does_not_round_up_a_short_range(self):
+        assert _axis_count(1e6, 1e6 + 0.0035, 0.001) == 4
+        assert _axis_count(0.1, 0.35, 0.1) == 3
+
+    def test_rejects_a_grid_finer_than_the_csv_digits(self):
+        # every kp value of this axis prints as 1000000 under %.9g
+        with pytest.raises(ValueError, match="finer than the 9 significant digits"):
+            ParamSpace(1e6, 1e6 + 0.01, 0.001, 0.1, 4, 0.1, 0, 1, 0.5)
+        with pytest.raises(ValueError, match="kd step"):
+            ParamSpace(1, 1, 1, 0.1, 4, 0.1, -5e7, -5e7 + 0.04, 0.01)
+        # the same step on a nine-digit axis is fine
+        assert ParamSpace(1e5, 1e5 + 0.01, 0.001, 0.1, 4, 0.1, 0, 1, 0.5).n_p == 11
 
     def test_values_are_index_arithmetic(self):
         s = worked_space()

@@ -1,10 +1,14 @@
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pidlab import (OracleConfig, PidConfig, PlantModel, RouthValidator,
-                    SimulationValidator, hold_mission, query_count,
-                    reset_query_count, routh_stable, validate)
+from pidlab import (NoiseSpec, OracleConfig, PidConfig, PlantModel, RouthValidator,
+                    SimulationValidator, brake_mission, circle_mission,
+                    hold_mission, query_count, reset_query_count,
+                    return_home_mission, routh_stable, simulate, validate)
 from pidlab.mtl import And, Atom, Globally
 from pidlab.validator import LookupValidator
 
@@ -74,6 +78,41 @@ class TestSimulationValidator:
         cfg = OracleConfig(kind="online", window=50)
         v = SimulationValidator(PlantModel(), hold_mission(), cfg)
         assert v.classify(PidConfig(1, 0.5, 1)).valid
+
+
+SHORT_MISSIONS = (hold_mission(settle_deadline=4.0, duration=8.0),
+                  brake_mission(brake_at=3.0, brake_deadline=3.0, duration=8.0),
+                  circle_mission(freq=0.25, settle_deadline=4.0, duration=8.0),
+                  return_home_mission(out_t=2.0, return_t=2.0, settle_deadline=6.0,
+                                      mono_margin=0.5, duration=8.0))
+
+GAIN = st.floats(-1e6, 1e6) | st.sampled_from([-1e6, -1e5, 1e5, 1e6])
+
+
+class TestDivergentGains:
+    """Any gains within +-1e6 give a trace that is finite or judged invalid,
+    and nothing raises (numpy warnings are errors under pytest)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kp=GAIN, ki=GAIN, kd=GAIN, sigma=st.sampled_from([0.0, 0.02]),
+           amp=st.sampled_from([0.0, 0.5]))
+    def test_finite_or_invalid_and_never_raises(self, kp, ki, kd, sigma, amp):
+        pid = PidConfig(kp, ki, kd)
+        plant = PlantModel(noise=NoiseSpec(sensor_sigma=sigma, disturbance_amp=amp,
+                                           disturbance_freq=0.2))
+        for mission in SHORT_MISSIONS:
+            traj = simulate(plant, pid, mission)
+            finite = all(np.isfinite(getattr(traj, name)).all() for name in "txvre")
+            for cfg in (OracleConfig(), OracleConfig(kind="online", window=100)):
+                verdict = SimulationValidator(plant, mission, cfg).classify(pid)
+                assert finite or not verdict.valid, (mission.mode, cfg.kind)
+
+    def test_overflowing_integral_turns_the_trace_nan_and_invalid(self):
+        pid = PidConfig(1e5, 1e5, 1e5)
+        traj = simulate(PlantModel(), pid, hold_mission())
+        assert np.isnan(traj.x).any()
+        assert not SimulationValidator(PlantModel(), hold_mission(),
+                                       OracleConfig()).classify(pid).valid
 
 
 class TestMajorityVoting:
