@@ -9,13 +9,11 @@ from .mtl import (And, Atom, Eventually, Globally, Implies, Not, Or, Prev,
                   parse_formula)
 from .plant import (Mission, NoiseSpec, PidConfig, PlantModel, Trajectory,
                     brake_mission, circle_mission, hold_mission, reference_at,
-                    return_home_mission, simulate, trajectory_to_csv)
+                    return_home_mission, simulate)
 from .search import (BoundaryLine, ParamSpace, boundary_from_csv,
                      boundary_to_csv, genetic_search, hill_climb,
-                     identify_boundary, identify_boundary_dsoff, random_fuzz,
-                     search_column)
+                     identify_boundary, random_fuzz, search_column)
 from .stability import (characteristic_roots, roots_stable, routh_stable,
                         theoretical_boundary)
 from .validator import (OracleConfig, RouthValidator, SimulationValidator,
-                        Validator, Verdict, query_count, reset_query_count,
-                        validate)
+                        Validator, Verdict, query_count, reset_query_count)

@@ -22,15 +22,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .evalkit import (ClassifiedGrid, compute_metrics, configs_from_csv,
-                      configs_to_csv, grid_from_csv, grid_to_csv, ground_truth,
+from .evalkit import (compute_metrics, configs_from_csv, configs_to_csv,
+                      grid_from_csv, grid_to_csv, ground_truth,
                       region_from_boundary)
 from .mtl import MtlSyntaxError, parse_formula
 from .plant import (NoiseSpec, PlantModel, brake_mission, circle_mission,
                     hold_mission, return_home_mission)
-from .search import (BoundaryLine, ParamSpace, boundary_from_csv,
-                     boundary_to_csv, genetic_search, hill_climb,
-                     identify_boundary, random_fuzz)
+from .search import (ParamSpace, boundary_from_csv, boundary_to_csv,
+                     genetic_search, hill_climb, identify_boundary, random_fuzz)
 from .stability import theoretical_boundary
 from .svgplot import render_plane
 from .validator import OracleConfig, SimulationValidator, query_count
@@ -247,45 +246,24 @@ def _base_meta(app, config_path, kind):
     }
 
 
-def _apply_oracle_overrides(app, args):
+def _load_run(args):
+    """The run configuration, with the command line's oracle flags applied."""
+    app = load_config(args.config)
     changes = {}
-    if getattr(args, "oracle", None):
+    if args.oracle:
         changes["kind"] = args.oracle
         if args.oracle == "offline":
             changes["window"] = None  # an inherited window has no effect offline
-    if getattr(args, "window", None) is not None:
+    if args.window is not None:
         changes["window"] = args.window
-    if getattr(args, "repeats", None) is not None:
+    if args.repeats is not None:
         changes["repeats"] = args.repeats
     if changes:
         try:
             app.oracle = replace(app.oracle, **changes)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-
-def cmd_ground_truth(config_path, out_path, workers=1, args=None):
-    app = load_config(config_path)
-    if args is not None:
-        _apply_oracle_overrides(app, args)
-    q0 = query_count()
-    t0 = time.perf_counter()
-    grid = ground_truth(app.space, app.mission, app.plant, app.oracle,
-                        validator=_make_validator(app),
-                        strides=app.search["strides"], workers=workers)
-    wall = time.perf_counter() - t0
-    grid_to_csv(grid, out_path)
-    meta = _base_meta(app, config_path, "classified_grid")
-    meta["coverage"] = ("exhaustive" if grid.coverage == "exhaustive"
-                        else {"sampled": list(grid.strides())})
-    meta["labeled"] = len(grid.labels)
-    meta["invalid"] = len(grid.invalid_set())
-    meta["oracle_queries"] = query_count() - q0
-    meta["wall_time_s"] = wall
-    _write_json(_sidecar(out_path), meta)
-    print(f"ground-truth: labeled {len(grid.labels)} configs "
-          f"({len(grid.invalid_set())} invalid) -> {out_path}")
-    return 0
+    return app
 
 
 def _make_validator(app):
@@ -293,42 +271,65 @@ def _make_validator(app):
                                formula=app.formula)
 
 
-def cmd_search(config_path, algorithm, out_path, budget=None, seed=None,
-               workers=1, args=None):
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    app = load_config(config_path)
-    if args is not None:
-        _apply_oracle_overrides(app, args)
-    budget = app.search["budget"] if budget is None else budget
-    seed = app.search["seed"] if seed is None else seed
+def cmd_ground_truth(args):
+    app = _load_run(args)
+    q0 = query_count()
+    t0 = time.perf_counter()
+    grid = ground_truth(app.space, _make_validator(app),
+                        strides=app.search["strides"], workers=args.workers)
+    wall = time.perf_counter() - t0
+    grid_to_csv(grid, args.out)
+    meta = _base_meta(app, args.config, "classified_grid")
+    meta["coverage"] = ("exhaustive" if grid.coverage == "exhaustive"
+                        else {"sampled": list(grid.strides())})
+    meta["labeled"] = len(grid.labels)
+    meta["invalid"] = len(grid.invalid_set())
+    meta["oracle_queries"] = query_count() - q0
+    meta["wall_time_s"] = wall
+    _write_json(_sidecar(args.out), meta)
+    print(f"ground-truth: labeled {len(grid.labels)} configs "
+          f"({len(grid.invalid_set())} invalid) -> {args.out}")
+    return 0
+
+
+def cmd_search(args):
+    algorithm = args.algorithm
+    walk = algorithm in ("boundary", "boundary-dsoff")
+    if walk:
+        # the walk neither spends a budget nor draws random numbers
+        for flag, value in (("--budget", args.budget), ("--seed", args.seed)):
+            if value is not None:
+                raise ConfigError(f"{flag} has no effect on --algorithm {algorithm}")
+    app = _load_run(args)
     validator = _make_validator(app)
     q0 = query_count()
     t0 = time.perf_counter()
-    if algorithm in ("boundary", "boundary-dsoff"):
-        bl = identify_boundary(app.space, validator=validator, workers=workers,
+    if walk:
+        budget = seed = None
+        bl = identify_boundary(app.space, validator, workers=args.workers,
                                dsoff=algorithm == "boundary-dsoff")
         wall = time.perf_counter() - t0
-        boundary_to_csv(bl, out_path)
-        found = len(bl.entries())
-        summary = f"{found} boundary columns of {app.space.n_p * app.space.n_d}"
+        boundary_to_csv(bl, args.out)
+        summary = (f"{len(bl.entries())} boundary columns of "
+                   f"{app.space.n_p * app.space.n_d}")
     else:
+        budget = app.search["budget"] if args.budget is None else args.budget
+        seed = app.search["seed"] if args.seed is None else args.seed
         fn = {"random-fuzz": random_fuzz, "hill-climb": hill_climb,
               "genetic": genetic_search}[algorithm]
-        configs = fn(app.space, budget=budget, seed=seed, validator=validator)
+        configs = fn(app.space, validator, budget=budget, seed=seed)
         wall = time.perf_counter() - t0
-        configs_to_csv(configs, out_path)
+        configs_to_csv(configs, args.out)
         summary = f"{len(configs)} invalid configs"
-    meta = _base_meta(app, config_path, "boundary_line"
-                      if algorithm.startswith("boundary") else "config_set")
+    meta = _base_meta(app, args.config, "boundary_line" if walk else "config_set")
     meta["algorithm"] = algorithm
-    meta["budget"] = None if algorithm.startswith("boundary") else budget
-    meta["seed"] = None if algorithm.startswith("boundary") else seed
+    meta["budget"] = budget
+    meta["seed"] = seed
     meta["oracle_queries"] = query_count() - q0
     meta["wall_time_s"] = wall
-    _write_json(_sidecar(out_path), meta)
+    _write_json(_sidecar(args.out), meta)
     print(f"search[{algorithm}]: {summary}, {meta['oracle_queries']} queries "
-          f"-> {out_path}")
+          f"-> {args.out}")
     return 0
 
 
@@ -343,27 +344,32 @@ def _load_meta(path):
         raise ConfigError(f"cannot read {side}: {exc}") from exc
 
 
-def cmd_eval(gt_path, result_path, out_path):
-    gt_meta = _load_meta(gt_path)
-    rs_meta = _load_meta(result_path)
-    if gt_meta.get("space") != rs_meta.get("space"):
-        raise ConfigError("ground truth and result were produced on different grids")
-    space = ParamSpace.from_dict(gt_meta["space"])
-    coverage = gt_meta.get("coverage", "exhaustive")
+def _read_grid(path, meta, space):
+    """The labeled grid at path, with the coverage its sidecar records."""
+    coverage = meta.get("coverage", "exhaustive")
     if isinstance(coverage, dict):
         coverage = ("sampled", tuple(coverage["sampled"]))
     try:
-        gt = grid_from_csv(gt_path, space, coverage=coverage)
+        return grid_from_csv(path, space, coverage=coverage)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    with open(result_path) as fh:
+
+def cmd_eval(args):
+    gt_meta = _load_meta(args.gt)
+    rs_meta = _load_meta(args.result)
+    if gt_meta.get("space") != rs_meta.get("space"):
+        raise ConfigError("ground truth and result were produced on different grids")
+    space = ParamSpace.from_dict(gt_meta["space"])
+    gt = _read_grid(args.gt, gt_meta, space)
+
+    with open(args.result) as fh:
         header = fh.readline().strip()
     try:
         if "status" in header.split(","):
-            region = region_from_boundary(boundary_from_csv(result_path, space), space)
+            region = region_from_boundary(boundary_from_csv(args.result, space), space)
         else:
-            region = configs_from_csv(result_path, space)
+            region = configs_from_csv(args.result, space)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -372,14 +378,14 @@ def cmd_eval(gt_path, result_path, out_path):
         "kind": "metrics",
         "tool": {"name": "pidlab", "version": __version__},
         "space": gt_meta["space"],
-        "ground_truth": str(gt_path),
-        "result": str(result_path),
+        "ground_truth": str(args.gt),
+        "result": str(args.result),
         "gt_oracle_queries": gt_meta.get("oracle_queries"),
         "rs_oracle_queries": rs_meta.get("oracle_queries"),
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     payload.update(metrics.to_dict())
-    _write_json(out_path, payload)
+    _write_json(args.out, payload)
     print(f"{'total invalid (GT)':>22}: {metrics.gt_size}")
     print(f"{'identified':>22}: {metrics.rs_size}")
     print(f"{'accurately identified':>22}: {metrics.intersection}")
@@ -390,13 +396,13 @@ def cmd_eval(gt_path, result_path, out_path):
     return 0
 
 
-def cmd_plot(out_svg, grid_path=None, boundary_path=None, p=None, a1=None,
-             a2=None, title=None):
-    if grid_path is None and boundary_path is None:
+def cmd_plot(args):
+    if args.grid is None and args.boundary is None:
         raise ConfigError("plot needs --grid and/or --boundary")
-    meta = _load_meta(grid_path if grid_path is not None else boundary_path)
+    meta = _load_meta(args.grid if args.grid is not None else args.boundary)
     space = ParamSpace.from_dict(meta["space"])
 
+    p = args.p
     if p is None:
         if space.n_p > 1:
             raise ConfigError(f"grid spans {space.n_p} kp planes; pick one with --p")
@@ -407,23 +413,18 @@ def cmd_plot(out_svg, grid_path=None, boundary_path=None, p=None, a1=None,
         raise ConfigError(str(exc)) from exc
 
     grid = None
-    if grid_path is not None:
-        coverage = meta.get("coverage", "exhaustive")
-        if isinstance(coverage, dict):
-            coverage = ("sampled", tuple(coverage["sampled"]))
-        try:
-            grid = grid_from_csv(grid_path, space, coverage=coverage)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    if args.grid is not None:
+        grid = _read_grid(args.grid, meta, space)
         if not grid.labels:
-            raise ConfigError(f"{grid_path} contains no labeled configs")
+            raise ConfigError(f"{args.grid} contains no labeled configs")
     boundary = None
-    if boundary_path is not None:
+    if args.boundary is not None:
         try:
-            boundary = boundary_from_csv(boundary_path, space)
+            boundary = boundary_from_csv(args.boundary, space)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+    a1, a2 = args.a1, args.a2
     if a1 is None and a2 is None and "plant" in meta:
         a1 = meta["plant"]["a1"]
         a2 = meta["plant"]["a2"]
@@ -433,10 +434,10 @@ def cmd_plot(out_svg, grid_path=None, boundary_path=None, p=None, a1=None,
         theory = theoretical_boundary(p, a1, a2, d_values)
 
     svg = render_plane(space, p, grid=grid, boundary=boundary, theory=theory,
-                       title=title)
-    with open(out_svg, "w") as fh:
+                       title=args.title)
+    with open(args.out, "w") as fh:
         fh.write(svg)
-    print(f"plot: wrote {out_svg}")
+    print(f"plot: wrote {args.out}")
     return 0
 
 
@@ -492,27 +493,17 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # looked up on every call, so a rebound cmd_* is the one that runs
+    command = {"ground-truth": cmd_ground_truth, "search": cmd_search,
+               "eval": cmd_eval, "plot": cmd_plot}[args.command]
     try:
-        if args.command == "ground-truth":
-            return cmd_ground_truth(args.config, args.out,
-                                    workers=args.workers, args=args)
-        if args.command == "search":
-            return cmd_search(args.config, args.algorithm, args.out,
-                              budget=args.budget, seed=args.seed,
-                              workers=args.workers, args=args)
-        if args.command == "eval":
-            return cmd_eval(args.gt, args.result, args.out)
-        if args.command == "plot":
-            return cmd_plot(args.out, grid_path=args.grid,
-                            boundary_path=args.boundary, p=args.p,
-                            a1=args.a1, a2=args.a2, title=args.title)
+        return command(args)
     except ConfigError as exc:
         print(f"pidlab: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"pidlab: i/o error: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 def entry():

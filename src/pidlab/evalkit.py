@@ -11,7 +11,7 @@ import csv
 from dataclasses import dataclass
 from functools import partial
 
-from .search import ALL_INVALID, ALL_VALID, BOUNDARY, _resolve_validator
+from .search import ALL_INVALID, ALL_VALID
 from .validator import SimulationValidator, fan_out
 
 VALID = "valid"
@@ -51,15 +51,13 @@ def _label_chunk(space, validator, triples):
     return out
 
 
-def ground_truth(space, mission=None, plant=None, cfg=None, validator=None,
-                 strides=(1, 1, 1), workers=1):
+def ground_truth(space, validator, *, strides=(1, 1, 1), workers=1):
     """Label grid configs by querying the oracle once each.
 
     strides > 1 label a regular sub-grid (indices 0, s, 2s, ... per axis).
     Results do not depend on the worker count; configs are embarrassingly
     parallel.
     """
-    validator = _resolve_validator(mission, plant, cfg, validator)
     triples = list(space.iter_indices(strides))
     n_chunks = max(1, min(workers, len(triples)))
     chunks = [triples[k::n_chunks] for k in range(n_chunks)]

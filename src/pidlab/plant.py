@@ -350,11 +350,3 @@ def simulate(plant, pid, mission):
     return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r_full, e=r_full - xs,
                       mode=mission.mode)
 
-
-def trajectory_to_csv(traj, path):
-    """Write t,x,v,r,e,mode rows with 9 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("t,x,v,r,e,mode\n")
-        for k in range(len(traj)):
-            fh.write("%.9g,%.9g,%.9g,%.9g,%.9g,%s\n" % (
-                traj.t[k], traj.x[k], traj.v[k], traj.r[k], traj.e[k], traj.mode))

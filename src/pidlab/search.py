@@ -22,14 +22,17 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .plant import PidConfig
-from .validator import SimulationValidator, fan_out
+from .validator import fan_out
 
 BOUNDARY = "boundary"
 ALL_VALID = "all_valid"
 ALL_INVALID = "all_invalid"
 
-DOWN = "down"
-UP = "up"
+# baseline settings, fixed so every comparison runs the same searchers
+MAX_STALL = 6
+POP_SIZE = 20
+TOURNAMENT = 3
+MUTATE_PROB = 0.1
 
 
 def _axis_count(lo, hi, step):
@@ -99,7 +102,7 @@ class ParamSpace:
     def _snap(self, value, lo, step, count, name):
         idx = int(round((value - lo) / step))
         # the CSV writers keep 9 significant digits (%.9g): off by <= 5e-9 * |value|
-        tol = 1e-6 * max(step, 1.0) + 5e-9 * abs(value)
+        tol = 1e-6 * step + 5e-9 * abs(value)
         if idx < 0 or idx >= count or abs(lo + idx * step - value) > tol:
             raise ValueError(f"{name}={value!r} is not on the grid")
         return idx
@@ -163,76 +166,39 @@ class BoundaryLine:
         raise KeyError(f"no column at p={p}, d={d}")
 
 
-def _resolve_validator(mission, plant, cfg, validator):
-    if validator is not None:
-        return validator
-    if mission is None or plant is None or cfg is None:
-        raise ValueError("need either a validator or (mission, plant, cfg)")
-    return SimulationValidator(plant, mission, cfg)
+def search_column(space, validator, p_idx, d_idx, i_start_idx, entry_valid):
+    """Walk one kd column in ki from an entry whose verdict is known.
 
-
-def search_column(space, validator, p_idx, d_idx, i_start_idx, direction,
-                  entry_verdict=None):
-    """Walk one kd column in ki until the validity transition.
-
-    direction="down": step ki downward from i_start until the first valid
-    verdict and return that index; falling off the bottom of the grid yields
-    all_invalid. direction="up": step upward while verdicts stay valid and
-    return the last valid index (the caller is expected to know i_start is
-    valid); climbing off the top yields all_valid.
-
-    entry_verdict, when given, is the already-known verdict at i_start_idx
-    and saves re-querying it.
+    A valid entry climbs while verdicts stay valid and returns the last
+    valid index; climbing off the top yields all_valid. An invalid entry
+    descends to the first valid index; falling off the bottom yields
+    all_invalid. The entry itself is never re-queried.
 
     Returns:
         (status, i_idx) with i_idx set only for status "boundary".
     """
-    if direction not in (DOWN, UP):
-        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
-    j = i_start_idx
-    if direction == DOWN:
-        while j >= 0:
-            if entry_verdict is not None and j == i_start_idx:
-                valid = entry_verdict
-            else:
-                valid = validator.classify(space.pid_at(p_idx, j, d_idx)).valid
-            if valid:
-                return BOUNDARY, j
-            j -= 1
-        return ALL_INVALID, None
-    last_valid = None
-    while j < space.n_i:
-        if entry_verdict is not None and j == i_start_idx:
-            valid = entry_verdict
-        else:
-            valid = validator.classify(space.pid_at(p_idx, j, d_idx)).valid
-        if not valid:
-            if last_valid is None:
-                # misuse guard: upward search entered on an invalid verdict
-                return (BOUNDARY, j - 1) if j > 0 else (ALL_INVALID, None)
-            return BOUNDARY, last_valid
-        last_valid = j
-        j += 1
-    return ALL_VALID, None
+    step = 1 if entry_valid else -1
+    j = i_start_idx + step
+    while 0 <= j < space.n_i:
+        if validator.classify(space.pid_at(p_idx, j, d_idx)).valid != entry_valid:
+            return BOUNDARY, j - 1 if entry_valid else j
+        j += step
+    return (ALL_VALID if entry_valid else ALL_INVALID), None
 
 
 def _search_plane(space, validator, p_idx, dsoff):
     records = []
     carry = space.n_i - 1
     for d_idx in range(space.n_d):
-        pid = space.pid_at(p_idx, carry, d_idx)
-        entry_valid = validator.classify(pid).valid
-        p_val = space.p_value(p_idx)
-        d_val = space.d_value(d_idx)
-        if entry_valid:
+        entry_valid = validator.classify(space.pid_at(p_idx, carry, d_idx)).valid
+        if entry_valid or not dsoff:
             status, i_idx = search_column(space, validator, p_idx, d_idx, carry,
-                                          UP, entry_verdict=True)
-        elif dsoff:
+                                          entry_valid)
+        else:
             # ablated variant: no downward search, keep the carried height
             status, i_idx = BOUNDARY, carry
-        else:
-            status, i_idx = search_column(space, validator, p_idx, d_idx, carry,
-                                          DOWN, entry_verdict=False)
+        p_val = space.p_value(p_idx)
+        d_val = space.d_value(d_idx)
         if status == BOUNDARY:
             records.append(ColumnRecord(p_val, d_val, BOUNDARY, space.i_value(i_idx)))
             carry = i_idx
@@ -245,31 +211,21 @@ def _search_plane(space, validator, p_idx, dsoff):
     return records
 
 
-def identify_boundary(space, mission=None, plant=None, cfg=None, validator=None,
-                      workers=1, dsoff=False):
+def identify_boundary(space, validator, *, workers=1, dsoff=False):
     """Coordinate search for the validity boundary on every kp plane.
 
     Args:
         space: the search grid.
-        mission, plant, cfg: build the default SimulationValidator.
-        validator: overrides the oracle (any Validator).
+        validator: the oracle (any Validator).
         workers: kp planes are independent; > 1 fans them out to processes.
         dsoff: disable the downward search (the ablated variant).
 
     Returns:
         BoundaryLine with one ColumnRecord per (kp, kd) column.
     """
-    validator = _resolve_validator(mission, plant, cfg, validator)
     planes = fan_out(partial(_search_plane, space, validator, dsoff=dsoff),
                      range(space.n_p), workers)
     return BoundaryLine(space=space, columns=[c for plane in planes for c in plane])
-
-
-def identify_boundary_dsoff(space, mission=None, plant=None, cfg=None,
-                            validator=None, workers=1):
-    """identify_boundary with the downward branch disabled."""
-    return identify_boundary(space, mission, plant, cfg, validator,
-                             workers=workers, dsoff=True)
 
 
 def _neighbor(space, rng, idx):
@@ -287,15 +243,13 @@ def _neighbor(space, rng, idx):
     return None
 
 
-def random_fuzz(space, mission=None, plant=None, cfg=None, budget=100, seed=0,
-                validator=None):
+def random_fuzz(space, validator, *, budget=100, seed=0):
     """Uniform grid sampling without replacement, with simple guidance:
     after an invalid hit the next probe perturbs it by one grid step.
 
     Spends exactly `budget` oracle queries (or stops early once the whole
     grid has been probed) and returns the set of invalid configs found.
     """
-    validator = _resolve_validator(mission, plant, cfg, validator)
     rng = random.Random(seed)
     total = space.size()
     probed = set()
@@ -323,15 +277,13 @@ def random_fuzz(space, mission=None, plant=None, cfg=None, budget=100, seed=0,
     return found
 
 
-def hill_climb(space, mission=None, plant=None, cfg=None, budget=100, seed=0,
-               validator=None, max_stall=6):
+def hill_climb(space, validator, *, budget=100, seed=0):
     """Random-restart hill climbing on binary feedback.
 
     From a random start, proposes one-step neighbors and moves whenever the
     neighbor is invalid (the quantity being maximized); restarts after
-    max_stall consecutive valid proposals. Returns invalid configs found.
+    MAX_STALL consecutive valid proposals. Returns invalid configs found.
     """
-    validator = _resolve_validator(mission, plant, cfg, validator)
     rng = random.Random(seed)
     found = set()
     spent = 0
@@ -350,7 +302,7 @@ def hill_climb(space, mission=None, plant=None, cfg=None, budget=100, seed=0,
                    rng.randrange(space.n_d))
         probe(current)
         stall = 0
-        while spent < budget and stall < max_stall:
+        while spent < budget and stall < MAX_STALL:
             cand = _neighbor(space, rng, current)
             if cand is None:
                 break
@@ -362,17 +314,15 @@ def hill_climb(space, mission=None, plant=None, cfg=None, budget=100, seed=0,
     return found
 
 
-def genetic_search(space, mission=None, plant=None, cfg=None, budget=100, seed=0,
-                   validator=None, pop_size=20, tournament=3, mutate_prob=0.1):
+def genetic_search(space, validator, *, budget=100, seed=0):
     """Small genetic algorithm over grid index triples.
 
     Fitness is 1 for invalid, 0 for valid. Tournament selection, one-point
     crossover on (p, i, d), per-gene one-step mutation with probability
-    mutate_prob. The initial population is drawn without replacement; every
+    MUTATE_PROB. The initial population is drawn without replacement; every
     evaluated individual costs one query and the run stops exactly at the
     budget. Returns invalid configs found.
     """
-    validator = _resolve_validator(mission, plant, cfg, validator)
     rng = random.Random(seed)
     found = set()
     spent = 0
@@ -387,7 +337,7 @@ def genetic_search(space, mission=None, plant=None, cfg=None, budget=100, seed=0
         return 1 if bad else 0
 
     total = space.size()
-    pop_size = min(pop_size, total, budget)
+    pop_size = min(POP_SIZE, total, budget)
     pop = []
     seen = set()
     while len(pop) < pop_size:
@@ -400,7 +350,7 @@ def genetic_search(space, mission=None, plant=None, cfg=None, budget=100, seed=0
 
     def pick():
         best = None
-        for _ in range(tournament):
+        for _ in range(TOURNAMENT):
             cand = pop[rng.randrange(len(pop))]
             if best is None or cand[1] > best[1]:
                 best = cand
@@ -413,7 +363,7 @@ def genetic_search(space, mission=None, plant=None, cfg=None, budget=100, seed=0
             cut = rng.randint(1, 2)
             child = list(mom[:cut] + dad[cut:])
             for dim in range(3):
-                if rng.random() < mutate_prob:
+                if rng.random() < MUTATE_PROB:
                     limit = (space.n_p, space.n_i, space.n_d)[dim]
                     child[dim] = min(limit - 1, max(0, child[dim] + rng.choice((-1, 1))))
             idx = tuple(child)

@@ -183,7 +183,3 @@ class LookupValidator(Validator):
         return Verdict(valid=ok, violated_spec=None if ok else "lookup",
                        runs=1, votes_valid=int(ok))
 
-
-def validate(pid, mission, plant, cfg):
-    """One-shot oracle query; see SimulationValidator."""
-    return SimulationValidator(plant, mission, cfg).classify(pid)

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig,
-                    PlantModel, RouthValidator, boundary_to_csv,
-                    characteristic_roots, compare_oracles, compute_metrics,
-                    genetic_search, ground_truth, hill_climb, hold_mission,
-                    circle_mission, identify_boundary, identify_boundary_dsoff,
+                    PlantModel, RouthValidator, SimulationValidator,
+                    boundary_to_csv, characteristic_roots, compare_oracles,
+                    compute_metrics, genetic_search, ground_truth, hill_climb,
+                    hold_mission, circle_mission, identify_boundary,
                     query_count, random_fuzz, region_from_boundary,
                     reset_query_count, roots_stable, routh_stable,
                     theoretical_boundary)
@@ -61,21 +61,24 @@ def theory_height(d):
 @pytest.fixture(scope="module")
 def quiet_plane():
     t0 = time.perf_counter()
-    grid = ground_truth(QUIET_SPACE, HOLD, QUIET_PLANT, ORACLE)
+    oracle = SimulationValidator(QUIET_PLANT, HOLD, ORACLE)
+    grid = ground_truth(QUIET_SPACE, oracle)
     reset_query_count()
-    bl = identify_boundary(QUIET_SPACE, HOLD, QUIET_PLANT, ORACLE)
+    bl = identify_boundary(QUIET_SPACE, oracle)
     return {"grid": grid, "bl": bl, "queries": query_count(),
             "wall": time.perf_counter() - t0}
 
 
 @pytest.fixture(scope="module")
 def noisy_plane():
-    grid = ground_truth(NOISY_SPACE, HOLD, NOISY_PLANT, ORACLE)
+    oracle = SimulationValidator(NOISY_PLANT, HOLD, ORACLE)
+    grid = ground_truth(NOISY_SPACE, oracle)
     reset_query_count()
-    bl = identify_boundary(NOISY_SPACE, HOLD, NOISY_PLANT, ORACLE)
+    bl = identify_boundary(NOISY_SPACE, oracle)
     budget = query_count()
     metrics = compute_metrics(grid, region_from_boundary(bl))
-    return {"grid": grid, "bl": bl, "budget": budget, "metrics": metrics}
+    return {"oracle": oracle, "grid": grid, "bl": bl, "budget": budget,
+            "metrics": metrics}
 
 
 def test_01_stability_predicate_matches_root_locations():
@@ -155,7 +158,7 @@ def test_04_query_cost_is_linear_not_quadratic():
                    d_min=0.02, d_max=1.2, d_step=0.02)
     assert (s.n_i, s.n_d) == (60, 60) and s.size() == 3600
     reset_query_count()
-    identify_boundary(s, HOLD, QUIET_PLANT, ORACLE)
+    identify_boundary(s, SimulationValidator(QUIET_PLANT, HOLD, ORACLE))
     used = query_count()
     assert used <= 5 * (s.n_i + s.n_d), f"{used} queries"
     assert s.size() / used >= 6.0
@@ -188,7 +191,7 @@ def test_06_downward_search_ablation_hurts_miss_rate(noisy_plane):
     """Disabling the downward walk leaves the carried height stranded above
     boundary dips, so its miss rate must exceed the full search by >= 0.05."""
     grid = noisy_plane["grid"]
-    bl_off = identify_boundary_dsoff(NOISY_SPACE, HOLD, NOISY_PLANT, ORACLE)
+    bl_off = identify_boundary(NOISY_SPACE, noisy_plane["oracle"], dsoff=True)
     m_off = compute_metrics(grid, region_from_boundary(bl_off))
     m_full = noisy_plane["metrics"]
     assert m_full.mr < m_off.mr
@@ -206,8 +209,8 @@ def test_07_boundary_search_beats_probing_baselines(noisy_plane):
     for fn in (random_fuzz, hill_climb, genetic_search):
         counts = []
         for seed in (0, 1, 2):
-            found = fn(NOISY_SPACE, HOLD, NOISY_PLANT, ORACLE,
-                       budget=budget, seed=seed)
+            found = fn(NOISY_SPACE, noisy_plane["oracle"], budget=budget,
+                       seed=seed)
             assert found <= truly_invalid
             counts.append(len(found))
         avg = sum(counts) / len(counts)
@@ -251,8 +254,8 @@ def test_09_metrics_stable_across_step_sizes(noisy_plane):
                        i_step=NOISY_SPACE.i_step * mult,
                        d_min=NOISY_SPACE.d_min, d_max=NOISY_SPACE.d_max,
                        d_step=NOISY_SPACE.d_step * mult)
-        grid = ground_truth(s, HOLD, NOISY_PLANT, ORACLE)
-        bl = identify_boundary(s, HOLD, NOISY_PLANT, ORACLE)
+        grid = ground_truth(s, noisy_plane["oracle"])
+        bl = identify_boundary(s, noisy_plane["oracle"])
         m = compute_metrics(grid, region_from_boundary(bl))
         hrs.append(m.hr)
         mrs.append(m.mr)
@@ -264,8 +267,7 @@ def test_10_sampled_ground_truth_is_consistent(noisy_plane):
     """Scoring against a 2-strided labeled sub-grid shifts MR and HR by at
     most 0.08 compared to exhaustive labels."""
     region = region_from_boundary(noisy_plane["bl"])
-    sampled = ground_truth(NOISY_SPACE, HOLD, NOISY_PLANT, ORACLE,
-                           strides=(1, 2, 2))
+    sampled = ground_truth(NOISY_SPACE, noisy_plane["oracle"], strides=(1, 2, 2))
     m_full = noisy_plane["metrics"]
     m_samp = compute_metrics(sampled, region)
     assert abs(m_samp.mr - m_full.mr) <= 0.08
@@ -275,7 +277,7 @@ def test_10_sampled_ground_truth_is_consistent(noisy_plane):
 def test_11_determinism_and_budget_honesty(noisy_plane, tmp_path):
     """Identical seeds must reproduce byte-identical outputs, and searchers
     must spend exactly their stated budget (or exhaust the grid)."""
-    rerun = identify_boundary(NOISY_SPACE, HOLD, NOISY_PLANT, ORACLE)
+    rerun = identify_boundary(NOISY_SPACE, noisy_plane["oracle"])
     assert rerun.columns == noisy_plane["bl"].columns
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     boundary_to_csv(noisy_plane["bl"], a)

@@ -240,6 +240,17 @@ class TestSearchCommand:
         assert (meta["budget"], meta["seed"]) == (10, 7)
         assert meta["oracle_queries"] == 10
 
+    @pytest.mark.parametrize("algorithm", ["boundary", "boundary-dsoff"])
+    @pytest.mark.parametrize("flag", ["--budget", "--seed"])
+    def test_walk_rejects_budget_and_seed(self, config, tmp_path, capsys,
+                                          algorithm, flag):
+        # the walk has neither a budget nor randomness, so the flag would do nothing
+        assert main(["search", "--config", str(config), "--algorithm", algorithm,
+                     "--out", str(tmp_path / "bl.csv"), flag, "5",
+                     "--workers", "1"]) == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_unknown_algorithm_is_usage_error(self, config, tmp_path):
         assert main(["search", "--config", str(config), "--algorithm",
                      "simulated-annealing", "--out", str(tmp_path / "x.csv"),

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from pidlab import (Metrics, OracleConfig, ParamSpace, PidConfig, PlantModel,
                     RouthValidator, compare_oracles, compute_metrics,
                     ground_truth, hit_rate, hold_mission, identify_boundary,
-                    identify_boundary_dsoff, miss_rate, query_count,
-                    region_from_boundary, reset_query_count, routh_stable)
+                    miss_rate, query_count, region_from_boundary,
+                    reset_query_count, routh_stable)
 from pidlab.evalkit import (INVALID, VALID, ClassifiedGrid, configs_from_csv,
                             configs_to_csv, grid_from_csv, grid_to_csv)
 from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, BoundaryLine,
@@ -160,7 +160,7 @@ class TestSearchRecoversThresholdOracles:
             full = compute_metrics(gt, region_from_boundary(
                 identify_boundary(s, validator=LookupValidator(oracle))))
             off = compute_metrics(gt, region_from_boundary(
-                identify_boundary_dsoff(s, validator=LookupValidator(oracle))))
+                identify_boundary(s, LookupValidator(oracle), dsoff=True)))
             assert full.mr == 0.0
             assert off.mr >= full.mr
 
@@ -208,10 +208,6 @@ class TestGroundTruth:
         s = worked_space()
         gt = ground_truth(s, validator=RouthValidator(1, 1), workers=workers)
         assert len(gt.labels) == s.size() == query_count()
-
-    def test_requires_oracle_ingredients(self):
-        with pytest.raises(ValueError):
-            ground_truth(worked_space())
 
     def test_search_matches_brute_force_on_the_worked_plane(self):
         s = worked_space()

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from pidlab import (PidConfig, PlantModel, NoiseSpec, brake_mission,
                     circle_mission, hold_mission, reference_at,
-                    return_home_mission, routh_stable, simulate,
-                    trajectory_to_csv)
+                    return_home_mission, routh_stable, simulate)
 from pidlab.plant import CLAMP, Mission, Trajectory
 
 
@@ -166,19 +165,6 @@ def test_stable_grid_settles_by_120s():
                 assert abs(traj.e[-1]) < 0.01, (kp, ki, kd)
                 checked += 1
     assert checked == 100
-
-
-def test_csv_export(tmp_path):
-    traj = simulate(PlantModel(), STABLE, hold_mission(settle_deadline=0.5, duration=1.0))
-    out = tmp_path / "run.csv"
-    trajectory_to_csv(traj, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,x,v,r,e,mode"
-    assert len(lines) == len(traj) + 1
-    cells = lines[5].split(",")
-    assert cells[-1] == "hold"
-    # 9 significant digits survive a round trip at trace magnitudes
-    assert float(cells[1]) == pytest.approx(traj.x[4], abs=1e-7)
 
 
 def loop_simulate(plant, pid, mission):

@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pidlab import (BoundaryLine, OracleConfig, ParamSpace, PidConfig,
-                    PlantModel, RouthValidator, boundary_from_csv,
-                    boundary_to_csv, genetic_search, hill_climb, hold_mission,
-                    identify_boundary, identify_boundary_dsoff, query_count,
-                    random_fuzz, reset_query_count, routh_stable)
-from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, DOWN, UP,
-                           ColumnRecord, _axis_count, search_column)
+                    PlantModel, RouthValidator, SimulationValidator,
+                    boundary_from_csv, boundary_to_csv, genetic_search,
+                    ground_truth, hill_climb, hold_mission, identify_boundary,
+                    query_count, random_fuzz, reset_query_count, routh_stable)
+from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, ColumnRecord,
+                           _axis_count, search_column)
 from pidlab.validator import LookupValidator
 
 
@@ -77,6 +79,13 @@ class TestParamSpace:
         with pytest.raises(ValueError):
             s.p_index(2.0)
 
+    def test_snap_tolerance_is_a_fraction_of_a_fine_step(self):
+        s = ParamSpace(0, 1e-5, 1e-6, 0, 1, 1, 0, 1, 1)
+        for off_grid in (0.5e-6, 1.4e-6):
+            with pytest.raises(ValueError):
+                s.p_index(off_grid)
+        assert s.p_index(3e-6) == 3
+
     def test_invalid_axes(self):
         with pytest.raises(ValueError):
             ParamSpace(1, 1, 0.0, 0.1, 4, 0.1, 0, 1, 0.5)
@@ -97,47 +106,57 @@ class TestParamSpace:
 
 
 class TestSearchColumn:
-    def test_down_from_top_finds_largest_valid(self):
+    def test_invalid_entry_descends_to_largest_valid(self):
         s = worked_space()
-        status, idx = search_column(s, RouthValidator(1, 1), 0, 1, 39, DOWN)
+        status, idx = search_column(s, RouthValidator(1, 1), 0, 1, 39, False)
         assert (status, s.i_value(idx)) == (BOUNDARY, pytest.approx(2.9))
 
-    def test_up_from_inside_finds_largest_valid(self):
+    def test_valid_entry_climbs_to_largest_valid(self):
         s = worked_space()
         status, idx = search_column(s, RouthValidator(1, 1), 0, 1,
-                                    s.i_index(2.0), UP)
+                                    s.i_index(2.0), True)
         assert (status, s.i_value(idx)) == (BOUNDARY, pytest.approx(2.9))
 
-    def test_down_exhausts_to_all_invalid(self):
+    def test_descent_exhausts_to_all_invalid(self):
         s = worked_space()
         status, idx = search_column(s, LookupValidator(lambda pid: False),
-                                    0, 0, 39, DOWN)
+                                    0, 0, 39, False)
         assert (status, idx) == (ALL_INVALID, None)
 
-    def test_up_exhausts_to_all_valid(self):
+    def test_climb_exhausts_to_all_valid(self):
         s = worked_space()
         status, idx = search_column(s, LookupValidator(lambda pid: True),
-                                    0, 0, 0, UP)
+                                    0, 0, 0, True)
         assert (status, idx) == (ALL_VALID, None)
 
-    def test_entry_verdict_skips_one_query(self):
-        s = worked_space()
-        search_column(s, RouthValidator(1, 1), 0, 1, 39, DOWN)
-        baseline = query_count()
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_entry_finds_the_exact_threshold(self, data):
+        n_i = data.draw(st.integers(1, 40), label="n_i")
+        s = ParamSpace(1.0, 1.0, 1.0, 0.0, n_i - 1.0, 1.0, 0.0, 0.0, 1.0)
+        top = data.draw(st.integers(-1, n_i - 1), label="threshold")
+        start = data.draw(st.integers(0, n_i - 1), label="start")
+
+        def valid_at(ii):
+            return ii <= top
+
+        oracle = LookupValidator(lambda pid: valid_at(s.i_index(pid.ki)))
+        entry = valid_at(start)
         reset_query_count()
-        search_column(s, RouthValidator(1, 1), 0, 1, 39, DOWN,
-                      entry_verdict=False)
-        assert query_count() == baseline - 1
-
-    def test_up_entered_on_invalid_backs_off(self):
-        s = worked_space()
-        never = LookupValidator(lambda pid: False)
-        assert search_column(s, never, 0, 0, 5, UP) == (BOUNDARY, 4)
-        assert search_column(s, never, 0, 0, 0, UP) == (ALL_INVALID, None)
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            search_column(worked_space(), RouthValidator(1, 1), 0, 0, 0, "left")
+        got = search_column(s, oracle, 0, 0, start, entry)
+        if top == -1:
+            assert got == (ALL_INVALID, None)
+        elif top == n_i - 1:
+            assert got == (ALL_VALID, None)
+        else:
+            assert got == (BOUNDARY, top)
+        # queries run from the entry (never re-queried) to the first index
+        # whose verdict differs from it, or to the end of the axis
+        step = 1 if entry else -1
+        end = n_i - 1 if entry else 0
+        flip = next((ii for ii in range(start + step, end + step, step)
+                     if valid_at(ii) != entry), end)
+        assert query_count() == abs(flip - start)
 
 
 class TestIdentifyBoundary:
@@ -194,9 +213,18 @@ class TestIdentifyBoundary:
         with pytest.raises(KeyError):
             sparse.column_at(1.0, 0.5)  # on the grid, not recorded
 
-    def test_requires_oracle_ingredients(self):
-        with pytest.raises(ValueError):
-            identify_boundary(worked_space())
+    def test_old_positional_oracle_ingredients_fail_at_the_call(self):
+        s = worked_space()
+        with pytest.raises(TypeError):
+            identify_boundary(s, hold_mission(), PlantModel(), OracleConfig())
+        with pytest.raises(TypeError):
+            identify_boundary(s, RouthValidator(1, 1), 2)
+        with pytest.raises(TypeError):
+            ground_truth(s, hold_mission(), PlantModel(), OracleConfig())
+        for fn in (random_fuzz, hill_climb, genetic_search):
+            with pytest.raises(TypeError):
+                fn(s, hold_mission(), PlantModel(), OracleConfig(), 10, 0)
+        assert query_count() == 0
 
     def test_multiplane_parallel_matches_serial(self):
         s = ParamSpace(0.5, 1.5, 0.5, 0.1, 4.0, 0.1, 0.0, 1.0, 0.5)
@@ -221,7 +249,8 @@ class TestIdentifyBoundary:
 
     def test_simulation_oracle_end_to_end(self):
         s = ParamSpace(1.0, 1.0, 1.0, 0.2, 3.0, 0.4, 0.2, 0.8, 0.3)
-        bl = identify_boundary(s, hold_mission(), PlantModel(), OracleConfig())
+        bl = identify_boundary(s, SimulationValidator(PlantModel(), hold_mission(),
+                                                      OracleConfig()))
         assert len(bl.columns) == s.n_d
         assert all(c.status in (BOUNDARY, ALL_VALID, ALL_INVALID)
                    for c in bl.columns)
@@ -231,12 +260,12 @@ class TestDownSearchOff:
     def test_matches_full_search_when_everything_is_valid(self):
         s = worked_space()
         always = LookupValidator(lambda pid: True)
-        assert (identify_boundary_dsoff(s, validator=always).columns
-                == identify_boundary(s, validator=always).columns)
+        assert (identify_boundary(s, always, dsoff=True).columns
+                == identify_boundary(s, always).columns)
 
     def test_sticks_at_the_top_when_entries_are_invalid(self):
         s = worked_space()
-        bl = identify_boundary_dsoff(s, validator=RouthValidator(1, 1))
+        bl = identify_boundary(s, RouthValidator(1, 1), dsoff=True)
         # entry at ki = 4.0 is unstable in every column, so the ablated
         # search never descends and reports the ceiling each time
         assert [c.i_save for c in bl.columns] == [4.0, 4.0, 4.0]
@@ -246,7 +275,7 @@ class TestDownSearchOff:
         identify_boundary(s, validator=RouthValidator(1, 1))
         full = query_count()
         reset_query_count()
-        identify_boundary_dsoff(s, validator=RouthValidator(1, 1))
+        identify_boundary(s, RouthValidator(1, 1), dsoff=True)
         assert query_count() <= full
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pidlab import (NoiseSpec, OracleConfig, PidConfig, PlantModel, RouthValidator,
                     SimulationValidator, brake_mission, circle_mission,
                     hold_mission, query_count, reset_query_count,
-                    return_home_mission, routh_stable, simulate, validate)
+                    return_home_mission, routh_stable, simulate)
 from pidlab.mtl import And, Atom, Globally
 from pidlab.validator import LookupValidator
 
@@ -199,9 +199,3 @@ class TestRouthValidator:
         v.classify(PidConfig(1, 1, 1))
         v.classify(PidConfig(1, 2, 1))
         assert query_count() == 2
-
-
-def test_validate_shortcut():
-    verdict = validate(PidConfig(1, 0.5, 1), hold_mission(), PlantModel(),
-                       OracleConfig())
-    assert verdict.valid and query_count() == 1
