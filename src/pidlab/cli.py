@@ -339,16 +339,37 @@ def _load_meta(path):
         raise ConfigError(f"missing metadata sidecar {side}")
     try:
         with open(side) as fh:
-            return json.load(fh)
+            meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {side}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{side}: expected a JSON object")
+    return meta
+
+
+def _read_space(path, meta):
+    """The ParamSpace recorded in the sidecar of path."""
+    side = _sidecar(path)
+    if not isinstance(meta.get("space"), dict):
+        raise ConfigError(f"{side}: no 'space' object")
+    try:
+        return ParamSpace.from_dict(meta["space"])
+    except KeyError as exc:
+        raise ConfigError(f"{side}: 'space' has no key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{side}: bad 'space': {exc}") from exc
 
 
 def _read_grid(path, meta, space):
     """The labeled grid at path, with the coverage its sidecar records."""
     coverage = meta.get("coverage", "exhaustive")
-    if isinstance(coverage, dict):
-        coverage = ("sampled", tuple(coverage["sampled"]))
+    if coverage != "exhaustive":
+        strides = coverage.get("sampled") if isinstance(coverage, dict) else None
+        if not (isinstance(strides, list) and len(strides) == 3
+                and all(type(s) is int and s >= 1 for s in strides)):
+            raise ConfigError(f"{_sidecar(path)}: 'coverage' must be \"exhaustive\" "
+                              f"or {{\"sampled\": [sp, si, sd]}}, got {coverage!r}")
+        coverage = ("sampled", tuple(strides))
     try:
         return grid_from_csv(path, space, coverage=coverage)
     except ValueError as exc:
@@ -360,7 +381,7 @@ def cmd_eval(args):
     rs_meta = _load_meta(args.result)
     if gt_meta.get("space") != rs_meta.get("space"):
         raise ConfigError("ground truth and result were produced on different grids")
-    space = ParamSpace.from_dict(gt_meta["space"])
+    space = _read_space(args.gt, gt_meta)
     gt = _read_grid(args.gt, gt_meta, space)
 
     with open(args.result) as fh:
@@ -399,8 +420,9 @@ def cmd_eval(args):
 def cmd_plot(args):
     if args.grid is None and args.boundary is None:
         raise ConfigError("plot needs --grid and/or --boundary")
-    meta = _load_meta(args.grid if args.grid is not None else args.boundary)
-    space = ParamSpace.from_dict(meta["space"])
+    source = args.grid if args.grid is not None else args.boundary
+    meta = _load_meta(source)
+    space = _read_space(source, meta)
 
     p = args.p
     if p is None:
@@ -426,8 +448,11 @@ def cmd_plot(args):
 
     a1, a2 = args.a1, args.a2
     if a1 is None and a2 is None and "plant" in meta:
-        a1 = meta["plant"]["a1"]
-        a2 = meta["plant"]["a2"]
+        try:
+            a1, a2 = float(meta["plant"]["a1"]), float(meta["plant"]["a2"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{_sidecar(source)}: 'plant' needs numbers a1 and a2, "
+                              f"got {meta['plant']!r}") from exc
     theory = None
     if a1 is not None and a2 is not None:
         d_values = [space.d_value(k) for k in range(space.n_d)]

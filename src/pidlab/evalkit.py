@@ -93,28 +93,16 @@ def region_from_boundary(bl, space=None):
     return region
 
 
-def _restrict(gt, region):
-    domain = gt.labels.keys()
-    return {pid for pid in region if pid in domain}
-
-
 def miss_rate(gt, region):
     """|GT_invalid - RS| / |GT_invalid|; 0 when the ground truth has no
     invalid configs at all."""
-    bad = gt.invalid_set()
-    if not bad:
-        return 0.0
-    rs = _restrict(gt, region)
-    return len(bad - rs) / len(bad)
+    return compute_metrics(gt, region).mr
 
 
 def hit_rate(gt, region):
     """|RS & GT_invalid| / |RS|, with RS restricted to the labeled grid;
     1 for an empty result set."""
-    rs = _restrict(gt, region)
-    if not rs:
-        return 1.0
-    return len(rs & gt.invalid_set()) / len(rs)
+    return compute_metrics(gt, region).hr
 
 
 @dataclass(frozen=True)
@@ -136,15 +124,16 @@ def compute_metrics(gt, region):
     """Full MR/HR report. rs_size counts only configs inside the labeled
     grid, so strided ground truth is compared on its own sub-grid."""
     bad = gt.invalid_set()
-    rs = _restrict(gt, region)
-    inter = rs & bad
+    rs = gt.labels.keys() & region
+    inter = len(rs & bad)
     flags = []
     if not bad:
         flags.append("empty_ground_truth")
     if not rs:
         flags.append("empty_result_set")
-    return Metrics(mr=miss_rate(gt, region), hr=hit_rate(gt, region),
-                   gt_size=len(bad), rs_size=len(rs), intersection=len(inter),
+    return Metrics(mr=(len(bad) - inter) / len(bad) if bad else 0.0,
+                   hr=inter / len(rs) if rs else 1.0,
+                   gt_size=len(bad), rs_size=len(rs), intersection=inter,
                    flags=tuple(flags))
 
 
@@ -182,8 +171,9 @@ def compare_oracles(configs, mission, plant, window, cfg=None, formula=None,
     off_hits = 0
     on_hits = 0
     for pid in configs:
-        off = off_v.classify(pid).valid
-        on = on_v.classify(pid).valid
+        short = list(off_v.runs(pid))  # both verdicts judge the same short runs
+        off = off_v.classify(pid, short).valid
+        on = on_v.classify(pid, short).valid
         ref = ref_v.classify(pid).valid
         rows.append((pid, off, on, ref))
         off_hits += off == ref

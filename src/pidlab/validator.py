@@ -2,7 +2,10 @@
 
 A validator answers one question: is this gain triple valid for the mission?
 Every classify() call counts as exactly one oracle query against the global
-counter, regardless of how many repeated simulations back the vote.
+counter, regardless of how many repeated simulations back the vote. Queries
+and simulations differ: a SimulationValidator simulates a gain triple only
+the first time it is asked and answers repeats of it from a memo, so a
+searcher that revisits a config pays a query but no simulation.
 fan_out() is the one way to spread oracle work over processes; it folds the
 queries the workers spend back into this process's counter.
 """
@@ -111,6 +114,12 @@ class SimulationValidator(Validator):
     With repeats > 1 the runs use seeds base_seed, base_seed + 1, ... and
     the verdict is the majority. violated_spec names the first failing
     conjunct of the spec (or the spec itself when it has no conjuncts).
+
+    The verdict is a deterministic function of the gains, so each instance
+    keeps the verdict of every pid it has simulated and answers a repeated
+    pid from that memo; the query still counts. plant, mission, cfg and
+    formula are therefore fixed once the validator has answered a query:
+    build a new validator to judge under other settings.
     """
 
     def __init__(self, plant, mission, cfg, formula=None):
@@ -118,26 +127,47 @@ class SimulationValidator(Validator):
         self.mission = mission
         self.cfg = cfg
         self.formula = mode_spec(mission) if formula is None else formula
+        self._memo = {}
 
-    def classify(self, pid):
+    def classify(self, pid, runs=None):
+        """The verdict on pid, counting one query.
+
+        runs, when given, are the trajectories runs(pid) yields for this
+        validator's plant, mission and seeds; the vote is taken on them
+        instead of simulating again. A validator with another kind or
+        window but the same plant, mission, repeats and base_seed yields
+        the same runs, which is how compare_oracles judges one simulation
+        both offline and online.
+        """
         _note_queries()
-        cfg = self.cfg
+        # Two threads asking for the same new pid may both simulate it; they
+        # store the same verdict, so the race costs time, never correctness.
+        verdict = self._memo.get(pid)
+        if verdict is None:
+            verdict = self._vote(self.runs(pid) if runs is None else runs)
+            self._memo[pid] = verdict
+        return verdict
+
+    def runs(self, pid):
+        """Yield the trajectory of each run a query of pid votes on."""
+        for j in range(self.cfg.repeats):
+            plant = replace(self.plant,
+                            noise=replace(self.plant.noise, seed=self.cfg.base_seed + j))
+            yield simulate(plant, pid, self.mission)
+
+    def _vote(self, runs):
         votes = 0
         violated = None
-        for j in range(cfg.repeats):
-            ok, label = self._single_run(pid, cfg.base_seed + j)
+        for traj in runs:
+            ok, label = self._check(traj)
             if ok:
                 votes += 1
             elif violated is None:
                 violated = label
-        valid = votes > cfg.repeats // 2
+        repeats = self.cfg.repeats
+        valid = votes > repeats // 2
         return Verdict(valid=valid, violated_spec=None if valid else violated,
-                       runs=cfg.repeats, votes_valid=votes)
-
-    def _single_run(self, pid, seed):
-        plant = replace(self.plant, noise=replace(self.plant.noise, seed=seed))
-        traj = simulate(plant, pid, self.mission)
-        return self._check(traj)
+                       runs=repeats, votes_valid=votes)
 
     def _check(self, traj):
         parts = self.formula.children if isinstance(self.formula, And) else (self.formula,)

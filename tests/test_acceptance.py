@@ -277,7 +277,8 @@ def test_10_sampled_ground_truth_is_consistent(noisy_plane):
 def test_11_determinism_and_budget_honesty(noisy_plane, tmp_path):
     """Identical seeds must reproduce byte-identical outputs, and searchers
     must spend exactly their stated budget (or exhaust the grid)."""
-    rerun = identify_boundary(NOISY_SPACE, noisy_plane["oracle"])
+    # a fresh oracle, so the rerun simulates instead of reading the memo
+    rerun = identify_boundary(NOISY_SPACE, SimulationValidator(NOISY_PLANT, HOLD, ORACLE))
     assert rerun.columns == noisy_plane["bl"].columns
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     boundary_to_csv(noisy_plane["bl"], a)

@@ -61,6 +61,19 @@ def config(tmp_path):
     return path
 
 
+@pytest.fixture
+def artifacts(config, tmp_path):
+    """A ground-truth grid and a boundary walk of the base config, each
+    with its sidecar."""
+    gt = tmp_path / "gt.csv"
+    bl = tmp_path / "bl.csv"
+    main(["ground-truth", "--config", str(config), "--out", str(gt),
+          "--workers", "1"])
+    main(["search", "--config", str(config), "--algorithm", "boundary",
+          "--out", str(bl), "--workers", "1"])
+    return gt, bl
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -282,16 +295,6 @@ class TestOracleOverrides:
 
 
 class TestEvalCommand:
-    @pytest.fixture
-    def artifacts(self, config, tmp_path):
-        gt = tmp_path / "gt.csv"
-        bl = tmp_path / "bl.csv"
-        main(["ground-truth", "--config", str(config), "--out", str(gt),
-              "--workers", "1"])
-        main(["search", "--config", str(config), "--algorithm", "boundary",
-              "--out", str(bl), "--workers", "1"])
-        return gt, bl
-
     def test_metrics_match_the_library(self, artifacts, config, tmp_path, capsys):
         gt_path, bl_path = artifacts
         out = tmp_path / "metrics.json"
@@ -337,17 +340,74 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "m.json")]) == 2
 
 
-class TestPlotCommand:
-    @pytest.fixture
-    def artifacts(self, config, tmp_path):
-        gt = tmp_path / "gt.csv"
-        bl = tmp_path / "bl.csv"
-        main(["ground-truth", "--config", str(config), "--out", str(gt),
-              "--workers", "1"])
-        main(["search", "--config", str(config), "--algorithm", "boundary",
-              "--out", str(bl), "--workers", "1"])
-        return gt, bl
+def rewrite_sidecar(csv_path, change):
+    side = csv_path.with_suffix(".json")
+    meta = read_json(side)
+    change(meta)
+    side.write_text(json.dumps(meta))
 
+
+MALFORMED_SIDECARS = [
+    ("no space", lambda meta: meta.pop("space"), "no 'space' object"),
+    ("space without p_max", lambda meta: meta["space"].pop("p_max"),
+     "'space' has no key 'p_max'"),
+    ("space with a non-number", lambda meta: meta["space"].update(i_step="wide"),
+     "bad 'space'"),
+    ("coverage without sampled", lambda meta: meta.update(coverage={"strided": [1, 1, 1]}),
+     "'coverage' must be"),
+    ("coverage with two strides", lambda meta: meta.update(coverage={"sampled": [1, 2]}),
+     "'coverage' must be"),
+]
+
+
+class TestMalformedSidecars:
+    """A sidecar of the wrong shape is a config error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("change,fragment",
+                             [case[1:] for case in MALFORMED_SIDECARS],
+                             ids=[case[0] for case in MALFORMED_SIDECARS])
+    def test_eval(self, artifacts, tmp_path, capsys, change, fragment):
+        gt, bl = artifacts
+        rewrite_sidecar(gt, change)
+        rewrite_sidecar(bl, change)
+        out = tmp_path / "m.json"
+        assert main(["eval", "--gt", str(gt), "--result", str(bl),
+                     "--out", str(out)]) == 2
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change,fragment",
+                             [case[1:] for case in MALFORMED_SIDECARS],
+                             ids=[case[0] for case in MALFORMED_SIDECARS])
+    def test_plot(self, artifacts, tmp_path, capsys, change, fragment):
+        gt, _ = artifacts
+        rewrite_sidecar(gt, change)
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--out", str(out), "--grid", str(gt)]) == 2
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("plant", [{"a2": 1.0}, {"a1": 1.0}, {"a1": "x", "a2": 1.0},
+                                       [1.0, 1.0]])
+    def test_plot_plant_without_coefficients(self, artifacts, tmp_path, capsys, plant):
+        gt, bl = artifacts
+        rewrite_sidecar(bl, lambda meta: meta.update(plant=plant))
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--out", str(out), "--boundary", str(bl)]) == 2
+        assert "'plant' needs numbers a1 and a2" in capsys.readouterr().err
+        # flags on the command line take the sidecar's place
+        assert main(["plot", "--out", str(out), "--boundary", str(bl),
+                     "--a1", "1", "--a2", "1"]) == 0
+
+    def test_not_an_object(self, artifacts, tmp_path, capsys):
+        gt, bl = artifacts
+        gt.with_suffix(".json").write_text("[1, 2]")
+        assert main(["eval", "--gt", str(gt), "--result", str(bl),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+
+
+class TestPlotCommand:
     def test_renders_grid_and_boundary(self, artifacts, tmp_path):
         gt, bl = artifacts
         out = tmp_path / "plane.svg"

@@ -1,14 +1,17 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from pidlab import (Metrics, OracleConfig, ParamSpace, PidConfig, PlantModel,
-                    RouthValidator, compare_oracles, compute_metrics,
-                    ground_truth, hit_rate, hold_mission, identify_boundary,
-                    miss_rate, query_count, region_from_boundary,
-                    reset_query_count, routh_stable)
+from pidlab import (Metrics, NoiseSpec, OracleConfig, ParamSpace, PidConfig,
+                    PlantModel, RouthValidator, SimulationValidator,
+                    circle_lap_spec, circle_mission, compare_oracles,
+                    compute_metrics, ground_truth, hit_rate, hold_mission,
+                    identify_boundary, miss_rate, query_count,
+                    region_from_boundary, reset_query_count, routh_stable)
+from pidlab import validator as validator_module
 from pidlab.evalkit import (INVALID, VALID, ClassifiedGrid, configs_from_csv,
                             configs_to_csv, grid_from_csv, grid_to_csv)
 from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, BoundaryLine,
@@ -237,6 +240,44 @@ class TestCompareOracles:
         [(_, off1, _, ref1), (_, off2, _, ref2)] = cmp.rows
         assert (off1, ref1) == (True, True)
         assert (off2, ref2) == (False, False)
+
+    @pytest.mark.parametrize("case", ["hold", "circle_lap"])
+    def test_rows_equal_three_independent_validators(self, case, monkeypatch):
+        plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.02))
+        cfg = OracleConfig(repeats=3, base_seed=7)
+        if case == "hold":
+            mission, formula = hold_mission(settle_deadline=5, duration=10), None
+        else:
+            mission = circle_mission(radius=1.0, freq=0.25, settle_deadline=4, duration=12)
+            formula = circle_lap_spec(mission)
+        configs = [PidConfig(p, i, d) for p in (0.5, 2.0, 4.0)
+                   for i in (0.1, 1.0, 3.0) for d in (0.2, 1.2)]
+        window, ref_factor = 80, 3
+        long_mission = replace(mission, duration=mission.duration * ref_factor)
+        oracles = (
+            (plant, mission, cfg),
+            (plant, mission, replace(cfg, kind="online", window=window)),
+            (replace(plant, t_max=max(plant.t_max, long_mission.duration)),
+             long_mission, cfg))
+        expect = [(pid, *(SimulationValidator(*o, formula=formula).classify(pid).valid
+                          for o in oracles))
+                  for pid in configs]
+        assert {row[1] for row in expect} == {True, False}
+        # the window cannot see a lap, so there the two short-run verdicts differ
+        assert any(row[1] != row[2] for row in expect) == (case == "circle_lap")
+
+        sims = []
+        real = validator_module.simulate
+        monkeypatch.setattr(validator_module, "simulate",
+                            lambda *a: sims.append(a[2].duration) or real(*a))
+        reset_query_count()
+        cmp = compare_oracles(configs, mission, plant, window=window, cfg=cfg,
+                              formula=formula, ref_factor=ref_factor)
+        assert cmp.rows == expect
+        assert query_count() == 3 * len(configs)
+        # one short and one reference run per seed and config
+        assert sorted(sims) == sorted([mission.duration, long_mission.duration]
+                                      * 3 * len(configs))
 
     def test_empty_config_list(self):
         cmp = compare_oracles([], hold_mission(settle_deadline=5, duration=10),

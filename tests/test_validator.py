@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pidlab import (NoiseSpec, OracleConfig, PidConfig, PlantModel, RouthValidator,
-                    SimulationValidator, brake_mission, circle_mission,
-                    hold_mission, query_count, reset_query_count,
-                    return_home_mission, routh_stable, simulate)
+from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig, PlantModel,
+                    RouthValidator, SimulationValidator, brake_mission,
+                    circle_mission, genetic_search, hill_climb, hold_mission,
+                    query_count, reset_query_count, return_home_mission,
+                    routh_stable, simulate)
+from pidlab import validator as validator_module
 from pidlab.mtl import And, Atom, Globally
 from pidlab.validator import LookupValidator
 
@@ -66,12 +68,12 @@ class TestSimulationValidator:
         assert v.classify(PidConfig(1, 0.5, 1)).violated_spec == "conjunct_1"
 
     def test_deterministic_across_calls(self):
+        # a fresh validator per call, so the second verdict is simulated too
         cfg = OracleConfig(repeats=3, base_seed=11)
-        plant = PlantModel(noise=__import__("pidlab").NoiseSpec(sensor_sigma=0.01))
-        v = SimulationValidator(plant, hold_mission(), cfg)
+        plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.01))
         pid = PidConfig(1, 1.2, 1)
-        first = v.classify(pid)
-        second = v.classify(pid)
+        first = SimulationValidator(plant, hold_mission(), cfg).classify(pid)
+        second = SimulationValidator(plant, hold_mission(), cfg).classify(pid)
         assert first == second
 
     def test_online_oracle_kind_runs(self):
@@ -116,35 +118,38 @@ class TestDivergentGains:
 
 
 class TestMajorityVoting:
-    def make_stub(self, outcomes):
+    @pytest.fixture
+    def make_stub(self, monkeypatch):
         """Validator whose per-seed run verdicts are scripted."""
-        v = SimulationValidator(PlantModel(), hold_mission(),
-                                OracleConfig(repeats=len(outcomes)))
-        calls = []
+        def make(outcomes):
+            v = SimulationValidator(PlantModel(), hold_mission(),
+                                    OracleConfig(repeats=len(outcomes)))
+            calls = []
 
-        def fake(pid, seed):
-            calls.append(seed)
-            ok = outcomes[len(calls) - 1]
-            return (True, None) if ok else (False, "scripted")
+            def fake_simulate(plant, pid, mission):
+                calls.append(plant.noise.seed)
+                return len(calls) - 1  # stands in for the trajectory of run k
 
-        v._single_run = fake
-        return v, calls
+            monkeypatch.setattr(validator_module, "simulate", fake_simulate)
+            v._check = lambda k: (True, None) if outcomes[k] else (False, "scripted")
+            return v, calls
+        return make
 
-    def test_two_of_three_wins(self):
-        v, calls = self.make_stub([True, False, True])
+    def test_two_of_three_wins(self, make_stub):
+        v, calls = make_stub([True, False, True])
         verdict = v.classify(PidConfig(1, 1, 1))
         assert verdict.valid and verdict.votes_valid == 2 and verdict.runs == 3
         assert calls == [0, 1, 2]
 
-    def test_minority_valid_loses(self):
-        v, _ = self.make_stub([False, True, False])
+    def test_minority_valid_loses(self, make_stub):
+        v, _ = make_stub([False, True, False])
         verdict = v.classify(PidConfig(1, 1, 1))
         assert not verdict.valid
         assert verdict.violated_spec == "scripted"
         assert verdict.votes_valid == 1
 
-    def test_seeds_offset_by_base(self):
-        v, calls = self.make_stub([True, True, True])
+    def test_seeds_offset_by_base(self, make_stub):
+        v, calls = make_stub([True, True, True])
         v.cfg = OracleConfig(repeats=3, base_seed=40)
         v.classify(PidConfig(1, 1, 1))
         assert calls == [40, 41, 42]
@@ -181,6 +186,98 @@ class TestQueryCounter:
         for th in threads:
             th.join()
         assert query_count() == 1600
+
+
+SHORT_HOLD = hold_mission(settle_deadline=4.0, duration=8.0)
+
+
+@pytest.fixture
+def sim_calls(monkeypatch):
+    """The pids validator.simulate is called with, in call order."""
+    calls = []
+
+    def counting(plant, pid, mission):
+        calls.append(pid)
+        return simulate(plant, pid, mission)
+
+    monkeypatch.setattr(validator_module, "simulate", counting)
+    return calls
+
+
+class TestVerdictMemo:
+    PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.01, disturbance_amp=0.1,
+                                       disturbance_freq=0.2))
+    CFG = OracleConfig(repeats=3, base_seed=5)
+    PIDS = (PidConfig(3, 1, 2), PidConfig(1, 5, 1), PidConfig(2, 1.2, 0.4))
+
+    def test_one_simulation_per_run_of_each_distinct_pid(self, sim_calls):
+        v = SimulationValidator(self.PLANT, SHORT_HOLD, self.CFG)
+        for pid in self.PIDS + self.PIDS[::-1] + self.PIDS:
+            v.classify(pid)
+        assert sim_calls == [pid for pid in self.PIDS for _ in range(3)]
+        # the memo is per instance: another validator simulates again
+        SimulationValidator(self.PLANT, SHORT_HOLD, self.CFG).classify(self.PIDS[0])
+        assert sim_calls[9:] == [self.PIDS[0]] * 3
+
+    def test_every_classify_counts_one_query(self):
+        v = SimulationValidator(self.PLANT, SHORT_HOLD, self.CFG)
+        for _ in range(4):
+            v.classify(self.PIDS[0])
+        v.classify(self.PIDS[1])
+        assert query_count() == 5
+
+    def test_memoised_verdict_equals_a_fresh_validators(self):
+        for cfg in (self.CFG, OracleConfig(kind="online", window=100)):
+            v = SimulationValidator(self.PLANT, SHORT_HOLD, cfg)
+            first = [v.classify(pid) for pid in self.PIDS]
+            again = [v.classify(pid) for pid in self.PIDS]
+            fresh = [SimulationValidator(self.PLANT, SHORT_HOLD, cfg).classify(pid)
+                     for pid in self.PIDS]
+            assert again == first == fresh
+            assert {verdict.valid for verdict in fresh} == {True, False}
+
+    def test_given_runs_are_judged_without_simulating(self, sim_calls):
+        off = SimulationValidator(self.PLANT, SHORT_HOLD, self.CFG)
+        on = SimulationValidator(self.PLANT, SHORT_HOLD,
+                                 OracleConfig(kind="online", window=100,
+                                              repeats=3, base_seed=5))
+        for pid in self.PIDS:
+            runs = list(off.runs(pid))
+            assert off.classify(pid, runs) == SimulationValidator(
+                self.PLANT, SHORT_HOLD, self.CFG).classify(pid)
+            assert on.classify(pid, runs) == SimulationValidator(
+                self.PLANT, SHORT_HOLD, on.cfg).classify(pid)
+        # runs() once per pid, then the two fresh validators per pid
+        assert len(sim_calls) == 3 * 3 * len(self.PIDS)
+        assert query_count() == 4 * len(self.PIDS)
+
+
+class TestBaselinesOnTheMemo:
+    """The memo changes what a revisit costs, not what a searcher sees."""
+
+    SPACE = ParamSpace(p_min=1.0, p_max=1.0, p_step=1.0,
+                       i_min=0.5, i_max=4.5, i_step=1.0,
+                       d_min=0.2, d_max=1.0, d_step=0.4)
+
+    @pytest.mark.parametrize("fn", [hill_climb, genetic_search])
+    def test_same_result_and_budget_with_fewer_simulations(self, fn, sim_calls):
+        budget = 40
+        reset_query_count()
+        memo = fn(self.SPACE, SimulationValidator(PlantModel(), SHORT_HOLD, OracleConfig()),
+                  budget=budget, seed=3)
+        assert query_count() == budget
+        memo_sims = len(sim_calls)
+        assert memo_sims == len(set(sim_calls)) < budget
+
+        del sim_calls[:]
+        # a fresh validator per query: every query simulates
+        fresh = fn(self.SPACE,
+                   LookupValidator(lambda pid: SimulationValidator(
+                       PlantModel(), SHORT_HOLD, OracleConfig()).classify(pid).valid),
+                   budget=budget, seed=3)
+        assert len(sim_calls) == budget
+        assert len(set(sim_calls)) == memo_sims
+        assert fresh == memo and memo
 
 
 class TestRouthValidator:
