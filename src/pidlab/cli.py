@@ -371,9 +371,14 @@ def _read_grid(path, meta, space):
                               f"or {{\"sampled\": [sp, si, sd]}}, got {coverage!r}")
         coverage = ("sampled", tuple(strides))
     try:
-        return grid_from_csv(path, space, coverage=coverage)
+        grid = grid_from_csv(path, space, coverage=coverage)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    labeled = meta.get("labeled")
+    if labeled is not None and labeled != len(grid.labels):
+        raise ConfigError(f"{path} holds {len(grid.labels)} labels, but "
+                          f"{_sidecar(path)} records labeled: {labeled!r}")
+    return grid
 
 
 def cmd_eval(args):

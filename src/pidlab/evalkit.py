@@ -8,10 +8,12 @@ measured against a brute-force labeled grid (exhaustive or strided).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import partial
 
-from .search import ALL_INVALID, ALL_VALID
+from .plant import PidConfig
+from .search import ALL_INVALID, ALL_VALID, read_csv
 from .validator import SimulationValidator, fan_out
 
 VALID = "valid"
@@ -43,12 +45,9 @@ class ClassifiedGrid:
 
 
 def _label_chunk(space, validator, triples):
-    out = []
-    for trip in triples:
-        pid = space.pid_at(*trip)
-        verdict = validator.classify(pid)
-        out.append((pid, VALID if verdict.valid else INVALID))
-    return out
+    pids = [space.pid_at(*trip) for trip in triples]
+    return [(pid, VALID if verdict.valid else INVALID)
+            for pid, verdict in zip(pids, validator.classify_many(pids))]
 
 
 def ground_truth(space, validator, *, strides=(1, 1, 1), workers=1):
@@ -183,32 +182,60 @@ def compare_oracles(configs, mission, plant, window, cfg=None, formula=None,
                             online_agreement=on_hits / n)
 
 
+def _csv_field(value):
+    """value as csv.writer spells it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(("", value))
+    return buf.getvalue()[1:-2]
+
+
 def grid_to_csv(grid, path):
-    """Write kp,ki,kd,label rows with 9 significant digits."""
+    """Write kp,ki,kd,label rows with 9 significant digits.
+
+    Rows follow the grid's index order. Each axis value is formatted once;
+    the bytes are those csv.writer writes, \r\n line ends included.
+    """
+    space = grid.space
+    sp, si, sd = grid.strides()
+    p_axis, i_axis, d_axis = (
+        [(v, "%.9g" % v) for v in map(value, range(0, count, stride))]
+        for value, count, stride in ((space.p_value, space.n_p, sp),
+                                     (space.i_value, space.n_i, si),
+                                     (space.d_value, space.n_d, sd)))
+    labels = grid.labels
+    spelled = {VALID: VALID, INVALID: INVALID}
+    lines = ["kp,ki,kd,label\r\n"]
+    for p, p_text in p_axis:
+        for i, i_text in i_axis:
+            head = f"{p_text},{i_text},"
+            for d, d_text in d_axis:
+                label = labels[PidConfig(p, i, d)]
+                text = spelled.get(label)
+                if text is None:
+                    text = _csv_field(label)
+                lines.append(f"{head}{d_text},{text}\r\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kp", "ki", "kd", "label"])
-        for ip, ii, id_ in grid.space.iter_indices(grid.strides()):
-            pid = grid.space.pid_at(ip, ii, id_)
-            writer.writerow(["%.9g" % pid.kp, "%.9g" % pid.ki, "%.9g" % pid.kd,
-                             grid.labels[pid]])
+        fh.writelines(lines)
 
 
 def grid_from_csv(path, space, coverage="exhaustive"):
-    """Read labels back, snapping each row onto the space grid."""
+    """Read labels back, snapping each row onto the space grid.
+
+    Raises ValueError, naming the file and line, on an unknown label, a
+    value off the grid, a short row or a cell given twice.
+    """
+    parse_p, parse_i, parse_d = space.parsers()
     labels = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"kp", "ki", "kd", "label"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(need)}")
-        for row in reader:
-            if row["label"] not in (VALID, INVALID):
-                raise ValueError(f"{path}: unknown label {row['label']!r}")
-            pid = space.pid_at(space.p_index(float(row["kp"])),
-                               space.i_index(float(row["ki"])),
-                               space.d_index(float(row["kd"])))
-            labels[pid] = row["label"]
+
+    def cell(kp, ki, kd, label):
+        if label not in (VALID, INVALID):
+            raise ValueError(f"unknown label {label!r}")
+        pid = PidConfig(parse_p(kp), parse_i(ki), parse_d(kd))
+        if pid in labels:
+            raise ValueError(f"cell kp={kp}, ki={ki}, kd={kd} is given twice")
+        labels[pid] = label
+
+    read_csv(path, ("kp", "ki", "kd", "label"), cell)
     return ClassifiedGrid(space=space, labels=labels, coverage=coverage)
 
 
@@ -222,14 +249,12 @@ def configs_to_csv(configs, path):
 
 
 def configs_from_csv(path, space):
+    """Read a kp,ki,kd set back, snapping each row onto the space grid."""
+    parse_p, parse_i, parse_d = space.parsers()
     configs = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"kp", "ki", "kd"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(need)}")
-        for row in reader:
-            configs.add(space.pid_at(space.p_index(float(row["kp"])),
-                                     space.i_index(float(row["ki"])),
-                                     space.d_index(float(row["kd"]))))
+
+    def config(kp, ki, kd):
+        configs.add(PidConfig(parse_p(kp), parse_i(ki), parse_d(kd)))
+
+    read_csv(path, ("kp", "ki", "kd"), config)
     return configs

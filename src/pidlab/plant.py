@@ -27,7 +27,7 @@ RETURN_HOME = "return_home"
 MODES = (HOLD, BRAKE, CIRCLE_TRACK, RETURN_HOME)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PidConfig:
     """One controller gain triple (kp, ki, kd)."""
 
@@ -36,6 +36,10 @@ class PidConfig:
     kd: float
 
     def __post_init__(self):
+        # one test on the fast path, and no arithmetic on the gains: a sum
+        # of numpy scalars would warn where it overflows
+        if math.isfinite(self.kp) and math.isfinite(self.ki) and math.isfinite(self.kd):
+            return
         for name in ("kp", "ki", "kd"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

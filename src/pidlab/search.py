@@ -20,6 +20,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 
 from .plant import PidConfig
 from .validator import fan_out
@@ -100,12 +101,29 @@ class ParamSpace:
         return PidConfig(self.p_value(ip), self.i_value(ii), self.d_value(id_))
 
     def _snap(self, value, lo, step, count, name):
-        idx = int(round((value - lo) / step))
+        pos = (value - lo) / step
+        # far off the axis, or inf / nan, which round() cannot turn into an int
+        if not -1.0 < pos < count:
+            raise ValueError(f"{name}={value!r} is not on the grid")
+        idx = int(round(pos))
         # the CSV writers keep 9 significant digits (%.9g): off by <= 5e-9 * |value|
         tol = 1e-6 * step + 5e-9 * abs(value)
         if idx < 0 or idx >= count or abs(lo + idx * step - value) > tol:
             raise ValueError(f"{name}={value!r} is not on the grid")
         return idx
+
+    def parsers(self):
+        """(kp, ki, kd) functions from a CSV field to the grid value it names.
+
+        The writers' "%.9g" spelling of every axis value is looked up in a
+        table; __post_init__ has checked that each such spelling snaps back
+        onto its own index, so a hit equals float() and snapping. Any other
+        spelling (" 1", "1.0", "1e0") is read with float() and snapped, so
+        hand-edited CSVs still read.
+        """
+        return (_axis_parser(self.p_value, self.p_index, self.n_p),
+                _axis_parser(self.i_value, self.i_index, self.n_i),
+                _axis_parser(self.d_value, self.d_index, self.n_d))
 
     def p_index(self, value):
         return self._snap(value, self.p_min, self.p_step, self.n_p, "kp")
@@ -136,6 +154,49 @@ class ParamSpace:
         return cls(**{k: float(d[k]) for k in ("p_min", "p_max", "p_step",
                                                "i_min", "i_max", "i_step",
                                                "d_min", "d_max", "d_step")})
+
+
+def _axis_parser(value, index, count):
+    table = {}
+    for k in range(count):
+        v = value(k)
+        table["%.9g" % v] = v
+
+    def parse(text):
+        v = table.get(text)
+        return value(index(float(text))) if v is None else v
+
+    return parse
+
+
+def read_csv(path, names, handle):
+    """Call handle(*fields) for each data row of the CSV at path.
+
+    fields are the row's values in the columns the header names, in the
+    order of names (at least two). Blank lines are skipped and fields
+    beyond the header's ignored. Raises ValueError naming the file when the
+    header lacks one of names, and the file and line when a row has fewer
+    fields than the header or handle raises ValueError.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        # the last of two equal column names wins, as with csv.DictReader
+        at = {name: k for k, name in enumerate(header or ())}
+        if not set(names) <= at.keys():
+            raise ValueError(f"{path}: expected columns {sorted(names)}")
+        pick = itemgetter(*(at[name] for name in names))
+        width = len(header)
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                raise ValueError(f"{path}:{reader.line_num}: row has {len(row)} fields, "
+                                 f"the header {width}")
+            try:
+                handle(*pick(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -385,20 +446,14 @@ def boundary_to_csv(bl, path):
 
 def boundary_from_csv(path, space):
     """Read a boundary CSV back, snapping values onto the given space."""
+    parse_p, parse_i, parse_d = space.parsers()
     columns = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"p", "d", "status", "i_save"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(need)}")
-        for row in reader:
-            status = row["status"]
-            if status not in (BOUNDARY, ALL_VALID, ALL_INVALID):
-                raise ValueError(f"{path}: unknown column status {status!r}")
-            p = space.p_value(space.p_index(float(row["p"])))
-            d = space.d_value(space.d_index(float(row["d"])))
-            i_save = None
-            if status == BOUNDARY:
-                i_save = space.i_value(space.i_index(float(row["i_save"])))
-            columns.append(ColumnRecord(p, d, status, i_save))
+
+    def column(p, d, status, i_save):
+        if status not in (BOUNDARY, ALL_VALID, ALL_INVALID):
+            raise ValueError(f"unknown column status {status!r}")
+        columns.append(ColumnRecord(parse_p(p), parse_d(d), status,
+                                    parse_i(i_save) if status == BOUNDARY else None))
+
+    read_csv(path, ("p", "d", "status", "i_save"), column)
     return BoundaryLine(space=space, columns=columns)

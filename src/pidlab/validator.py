@@ -2,7 +2,8 @@
 
 A validator answers one question: is this gain triple valid for the mission?
 Every classify() call counts as exactly one oracle query against the global
-counter, regardless of how many repeated simulations back the vote. Queries
+counter, regardless of how many repeated simulations back the vote, and
+classify_many(pids) counts one per pid. Queries
 and simulations differ: a SimulationValidator simulates a gain triple only
 the first time it is asked and answers repeats of it from a memo, so a
 searcher that revisits a config pays a query but no simulation.
@@ -16,6 +17,8 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
+
+import numpy as np
 
 from .mtl import And, eval_offline, eval_online, mode_spec
 from .plant import simulate
@@ -107,6 +110,11 @@ class Validator:
     def classify(self, pid):
         raise NotImplementedError
 
+    def classify_many(self, pids):
+        """[self.classify(pid) for pid in pids]: one verdict and one query
+        per pid. Subclasses may answer the batch at once."""
+        return [self.classify(pid) for pid in pids]
+
 
 class SimulationValidator(Validator):
     """The real oracle: simulate the mission, check the mode spec.
@@ -182,12 +190,17 @@ class SimulationValidator(Validator):
         return eval_offline(formula, traj)
 
 
+_ROUTH_STABLE = Verdict(valid=True, violated_spec=None, runs=1, votes_valid=1)
+_ROUTH_UNSTABLE = Verdict(valid=False, violated_spec="routh_hurwitz", runs=1, votes_valid=0)
+
+
 class RouthValidator(Validator):
     """Stability-criterion oracle: valid iff the closed loop is Routh-stable.
 
     Stands in for the simulator wherever the noiseless simulation has been
     shown to agree with the algebra; useful for exactness and query-count
-    experiments where simulation time would dominate.
+    experiments where simulation time would dominate. Every stable verdict
+    is one shared Verdict, and every unstable one another.
     """
 
     def __init__(self, a1=1.0, a2=1.0):
@@ -196,9 +209,34 @@ class RouthValidator(Validator):
 
     def classify(self, pid):
         _note_queries()
-        ok = routh_stable(pid, self.a1, self.a2)
-        return Verdict(valid=ok, violated_spec=None if ok else "routh_hurwitz",
-                       runs=1, votes_valid=int(ok))
+        return _ROUTH_STABLE if routh_stable(pid, self.a1, self.a2) else _ROUTH_UNSTABLE
+
+    def classify_many(self, pids):
+        """routh_stable's inequalities on float64 arrays of the gains, with
+        its operations in its order, counting len(pids) queries at once.
+
+        A class whose classify is not this class's own (a subclass that
+        overrides it, or a wrapper bound in its place) gets it called per
+        pid, so the batch never answers differently from classify.
+        """
+        if type(self).classify is not _routh_classify:
+            return super().classify_many(pids)
+        pids = list(pids)
+        n = len(pids)
+        kp = np.fromiter((pid.kp for pid in pids), float, n)
+        ki = np.fromiter((pid.ki for pid in pids), float, n)
+        kd = np.fromiter((pid.kd for pid in pids), float, n)
+        # Python floats overflow to inf and turn inf * 0 into nan silently
+        with np.errstate(all="ignore"):
+            c2 = self.a2 + kd
+            c1 = self.a1 + kp
+            stable = (c1 > 0.0) & (c2 > 0.0) & (ki > 0.0) & (c1 * c2 > ki)
+        _note_queries(n)
+        verdicts = (_ROUTH_UNSTABLE, _ROUTH_STABLE)
+        return [verdicts[ok] for ok in stable.tolist()]
+
+
+_routh_classify = RouthValidator.classify
 
 
 class LookupValidator(Validator):

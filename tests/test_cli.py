@@ -339,6 +339,38 @@ class TestEvalCommand:
         assert main(["eval", "--gt", str(gt_path), "--result", str(bl_path),
                      "--out", str(tmp_path / "m.json")]) == 2
 
+    def test_truncated_ground_truth_refused(self, artifacts, tmp_path, capsys):
+        gt, bl = artifacts
+        lines = gt.read_text().splitlines(keepends=True)
+        gt.write_text("".join(lines[:20]))
+        out = tmp_path / "m.json"
+        assert main(["eval", "--gt", str(gt), "--result", str(bl),
+                     "--out", str(out)]) == 2
+        assert "holds 19 labels, but" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cell_given_twice_refused(self, artifacts, tmp_path, capsys):
+        gt, bl = artifacts
+        lines = gt.read_text().splitlines(keepends=True)
+        kp, ki, kd, label = lines[1].rstrip().split(",")
+        flipped = "invalid" if label == "valid" else "valid"
+        gt.write_text("".join(lines) + f"{kp},{ki},{kd},{flipped}\r\n")
+        out = tmp_path / "m.json"
+        assert main(["eval", "--gt", str(gt), "--result", str(bl),
+                     "--out", str(out)]) == 2
+        assert f"gt.csv:{len(lines) + 1}: cell" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_ground_truth_refused(self, artifacts, tmp_path, capsys, bad):
+        gt, bl = artifacts
+        lines = gt.read_text().splitlines(keepends=True)
+        lines[5] = bad + lines[5][lines[5].index(","):]
+        gt.write_text("".join(lines))
+        assert main(["eval", "--gt", str(gt), "--result", str(bl),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert f"gt.csv:6: kp={bad} is not on the grid" in capsys.readouterr().err
+
 
 def rewrite_sidecar(csv_path, change):
     side = csv_path.with_suffix(".json")
@@ -434,6 +466,14 @@ class TestPlotCommand:
                      "--p", "3.0"]) == 0
         assert main(["plot", "--out", str(out), "--grid", str(gt),
                      "--p", "1.7"]) == 2
+
+    @pytest.mark.parametrize("p", ["inf", "nan"])
+    def test_non_finite_p_is_off_the_grid(self, artifacts, tmp_path, capsys, p):
+        gt, _ = artifacts
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--out", str(out), "--grid", str(gt), "--p", p]) == 2
+        assert f"kp={float(p)!r} is not on the grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_grid_refused(self, artifacts, tmp_path):
         gt, _ = artifacts

@@ -1,3 +1,4 @@
+import csv
 import random
 from dataclasses import replace
 
@@ -212,6 +213,19 @@ class TestGroundTruth:
         gt = ground_truth(s, validator=RouthValidator(1, 1), workers=workers)
         assert len(gt.labels) == s.size() == query_count()
 
+    def test_each_chunk_is_one_batch(self):
+        batches = []
+
+        class Recording(RouthValidator):
+            def classify_many(self, pids):
+                batches.append(len(pids))
+                return super().classify_many(pids)
+
+        s = worked_space()
+        assert ground_truth(s, validator=Recording(1, 1)).labels == \
+            ground_truth(s, validator=RouthValidator(1, 1)).labels
+        assert batches == [s.size()]
+
     def test_search_matches_brute_force_on_the_worked_plane(self):
         s = worked_space()
         gt = ground_truth(s, validator=RouthValidator(1, 1))
@@ -409,3 +423,216 @@ class TestCsvRoundTripProperties:
             assert same(back, obj)
             write(back, d / "b.csv")
             assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+
+
+# The writer and readers as they were before the per-axis versions, kept as
+# references: csv.writer row by row, csv.DictReader and float() + _snap.
+
+def reference_grid_to_csv(grid, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kp", "ki", "kd", "label"])
+        for ip, ii, id_ in grid.space.iter_indices(grid.strides()):
+            pid = grid.space.pid_at(ip, ii, id_)
+            writer.writerow(["%.9g" % pid.kp, "%.9g" % pid.ki, "%.9g" % pid.kd,
+                             grid.labels[pid]])
+
+
+def reference_grid_from_csv(path, space, coverage="exhaustive"):
+    labels = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        need = {"kp", "ki", "kd", "label"}
+        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
+            raise ValueError(f"{path}: expected columns {sorted(need)}")
+        for row in reader:
+            if row["label"] not in (VALID, INVALID):
+                raise ValueError(f"{path}: unknown label {row['label']!r}")
+            pid = space.pid_at(space.p_index(float(row["kp"])),
+                               space.i_index(float(row["ki"])),
+                               space.d_index(float(row["kd"])))
+            labels[pid] = row["label"]
+    return ClassifiedGrid(space=space, labels=labels, coverage=coverage)
+
+
+def reference_configs_from_csv(path, space):
+    configs = set()
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            configs.add(space.pid_at(space.p_index(float(row["kp"])),
+                                     space.i_index(float(row["ki"])),
+                                     space.d_index(float(row["kd"]))))
+    return configs
+
+
+def reference_boundary_from_csv(path, space):
+    columns = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            status = row["status"]
+            p = space.p_value(space.p_index(float(row["p"])))
+            d = space.d_value(space.d_index(float(row["d"])))
+            i_save = None
+            if status == BOUNDARY:
+                i_save = space.i_value(space.i_index(float(row["i_save"])))
+            columns.append(ColumnRecord(p, d, status, i_save))
+    return BoundaryLine(space=space, columns=columns)
+
+
+def respell(path, spell):
+    """Rewrite every numeric field of the CSV at path with spell(text)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rows[0])
+        for row in rows[1:]:
+            writer.writerow([spell(f) if f and f[-1].isdigit() else f for f in row])
+
+
+SPELLINGS = {"repr": lambda text: repr(float(text)),
+             "exponent": lambda text: "%.8e" % float(text),
+             "leading space": lambda text: " " + text}
+
+
+def random_artifacts(space, rng, strides=(1, 1, 1)):
+    """A labeled (sub-)grid, a config set and a boundary line on space."""
+    cells = [space.pid_at(*idx) for idx in space.iter_indices(strides)]
+    coverage = "exhaustive" if strides == (1, 1, 1) else ("sampled", strides)
+    grid = ClassifiedGrid(space, {pid: rng.choice((VALID, INVALID)) for pid in cells},
+                          coverage)
+    configs = {pid for pid in cells if rng.random() < 0.5}
+    columns = []
+    for ip in range(space.n_p):
+        for id_ in range(space.n_d):
+            status = rng.choice((BOUNDARY, ALL_VALID, ALL_INVALID))
+            i_save = space.i_value(rng.randrange(space.n_i)) if status == BOUNDARY else None
+            columns.append(ColumnRecord(space.p_value(ip), space.d_value(id_), status, i_save))
+    return grid, configs, BoundaryLine(space, columns)
+
+
+class TestCsvAgainstTheReferences:
+    @settings(max_examples=60, deadline=None)
+    @given(space=accepted_spaces(), seed=st.integers(0, 2**16),
+           strides=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)))
+    def test_same_bytes_and_same_reads(self, tmp_path_factory, space, seed, strides):
+        grid, configs, line = random_artifacts(space, random.Random(seed), strides)
+        d = tmp_path_factory.mktemp("ref")
+        grid_to_csv(grid, d / "new.csv")
+        reference_grid_to_csv(grid, d / "old.csv")
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+        back = grid_from_csv(d / "new.csv", space, grid.coverage)
+        assert back.labels == reference_grid_from_csv(d / "new.csv", space).labels
+        assert back.labels == grid.labels
+        configs_to_csv(configs, d / "configs.csv")
+        assert configs_from_csv(d / "configs.csv", space) == \
+            reference_configs_from_csv(d / "configs.csv", space) == configs
+        boundary_to_csv(line, d / "line.csv")
+        assert boundary_from_csv(d / "line.csv", space).columns == \
+            reference_boundary_from_csv(d / "line.csv", space).columns == line.columns
+
+    @pytest.mark.parametrize("spelling", SPELLINGS, ids=list(SPELLINGS))
+    @settings(max_examples=30, deadline=None)
+    @given(space=accepted_spaces(), seed=st.integers(0, 2**16))
+    def test_other_spellings_read_as_the_references_read_them(self, tmp_path_factory,
+                                                              spelling, space, seed):
+        grid, configs, line = random_artifacts(space, random.Random(seed))
+        d = tmp_path_factory.mktemp("spell")
+        for write, obj, name in [(grid_to_csv, grid, "g.csv"),
+                                 (configs_to_csv, configs, "c.csv"),
+                                 (boundary_to_csv, line, "b.csv")]:
+            write(obj, d / name)
+            respell(d / name, SPELLINGS[spelling])
+        assert grid_from_csv(d / "g.csv", space).labels == \
+            reference_grid_from_csv(d / "g.csv", space).labels == grid.labels
+        assert configs_from_csv(d / "c.csv", space) == \
+            reference_configs_from_csv(d / "c.csv", space) == configs
+        assert boundary_from_csv(d / "b.csv", space).columns == \
+            reference_boundary_from_csv(d / "b.csv", space).columns == line.columns
+
+    def test_hand_written_spellings(self, tmp_path):
+        s = ParamSpace(1.0, 2.0, 1.0, 0.5, 1.0, 0.5, 0.0, 0.0, 1.0)
+        path = tmp_path / "hand.csv"
+        path.write_text("kp,ki,kd,label\n1.0,0.5,0,valid\n1e0,1, 0.0,invalid\n"
+                        " 2,5e-1,-0,valid\n2.000,1.00,0e3,invalid\n")
+        assert grid_from_csv(path, s).labels == reference_grid_from_csv(path, s).labels == {
+            s.pid_at(0, 0, 0): VALID, s.pid_at(0, 1, 0): INVALID,
+            s.pid_at(1, 0, 0): VALID, s.pid_at(1, 1, 0): INVALID}
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "", None, 3.5, "line\nbreak"])
+    def test_labels_the_readers_refuse_are_still_written_as_csv_writes_them(
+            self, tmp_path, label):
+        s = worked_space()
+        grid = ClassifiedGrid(s, {pid: VALID for pid in (s.pid_at(*idx)
+                                                         for idx in s.iter_indices())})
+        grid.labels[s.pid_at(0, 3, 1)] = label
+        grid_to_csv(grid, tmp_path / "new.csv")
+        reference_grid_to_csv(grid, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def one_plane_space():
+    return ParamSpace(1.0, 1.0, 1.0, 0.5, 1.0, 0.5, 0.0, 0.5, 0.5)
+
+
+READERS = {
+    "grid": (grid_from_csv, "kp,ki,kd,label", ["1", "0.5", "0", "valid"]),
+    "configs": (configs_from_csv, "kp,ki,kd", ["1", "0.5", "0"]),
+    "boundary": (boundary_from_csv, "p,d,status,i_save", ["1", "0", "boundary", "0.5"]),
+}
+# the field of each reader's good row that holds a grid value, by position
+NUMERIC = {"grid": (0, 1, 2), "configs": (0, 1, 2), "boundary": (0, 1, 3)}
+
+
+def write_rows(path, header, rows):
+    path.write_text(header + "\n" + "".join(",".join(row) + "\n" for row in rows))
+
+
+class TestCsvRejections:
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_values_are_off_the_grid(self, tmp_path, reader, bad):
+        read, header, good = READERS[reader]
+        for pos in NUMERIC[reader]:
+            row = list(good)
+            row[pos] = bad
+            path = tmp_path / "bad.csv"
+            write_rows(path, header, [good, row])
+            with pytest.raises(ValueError, match=r"bad\.csv:3: .* is not on the grid"):
+                read(path, one_plane_space())
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_short_rows_name_the_file_and_line(self, tmp_path, reader):
+        read, header, good = READERS[reader]
+        path = tmp_path / "short.csv"
+        write_rows(path, header, [good, good[:-1]])
+        with pytest.raises(ValueError, match=r"short\.csv:3: row has \d fields, the header \d"):
+            read(path, one_plane_space())
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_blank_lines_and_extra_fields_are_ignored(self, tmp_path, reader):
+        read, header, good = READERS[reader]
+        path = tmp_path / "loose.csv"
+        write_rows(path, header, [good])
+        plain = read(path, one_plane_space())
+        path.write_text(header + "\n\n" + ",".join(good) + ",extra\n\n")
+        loose = read(path, one_plane_space())
+        if reader == "grid":
+            plain, loose = plain.labels, loose.labels
+        elif reader == "boundary":
+            plain, loose = plain.columns, loose.columns
+        assert loose == plain
+
+    def test_a_cell_given_twice_is_refused(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        write_rows(path, "kp,ki,kd,label", [["1", "0.5", "0", "valid"],
+                                            ["1", "1", "0", "valid"],
+                                            ["1.0", "0.50", "0", "invalid"]])
+        with pytest.raises(ValueError, match=r"twice\.csv:4: cell .* is given twice"):
+            grid_from_csv(path, one_plane_space())
+
+    def test_errors_in_a_row_name_the_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("kp,ki,kd,label\n1,0.5,0,valid\n1,0.5,0.5,wobbly\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: unknown label 'wobbly'"):
+            grid_from_csv(path, one_plane_space())

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,28 @@ class TestConfigValidation:
             PidConfig(float("nan"), 1, 1)
         with pytest.raises(ValueError):
             PidConfig(1, float("inf"), 1)
+
+    def test_pid_names_the_first_non_finite_gain(self):
+        with pytest.raises(ValueError, match="ki must be finite, got inf"):
+            PidConfig(1, float("inf"), float("nan"))
+        with pytest.raises(ValueError, match="kd must be finite"):
+            PidConfig(np.float64(1), np.float64(2), np.float64("-inf"))
+
+    def test_pid_takes_huge_numpy_gains_without_warning(self):
+        # numpy warnings are errors under pytest; adding these would warn
+        pid = PidConfig(np.float64(1e308), np.float64(1e308), np.float64(-1e308))
+        assert pid.kp == 1e308
+
+    def test_pid_pickles_and_replaces(self):
+        pid = PidConfig(0.1, 2.5, -3.0)
+        back = pickle.loads(pickle.dumps(pid))
+        assert back == pid and hash(back) == hash(pid)
+        assert replace(pid, ki=4.0) == PidConfig(0.1, 4.0, -3.0)
+        with pytest.raises(ValueError):
+            replace(pid, kd=float("nan"))
+        with pytest.raises(FrozenInstanceError):
+            pid.kp = 1.0
+        assert not hasattr(pid, "__dict__")
 
     def test_plant_rejects_bad_dt(self):
         with pytest.raises(ValueError):

@@ -79,6 +79,14 @@ class TestParamSpace:
         with pytest.raises(ValueError):
             s.p_index(2.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 1e308])
+    def test_snap_rejects_non_finite_values_as_off_grid(self, value):
+        # 1e308 - p_min overflows to inf on a grid starting at -1e308
+        s = ParamSpace(-1e308, -1e308, 1e300, 0.1, 4.0, 0.1, 0.0, 1.0, 0.5)
+        for index in (s.p_index, s.i_index, s.d_index):
+            with pytest.raises(ValueError, match="is not on the grid"):
+                index(value)
+
     def test_snap_tolerance_is_a_fraction_of_a_fine_step(self):
         s = ParamSpace(0, 1e-5, 1e-6, 0, 1, 1, 0, 1, 1)
         for off_grid in (0.5e-6, 1.4e-6):

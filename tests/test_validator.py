@@ -1,4 +1,6 @@
+import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,4 +297,80 @@ class TestRouthValidator:
         v = RouthValidator(1, 1)
         v.classify(PidConfig(1, 1, 1))
         v.classify(PidConfig(1, 2, 1))
+        assert query_count() == 2
+
+    def test_verdicts_are_two_shared_objects(self):
+        v = RouthValidator(1, 1)
+        stable = v.classify(PidConfig(1, 0.5, 1))
+        assert v.classify(PidConfig(2, 0.5, 1)) is stable
+        assert v.classify_many([PidConfig(1, 5, 1), PidConfig(3, 0.2, 0)]) == [
+            v.classify(PidConfig(1, 6, 1)), stable]
+        assert v.classify_many([PidConfig(3, 0.2, 0)])[0] is stable
+
+
+# gains: small integers, integer-valued and short floats, zeros of both
+# signs, and magnitudes whose sums and products overflow
+ROUTH_GAIN = (st.integers(-4, 4) | st.integers(-4, 4).map(float)
+              | st.sampled_from([0.0, -0.0]) | st.floats(-20, 20)
+              | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def routh_batches(draw):
+    a1 = draw(st.integers(-3, 3) | st.floats(-10, 10))
+    a2 = draw(st.integers(-3, 3) | st.floats(-10, 10))
+    pids = []
+    for _ in range(draw(st.integers(0, 16))):
+        kp, kd = draw(ROUTH_GAIN), draw(ROUTH_GAIN)
+        tie = (kp + a1) * (kd + a2)  # the exact product routh_stable compares
+        ki = draw(st.sampled_from([tie, math.nextafter(tie, math.inf),
+                                   math.nextafter(tie, -math.inf), 0.0, None]))
+        if ki is None or not math.isfinite(ki):
+            ki = draw(ROUTH_GAIN)
+        pids.append(PidConfig(kp, ki, kd))
+    return a1, a2, pids
+
+
+class TestClassifyMany:
+    @settings(max_examples=300, deadline=None)
+    @given(case=routh_batches())
+    def test_routh_batch_equals_the_classify_loop(self, case):
+        a1, a2, pids = case
+        v = RouthValidator(a1, a2)
+        q0 = query_count()
+        batch = v.classify_many(pids)
+        assert query_count() - q0 == len(pids)
+        assert batch == [v.classify(pid) for pid in pids]
+        assert [verdict.valid for verdict in batch] == [routh_stable(pid, a1, a2)
+                                                        for pid in pids]
+
+    def test_routh_batch_takes_any_iterable(self):
+        v = RouthValidator(1, 1)
+        pids = [PidConfig(1, 0.5, 1), PidConfig(1, 5, 1)]
+        assert v.classify_many(iter(pids)) == v.classify_many(pids)
+        assert v.classify_many([]) == []
+        assert query_count() == 4
+
+    def test_an_overriding_classify_is_called_per_pid(self):
+        class Inverted(RouthValidator):
+            def classify(self, pid):
+                return RouthValidator(self.a1, self.a2).classify(replace(pid, ki=-pid.ki))
+
+        pids = [PidConfig(1, 0.5, 1), PidConfig(1, -0.5, 1)]
+        assert [v.valid for v in Inverted(1, 1).classify_many(pids)] == [False, True]
+        assert query_count() == 2
+
+    def test_default_loops_classify_through_the_memo(self, sim_calls):
+        v = SimulationValidator(PlantModel(), hold_mission(), OracleConfig())
+        a, b = PidConfig(3, 1, 2), PidConfig(1, 5, 1)
+        batch = v.classify_many([a, b, a])
+        assert batch == [v.classify(a), v.classify(b), v.classify(a)]
+        assert [verdict.valid for verdict in batch] == [True, False, True]
+        assert query_count() == 6
+        assert sim_calls == [a, b]
+
+    def test_default_on_a_lookup_oracle(self):
+        v = LookupValidator(lambda pid: pid.ki < 1)
+        pids = [PidConfig(1, 0.5, 1), PidConfig(1, 5, 1)]
+        assert [verdict.valid for verdict in v.classify_many(pids)] == [True, False]
         assert query_count() == 2
