@@ -517,8 +517,35 @@ def build_parser():
     return parser
 
 
+# Options whose value is a float and may be negative.
+_FLOAT_OPTIONS = ("--p", "--a1", "--a2")
+
+
+def _attach_float_values(argv):
+    """argv with `--p -1e-3` spelled `--p=-1e-3`, and so for each option in
+    _FLOAT_OPTIONS followed by a word that starts with '-' and that float()
+    reads. argparse takes such a word for an option unless it looks like a
+    plain decimal, so an exponent or -inf would never reach the value."""
+    out = []
+    for word in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and word.startswith("-") and _is_float(word):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = _attach_float_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -242,6 +242,56 @@ class Trajectory:
         return len(self.t)
 
 
+def sample_count(plant, mission):
+    """Samples in a run of mission on plant: floor(duration / dt) + 1."""
+    return int(math.floor(mission.duration / float(plant.dt) + 1e-9)) + 1
+
+
+def _drive(plant, mission):
+    """What every run of mission on plant shares, whatever its gains.
+
+    Returns (dt, times, r, steps): the step, the sample times, the reference
+    at each sample, and an iterator over the n - 1 steps yielding
+    (noise, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) as Python floats: the
+    sensor noise draw, the reference and its slope at the step's start,
+    middle and end, and the sawtooth there (0.0 when it is off).
+    """
+    if mission.duration > plant.t_max + 1e-9:
+        raise ValueError("mission duration exceeds plant t_max")
+    dt = float(plant.dt)
+    n = sample_count(plant, mission)
+    times = np.arange(n) * dt
+
+    # Reference sampled at half-step resolution so RK4 stages index it directly.
+    half_t = np.arange(2 * n - 1) * (dt / 2.0)
+    # arange rounding can push the last half-sample a hair past duration
+    half_t[-1] = min(half_t[-1], mission.duration)
+    r_half, rd_half = reference_at(mission, half_t)
+
+    spec = plant.noise
+    if spec.sensor_sigma > 0.0:
+        noise = spec.sensor_sigma * np.random.default_rng(spec.seed).standard_normal(n - 1)
+    else:
+        noise = np.zeros(n - 1)
+
+    # Memoryviews yield Python floats without copying the arrays. Each
+    # sawtooth sample takes the operations of the per-step expression
+    # damp * (2 * frac(dfreq * t) - 1) in the same order, so it is the
+    # same float.
+    damp, dfreq = spec.disturbance_amp, spec.disturbance_freq
+    if damp > 0.0 and dfreq > 0.0:
+        t0 = np.arange(n - 1) * dt
+        dist = [memoryview(damp * (2.0 * ((dfreq * t) % 1.0) - 1.0))
+                for t in (t0, t0 + 0.5 * dt, t0 + dt)]
+    else:
+        dist = [repeat(0.0)] * 3
+    steps = zip(memoryview(noise),
+                memoryview(r_half[:-1:2]), memoryview(rd_half[:-1:2]),
+                memoryview(r_half[1::2]), memoryview(rd_half[1::2]),
+                memoryview(r_half[2::2]), memoryview(rd_half[2::2]), *dist)
+    return dt, times, r_half[::2].copy(), steps
+
+
 def simulate(plant, pid, mission):
     """Integrate the closed loop over the mission and sample every dt.
 
@@ -261,26 +311,8 @@ def simulate(plant, pid, mission):
     Returns:
         Trajectory of floor(duration/dt) + 1 samples.
     """
-    if mission.duration > plant.t_max + 1e-9:
-        raise ValueError("mission duration exceeds plant t_max")
-    dt = float(plant.dt)
-    n = int(math.floor(mission.duration / dt + 1e-9)) + 1
-    times = np.arange(n) * dt
-
-    # Reference sampled at half-step resolution so RK4 stages index it directly.
-    half_t = np.arange(2 * n - 1) * (dt / 2.0)
-    # arange rounding can push the last half-sample a hair past duration
-    half_t[-1] = min(half_t[-1], mission.duration)
-    r_half, rd_half = reference_at(mission, half_t)
-
-    spec = plant.noise
-    if spec.sensor_sigma > 0.0:
-        noise = spec.sensor_sigma * np.random.default_rng(spec.seed).standard_normal(n - 1)
-    else:
-        noise = np.zeros(n - 1)
-
-    dist_on = spec.disturbance_amp > 0.0 and spec.disturbance_freq > 0.0
-    damp, dfreq = spec.disturbance_amp, spec.disturbance_freq
+    dt, times, r, steps = _drive(plant, mission)
+    n = len(times)
 
     # float(): numpy scalar gains would drag the whole loop onto numpy scalars
     kp, ki, kd = float(pid.kp), float(pid.ki), float(pid.kd)
@@ -297,19 +329,7 @@ def simulate(plant, pid, mission):
     sixth = dt / 6.0
 
     # The loop reads and writes only Python floats, which cost about a third
-    # of what numpy scalars do per operation; memoryviews yield them without
-    # copying the arrays. Each sawtooth sample takes the operations of the
-    # per-step expression in the same order, so it is the same float.
-    if dist_on:
-        t0 = np.arange(n - 1) * dt
-        dist = [memoryview(damp * (2.0 * ((dfreq * t) % 1.0) - 1.0))
-                for t in (t0, t0 + half, t0 + dt)]
-    else:
-        dist = [repeat(0.0)] * 3
-    steps = zip(memoryview(noise),
-                memoryview(r_half[:-1:2]), memoryview(rd_half[:-1:2]),
-                memoryview(r_half[1::2]), memoryview(rd_half[1::2]),
-                memoryview(r_half[2::2]), memoryview(rd_half[2::2]), *dist)
+    # of what numpy scalars do per operation.
     xm = memoryview(xs)
     vm = memoryview(vs)
 
@@ -350,7 +370,99 @@ def simulate(plant, pid, mission):
         xm[k] = x
         vm[k] = v
 
-    r_full = r_half[::2].copy()
-    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r_full, e=r_full - xs,
-                      mode=mission.mode)
+    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs, mode=mission.mode)
 
+
+def simulate_batch(plant, pids, mission):
+    """simulate() for every gain triple in pids, in one RK4 loop.
+
+    The loop keeps the N runs' states as one (3, N) array (x, v, q) and
+    takes each of simulate's operations, in simulate's order, as one ufunc
+    call over all N runs, with the step's inputs as the same Python floats.
+    IEEE arithmetic does not depend on the operand's container, so run j
+    is bit-identical to simulate(plant, pids[j], mission), NaN samples of a
+    divergent run included. Runs overflow to inf and nan silently, as
+    Python floats do, and the clamp (np.maximum, then np.minimum) passes a
+    NaN as simulate's does.
+
+    Memory: 16 bytes per sample per run for x and v (one (n, 2, N)
+    array); each run's e is built when its Trajectory is.
+
+    Returns:
+        A generator of one Trajectory per pid, in order. The loop runs at
+        the call; run j's Trajectory is built when the generator reaches
+        it, from views of column j of the x/v array plus its own e.
+    """
+    dt, times, r, steps = _drive(plant, mission)
+    pids = list(pids)
+    m = len(pids)
+    # one row per factor of the products a stage takes, in the order of
+    # the stage rows they multiply: a1*xv, a2*vv, ki*qv, kp*e, kd*(rd - vv)
+    gains = np.empty((5, m))
+    gains[0] = float(plant.a1)
+    gains[1] = float(plant.a2)
+    for row, name in ((2, "ki"), (3, "kp"), (4, "kd")):
+        gains[row] = np.fromiter((float(getattr(pid, name)) for pid in pids), float, m)
+    # the step's scalar factors, as arrays: a ufunc takes an array operand
+    # faster than a Python float
+    half, full, two, sixth = (np.full((3, m), c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+
+    xv = np.empty((len(times), 2, m))
+    xv[0] = 0.0
+    state = np.zeros((3, m))  # x, v, q
+    # Stage s works in stages[s], rows (xv, vv, qv, e, rd - vv) at the
+    # stage's point; qv is overwritten by the acceleration once the products
+    # are taken, so stages[s][1:4] is the stage's slope (vv, acc, e), which
+    # is (dx, dv, dq).
+    stages = np.empty((4, 5, m))
+    p1, p2, p3, p4 = (s[:3] for s in stages)
+    k1, k2, k3, k4 = (s[1:4] for s in stages)
+    s1, s2, s3, s4 = ((*s, s) for s in stages)
+    products = np.empty((5, m))
+    a1x, a2v, kiq, kpe, kdr = products
+    xv_now = state[:2]
+    low = np.full((2, m), -CLAMP)
+    high = np.full((2, m), CLAMP)
+    step_sum = np.empty((3, m))
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+
+    def stage(row, r_, rd, u, nk):
+        x_, v_, acc, e, rdv, all_rows = row
+        add(x_, nk, out=e)
+        subtract(r_, e, out=e)  # e = r - (xv + noise)
+        subtract(rd, v_, out=rdv)
+        multiply(gains, all_rows, out=products)
+        # acc = kp*e + ki*qv + kd*(rd - vv) + u - a2*vv - a1*xv
+        add(kpe, kiq, out=acc)
+        add(acc, kdr, out=acc)
+        add(acc, u, out=acc)
+        subtract(acc, a2v, out=acc)
+        subtract(acc, a1x, out=acc)
+
+    with np.errstate(all="ignore"):
+        for k, (nk, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) in enumerate(steps, 1):
+            np.copyto(p1, state)
+            stage(s1, r0, rd0, u0, nk)
+            multiply(half, k1, out=step_sum)
+            add(state, step_sum, out=p2)
+            stage(s2, rm, rdm, um, nk)
+            multiply(half, k2, out=step_sum)
+            add(state, step_sum, out=p3)
+            stage(s3, rm, rdm, um, nk)
+            multiply(full, k3, out=step_sum)
+            add(state, step_sum, out=p4)
+            stage(s4, r1, rd1, u1, nk)
+            # state += sixth * (k1 + 2 * (k2 + k3) + k4)
+            add(k2, k3, out=step_sum)
+            multiply(two, step_sum, out=step_sum)
+            add(k1, step_sum, out=step_sum)
+            add(step_sum, k4, out=step_sum)
+            multiply(sixth, step_sum, out=step_sum)
+            add(state, step_sum, out=state)
+            # the clamp; a NaN passes both, as it passes simulate's
+            np.maximum(xv_now, low, out=xv_now)
+            np.minimum(xv_now, high, out=xv_now)
+            xv[k] = xv_now
+
+    return (Trajectory(dt=dt, t=times, x=x, v=v, r=r, e=r - x, mode=mission.mode)
+            for x, v in ((xv[:, 0, j], xv[:, 1, j]) for j in range(m)))

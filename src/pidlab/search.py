@@ -445,15 +445,24 @@ def boundary_to_csv(bl, path):
 
 
 def boundary_from_csv(path, space):
-    """Read a boundary CSV back, snapping values onto the given space."""
+    """Read a boundary CSV back, snapping values onto the given space.
+
+    Raises ValueError, naming the file and line, on an unknown status, a
+    value off the grid, a short row or a (p, d) column given twice.
+    """
     parse_p, parse_i, parse_d = space.parsers()
     columns = []
+    seen = set()
 
     def column(p, d, status, i_save):
         if status not in (BOUNDARY, ALL_VALID, ALL_INVALID):
             raise ValueError(f"unknown column status {status!r}")
-        columns.append(ColumnRecord(parse_p(p), parse_d(d), status,
-                                    parse_i(i_save) if status == BOUNDARY else None))
+        col = ColumnRecord(parse_p(p), parse_d(d), status,
+                           parse_i(i_save) if status == BOUNDARY else None)
+        if (col.p, col.d) in seen:
+            raise ValueError(f"column p={p}, d={d} is given twice")
+        seen.add((col.p, col.d))
+        columns.append(col)
 
     read_csv(path, ("p", "d", "status", "i_save"), column)
     return BoundaryLine(space=space, columns=columns)

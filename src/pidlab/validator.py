@@ -7,6 +7,12 @@ classify_many(pids) counts one per pid. Queries
 and simulations differ: a SimulationValidator simulates a gain triple only
 the first time it is asked and answers repeats of it from a memo, so a
 searcher that revisits a config pays a query but no simulation.
+
+SimulationValidator.classify_many simulates the distinct new pids of a
+batch together with plant.simulate_batch, whose runs are bit-identical to
+simulate's, so its verdicts are those of the classify loop. A large batch
+is split into batch calls whose x and v arrays stay within BATCH_BYTES.
+
 fan_out() is the one way to spread oracle work over processes; it folds the
 queries the workers spend back into this process's counter.
 """
@@ -14,15 +20,19 @@ queries the workers spend back into this process's counter.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
 
 from .mtl import And, eval_offline, eval_online, mode_spec
-from .plant import simulate
+from .plant import sample_count, simulate, simulate_batch
 from .stability import routh_stable
+
+# Largest x/v array one simulate_batch call of classify_many may fill, at
+# 16 bytes per sample per pid: about 350 pids of a 60 s run at dt 0.01, and
+# 35 of a 600 s one.
+BATCH_BYTES = 32 * 2**20
 
 _lock = threading.Lock()
 _queries = 0
@@ -63,6 +73,9 @@ def fan_out(fn, jobs, workers):
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    # imported here: its modules cost every other run memory and start-up time
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         done = list(pool.map(_counted_call, repeat(fn), jobs))
     _note_queries(sum(n for _, n in done))
@@ -156,18 +169,56 @@ class SimulationValidator(Validator):
             self._memo[pid] = verdict
         return verdict
 
+    def classify_many(self, pids):
+        """[self.classify(pid) for pid in pids], counting len(pids) queries.
+
+        Memoised pids are answered from the memo. Each distinct new pid is
+        simulated once per seed, in simulate_batch calls of near-equal size
+        that each fill at most BATCH_BYTES, and voted on as classify votes,
+        so every verdict equals the one classify would return. Each run is
+        checked and dropped before the next run's trajectory is built.
+
+        A class whose classify is not this class's own (a subclass that
+        overrides it, or a wrapper bound in its place) gets it called per
+        pid, so the batch never answers differently from classify.
+        """
+        if type(self).classify is not _simulation_classify:
+            return super().classify_many(pids)
+        pids = list(pids)
+        _note_queries(len(pids))
+        memo = self._memo
+        new = [pid for pid in dict.fromkeys(pids) if pid not in memo]
+        width = max(1, BATCH_BYTES // (16 * sample_count(self.plant, self.mission)))
+        chunks = -(-len(new) // width)
+        for k in range(chunks):
+            chunk = new[k * len(new) // chunks:(k + 1) * len(new) // chunks]
+            # one list of checks per seed; no name holds a batch, so each
+            # is freed before the next seed's is simulated
+            by_seed = [list(map(self._check, simulate_batch(plant, chunk, self.mission)))
+                       for plant in self._plants()]
+            for pid, checks in zip(chunk, zip(*by_seed)):
+                memo[pid] = self._tally(checks)
+        return [memo[pid] for pid in pids]
+
     def runs(self, pid):
         """Yield the trajectory of each run a query of pid votes on."""
-        for j in range(self.cfg.repeats):
-            plant = replace(self.plant,
-                            noise=replace(self.plant.noise, seed=self.cfg.base_seed + j))
+        for plant in self._plants():
             yield simulate(plant, pid, self.mission)
 
+    def _plants(self):
+        """The plant of each run of a query: run j has noise seed base_seed + j."""
+        for j in range(self.cfg.repeats):
+            yield replace(self.plant,
+                          noise=replace(self.plant.noise, seed=self.cfg.base_seed + j))
+
     def _vote(self, runs):
+        return self._tally(map(self._check, runs))
+
+    def _tally(self, checks):
+        """The majority verdict over the runs' (ok, failing clause) checks."""
         votes = 0
         violated = None
-        for traj in runs:
-            ok, label = self._check(traj)
+        for ok, label in checks:
             if ok:
                 votes += 1
             elif violated is None:
@@ -189,6 +240,8 @@ class SimulationValidator(Validator):
             return eval_online(formula, traj, self.cfg.window)
         return eval_offline(formula, traj)
 
+
+_simulation_classify = SimulationValidator.classify
 
 _ROUTH_STABLE = Verdict(valid=True, violated_spec=None, runs=1, votes_valid=1)
 _ROUTH_UNSTABLE = Verdict(valid=False, violated_spec="routh_hurwitz", runs=1, votes_valid=0)

@@ -361,6 +361,19 @@ class TestEvalCommand:
         assert f"gt.csv:{len(lines) + 1}: cell" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_column_given_twice_refused(self, artifacts, tmp_path, capsys):
+        gt, bl = artifacts
+        lines = bl.read_text().splitlines(keepends=True)
+        p, d = lines[1].split(",")[:2]
+        # the union of both predictions would score MR 0.0571, not 0.0857
+        bl.write_text("".join(lines) + f"{p},{d},all_invalid,\r\n")
+        out = tmp_path / "m.json"
+        assert main(["eval", "--gt", str(gt), "--result", str(bl),
+                     "--out", str(out)]) == 2
+        assert (f"bl.csv:{len(lines) + 1}: column p={p}, d={d} is given twice"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_ground_truth_refused(self, artifacts, tmp_path, capsys, bad):
         gt, bl = artifacts
@@ -473,6 +486,27 @@ class TestPlotCommand:
         out = tmp_path / "x.svg"
         assert main(["plot", "--out", str(out), "--grid", str(gt), "--p", p]) == 2
         assert f"kp={float(p)!r} is not on the grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_p_with_an_exponent_plots(self, tmp_path):
+        shifted = tmp_path / "shifted.ini"
+        shifted.write_text(BASE_CONFIG.replace("p_min = 2.0", "p_min = -0.001")
+                           .replace("p_max = 2.0", "p_max = 0.999"))
+        gt = tmp_path / "gt.csv"
+        assert main(["ground-truth", "--config", str(shifted), "--out", str(gt),
+                     "--workers", "1"]) == 0
+        for argv in (["--p", "-1e-3"], ["--p=-1e-3"], ["--p", "-1e-3", "--a1", "-5e-1",
+                                                       "--a2", "-2e0"]):
+            out = tmp_path / "plane.svg"
+            assert main(["plot", "--out", str(out), "--grid", str(gt), *argv]) == 0
+            assert out.read_text().startswith("<svg")
+            out.unlink()
+
+    def test_negative_infinite_p_is_off_the_grid(self, artifacts, tmp_path, capsys):
+        gt, _ = artifacts
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--out", str(out), "--grid", str(gt), "--p", "-inf"]) == 2
+        assert "kp=-inf is not on the grid" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_grid_refused(self, artifacts, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pidlab import (PidConfig, PlantModel, NoiseSpec, brake_mission,
                     circle_mission, hold_mission, reference_at,
                     return_home_mission, routh_stable, simulate)
-from pidlab.plant import CLAMP, Mission, Trajectory
+from pidlab.plant import CLAMP, Mission, Trajectory, sample_count, simulate_batch
 
 
 STABLE = PidConfig(1, 0.5, 1)
@@ -351,3 +351,78 @@ class TestBitIdenticalToTheNumpyScalarLoop:
                                                   disturbance_freq=freq, seed=seed))
         mission = short_missions(3.0)[seed % 4]
         assert_same_trace(plant, STABLE, mission)
+
+
+def assert_batch_matches(plant, pids, mission):
+    """Every run of simulate_batch equals simulate's, field by field."""
+    batch = list(simulate_batch(plant, pids, mission))
+    assert len(batch) == len(pids)
+    for pid, got in zip(pids, batch):
+        want = simulate(plant, pid, mission)
+        assert got.dt == want.dt and got.mode == want.mode
+        assert len(got) == len(want) == sample_count(plant, mission)
+        for name in "txvre":
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.float64, name
+            assert np.array_equal(a, b, equal_nan=True), (pid, name)
+    return batch
+
+
+# gains: moderate ones, zeros of both signs, and magnitudes that clamp,
+# turn the run NaN, or overflow inside the first step
+BATCH_GAIN = (st.floats(-20, 20) | st.sampled_from([0.0, -0.0, 1e5, -1e5, 1e150, -1e300])
+              | st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestSimulateBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(mode=st.integers(0, 3), dt=st.sampled_from([0.01, 0.007, 0.05, 0.1]),
+           sigma=st.sampled_from([0.0, 0.03]), saw=st.booleans(),
+           freq=st.floats(0.01, 50.0), seed=st.integers(0, 2**16),
+           gains=st.lists(st.tuples(BATCH_GAIN, BATCH_GAIN, BATCH_GAIN),
+                          min_size=1, max_size=6))
+    def test_every_run_equals_simulate(self, mode, dt, sigma, saw, freq, seed, gains):
+        plant = PlantModel(dt=dt, noise=NoiseSpec(sensor_sigma=sigma,
+                                                  disturbance_amp=0.4 if saw else 0.0,
+                                                  disturbance_freq=freq, seed=seed))
+        assert_batch_matches(plant, [PidConfig(*g) for g in gains],
+                             short_missions(4.0)[mode])
+
+    @pytest.mark.parametrize("mission", [hold_mission(), brake_mission(),
+                                         circle_mission(), return_home_mission()],
+                             ids=lambda m: m.mode)
+    def test_full_missions_with_divergent_runs(self, mission):
+        plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.01, disturbance_amp=0.5,
+                                           disturbance_freq=0.2, seed=3))
+        pids = [*GAINS.values(), PidConfig(*np.array([2.0, 0.5, 1.5]))]
+        batch = assert_batch_matches(plant, pids, mission)
+        assert np.isnan(batch[list(GAINS).index("divergent")].x).any()
+        assert np.abs(batch[list(GAINS).index("clamped")].x).max() == CLAMP
+
+    @pytest.mark.parametrize("duration,dt", [(45.55, 0.01), (7.3, 0.1)])
+    def test_clamped_last_half_step(self, duration, dt):
+        plant = PlantModel(dt=dt, noise=NoiseSpec(sensor_sigma=0.02, seed=1))
+        mission = circle_mission(settle_deadline=duration / 2, duration=duration)
+        n = sample_count(plant, mission)
+        # the last half-step time, (2n - 2) * dt / 2, rounds past the duration
+        assert (2 * n - 2) * (dt / 2) > duration
+        assert_batch_matches(plant, [STABLE, PidConfig(1, 5, 1)], mission)
+
+    def test_width_one(self):
+        plant = PlantModel(noise=NoiseSpec(disturbance_amp=0.35, disturbance_freq=0.19))
+        assert_batch_matches(plant, [STABLE], hold_mission())
+
+    def test_no_pids(self):
+        assert list(simulate_batch(PlantModel(), iter(()), hold_mission())) == []
+
+    def test_duration_beyond_t_max_raises_at_the_call(self):
+        with pytest.raises(ValueError, match="exceeds plant t_max"):
+            simulate_batch(PlantModel(t_max=30), [STABLE], hold_mission())
+
+    def test_runs_share_one_xv_array_and_own_their_error(self):
+        first, second = simulate_batch(PlantModel(), [STABLE, PidConfig(1, 5, 1)],
+                                       hold_mission())
+        xv = first.x.base
+        assert xv.shape == (6001, 2, 2)
+        assert all(a.base is xv for a in (first.v, second.x, second.v))
+        assert first.e.base is None and second.e.base is None

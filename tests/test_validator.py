@@ -13,6 +13,7 @@ from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig, PlantModel,
                     query_count, reset_query_count, return_home_mission,
                     routh_stable, simulate)
 from pidlab import validator as validator_module
+from pidlab.plant import sample_count
 from pidlab.mtl import And, Atom, Globally
 from pidlab.validator import LookupValidator
 
@@ -361,7 +362,12 @@ class TestClassifyMany:
         assert query_count() == 2
 
     def test_default_loops_classify_through_the_memo(self, sim_calls):
-        v = SimulationValidator(PlantModel(), hold_mission(), OracleConfig())
+        # a classify of its own sends classify_many to the default loop
+        class Looping(SimulationValidator):
+            def classify(self, pid, runs=None):
+                return super().classify(pid, runs)
+
+        v = Looping(PlantModel(), hold_mission(), OracleConfig())
         a, b = PidConfig(3, 1, 2), PidConfig(1, 5, 1)
         batch = v.classify_many([a, b, a])
         assert batch == [v.classify(a), v.classify(b), v.classify(a)]
@@ -374,3 +380,129 @@ class TestClassifyMany:
         pids = [PidConfig(1, 0.5, 1), PidConfig(1, 5, 1)]
         assert [verdict.valid for verdict in v.classify_many(pids)] == [True, False]
         assert query_count() == 2
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """(noise seed, pids) of each validator.simulate_batch call, in call order."""
+    calls = []
+    real = validator_module.simulate_batch
+
+    def counting(plant, pids, mission):
+        calls.append((plant.noise.seed, list(pids)))
+        return real(plant, pids, mission)
+
+    monkeypatch.setattr(validator_module, "simulate_batch", counting)
+    return calls
+
+
+class TestSimulationClassifyMany:
+    PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.08, disturbance_amp=0.1,
+                                       disturbance_freq=0.2))
+    # 30 cells of the kp = 4 plane around its valid patch on the short hold;
+    # with three runs, (4, 1, 1.5) splits its vote 2 to 1
+    PIDS = [PidConfig(4.0, ki, kd) for ki in (0.2, 0.5, 1.0, 2.0, 4.0, 8.0)
+            for kd in (0.5, 1.0, 1.5, 2.0, 3.0)]
+
+    def fresh(self, cfg=OracleConfig()):
+        return SimulationValidator(self.PLANT, SHORT_HOLD, cfg)
+
+    @pytest.mark.parametrize("cfg", [OracleConfig(base_seed=4),
+                                     OracleConfig(repeats=3, base_seed=4),
+                                     OracleConfig(kind="online", window=100, repeats=3)],
+                             ids=["offline", "offline-repeats-3", "online-repeats-3"])
+    def test_equals_the_classify_loop(self, cfg, batch_calls, sim_calls):
+        batch = self.fresh(cfg).classify_many(self.PIDS)
+        assert query_count() == len(self.PIDS)
+        assert [seed for seed, _ in batch_calls] == [cfg.base_seed + j
+                                                     for j in range(cfg.repeats)]
+        assert sim_calls == []
+        loop = self.fresh(cfg)
+        assert batch == [loop.classify(pid) for pid in self.PIDS]
+        assert {verdict.valid for verdict in batch} == {True, False}
+        if cfg.repeats == 3 and cfg.kind == "offline":
+            assert batch[self.PIDS.index(PidConfig(4.0, 1.0, 1.5))].votes_valid == 2
+
+    def test_duplicates_and_memo_hits_are_not_simulated_again(self, monkeypatch,
+                                                              batch_calls, sim_calls):
+        v = self.fresh(OracleConfig(repeats=3))
+        a, b, c = self.PIDS[:3]
+        v.classify(a)
+        batch = v.classify_many([b, a, c, b, c, a])
+        assert query_count() == 1 + 6
+        assert sim_calls == [a] * 3
+        assert batch_calls == [(0, [b, c]), (1, [b, c]), (2, [b, c])]
+        again = v.classify_many(iter([c, b, a, c]))
+        assert query_count() == 1 + 6 + 4
+        assert len(sim_calls) == 3 and len(batch_calls) == 3
+        assert batch == [v.classify(pid) for pid in (b, a, c, b, c, a)]
+        assert again == [batch[2], batch[0], batch[1], batch[2]]
+
+    def test_the_first_failing_run_names_the_clause(self, monkeypatch):
+        # each run stands in for its trajectory by its seed, and fails a
+        # clause of its own
+        monkeypatch.setattr(validator_module, "simulate",
+                            lambda plant, pid, mission: plant.noise.seed)
+        monkeypatch.setattr(validator_module, "simulate_batch",
+                            lambda plant, pids, mission: [plant.noise.seed] * len(pids))
+        v = self.fresh(OracleConfig(repeats=3, base_seed=7))
+        v._check = lambda seed: (seed == 8, f"clause_{seed}")
+        assert v.classify_many(self.PIDS[:2]) == [v.classify(self.PIDS[2])] * 2
+        assert v.classify(self.PIDS[2]).violated_spec == "clause_7"
+
+    def test_a_single_new_pid_is_batched(self, batch_calls, sim_calls):
+        v = self.fresh(OracleConfig(repeats=3))
+        batch = v.classify_many([self.PIDS[0]] * 3)
+        assert batch_calls == [(j, [self.PIDS[0]]) for j in range(3)]
+        assert sim_calls == [] and query_count() == 3
+        assert batch == [self.fresh(OracleConfig(repeats=3)).classify(self.PIDS[0])] * 3
+
+    def test_nothing_new_simulates_nothing(self, batch_calls, sim_calls):
+        v = self.fresh()
+        v.classify_many(self.PIDS[:2])
+        assert v.classify_many([]) == []
+        assert v.classify_many(self.PIDS[1::-1]) == v.classify_many(self.PIDS[:2])[::-1]
+        assert len(batch_calls) == 1 and sim_calls == []
+        assert query_count() == 2 + 0 + 2 + 2
+
+    # BATCH_BYTES = runs * (bytes of one run) + extra; new pids; batch sizes
+    @pytest.mark.parametrize("runs,extra,new,sizes", [
+        (1, -1, 3, [1, 1, 1]),  # a batch is one run at the least
+        (4, 0, 3, [3]), (4, 0, 4, [4]), (4, 0, 5, [2, 3]), (4, 0, 9, [3, 3, 3]),
+        (4, -1, 4, [2, 2]), (4, 1, 4, [4])])
+    def test_batches_split_at_the_byte_budget(self, monkeypatch, batch_calls,
+                                              runs, extra, new, sizes):
+        run_bytes = 16 * sample_count(self.PLANT, SHORT_HOLD)
+        monkeypatch.setattr(validator_module, "BATCH_BYTES", runs * run_bytes + extra)
+        pids = self.PIDS[::3][:new]
+        batch = self.fresh().classify_many(pids)
+        assert [len(chunk) for _, chunk in batch_calls] == sizes
+        assert [pid for _, chunk in batch_calls for pid in chunk] == pids
+        assert batch == [self.fresh().classify(pid) for pid in pids]
+
+    def test_an_overriding_classify_is_called_per_pid(self, batch_calls):
+        asked = []
+
+        class Recording(SimulationValidator):
+            def classify(self, pid, runs=None):
+                asked.append(pid)
+                return super().classify(pid, runs)
+
+        v = Recording(self.PLANT, SHORT_HOLD, OracleConfig())
+        assert v.classify_many(self.PIDS) == [self.fresh().classify(pid)
+                                              for pid in self.PIDS]
+        assert asked == self.PIDS and batch_calls == []
+
+    def test_a_wrapper_bound_in_place_of_classify_is_called_per_pid(self, monkeypatch,
+                                                                   batch_calls):
+        asked = []
+        real = SimulationValidator.classify
+
+        def wrapper(self, pid, runs=None):
+            asked.append(pid)
+            return real(self, pid, runs)
+
+        monkeypatch.setattr(SimulationValidator, "classify", wrapper)
+        self.fresh().classify_many(self.PIDS)
+        assert asked == self.PIDS and batch_calls == []
+        assert query_count() == len(self.PIDS)
