@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -232,16 +232,9 @@ def _base_meta(app, config_path, kind):
         "tool": {"name": "pidlab", "version": __version__},
         "config_sha256": _config_sha(config_path),
         "space": app.space.to_dict(),
-        "plant": {"a1": app.plant.a1, "a2": app.plant.a2, "dt": app.plant.dt,
-                  "t_max": app.plant.t_max,
-                  "noise": {"sensor_sigma": app.plant.noise.sensor_sigma,
-                            "disturbance_amp": app.plant.noise.disturbance_amp,
-                            "disturbance_freq": app.plant.noise.disturbance_freq,
-                            "seed": app.plant.noise.seed}},
-        "mission": {"mode": app.mission.mode, "duration": app.mission.duration,
-                    "params": app.mission.params},
-        "oracle": {"kind": app.oracle.kind, "window": app.oracle.window,
-                   "repeats": app.oracle.repeats, "base_seed": app.oracle.base_seed},
+        "plant": asdict(app.plant),
+        "mission": asdict(app.mission),
+        "oracle": asdict(app.oracle),
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -482,24 +475,20 @@ def build_parser():
                                      description="PID valid-region analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gt = sub.add_parser("ground-truth", help="label a grid by brute force")
-    gt.add_argument("--config", required=True)
-    gt.add_argument("--out", required=True)
-    gt.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1)
-    gt.add_argument("--oracle", choices=("offline", "online"))
-    gt.add_argument("--window", type=int)
-    gt.add_argument("--repeats", type=int)
+    # the options of the commands that run the oracle
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", required=True)
+    run.add_argument("--out", required=True)
+    run.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1)
+    run.add_argument("--oracle", choices=("offline", "online"))
+    run.add_argument("--window", type=int)
+    run.add_argument("--repeats", type=int)
 
-    se = sub.add_parser("search", help="run a boundary search or baseline")
-    se.add_argument("--config", required=True)
+    sub.add_parser("ground-truth", parents=[run], help="label a grid by brute force")
+    se = sub.add_parser("search", parents=[run], help="run a boundary search or baseline")
     se.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    se.add_argument("--out", required=True)
     se.add_argument("--budget", type=int)
     se.add_argument("--seed", type=int)
-    se.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1)
-    se.add_argument("--oracle", choices=("offline", "online"))
-    se.add_argument("--window", type=int)
-    se.add_argument("--repeats", type=int)
 
     ev = sub.add_parser("eval", help="score a search result against ground truth")
     ev.add_argument("--gt", required=True)

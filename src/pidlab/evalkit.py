@@ -166,14 +166,15 @@ def compare_oracles(configs, mission, plant, window, cfg=None, formula=None,
     ref_v = SimulationValidator(long_plant, long_mission,
                                 replace(cfg, kind="offline", window=None),
                                 formula=formula)
+    configs = list(configs)
     rows = []
     off_hits = 0
     on_hits = 0
-    for pid in configs:
+    refs = [verdict.valid for verdict in ref_v.classify_many(configs)]
+    for pid, ref in zip(configs, refs):
         short = list(off_v.runs(pid))  # both verdicts judge the same short runs
         off = off_v.classify(pid, short).valid
         on = on_v.classify(pid, short).valid
-        ref = ref_v.classify(pid).valid
         rows.append((pid, off, on, ref))
         off_hits += off == ref
         on_hits += on == ref

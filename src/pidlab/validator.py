@@ -8,10 +8,10 @@ and simulations differ: a SimulationValidator simulates a gain triple only
 the first time it is asked and answers repeats of it from a memo, so a
 searcher that revisits a config pays a query but no simulation.
 
-SimulationValidator.classify_many simulates the distinct new pids of a
-batch together with plant.simulate_batch, whose runs are bit-identical to
-simulate's, so its verdicts are those of the classify loop. A large batch
-is split into batch calls whose x and v arrays stay within BATCH_BYTES.
+SimulationValidator.classify is classify_many of one pid. classify_many
+simulates fewer than BATCH_MIN new pids one at a time with simulate, and
+more together with simulate_batch, whose runs are bit-identical, in calls
+whose x and v arrays stay within BATCH_BYTES.
 
 fan_out() is the one way to spread oracle work over processes; it folds the
 queries the workers spend back into this process's counter.
@@ -33,6 +33,11 @@ from .stability import routh_stable
 # 16 bytes per sample per pid: about 350 pids of a 60 s run at dt 0.01, and
 # 35 of a 600 s one.
 BATCH_BYTES = 32 * 2**20
+
+# Fewest new pids classify_many simulates with simulate_batch. Below it a
+# batch call, about 0.3 s on the 60 s disturbed hold whatever its size,
+# costs more than 15 ms per pid from simulate (2-vCPU VM).
+BATCH_MIN = 20
 
 _lock = threading.Lock()
 _queries = 0
@@ -151,7 +156,7 @@ class SimulationValidator(Validator):
         self._memo = {}
 
     def classify(self, pid, runs=None):
-        """The verdict on pid, counting one query.
+        """The verdict on pid, counting one query: classify_many((pid,))[0].
 
         runs, when given, are the trajectories runs(pid) yields for this
         validator's plant, mission and seeds; the vote is taken on them
@@ -160,44 +165,43 @@ class SimulationValidator(Validator):
         the same runs, which is how compare_oracles judges one simulation
         both offline and online.
         """
+        if runs is None:
+            return self.classify_many((pid,))[0]
         _note_queries()
-        # Two threads asking for the same new pid may both simulate it; they
-        # store the same verdict, so the race costs time, never correctness.
         verdict = self._memo.get(pid)
         if verdict is None:
-            verdict = self._vote(self.runs(pid) if runs is None else runs)
-            self._memo[pid] = verdict
+            verdict = self._memo[pid] = self._tally(map(self._check, runs))
         return verdict
 
     def classify_many(self, pids):
-        """[self.classify(pid) for pid in pids], counting len(pids) queries.
+        """One verdict per pid, counting len(pids) queries.
 
         Memoised pids are answered from the memo. Each distinct new pid is
-        simulated once per seed, in simulate_batch calls of near-equal size
-        that each fill at most BATCH_BYTES, and voted on as classify votes,
-        so every verdict equals the one classify would return. Each run is
-        checked and dropped before the next run's trajectory is built.
-
-        A class whose classify is not this class's own (a subclass that
-        overrides it, or a wrapper bound in its place) gets it called per
-        pid, so the batch never answers differently from classify.
+        simulated once per seed: with simulate when there are fewer than
+        BATCH_MIN of them, otherwise in simulate_batch calls of near-equal
+        size that each fill at most BATCH_BYTES. Each run is checked and
+        dropped before the next run's trajectory is built.
         """
-        if type(self).classify is not _simulation_classify:
-            return super().classify_many(pids)
         pids = list(pids)
         _note_queries(len(pids))
+        # Two threads asking for the same new pid may both simulate it; they
+        # store the same verdict, so the race costs time, never correctness.
         memo = self._memo
         new = [pid for pid in dict.fromkeys(pids) if pid not in memo]
-        width = max(1, BATCH_BYTES // (16 * sample_count(self.plant, self.mission)))
-        chunks = -(-len(new) // width)
-        for k in range(chunks):
-            chunk = new[k * len(new) // chunks:(k + 1) * len(new) // chunks]
-            # one list of checks per seed; no name holds a batch, so each
-            # is freed before the next seed's is simulated
-            by_seed = [list(map(self._check, simulate_batch(plant, chunk, self.mission)))
-                       for plant in self._plants()]
-            for pid, checks in zip(chunk, zip(*by_seed)):
-                memo[pid] = self._tally(checks)
+        if len(new) < BATCH_MIN:
+            for pid in new:
+                memo[pid] = self._tally(map(self._check, self.runs(pid)))
+        else:
+            width = max(1, BATCH_BYTES // (16 * sample_count(self.plant, self.mission)))
+            chunks = -(-len(new) // width)
+            for k in range(chunks):
+                chunk = new[k * len(new) // chunks:(k + 1) * len(new) // chunks]
+                # one list of checks per seed; no name holds a batch, so
+                # each is freed before the next seed's is simulated
+                by_seed = [list(map(self._check, simulate_batch(plant, chunk, self.mission)))
+                           for plant in self._plants()]
+                for pid, checks in zip(chunk, zip(*by_seed)):
+                    memo[pid] = self._tally(checks)
         return [memo[pid] for pid in pids]
 
     def runs(self, pid):
@@ -210,9 +214,6 @@ class SimulationValidator(Validator):
         for j in range(self.cfg.repeats):
             yield replace(self.plant,
                           noise=replace(self.plant.noise, seed=self.cfg.base_seed + j))
-
-    def _vote(self, runs):
-        return self._tally(map(self._check, runs))
 
     def _tally(self, checks):
         """The majority verdict over the runs' (ok, failing clause) checks."""
@@ -240,8 +241,6 @@ class SimulationValidator(Validator):
             return eval_online(formula, traj, self.cfg.window)
         return eval_offline(formula, traj)
 
-
-_simulation_classify = SimulationValidator.classify
 
 _ROUTH_STABLE = Verdict(valid=True, violated_spec=None, runs=1, votes_valid=1)
 _ROUTH_UNSTABLE = Verdict(valid=False, violated_spec="routh_hurwitz", runs=1, votes_valid=0)

@@ -226,6 +226,27 @@ class TestGroundTruth:
             ground_truth(s, validator=RouthValidator(1, 1)).labels
         assert batches == [s.size()]
 
+    @pytest.mark.parametrize("cells", [3, validator_module.BATCH_MIN],
+                             ids=["few-cells", "batch-min-cells"])
+    def test_the_cell_count_picks_the_simulator(self, cells, monkeypatch):
+        sims, batches = [], []
+        simulate, simulate_batch = validator_module.simulate, validator_module.simulate_batch
+        monkeypatch.setattr(validator_module, "simulate",
+                            lambda *a: sims.append(a[1]) or simulate(*a))
+        monkeypatch.setattr(validator_module, "simulate_batch",
+                            lambda *a: batches.append(list(a[1])) or simulate_batch(*a))
+        s = ParamSpace(3.0, 3.0, 1.0, 1.0, 1.0 * cells, 1.0, 2.0, 2.0, 1.0)
+        v = SimulationValidator(PlantModel(), hold_mission(settle_deadline=4, duration=8),
+                                OracleConfig())
+        gt = ground_truth(s, v, workers=1)
+        pids = [s.pid_at(*t) for t in s.iter_indices()]
+        assert len(pids) == cells == query_count()
+        if cells < validator_module.BATCH_MIN:
+            assert sims == pids and batches == []
+        else:
+            assert sims == [] and batches == [pids]
+        assert set(gt.labels.values()) == {VALID, INVALID}
+
     def test_search_matches_brute_force_on_the_worked_plane(self):
         s = worked_space()
         gt = ground_truth(s, validator=RouthValidator(1, 1))
@@ -255,8 +276,10 @@ class TestCompareOracles:
         assert (off1, ref1) == (True, True)
         assert (off2, ref2) == (False, False)
 
-    @pytest.mark.parametrize("case", ["hold", "circle_lap"])
-    def test_rows_equal_three_independent_validators(self, case, monkeypatch):
+    @pytest.mark.parametrize("case,batched", [
+        ("hold", False), ("circle_lap", False), ("hold", True), ("circle_lap", True)],
+        ids=["hold", "circle_lap", "hold-batched-ref", "circle_lap-batched-ref"])
+    def test_rows_equal_three_independent_validators(self, case, batched, monkeypatch):
         plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.02))
         cfg = OracleConfig(repeats=3, base_seed=7)
         if case == "hold":
@@ -280,18 +303,28 @@ class TestCompareOracles:
         # the window cannot see a lap, so there the two short-run verdicts differ
         assert any(row[1] != row[2] for row in expect) == (case == "circle_lap")
 
-        sims = []
-        real = validator_module.simulate
+        sims, batches = [], []
+        real, real_batch = validator_module.simulate, validator_module.simulate_batch
         monkeypatch.setattr(validator_module, "simulate",
                             lambda *a: sims.append(a[2].duration) or real(*a))
+        monkeypatch.setattr(validator_module, "simulate_batch",
+                            lambda *a: batches.append((a[2].duration, len(a[1])))
+                            or real_batch(*a))
+        if batched:  # the reference verdicts of all configs come from one batch per seed
+            monkeypatch.setattr(validator_module, "BATCH_MIN", 1)
         reset_query_count()
         cmp = compare_oracles(configs, mission, plant, window=window, cfg=cfg,
                               formula=formula, ref_factor=ref_factor)
         assert cmp.rows == expect
         assert query_count() == 3 * len(configs)
         # one short and one reference run per seed and config
-        assert sorted(sims) == sorted([mission.duration, long_mission.duration]
-                                      * 3 * len(configs))
+        short = [mission.duration] * 3 * len(configs)
+        if batched:
+            assert sims == short
+            assert batches == [(long_mission.duration, len(configs))] * 3
+        else:
+            assert sorted(sims) == sorted(short + [long_mission.duration] * 3 * len(configs))
+            assert batches == []
 
     def test_empty_config_list(self):
         cmp = compare_oracles([], hold_mission(settle_deadline=5, duration=10),

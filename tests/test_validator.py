@@ -15,7 +15,7 @@ from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig, PlantModel,
 from pidlab import validator as validator_module
 from pidlab.plant import sample_count
 from pidlab.mtl import And, Atom, Globally
-from pidlab.validator import LookupValidator
+from pidlab.validator import LookupValidator, Validator
 
 
 @pytest.fixture(autouse=True)
@@ -362,14 +362,9 @@ class TestClassifyMany:
         assert query_count() == 2
 
     def test_default_loops_classify_through_the_memo(self, sim_calls):
-        # a classify of its own sends classify_many to the default loop
-        class Looping(SimulationValidator):
-            def classify(self, pid, runs=None):
-                return super().classify(pid, runs)
-
-        v = Looping(PlantModel(), hold_mission(), OracleConfig())
+        v = SimulationValidator(PlantModel(), hold_mission(), OracleConfig())
         a, b = PidConfig(3, 1, 2), PidConfig(1, 5, 1)
-        batch = v.classify_many([a, b, a])
+        batch = Validator.classify_many(v, [a, b, a])
         assert batch == [v.classify(a), v.classify(b), v.classify(a)]
         assert [verdict.valid for verdict in batch] == [True, False, True]
         assert query_count() == 6
@@ -407,27 +402,37 @@ class TestSimulationClassifyMany:
     def fresh(self, cfg=OracleConfig()):
         return SimulationValidator(self.PLANT, SHORT_HOLD, cfg)
 
-    @pytest.mark.parametrize("cfg", [OracleConfig(base_seed=4),
-                                     OracleConfig(repeats=3, base_seed=4),
-                                     OracleConfig(kind="online", window=100, repeats=3)],
-                             ids=["offline", "offline-repeats-3", "online-repeats-3"])
-    def test_equals_the_classify_loop(self, cfg, batch_calls, sim_calls):
-        batch = self.fresh(cfg).classify_many(self.PIDS)
-        assert query_count() == len(self.PIDS)
-        assert [seed for seed, _ in batch_calls] == [cfg.base_seed + j
-                                                     for j in range(cfg.repeats)]
-        assert sim_calls == []
+    # new pids: all 30 of PIDS, or the first BATCH_MIN - 1 or BATCH_MIN
+    @pytest.mark.parametrize("cfg,new", [
+        pytest.param(cfg, new, id=name + suffix)
+        for name, cfg in (("offline", OracleConfig(base_seed=4)),
+                          ("offline-repeats-3", OracleConfig(repeats=3, base_seed=4)),
+                          ("online-repeats-3",
+                           OracleConfig(kind="online", window=100, repeats=3)))
+        for new, suffix in ((None, ""), (-1, "-below-batch-min"), (0, "-at-batch-min"))])
+    def test_equals_the_classify_loop(self, cfg, new, batch_calls, sim_calls):
+        pids = self.PIDS if new is None else self.PIDS[:validator_module.BATCH_MIN + new]
+        batch = self.fresh(cfg).classify_many(pids)
+        assert query_count() == len(pids)
+        seeds = [cfg.base_seed + j for j in range(cfg.repeats)]
+        if len(pids) < validator_module.BATCH_MIN:
+            assert batch_calls == []
+            assert sim_calls == [pid for pid in pids for _ in seeds]
+        else:
+            assert batch_calls == [(seed, pids) for seed in seeds]
+            assert sim_calls == []
         loop = self.fresh(cfg)
-        assert batch == [loop.classify(pid) for pid in self.PIDS]
+        assert batch == [loop.classify(pid) for pid in pids]
         assert {verdict.valid for verdict in batch} == {True, False}
         if cfg.repeats == 3 and cfg.kind == "offline":
-            assert batch[self.PIDS.index(PidConfig(4.0, 1.0, 1.5))].votes_valid == 2
+            assert batch[pids.index(PidConfig(4.0, 1.0, 1.5))].votes_valid == 2
 
     def test_duplicates_and_memo_hits_are_not_simulated_again(self, monkeypatch,
                                                               batch_calls, sim_calls):
         v = self.fresh(OracleConfig(repeats=3))
         a, b, c = self.PIDS[:3]
         v.classify(a)
+        monkeypatch.setattr(validator_module, "BATCH_MIN", 1)
         batch = v.classify_many([b, a, c, b, c, a])
         assert query_count() == 1 + 6
         assert sim_calls == [a] * 3
@@ -450,14 +455,35 @@ class TestSimulationClassifyMany:
         assert v.classify_many(self.PIDS[:2]) == [v.classify(self.PIDS[2])] * 2
         assert v.classify(self.PIDS[2]).violated_spec == "clause_7"
 
-    def test_a_single_new_pid_is_batched(self, batch_calls, sim_calls):
+    def test_a_single_new_pid_is_simulated_alone(self, batch_calls, sim_calls):
         v = self.fresh(OracleConfig(repeats=3))
         batch = v.classify_many([self.PIDS[0]] * 3)
-        assert batch_calls == [(j, [self.PIDS[0]]) for j in range(3)]
-        assert sim_calls == [] and query_count() == 3
+        assert sim_calls == [self.PIDS[0]] * 3
+        assert batch_calls == [] and query_count() == 3
         assert batch == [self.fresh(OracleConfig(repeats=3)).classify(self.PIDS[0])] * 3
 
-    def test_nothing_new_simulates_nothing(self, batch_calls, sim_calls):
+    def test_classify_is_classify_many_of_one_pid(self, monkeypatch, sim_calls):
+        asked = []
+        real = SimulationValidator.classify_many
+
+        def recording(self, pids):
+            asked.append(list(pids))
+            return real(self, pids)
+
+        monkeypatch.setattr(SimulationValidator, "classify_many", recording)
+        v = self.fresh()
+        a, b = self.PIDS[:2]
+        assert v.classify(a) == real(self.fresh(), [a])[0]
+        assert asked == [[a]] and query_count() == 2
+        # given runs are judged where they are, and memoised for later asks
+        runs = list(v.runs(b))
+        assert v.classify(b, runs) == real(self.fresh(), [b])[0]
+        assert asked == [[a]]
+        assert v.classify(b) == v.classify_many([b])[0]
+        assert len(sim_calls) == 4 and query_count() == 6
+
+    def test_nothing_new_simulates_nothing(self, monkeypatch, batch_calls, sim_calls):
+        monkeypatch.setattr(validator_module, "BATCH_MIN", 1)
         v = self.fresh()
         v.classify_many(self.PIDS[:2])
         assert v.classify_many([]) == []
@@ -474,35 +500,9 @@ class TestSimulationClassifyMany:
                                               runs, extra, new, sizes):
         run_bytes = 16 * sample_count(self.PLANT, SHORT_HOLD)
         monkeypatch.setattr(validator_module, "BATCH_BYTES", runs * run_bytes + extra)
+        monkeypatch.setattr(validator_module, "BATCH_MIN", 1)
         pids = self.PIDS[::3][:new]
         batch = self.fresh().classify_many(pids)
         assert [len(chunk) for _, chunk in batch_calls] == sizes
         assert [pid for _, chunk in batch_calls for pid in chunk] == pids
         assert batch == [self.fresh().classify(pid) for pid in pids]
-
-    def test_an_overriding_classify_is_called_per_pid(self, batch_calls):
-        asked = []
-
-        class Recording(SimulationValidator):
-            def classify(self, pid, runs=None):
-                asked.append(pid)
-                return super().classify(pid, runs)
-
-        v = Recording(self.PLANT, SHORT_HOLD, OracleConfig())
-        assert v.classify_many(self.PIDS) == [self.fresh().classify(pid)
-                                              for pid in self.PIDS]
-        assert asked == self.PIDS and batch_calls == []
-
-    def test_a_wrapper_bound_in_place_of_classify_is_called_per_pid(self, monkeypatch,
-                                                                   batch_calls):
-        asked = []
-        real = SimulationValidator.classify
-
-        def wrapper(self, pid, runs=None):
-            asked.append(pid)
-            return real(self, pid, runs)
-
-        monkeypatch.setattr(SimulationValidator, "classify", wrapper)
-        self.fresh().classify_many(self.PIDS)
-        assert asked == self.PIDS and batch_calls == []
-        assert query_count() == len(self.PIDS)
