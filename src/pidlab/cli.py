@@ -14,7 +14,6 @@ import configparser
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -193,8 +192,12 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(f"[oracle] {exc}", path) from exc
 
+    budget = _get_int(cp, path, "search", "budget", 200)
+    if budget < 1:
+        raise ConfigError(f"[search] budget must be at least 1, got {budget}",
+                          path, "search", "budget")
     search = {
-        "budget": _get_int(cp, path, "search", "budget", 200),
+        "budget": budget,
         "seed": _get_int(cp, path, "search", "seed", 0),
         "strides": _parse_strides(cp, path),
     }
@@ -206,7 +209,7 @@ def _parse_strides(cp, path):
         return (1, 1, 1)
     raw = cp.get("search", "strides")
     parts = raw.replace(",", " ").split()
-    if len(parts) != 3 or not all(p.isdigit() and int(p) >= 1 for p in parts):
+    if len(parts) != 3 or not all(p.isdecimal() and int(p) >= 1 for p in parts):
         raise ConfigError(f"[search] strides must be three positive integers, "
                           f"got {raw!r}", path, "search", "strides")
     return tuple(int(p) for p in parts)
@@ -269,7 +272,7 @@ def cmd_ground_truth(args):
     q0 = query_count()
     t0 = time.perf_counter()
     grid = ground_truth(app.space, _make_validator(app),
-                        strides=app.search["strides"], workers=args.workers)
+                        strides=app.search["strides"])
     wall = time.perf_counter() - t0
     grid_to_csv(grid, args.out)
     meta = _base_meta(app, args.config, "classified_grid")
@@ -293,14 +296,15 @@ def cmd_search(args):
         for flag, value in (("--budget", args.budget), ("--seed", args.seed)):
             if value is not None:
                 raise ConfigError(f"{flag} has no effect on --algorithm {algorithm}")
+    elif args.budget is not None and args.budget < 1:
+        raise ConfigError(f"--budget must be at least 1, got {args.budget}")
     app = _load_run(args)
     validator = _make_validator(app)
     q0 = query_count()
     t0 = time.perf_counter()
     if walk:
         budget = seed = None
-        bl = identify_boundary(app.space, validator, workers=args.workers,
-                               dsoff=algorithm == "boundary-dsoff")
+        bl = identify_boundary(app.space, validator, dsoff=algorithm == "boundary-dsoff")
         wall = time.perf_counter() - t0
         boundary_to_csv(bl, args.out)
         summary = (f"{len(bl.entries())} boundary columns of "
@@ -464,12 +468,6 @@ def cmd_plot(args):
     return 0
 
 
-def _worker_count(raw):
-    if not raw.isdigit() or int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="pidlab",
                                      description="PID valid-region analysis toolkit")
@@ -479,7 +477,9 @@ def build_parser():
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--config", required=True)
     run.add_argument("--out", required=True)
-    run.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1)
+    # everything runs in one process; the flag stays, accepting only 1,
+    # because perfbench's workloads still pass --workers 1
+    run.add_argument("--workers", type=int, choices=(1,), default=1)
     run.add_argument("--oracle", choices=("offline", "online"))
     run.add_argument("--window", type=int)
     run.add_argument("--repeats", type=int)

@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import partial
 
 from .plant import PidConfig
 from .search import ALL_INVALID, ALL_VALID, read_csv
-from .validator import SimulationValidator, fan_out
+from .validator import SimulationValidator
 
 VALID = "valid"
 INVALID = "invalid"
@@ -44,25 +43,18 @@ class ClassifiedGrid:
         return strides
 
 
-def _label_chunk(space, validator, triples):
-    pids = [space.pid_at(*trip) for trip in triples]
-    return [(pid, VALID if verdict.valid else INVALID)
-            for pid, verdict in zip(pids, validator.classify_many(pids))]
-
-
 def ground_truth(space, validator, *, strides=(1, 1, 1), workers=1):
-    """Label grid configs by querying the oracle once each.
+    """Label grid configs by querying the oracle once each, in one
+    classify_many call.
 
     strides > 1 label a regular sub-grid (indices 0, s, 2s, ... per axis).
-    Results do not depend on the worker count; configs are embarrassingly
-    parallel.
+    workers must be 1: labeling runs in this process.
     """
-    triples = list(space.iter_indices(strides))
-    n_chunks = max(1, min(workers, len(triples)))
-    chunks = [triples[k::n_chunks] for k in range(n_chunks)]
-    labels = {}
-    for part in fan_out(partial(_label_chunk, space, validator), chunks, workers):
-        labels.update(part)
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
+    pids = [space.pid_at(*trip) for trip in space.iter_indices(strides)]
+    labels = {pid: VALID if verdict.valid else INVALID
+              for pid, verdict in zip(pids, validator.classify_many(pids))}
     coverage = "exhaustive" if strides == (1, 1, 1) else ("sampled", tuple(strides))
     return ClassifiedGrid(space=space, labels=labels, coverage=coverage)
 

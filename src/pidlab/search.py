@@ -19,11 +19,9 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 
 from .plant import PidConfig
-from .validator import fan_out
 
 BOUNDARY = "boundary"
 ALL_VALID = "all_valid"
@@ -278,15 +276,17 @@ def identify_boundary(space, validator, *, workers=1, dsoff=False):
     Args:
         space: the search grid.
         validator: the oracle (any Validator).
-        workers: kp planes are independent; > 1 fans them out to processes.
+        workers: must be 1; the planes are walked in this process.
         dsoff: disable the downward search (the ablated variant).
 
     Returns:
         BoundaryLine with one ColumnRecord per (kp, kd) column.
     """
-    planes = fan_out(partial(_search_plane, space, validator, dsoff=dsoff),
-                     range(space.n_p), workers)
-    return BoundaryLine(space=space, columns=[c for plane in planes for c in plane])
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
+    return BoundaryLine(space=space, columns=[
+        c for p_idx in range(space.n_p)
+        for c in _search_plane(space, validator, p_idx, dsoff=dsoff)])
 
 
 def _neighbor(space, rng, idx):

@@ -12,16 +12,12 @@ SimulationValidator.classify is classify_many of one pid. classify_many
 simulates fewer than BATCH_MIN new pids one at a time with simulate, and
 more together with simulate_batch, whose runs are bit-identical, in calls
 whose x and v arrays stay within BATCH_BYTES.
-
-fan_out() is the one way to spread oracle work over processes; it folds the
-queries the workers spend back into this process's counter.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -58,33 +54,6 @@ def reset_query_count():
     global _queries
     with _lock:
         _queries = 0
-
-
-def _counted_call(fn, job):
-    # A forked worker starts with the parent's count, so report the delta.
-    before = query_count()
-    result = fn(job)
-    return result, query_count() - before
-
-
-def fan_out(fn, jobs, workers):
-    """[fn(job) for job in jobs], on up to `workers` processes.
-
-    Runs in this process when workers <= 1 or there is at most one job.
-    Otherwise fn and each job must pickle; the oracle queries the workers
-    spend are added to this process's counter, so query_count() grows by
-    the same amount either way.
-    """
-    jobs = list(jobs)
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    # imported here: its modules cost every other run memory and start-up time
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        done = list(pool.map(_counted_call, repeat(fn), jobs))
-    _note_queries(sum(n for _, n in done))
-    return [result for result, _ in done]
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,7 @@ strides = 1 2 1
         (lambda t: t.replace("i_step = 0.4", "i_step = fast"), "number"),
         (lambda t: t + "\n[oracle]\nformula = (G\n", "formula"),
         (lambda t: t + "\n[search]\nstrides = 1 2\n", "strides"),
+        (lambda t: t + "\n[search]\nstrides = 1 \u00b2 1\n", "strides"),
         (lambda t: t.replace("p_min = 2.0\n", ""), "p_min"),
         (lambda t: t + "\n[noise]\nseed = 3\n", "base_seed"),
         (lambda t: t + "\n[oracle]\nkind = offline\nwindow = 200\n", "window"),
@@ -148,7 +149,9 @@ strides = 1 2 1
             load_config(tmp_path / "nope.ini")
 
     def test_error_points_at_the_line(self, config):
-        for _, old, new in [("i_step", "i_step = 0.4", "i_step = fast")] + NON_FINITE:
+        for _, old, new in [("i_step", "i_step = 0.4", "i_step = fast"),
+                            ("strides", None, "\n[search]\nstrides = 1 \u00b2 1\n"),
+                            ("budget", None, "\n[search]\nbudget = 0\n")] + NON_FINITE:
             text = edit(BASE_CONFIG, old, new)
             config.write_text(text)
             with pytest.raises(ConfigError) as err:
@@ -252,6 +255,16 @@ class TestSearchCommand:
         assert meta["kind"] == "config_set"
         assert (meta["budget"], meta["seed"]) == (10, 7)
         assert meta["oracle_queries"] == 10
+
+    @pytest.mark.parametrize("extra,tail", [
+        (["--budget", "-5"], ""), (["--budget", "0"], ""), ([], "\n[search]\nbudget = 0\n")])
+    def test_budget_below_one_is_config_error(self, config, tmp_path, capsys, extra, tail):
+        # a baseline with no budget would spend no query and write an empty CSV
+        config.write_text(config.read_text() + tail)
+        assert main(["search", "--config", str(config), "--algorithm", "random-fuzz",
+                     "--out", str(tmp_path / "fuzz.csv"), *extra]) == 2
+        assert "budget must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize("algorithm", ["boundary", "boundary-dsoff"])
     @pytest.mark.parametrize("flag", ["--budget", "--seed"])
@@ -520,7 +533,7 @@ class TestArgumentHandling:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
 
-    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    @pytest.mark.parametrize("workers", ["0", "-2", "two", "2"])
     def test_workers_below_one_is_usage_error(self, config, tmp_path, workers):
         assert main(["search", "--config", str(config), "--algorithm",
                      "boundary", "--out", str(tmp_path / "bl.csv"),

@@ -188,30 +188,13 @@ class TestGroundTruth:
         for pid in gt.labels:
             assert s.i_index(pid.ki) % 2 == 0
 
-    def test_worker_fanout_matches_serial(self):
-        s = ParamSpace(0.5, 1.5, 0.5, 0.1, 2.0, 0.1, 0.0, 1.0, 0.5)
-        a = ground_truth(s, validator=RouthValidator(1, 1))
-        n = query_count()
-        reset_query_count()
-        b = ground_truth(s, validator=RouthValidator(1, 1), workers=3)
-        assert a.labels == b.labels
-        assert query_count() == n
-
-    def test_parallel_adds_the_serial_count_without_a_reset(self):
-        # forked workers start from the parent's count; only their own
-        # queries may be added back
-        s = ParamSpace(0.5, 1.5, 0.5, 0.1, 2.0, 0.1, 0.0, 1.0, 0.5)
-        a = ground_truth(s, validator=RouthValidator(1, 1))
-        n = query_count()
-        b = ground_truth(s, validator=RouthValidator(1, 1), workers=2)
-        assert a.labels == b.labels
-        assert query_count() == 2 * n == 2 * s.size()
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_label_serially(self, workers):
-        s = worked_space()
-        gt = ground_truth(s, validator=RouthValidator(1, 1), workers=workers)
-        assert len(gt.labels) == s.size() == query_count()
+    @pytest.mark.parametrize("workers", [0, -1, 2])
+    def test_workers_other_than_one_raise(self, workers):
+        # labeling runs in one process: any worker count but 1 is refused
+        # before a query is spent
+        with pytest.raises(ValueError, match="workers must be 1"):
+            ground_truth(worked_space(), validator=RouthValidator(1, 1), workers=workers)
+        assert query_count() == 0
 
     def test_each_chunk_is_one_batch(self):
         batches = []
@@ -246,6 +229,21 @@ class TestGroundTruth:
         else:
             assert sims == [] and batches == [pids]
         assert set(gt.labels.values()) == {VALID, INVALID}
+
+    def test_a_walk_after_labeling_simulates_nothing(self, monkeypatch):
+        # the walk probes only grid cells, and ground_truth memoised them all
+        s = ParamSpace(2.0, 2.0, 1.0, 0.4, 6.0, 0.4, 0.2, 1.8, 0.4)
+        v = SimulationValidator(PlantModel(), hold_mission(settle_deadline=8, duration=16),
+                                OracleConfig())
+        gt = ground_truth(s, v)
+        assert set(gt.labels.values()) == {VALID, INVALID}
+        sims = []
+        monkeypatch.setattr(validator_module, "simulate", lambda *a: sims.append(a))
+        monkeypatch.setattr(validator_module, "simulate_batch", lambda *a: sims.append(a))
+        n = query_count()
+        bl = identify_boundary(s, v)
+        assert query_count() > n and sims == []
+        assert {col.status for col in bl.columns} == {BOUNDARY}
 
     def test_search_matches_brute_force_on_the_worked_plane(self):
         s = worked_space()

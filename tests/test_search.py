@@ -234,26 +234,11 @@ class TestIdentifyBoundary:
                 fn(s, hold_mission(), PlantModel(), OracleConfig(), 10, 0)
         assert query_count() == 0
 
-    def test_multiplane_parallel_matches_serial(self):
-        s = ParamSpace(0.5, 1.5, 0.5, 0.1, 4.0, 0.1, 0.0, 1.0, 0.5)
-        serial = identify_boundary(s, validator=RouthValidator(1, 1))
-        n_serial = query_count()
-        reset_query_count()
-        parallel = identify_boundary(s, validator=RouthValidator(1, 1),
-                                     workers=2)
-        assert parallel.columns == serial.columns
-        assert query_count() == n_serial
-
-    def test_parallel_adds_the_serial_count_without_a_reset(self):
-        # forked workers start from the parent's count; only their own
-        # queries may be added back
-        s = ParamSpace(0.5, 1.5, 0.5, 0.1, 4.0, 0.1, 0.0, 1.0, 0.5)
-        serial = identify_boundary(s, validator=RouthValidator(1, 1))
-        n_serial = query_count()
-        parallel = identify_boundary(s, validator=RouthValidator(1, 1),
-                                     workers=2)
-        assert parallel.columns == serial.columns
-        assert query_count() == 2 * n_serial
+    @pytest.mark.parametrize("workers", [0, -1, 2])
+    def test_workers_other_than_one_raise(self, workers):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            identify_boundary(worked_space(), RouthValidator(1, 1), workers=workers)
+        assert query_count() == 0
 
     def test_simulation_oracle_end_to_end(self):
         s = ParamSpace(1.0, 1.0, 1.0, 0.2, 3.0, 0.4, 0.2, 0.8, 0.3)
