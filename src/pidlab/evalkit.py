@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .plant import PidConfig
+from .plant import PidConfig, sample_count
 from .search import ALL_INVALID, ALL_VALID, read_csv
-from .validator import SimulationValidator
+from .validator import OracleConfig, SimulationValidator
 
 VALID = "valid"
 INVALID = "invalid"
@@ -140,39 +140,40 @@ def compare_oracles(configs, mission, plant, window, cfg=None, formula=None,
     """Offline vs online verdicts against a long-horizon reference.
 
     The reference verdict is the offline oracle on a run ref_factor times
-    longer (standing in for human-reviewed labels). Agreement is the
-    fraction of configs where each oracle matches the reference.
+    longer (standing in for human-reviewed labels). Each distinct config is
+    simulated once per seed, at that length, and the offline and online
+    verdicts judge the first sample_count(plant, mission) samples of those
+    runs. Every verdict is one query. Agreement is the fraction of configs
+    where each oracle matches the reference.
     """
-    from dataclasses import replace
-
-    from .validator import OracleConfig
-
+    if not ref_factor >= 1:
+        raise ValueError(f"ref_factor must be >= 1, got {ref_factor!r}")
     if cfg is None:
         cfg = OracleConfig()
-    off_v = SimulationValidator(plant, mission, replace(cfg, kind="offline", window=None),
-                                formula=formula)
-    on_v = SimulationValidator(plant, mission, replace(cfg, kind="online", window=window),
-                               formula=formula)
+    offline = replace(cfg, kind="offline", window=None)
     long_mission = replace(mission, duration=mission.duration * ref_factor)
     long_plant = replace(plant, t_max=max(plant.t_max, long_mission.duration))
-    ref_v = SimulationValidator(long_plant, long_mission,
-                                replace(cfg, kind="offline", window=None),
-                                formula=formula)
+    judges = (SimulationValidator(plant, mission, offline, formula=formula),
+              SimulationValidator(plant, mission, replace(cfg, kind="online", window=window),
+                                  formula=formula),
+              SimulationValidator(long_plant, long_mission, offline, formula=formula))
+    off_v, on_v, ref_v = judges
+    n = sample_count(plant, mission)
+
+    def check(run):  # no name holds run once it is checked three ways
+        short = run.head(n)
+        return off_v._check(short), on_v._check(short), ref_v._check(run)
+
     configs = list(configs)
-    rows = []
-    off_hits = 0
-    on_hits = 0
-    refs = [verdict.valid for verdict in ref_v.classify_many(configs)]
-    for pid, ref in zip(configs, refs):
-        short = list(off_v.runs(pid))  # both verdicts judge the same short runs
-        off = off_v.classify(pid, short).valid
-        on = on_v.classify(pid, short).valid
-        rows.append((pid, off, on, ref))
-        off_hits += off == ref
-        on_hits += on == ref
-    n = max(len(rows), 1)
-    return OracleComparison(rows=rows, offline_agreement=off_hits / n,
-                            online_agreement=on_hits / n)
+    for pid, runs in ref_v._runs(list(dict.fromkeys(configs))):
+        for judge, own in zip(judges, zip(*map(check, runs))):
+            judge._memo[pid] = judge._tally(own)
+    rows = list(zip(configs, *([verdict.valid for verdict in judge.classify_many(configs)]
+                               for judge in judges)))
+    total = max(len(rows), 1)
+    return OracleComparison(rows=rows,
+                            offline_agreement=sum(off == ref for _, off, _, ref in rows) / total,
+                            online_agreement=sum(on == ref for _, _, on, ref in rows) / total)
 
 
 def _csv_field(value):

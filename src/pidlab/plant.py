@@ -193,13 +193,13 @@ def reference_at(mission, t):
 
     Args:
         mission: the Mission whose profile to evaluate.
-        t: scalar or ndarray of times; must lie in [0, mission.duration].
+        t: times, scalar or ndarray, in [0, duration + 2e-9 * max(duration, 1)].
 
     Returns:
         (r, r_dot) with the same shape as t.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > mission.duration + 1e-9):
+    if np.any(t < -1e-12) or np.any(t > mission.duration + 2e-9 * max(mission.duration, 1.0)):
         raise ValueError("t outside [0, duration]")
     p = mission.params
     if mission.mode == HOLD:
@@ -241,9 +241,17 @@ class Trajectory:
     def __len__(self):
         return len(self.t)
 
+    def head(self, n):
+        """The first n samples, as views of this run's arrays."""
+        return Trajectory(self.dt, self.t[:n], self.x[:n], self.v[:n], self.r[:n],
+                          self.e[:n], self.mode)
+
 
 def sample_count(plant, mission):
-    """Samples in a run of mission on plant: floor(duration / dt) + 1."""
+    """Samples in a run of mission on plant: floor(duration / dt) + 1.
+    Raises ValueError when the mission is longer than plant.t_max."""
+    if mission.duration > plant.t_max + 1e-9:
+        raise ValueError("mission duration exceeds plant t_max")
     return int(math.floor(mission.duration / float(plant.dt) + 1e-9)) + 1
 
 
@@ -255,17 +263,14 @@ def _drive(plant, mission):
     (noise, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) as Python floats: the
     sensor noise draw, the reference and its slope at the step's start,
     middle and end, and the sawtooth there (0.0 when it is off).
+    Inputs are sampled at k * dt / 2, none clamped to the duration.
     """
-    if mission.duration > plant.t_max + 1e-9:
-        raise ValueError("mission duration exceeds plant t_max")
     dt = float(plant.dt)
     n = sample_count(plant, mission)
     times = np.arange(n) * dt
 
     # Reference sampled at half-step resolution so RK4 stages index it directly.
     half_t = np.arange(2 * n - 1) * (dt / 2.0)
-    # arange rounding can push the last half-sample a hair past duration
-    half_t[-1] = min(half_t[-1], mission.duration)
     r_half, rd_half = reference_at(mission, half_t)
 
     spec = plant.noise
@@ -309,7 +314,8 @@ def simulate(plant, pid, mission):
             plant.t_max.
 
     Returns:
-        Trajectory of floor(duration/dt) + 1 samples.
+        Trajectory of floor(duration/dt) + 1 samples at t = k * dt, none clamped
+        to the duration: the first samples of a longer mission's run, bit for bit.
     """
     dt, times, r, steps = _drive(plant, mission)
     n = len(times)

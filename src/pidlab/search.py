@@ -311,6 +311,8 @@ def random_fuzz(space, validator, *, budget=100, seed=0):
     Spends exactly `budget` oracle queries (or stops early once the whole
     grid has been probed) and returns the set of invalid configs found.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget!r}")
     rng = random.Random(seed)
     total = space.size()
     probed = set()
@@ -345,6 +347,8 @@ def hill_climb(space, validator, *, budget=100, seed=0):
     neighbor is invalid (the quantity being maximized); restarts after
     MAX_STALL consecutive valid proposals. Returns invalid configs found.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget!r}")
     rng = random.Random(seed)
     found = set()
     spent = 0
@@ -384,6 +388,8 @@ def genetic_search(space, validator, *, budget=100, seed=0):
     evaluated individual costs one query and the run stops exactly at the
     budget. Returns invalid configs found.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget!r}")
     rng = random.Random(seed)
     found = set()
     spent = 0

@@ -8,16 +8,17 @@ and simulations differ: a SimulationValidator simulates a gain triple only
 the first time it is asked and answers repeats of it from a memo, so a
 searcher that revisits a config pays a query but no simulation.
 
-SimulationValidator.classify is classify_many of one pid. classify_many
-simulates fewer than BATCH_MIN new pids one at a time with simulate, and
-more together with simulate_batch, whose runs are bit-identical, in calls
-whose x and v arrays stay within BATCH_BYTES.
+SimulationValidator.classify is classify_many of one pid. classify_many and
+evalkit.compare_oracles take their runs from SimulationValidator._runs: fewer
+than BATCH_MIN new pids from simulate, more from the bit-identical
+simulate_batch, in chunks whose x/v arrays over all seeds fit BATCH_BYTES.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -25,12 +26,11 @@ from .mtl import And, eval_offline, eval_online, mode_spec
 from .plant import sample_count, simulate, simulate_batch
 from .stability import routh_stable
 
-# Largest x/v array one simulate_batch call of classify_many may fill, at
-# 16 bytes per sample per pid: about 350 pids of a 60 s run at dt 0.01, and
-# 35 of a 600 s one.
+# Largest x/v arrays the simulate_batch calls of one chunk may fill, at 16
+# bytes per sample per run: about 350 runs of 60 s at dt 0.01, and 35 of 600 s.
 BATCH_BYTES = 32 * 2**20
 
-# Fewest new pids classify_many simulates with simulate_batch. Below it a
+# Fewest new pids _runs simulates with simulate_batch. Below it a
 # batch call, about 0.3 s on the 60 s disturbed hold whatever its size,
 # costs more than 15 ms per pid from simulate (2-vCPU VM).
 BATCH_MIN = 20
@@ -124,59 +124,46 @@ class SimulationValidator(Validator):
         self.formula = mode_spec(mission) if formula is None else formula
         self._memo = {}
 
-    def classify(self, pid, runs=None):
-        """The verdict on pid, counting one query: classify_many((pid,))[0].
-
-        runs, when given, are the trajectories runs(pid) yields for this
-        validator's plant, mission and seeds; the vote is taken on them
-        instead of simulating again. A validator with another kind or
-        window but the same plant, mission, repeats and base_seed yields
-        the same runs, which is how compare_oracles judges one simulation
-        both offline and online.
-        """
-        if runs is None:
-            return self.classify_many((pid,))[0]
-        _note_queries()
-        verdict = self._memo.get(pid)
-        if verdict is None:
-            verdict = self._memo[pid] = self._tally(map(self._check, runs))
-        return verdict
+    def classify(self, pid):
+        """The verdict on pid, counting one query: classify_many((pid,))[0]."""
+        return self.classify_many((pid,))[0]
 
     def classify_many(self, pids):
         """One verdict per pid, counting len(pids) queries.
 
-        Memoised pids are answered from the memo. Each distinct new pid is
-        simulated once per seed: with simulate when there are fewer than
-        BATCH_MIN of them, otherwise in simulate_batch calls of near-equal
-        size that each fill at most BATCH_BYTES. Each run is checked and
-        dropped before the next run's trajectory is built.
+        Memoised pids are answered from the memo; each distinct new pid is
+        simulated once per seed by _runs, and its runs are checked as _runs
+        yields them.
         """
         pids = list(pids)
         _note_queries(len(pids))
         # Two threads asking for the same new pid may both simulate it; they
         # store the same verdict, so the race costs time, never correctness.
         memo = self._memo
-        new = [pid for pid in dict.fromkeys(pids) if pid not in memo]
-        if len(new) < BATCH_MIN:
-            for pid in new:
-                memo[pid] = self._tally(map(self._check, self.runs(pid)))
-        else:
-            width = max(1, BATCH_BYTES // (16 * sample_count(self.plant, self.mission)))
-            chunks = -(-len(new) // width)
-            for k in range(chunks):
-                chunk = new[k * len(new) // chunks:(k + 1) * len(new) // chunks]
-                # one list of checks per seed; no name holds a batch, so
-                # each is freed before the next seed's is simulated
-                by_seed = [list(map(self._check, simulate_batch(plant, chunk, self.mission)))
-                           for plant in self._plants()]
-                for pid, checks in zip(chunk, zip(*by_seed)):
-                    memo[pid] = self._tally(checks)
+        for pid, runs in self._runs([pid for pid in dict.fromkeys(pids) if pid not in memo]):
+            memo[pid] = self._tally(map(self._check, runs))
         return [memo[pid] for pid in pids]
 
-    def runs(self, pid):
-        """Yield the trajectory of each run a query of pid votes on."""
-        for plant in self._plants():
-            yield simulate(plant, pid, self.mission)
+    def _runs(self, pids):
+        """Yield (pid, runs) for each of pids: runs iterates, once, over the
+        trajectory of each run a query of pid votes on, and once read holds
+        none of them, so a chunk's arrays are freed before the next's are built.
+
+        Fewer than BATCH_MIN pids are simulated with simulate, each run when
+        runs reaches it. More go to simulate_batch in chunks of near-equal
+        size whose x and v arrays, over all seeds, fill at most BATCH_BYTES.
+        """
+        mission = self.mission
+        if len(pids) < BATCH_MIN:
+            for pid in pids:
+                yield pid, map(simulate, self._plants(), repeat(pid), repeat(mission))
+            return
+        run_bytes = 16 * sample_count(self.plant, mission) * self.cfg.repeats
+        chunks = -(-len(pids) // max(1, BATCH_BYTES // run_bytes))
+        for k in range(chunks):
+            chunk = pids[k * len(pids) // chunks:(k + 1) * len(pids) // chunks]
+            yield from zip(chunk, map(iter, zip(*(simulate_batch(plant, chunk, mission)
+                                                  for plant in self._plants()))))
 
     def _plants(self):
         """The plant of each run of a query: run j has noise seed base_seed + j."""

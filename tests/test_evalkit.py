@@ -308,26 +308,72 @@ class TestCompareOracles:
         monkeypatch.setattr(validator_module, "simulate_batch",
                             lambda *a: batches.append((a[2].duration, len(a[1])))
                             or real_batch(*a))
-        if batched:  # the reference verdicts of all configs come from one batch per seed
+        if batched:  # all verdicts of all configs come from one batch per seed
             monkeypatch.setattr(validator_module, "BATCH_MIN", 1)
         reset_query_count()
         cmp = compare_oracles(configs, mission, plant, window=window, cfg=cfg,
                               formula=formula, ref_factor=ref_factor)
         assert cmp.rows == expect
         assert query_count() == 3 * len(configs)
-        # one short and one reference run per seed and config
-        short = [mission.duration] * 3 * len(configs)
+        # one reference-length run per seed and config, and no short run
         if batched:
-            assert sims == short
-            assert batches == [(long_mission.duration, len(configs))] * 3
+            assert sims == []
+            assert batches == [(long_mission.duration, len(configs))] * cfg.repeats
         else:
-            assert sorted(sims) == sorted(short + [long_mission.duration] * 3 * len(configs))
+            assert sims == [long_mission.duration] * cfg.repeats * len(configs)
             assert batches == []
 
     def test_empty_config_list(self):
         cmp = compare_oracles([], hold_mission(settle_deadline=5, duration=10),
                               PlantModel(), window=100, ref_factor=2)
         assert cmp.rows == [] and cmp.offline_agreement == 0.0
+
+    @pytest.mark.parametrize("ref_factor", [0.5, 0, -2, float("nan")])
+    def test_a_reference_shorter_than_the_run_is_refused(self, ref_factor, monkeypatch):
+        sims = []
+        monkeypatch.setattr(validator_module, "simulate", lambda *a: sims.append(a))
+        reset_query_count()
+        with pytest.raises(ValueError, match="ref_factor must be >= 1"):
+            compare_oracles([PidConfig(1, 0.5, 1)], hold_mission(settle_deadline=5, duration=10),
+                            PlantModel(), window=100, ref_factor=ref_factor)
+        assert sims == [] and query_count() == 0
+
+    def test_a_mission_beyond_the_plants_t_max_is_refused(self):
+        # the runs are simulated on a plant stretched to the reference length
+        with pytest.raises(ValueError, match="exceeds plant t_max"):
+            compare_oracles([PidConfig(1, 0.5, 1)], hold_mission(), PlantModel(t_max=30),
+                            window=100, ref_factor=2)
+
+    @pytest.mark.parametrize("batch_min", [1, 100], ids=["batched", "one-at-a-time"])
+    def test_no_run_outlives_its_checks(self, monkeypatch, freed_runs, batch_min):
+        mission = hold_mission(settle_deadline=5, duration=10)
+        plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.02))
+        # two configs of the 20 s reference, three seeds each, per chunk
+        monkeypatch.setattr(validator_module, "BATCH_BYTES", 2 * 3 * 16 * 2001)
+        monkeypatch.setattr(validator_module, "BATCH_MIN", batch_min)
+        configs = [PidConfig(1, 0.5, 1), PidConfig(1, 5, 1), PidConfig(3, 1, 2),
+                   PidConfig(2, 1, 0.4)]
+        compare_oracles(configs, mission, plant, window=100, cfg=OracleConfig(repeats=3),
+                        ref_factor=2)
+        assert freed_runs == ({"simulate": 0, "simulate_batch": 6} if batch_min == 1
+                              else {"simulate": 12, "simulate_batch": 0})
+
+    def test_duplicate_configs_are_simulated_once(self, monkeypatch):
+        a, b = PidConfig(1, 0.5, 1), PidConfig(1, 5, 1)
+        mission = hold_mission(settle_deadline=5, duration=10)
+        plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.02))
+        cfg = OracleConfig(repeats=3)
+        sims = []
+        real = validator_module.simulate
+        monkeypatch.setattr(validator_module, "simulate",
+                            lambda *a: sims.append((a[0].noise.seed, a[1])) or real(*a))
+        reset_query_count()
+        cmp = compare_oracles([a, b, a], mission, plant, window=100, cfg=cfg, ref_factor=2)
+        assert query_count() == 9
+        assert sims == [(seed, pid) for pid in (a, b) for seed in range(3)]
+        assert [row[0] for row in cmp.rows] == [a, b, a] and cmp.rows[0] == cmp.rows[2]
+        assert cmp.rows[:2] == compare_oracles([a, b], mission, plant, window=100, cfg=cfg,
+                                               ref_factor=2).rows
 
 
 class TestCsvRoundTrips:

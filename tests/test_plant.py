@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pidlab import (PidConfig, PlantModel, NoiseSpec, brake_mission,
@@ -136,6 +136,13 @@ class TestSimulate:
         assert np.all(np.isfinite(traj.x))
         assert np.abs(traj.x).max() == CLAMP
 
+    def test_last_sample_may_pass_the_duration_by_a_hair(self):
+        # sample_count's slack takes 100 steps of 3 s for 300 s - 2e-9
+        mission = hold_mission(settle_deadline=100.0, duration=300.0 - 2e-9)
+        traj = simulate(PlantModel(dt=3.0, t_max=400.0), STABLE, mission)
+        assert len(traj) == 101 and traj.t[-1] == 300.0 > mission.duration
+        assert traj.r[-1] == reference_at(mission, traj.t[-1])[0]
+
     def test_duration_capped_by_t_max(self):
         with pytest.raises(ValueError):
             simulate(PlantModel(t_max=30), STABLE, hold_mission())
@@ -203,8 +210,6 @@ def loop_simulate(plant, pid, mission):
 
     # Reference sampled at half-step resolution so RK4 stages index it directly.
     half_t = np.arange(2 * n - 1) * (dt / 2.0)
-    # arange rounding can push the last half-sample a hair past duration
-    half_t[-1] = min(half_t[-1], mission.duration)
     r_half, rd_half = reference_at(mission, half_t)
 
     spec = plant.noise
@@ -353,6 +358,35 @@ class TestBitIdenticalToTheNumpyScalarLoop:
         assert_same_trace(plant, STABLE, mission)
 
 
+class TestRunIsTheHeadOfTheLongerRun:
+    """A run of a mission is, bit for bit, the first samples of the run of
+    the mission ref_factor times longer, which compare_oracles relies on."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.integers(0, 3), dt=st.floats(0.005, 0.5), duration=st.floats(1.0, 20.0),
+           ref_factor=st.floats(1.0, 10.0), freq=st.floats(0.01, 50.0),
+           seed=st.integers(0, 2**16), gains=st.sampled_from(list(GAINS)))
+    # circle missions whose last half-step time, (2n - 2) * dt / 2, rounds
+    # past the duration
+    @example(mode=2, dt=0.01, duration=45.55, ref_factor=10.0, freq=0.2, seed=1,
+             gains="stable")
+    @example(mode=2, dt=0.1, duration=7.3, ref_factor=10.0, freq=0.2, seed=1, gains="stable")
+    def test_every_mode_with_noise_and_sawtooth(self, mode, dt, duration, ref_factor, freq,
+                                                seed, gains):
+        mission = short_missions(duration)[mode]
+        longer = replace(mission, duration=duration * ref_factor)
+        plant = PlantModel(dt=dt, t_max=max(longer.duration, 10 * dt),
+                           noise=NoiseSpec(sensor_sigma=0.03, disturbance_amp=0.4,
+                                           disturbance_freq=freq, seed=seed))
+        short = simulate(plant, GAINS[gains], mission)
+        head = simulate(plant, GAINS[gains], longer).head(len(short))
+        assert len(short) == len(head) == sample_count(plant, mission)
+        assert (head.dt, head.mode) == (short.dt, short.mode)
+        for name in "txvre":
+            assert np.array_equal(getattr(head, name), getattr(short, name),
+                                  equal_nan=True), name
+
+
 def assert_batch_matches(plant, pids, mission):
     """Every run of simulate_batch equals simulate's, field by field."""
     batch = list(simulate_batch(plant, pids, mission))
@@ -400,7 +434,7 @@ class TestSimulateBatch:
         assert np.abs(batch[list(GAINS).index("clamped")].x).max() == CLAMP
 
     @pytest.mark.parametrize("duration,dt", [(45.55, 0.01), (7.3, 0.1)])
-    def test_clamped_last_half_step(self, duration, dt):
+    def test_last_half_step_past_the_duration(self, duration, dt):
         plant = PlantModel(dt=dt, noise=NoiseSpec(sensor_sigma=0.02, seed=1))
         mission = circle_mission(settle_deadline=duration / 2, duration=duration)
         n = sample_count(plant, mission)

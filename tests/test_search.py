@@ -276,6 +276,14 @@ def tiny_space():
     return ParamSpace(1.0, 1.0, 1.0, 0.5, 1.5, 0.5, 0.0, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+@pytest.mark.parametrize("fn", [random_fuzz, hill_climb, genetic_search])
+def test_a_budget_below_one_is_refused_before_any_query(fn, budget):
+    with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+        fn(worked_space(), RouthValidator(1, 1), budget=budget, seed=0)
+    assert query_count() == 0
+
+
 class TestRandomFuzz:
     def test_spends_exactly_the_budget(self):
         s = worked_space()

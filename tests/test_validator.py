@@ -240,19 +240,23 @@ class TestVerdictMemo:
             assert {verdict.valid for verdict in fresh} == {True, False}
 
     def test_given_runs_are_judged_without_simulating(self, sim_calls):
+        # a validator with another kind or window but the same plant, mission,
+        # repeats and base_seed votes on the runs another's _runs yields
         off = SimulationValidator(self.PLANT, SHORT_HOLD, self.CFG)
         on = SimulationValidator(self.PLANT, SHORT_HOLD,
                                  OracleConfig(kind="online", window=100,
                                               repeats=3, base_seed=5))
-        for pid in self.PIDS:
-            runs = list(off.runs(pid))
-            assert off.classify(pid, runs) == SimulationValidator(
+        for pid, runs in off._runs(list(self.PIDS)):
+            runs = list(runs)
+            assert off._tally(map(off._check, runs)) == SimulationValidator(
                 self.PLANT, SHORT_HOLD, self.CFG).classify(pid)
-            assert on.classify(pid, runs) == SimulationValidator(
+            assert on._tally(map(on._check, runs)) == SimulationValidator(
                 self.PLANT, SHORT_HOLD, on.cfg).classify(pid)
-        # runs() once per pid, then the two fresh validators per pid
+        # _runs once per pid, then the two fresh validators per pid; _runs
+        # counts no query and fills no memo
         assert len(sim_calls) == 3 * 3 * len(self.PIDS)
-        assert query_count() == 4 * len(self.PIDS)
+        assert query_count() == 2 * len(self.PIDS)
+        assert off._memo == on._memo == {}
 
 
 class TestBaselinesOnTheMemo:
@@ -475,12 +479,40 @@ class TestSimulationClassifyMany:
         a, b = self.PIDS[:2]
         assert v.classify(a) == real(self.fresh(), [a])[0]
         assert asked == [[a]] and query_count() == 2
-        # given runs are judged where they are, and memoised for later asks
-        runs = list(v.runs(b))
-        assert v.classify(b, runs) == real(self.fresh(), [b])[0]
-        assert asked == [[a]]
+        # _runs simulates without a query or a memo entry; classify_many keeps both
+        [(pid, runs)] = v._runs([b])
+        assert pid == b and len(list(runs)) == 1 and query_count() == 2
         assert v.classify(b) == v.classify_many([b])[0]
-        assert len(sim_calls) == 4 and query_count() == 6
+        assert asked == [[a], [b], [b]]
+        assert len(sim_calls) == 4 and query_count() == 4
+
+    # BATCH_BYTES in runs of one seed; chunk sizes with three seeds
+    @pytest.mark.parametrize("runs,sizes", [
+        (15, [5]), (6, [1, 2, 2]), (5, [1, 1, 1, 1, 1]), (2, [1, 1, 1, 1, 1])])
+    def test_a_chunk_of_every_seed_fits_the_byte_budget(self, monkeypatch, batch_calls,
+                                                        runs, sizes):
+        run_bytes = 16 * sample_count(self.PLANT, SHORT_HOLD)
+        monkeypatch.setattr(validator_module, "BATCH_BYTES", runs * run_bytes)
+        monkeypatch.setattr(validator_module, "BATCH_MIN", 1)
+        cfg = OracleConfig(repeats=3)
+        pids = self.PIDS[::3][:5]
+        batch = self.fresh(cfg).classify_many(pids)
+        # a chunk's batches for all three seeds are alive together, so they
+        # share BATCH_BYTES
+        ends = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+        assert batch_calls == [(seed, pids[lo:hi]) for lo, hi in zip(ends, ends[1:])
+                               for seed in range(3)]
+        assert batch == [self.fresh(cfg).classify(pid) for pid in pids]
+
+    @pytest.mark.parametrize("batch_min", [1, 100], ids=["batched", "one-at-a-time"])
+    def test_no_run_outlives_its_check(self, monkeypatch, freed_runs, batch_min):
+        run_bytes = 16 * sample_count(self.PLANT, SHORT_HOLD)
+        monkeypatch.setattr(validator_module, "BATCH_BYTES", 2 * 3 * run_bytes)
+        monkeypatch.setattr(validator_module, "BATCH_MIN", batch_min)
+        self.fresh(OracleConfig(repeats=3)).classify_many(self.PIDS[:6])
+        # three chunks of two pids, or eighteen runs one at a time
+        assert freed_runs == ({"simulate": 0, "simulate_batch": 9} if batch_min == 1
+                              else {"simulate": 18, "simulate_batch": 0})
 
     def test_nothing_new_simulates_nothing(self, monkeypatch, batch_calls, sim_calls):
         monkeypatch.setattr(validator_module, "BATCH_MIN", 1)
