@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .plant import PidConfig, sample_count
 from .search import ALL_INVALID, ALL_VALID, read_csv
-from .validator import OracleConfig, SimulationValidator
+from .validator import OracleConfig, SimulationValidator, _note_queries
 
 VALID = "valid"
 INVALID = "invalid"
@@ -165,11 +165,10 @@ def compare_oracles(configs, mission, plant, window, cfg=None, formula=None,
         return off_v._check(short), on_v._check(short), ref_v._check(run)
 
     configs = list(configs)
-    for pid, runs in ref_v._runs(list(dict.fromkeys(configs))):
-        for judge, own in zip(judges, zip(*map(check, runs))):
-            judge._memo[pid] = judge._tally(own)
-    rows = list(zip(configs, *([verdict.valid for verdict in judge.classify_many(configs)]
-                               for judge in judges)))
+    _note_queries(3 * len(configs))
+    valid = {pid: [judge._tally(own).valid for judge, own in zip(judges, zip(*checks))]
+             for pid, checks in ref_v._checks(list(dict.fromkeys(configs)), check)}
+    rows = [(pid, *valid[pid]) for pid in configs]
     total = max(len(rows), 1)
     return OracleComparison(rows=rows,
                             offline_agreement=sum(off == ref for _, off, _, ref in rows) / total,

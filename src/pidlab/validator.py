@@ -9,16 +9,16 @@ the first time it is asked and answers repeats of it from a memo, so a
 searcher that revisits a config pays a query but no simulation.
 
 SimulationValidator.classify is classify_many of one pid. classify_many and
-evalkit.compare_oracles take their runs from SimulationValidator._runs: fewer
-than BATCH_MIN new pids from simulate, more from the bit-identical
-simulate_batch, in chunks whose x/v arrays over all seeds fit BATCH_BYTES.
+evalkit.compare_oracles check their runs through SimulationValidator._checks:
+fewer than BATCH_MIN new pids are simulated one at a time with simulate, more
+with the bit-identical simulate_batch, one seed at a time, in calls whose x
+and v arrays stay within BATCH_BYTES.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -26,11 +26,12 @@ from .mtl import And, eval_offline, eval_online, mode_spec
 from .plant import sample_count, simulate, simulate_batch
 from .stability import routh_stable
 
-# Largest x/v arrays the simulate_batch calls of one chunk may fill, at 16
-# bytes per sample per run: about 350 runs of 60 s at dt 0.01, and 35 of 600 s.
+# Largest x/v array one simulate_batch call of _checks may fill, at 16
+# bytes per sample per pid: about 350 pids of a 60 s run at dt 0.01, and
+# 35 of a 600 s one.
 BATCH_BYTES = 32 * 2**20
 
-# Fewest new pids _runs simulates with simulate_batch. Below it a
+# Fewest new pids _checks simulates with simulate_batch. Below it a
 # batch call, about 0.3 s on the 60 s disturbed hold whatever its size,
 # costs more than 15 ms per pid from simulate (2-vCPU VM).
 BATCH_MIN = 20
@@ -132,38 +133,38 @@ class SimulationValidator(Validator):
         """One verdict per pid, counting len(pids) queries.
 
         Memoised pids are answered from the memo; each distinct new pid is
-        simulated once per seed by _runs, and its runs are checked as _runs
-        yields them.
+        simulated once per seed, and its runs are voted on by _checks.
         """
         pids = list(pids)
         _note_queries(len(pids))
         # Two threads asking for the same new pid may both simulate it; they
         # store the same verdict, so the race costs time, never correctness.
         memo = self._memo
-        for pid, runs in self._runs([pid for pid in dict.fromkeys(pids) if pid not in memo]):
-            memo[pid] = self._tally(map(self._check, runs))
+        new = [pid for pid in dict.fromkeys(pids) if pid not in memo]
+        for pid, checks in self._checks(new, self._check):
+            memo[pid] = self._tally(checks)
         return [memo[pid] for pid in pids]
 
-    def _runs(self, pids):
-        """Yield (pid, runs) for each of pids: runs iterates, once, over the
-        trajectory of each run a query of pid votes on, and once read holds
-        none of them, so a chunk's arrays are freed before the next's are built.
+    def _checks(self, pids, check):
+        """Yield (pid, [check(run) for each run a query of pid votes on]).
 
-        Fewer than BATCH_MIN pids are simulated with simulate, each run when
-        runs reaches it. More go to simulate_batch in chunks of near-equal
-        size whose x and v arrays, over all seeds, fill at most BATCH_BYTES.
+        Fewer than BATCH_MIN pids are simulated one run at a time with
+        simulate, more with simulate_batch, one seed at a time, in chunks of
+        near-equal size whose x/v array fills at most BATCH_BYTES. Each run
+        is checked and dropped before the next run or batch is built.
         """
-        mission = self.mission
         if len(pids) < BATCH_MIN:
             for pid in pids:
-                yield pid, map(simulate, self._plants(), repeat(pid), repeat(mission))
+                yield pid, [check(simulate(plant, pid, self.mission)) for plant in self._plants()]
             return
-        run_bytes = 16 * sample_count(self.plant, mission) * self.cfg.repeats
-        chunks = -(-len(pids) // max(1, BATCH_BYTES // run_bytes))
+        width = max(1, BATCH_BYTES // (16 * sample_count(self.plant, self.mission)))
+        chunks = -(-len(pids) // width)
         for k in range(chunks):
             chunk = pids[k * len(pids) // chunks:(k + 1) * len(pids) // chunks]
-            yield from zip(chunk, map(iter, zip(*(simulate_batch(plant, chunk, mission)
-                                                  for plant in self._plants()))))
+            # no name holds a batch, so each is freed before the next seed's
+            by_seed = [list(map(check, simulate_batch(plant, chunk, self.mission)))
+                       for plant in self._plants()]
+            yield from zip(chunk, zip(*by_seed))
 
     def _plants(self):
         """The plant of each run of a query: run j has noise seed base_seed + j."""

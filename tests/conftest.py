@@ -10,8 +10,8 @@ def freed_runs(monkeypatch):
     """Check that no earlier run is alive when the validator simulates.
 
     Each simulate call asserts that every trajectory it built before has
-    been freed; each simulate_batch call for the first seed of a chunk
-    (noise seed 0) asserts the same of every earlier chunk's x/v arrays.
+    been freed, and each simulate_batch call the same of every earlier
+    call's x/v array.
     Returns the number of simulate and simulate_batch calls, by name.
     """
     refs = []
@@ -29,8 +29,7 @@ def freed_runs(monkeypatch):
         return traj
 
     def simulate_batch(plant, pids, mission):
-        if plant.noise.seed == 0:
-            assert alive() == 0, "an earlier chunk's arrays are still alive"
+        assert alive() == 0, "an earlier batch's array is still alive"
         calls["simulate_batch"] += 1
         for traj in real_batch(plant, pids, mission):
             refs.append(weakref.ref(traj.x.base))

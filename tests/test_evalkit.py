@@ -348,8 +348,8 @@ class TestCompareOracles:
     def test_no_run_outlives_its_checks(self, monkeypatch, freed_runs, batch_min):
         mission = hold_mission(settle_deadline=5, duration=10)
         plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.02))
-        # two configs of the 20 s reference, three seeds each, per chunk
-        monkeypatch.setattr(validator_module, "BATCH_BYTES", 2 * 3 * 16 * 2001)
+        # two configs of the 20 s reference per chunk, one seed at a time
+        monkeypatch.setattr(validator_module, "BATCH_BYTES", 2 * 16 * 2001)
         monkeypatch.setattr(validator_module, "BATCH_MIN", batch_min)
         configs = [PidConfig(1, 0.5, 1), PidConfig(1, 5, 1), PidConfig(3, 1, 2),
                    PidConfig(2, 1, 0.4)]

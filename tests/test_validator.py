@@ -241,19 +241,20 @@ class TestVerdictMemo:
 
     def test_given_runs_are_judged_without_simulating(self, sim_calls):
         # a validator with another kind or window but the same plant, mission,
-        # repeats and base_seed votes on the runs another's _runs yields
+        # repeats and base_seed votes on the runs another's _checks checks
         off = SimulationValidator(self.PLANT, SHORT_HOLD, self.CFG)
         on = SimulationValidator(self.PLANT, SHORT_HOLD,
                                  OracleConfig(kind="online", window=100,
                                               repeats=3, base_seed=5))
-        for pid, runs in off._runs(list(self.PIDS)):
-            runs = list(runs)
-            assert off._tally(map(off._check, runs)) == SimulationValidator(
+        for pid, checks in off._checks(list(self.PIDS),
+                                       lambda run: (off._check(run), on._check(run))):
+            off_checks, on_checks = zip(*checks)
+            assert off._tally(off_checks) == SimulationValidator(
                 self.PLANT, SHORT_HOLD, self.CFG).classify(pid)
-            assert on._tally(map(on._check, runs)) == SimulationValidator(
+            assert on._tally(on_checks) == SimulationValidator(
                 self.PLANT, SHORT_HOLD, on.cfg).classify(pid)
-        # _runs once per pid, then the two fresh validators per pid; _runs
-        # counts no query and fills no memo
+        # _checks once per pid, then the two fresh validators per pid;
+        # _checks counts no query and fills no memo
         assert len(sim_calls) == 3 * 3 * len(self.PIDS)
         assert query_count() == 2 * len(self.PIDS)
         assert off._memo == on._memo == {}
@@ -479,26 +480,26 @@ class TestSimulationClassifyMany:
         a, b = self.PIDS[:2]
         assert v.classify(a) == real(self.fresh(), [a])[0]
         assert asked == [[a]] and query_count() == 2
-        # _runs simulates without a query or a memo entry; classify_many keeps both
-        [(pid, runs)] = v._runs([b])
-        assert pid == b and len(list(runs)) == 1 and query_count() == 2
+        # _checks simulates without a query or a memo entry; classify_many keeps both
+        [(pid, checks)] = v._checks([b], v._check)
+        assert pid == b and len(checks) == 1 and query_count() == 2
         assert v.classify(b) == v.classify_many([b])[0]
         assert asked == [[a], [b], [b]]
         assert len(sim_calls) == 4 and query_count() == 4
 
     # BATCH_BYTES in runs of one seed; chunk sizes with three seeds
     @pytest.mark.parametrize("runs,sizes", [
-        (15, [5]), (6, [1, 2, 2]), (5, [1, 1, 1, 1, 1]), (2, [1, 1, 1, 1, 1])])
-    def test_a_chunk_of_every_seed_fits_the_byte_budget(self, monkeypatch, batch_calls,
-                                                        runs, sizes):
+        (5, [5]), (2, [1, 2, 2]), (1, [1, 1, 1, 1, 1])])
+    def test_each_seeds_batch_fits_the_byte_budget(self, monkeypatch, batch_calls,
+                                                   runs, sizes):
         run_bytes = 16 * sample_count(self.PLANT, SHORT_HOLD)
         monkeypatch.setattr(validator_module, "BATCH_BYTES", runs * run_bytes)
         monkeypatch.setattr(validator_module, "BATCH_MIN", 1)
         cfg = OracleConfig(repeats=3)
         pids = self.PIDS[::3][:5]
         batch = self.fresh(cfg).classify_many(pids)
-        # a chunk's batches for all three seeds are alive together, so they
-        # share BATCH_BYTES
+        # one seed's batch is alive at a time, so each has BATCH_BYTES to
+        # itself, and a chunk's three batches come one after another
         ends = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
         assert batch_calls == [(seed, pids[lo:hi]) for lo, hi in zip(ends, ends[1:])
                                for seed in range(3)]
@@ -507,7 +508,7 @@ class TestSimulationClassifyMany:
     @pytest.mark.parametrize("batch_min", [1, 100], ids=["batched", "one-at-a-time"])
     def test_no_run_outlives_its_check(self, monkeypatch, freed_runs, batch_min):
         run_bytes = 16 * sample_count(self.PLANT, SHORT_HOLD)
-        monkeypatch.setattr(validator_module, "BATCH_BYTES", 2 * 3 * run_bytes)
+        monkeypatch.setattr(validator_module, "BATCH_BYTES", 2 * run_bytes)
         monkeypatch.setattr(validator_module, "BATCH_MIN", batch_min)
         self.fresh(OracleConfig(repeats=3)).classify_many(self.PIDS[:6])
         # three chunks of two pids, or eighteen runs one at a time
