@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .evalkit import (compute_metrics, configs_from_csv, configs_to_csv,
                       region_from_boundary)
 from .mtl import MtlSyntaxError, parse_formula
 from .plant import (NoiseSpec, PlantModel, brake_mission, circle_mission,
-                    hold_mission, return_home_mission)
+                    hold_mission, return_home_mission, sample_count)
 from .search import (ParamSpace, boundary_from_csv, boundary_to_csv,
                      genetic_search, hill_climb, identify_boundary, random_fuzz)
 from .stability import theoretical_boundary
@@ -48,11 +48,12 @@ _MISSION_BUILDERS = {
 
 
 class ConfigError(Exception):
-    """Configuration problem, with a best-effort file:line anchor."""
+    """Configuration problem, with a best-effort file:line anchor: the line of
+    key in section, or of the section's header when no key is given."""
 
     def __init__(self, message, path=None, section=None, key=None):
         self.path = path
-        line = _find_line(path, section, key) if path and key else None
+        line = _find_line(path, section, key) if path and section else None
         if path is not None:
             at = f"{path}:{line}" if line else str(path)
             message = f"{at}: {message}"
@@ -67,6 +68,8 @@ def _find_line(path, section, key):
                 header = configparser.ConfigParser.SECTCRE.match(text.strip())
                 if header:
                     current = header.group("header")
+                    if key is None and current == section:
+                        return lineno
                 elif (current == section  # configparser lower-cases keys
                       and text.split("=")[0].split(":")[0].strip().lower() == key):
                     return lineno
@@ -75,12 +78,48 @@ def _find_line(path, section, key):
     return None
 
 
-def _get_float(cp, path, section, key, default=None):
+def _keys(cls, *skip):
+    """The constructor arguments of dataclass cls, apart from skip."""
+    return tuple(f.name for f in fields(cls) if f.init and f.name not in skip)
+
+
+# The sections of a run configuration and the keys each takes; [mission] also
+# takes the keys of its mode's builder. Defaults are those of the dataclass or
+# builder a key feeds. Any other section or key is a config error.
+_SECTIONS = {
+    "plant": _keys(PlantModel, "noise"),
+    "noise": _keys(NoiseSpec, "seed"),
+    "mission": ("mode",),
+    "space": _keys(ParamSpace),
+    "oracle": _keys(OracleConfig) + ("formula",),
+    "search": ("strides",),
+}
+
+
+def _check_keys(cp, path, sections):
+    """Reject any section or key that sections does not list, and any
+    [DEFAULT] entry, which every section would inherit."""
+    for key in cp.defaults():
+        raise ConfigError(f"[DEFAULT] {key}: the DEFAULT section takes no keys",
+                          path, "DEFAULT", key)
+    for section in cp.sections():
+        if section not in sections:
+            raise ConfigError(f"[{section}] is not a config section; the sections are "
+                              + ", ".join(f"[{name}]" for name in sections),
+                              path, section)
+        for key in cp.options(section):
+            if key not in sections[section]:
+                moved = (" (the oracle seeds each run from [oracle] base_seed)"
+                         if (section, key) == ("noise", "seed") else "")
+                raise ConfigError(f"[{section}] {key} is not a config key{moved}; "
+                                  f"[{section}] takes {', '.join(sections[section])}",
+                                  path, section, key)
+
+
+def _get_float(cp, path, section, key):
     if not cp.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"[{section}] is missing required key '{key}'",
-                              path, section, key)
-        return default
+        raise ConfigError(f"[{section}] is missing required key '{key}'",
+                          path, section, key)
     raw = cp.get(section, key)
     try:
         val = float(raw)
@@ -92,22 +131,37 @@ def _get_float(cp, path, section, key, default=None):
     return val
 
 
-def _get_int(cp, path, section, key, default=None):
-    val = _get_float(cp, path, section, key,
-                     default=float(default) if default is not None else None)
+def _get_int(cp, path, section, key):
+    val = _get_float(cp, path, section, key)
     if val != int(val):
         raise ConfigError(f"[{section}] {key} must be an integer", path, section, key)
     return int(val)
 
 
+def _floats(cp, path, section, keys):
+    """{key: value} of those of keys that section sets."""
+    return {key: _get_float(cp, path, section, key)
+            for key in keys if cp.has_option(section, key)}
+
+
+def _build(path, section, make, kwargs):
+    """make(**kwargs), its ValueError raised as a ConfigError at the line of
+    the key that the message starts with, if it starts with one."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}", path, section,
+                          str(exc).partition(" ")[0]) from exc
+
+
 class AppConfig:
-    def __init__(self, plant, mission, space, oracle, formula, search):
+    def __init__(self, plant, mission, space, oracle, formula, strides):
         self.plant = plant
         self.mission = mission
         self.space = space
         self.oracle = oracle
         self.formula = formula
-        self.search = search
+        self.strides = strides
 
 
 def load_config(path):
@@ -124,84 +178,39 @@ def load_config(path):
     for section in ("plant", "mission", "space"):
         if not cp.has_section(section):
             raise ConfigError(f"missing [{section}] section", path)
-
-    if cp.has_option("noise", "seed"):
-        raise ConfigError("[noise] seed is not used; set [oracle] base_seed instead",
-                          path, "noise", "seed")
-    noise = NoiseSpec(
-        sensor_sigma=_get_float(cp, path, "noise", "sensor_sigma", 0.0),
-        disturbance_amp=_get_float(cp, path, "noise", "disturbance_amp", 0.0),
-        disturbance_freq=_get_float(cp, path, "noise", "disturbance_freq", 0.0),
-    )
-    try:
-        plant = PlantModel(a1=_get_float(cp, path, "plant", "a1", 1.0),
-                           a2=_get_float(cp, path, "plant", "a2", 1.0),
-                           dt=_get_float(cp, path, "plant", "dt", 0.01),
-                           t_max=_get_float(cp, path, "plant", "t_max", 120.0),
-                           noise=noise)
-    except ValueError as exc:
-        raise ConfigError(f"[plant] {exc}", path) from exc
-
     mode = cp.get("mission", "mode", fallback=None)
     if mode not in _MISSION_BUILDERS:
         raise ConfigError(f"[mission] mode must be one of {sorted(_MISSION_BUILDERS)}, "
                           f"got {mode!r}", path, "mission", "mode")
-    builder, keys = _MISSION_BUILDERS[mode]
-    kwargs = {}
-    for key in keys:
-        if cp.has_option("mission", key):
-            kwargs[key] = _get_float(cp, path, "mission", key)
-    try:
-        mission = builder(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[mission] {exc}", path) from exc
+    builder, mission_keys = _MISSION_BUILDERS[mode]
+    _check_keys(cp, path, {**_SECTIONS, "mission": _SECTIONS["mission"] + mission_keys})
 
+    noise = _build(path, "noise", NoiseSpec,
+                   _floats(cp, path, "noise", _SECTIONS["noise"]))
+    plant = _build(path, "plant", PlantModel,
+                   dict(_floats(cp, path, "plant", _SECTIONS["plant"]), noise=noise))
+    mission = _build(path, "mission", builder, _floats(cp, path, "mission", mission_keys))
     try:
-        space = ParamSpace(
-            p_min=_get_float(cp, path, "space", "p_min"),
-            p_max=_get_float(cp, path, "space", "p_max"),
-            p_step=_get_float(cp, path, "space", "p_step"),
-            i_min=_get_float(cp, path, "space", "i_min"),
-            i_max=_get_float(cp, path, "space", "i_max"),
-            i_step=_get_float(cp, path, "space", "i_step"),
-            d_min=_get_float(cp, path, "space", "d_min"),
-            d_max=_get_float(cp, path, "space", "d_max"),
-            d_step=_get_float(cp, path, "space", "d_step"))
+        sample_count(plant, mission)  # simulate refuses a mission past t_max
     except ValueError as exc:
-        raise ConfigError(f"[space] {exc}", path) from exc
-
-    kind = cp.get("oracle", "kind", fallback="offline")
-    window = None
-    if cp.has_option("oracle", "window") and cp.get("oracle", "window").strip():
-        window = _get_int(cp, path, "oracle", "window")
-        if kind == "offline":
-            raise ConfigError("[oracle] window has no effect on an offline oracle; "
-                              "set kind = online or drop it", path, "oracle", "window")
+        raise ConfigError(f"[mission] duration: {exc}", path, "mission",
+                          "duration") from exc
+    space = _build(path, "space", ParamSpace, {key: _get_float(cp, path, "space", key)
+                                               for key in _SECTIONS["space"]})
+    settings = {key: _get_int(cp, path, "oracle", key)
+                for key in ("window", "repeats", "base_seed")
+                if cp.has_option("oracle", key)}
+    if cp.has_option("oracle", "kind"):
+        settings["kind"] = cp.get("oracle", "kind")
+    oracle = _build(path, "oracle", OracleConfig, settings)
     formula = None
-    raw_formula = cp.get("oracle", "formula", fallback="").strip()
-    if raw_formula:
+    if cp.has_option("oracle", "formula"):
         try:
-            formula = parse_formula(raw_formula)
+            formula = parse_formula(cp.get("oracle", "formula"))
         except MtlSyntaxError as exc:
             raise ConfigError(f"[oracle] formula: {exc}", path, "oracle",
                               "formula") from exc
-    try:
-        oracle = OracleConfig(kind=kind, window=window,
-                              repeats=_get_int(cp, path, "oracle", "repeats", 1),
-                              base_seed=_get_int(cp, path, "oracle", "base_seed", 0))
-    except ValueError as exc:
-        raise ConfigError(f"[oracle] {exc}", path) from exc
-
-    budget = _get_int(cp, path, "search", "budget", 200)
-    if budget < 1:
-        raise ConfigError(f"[search] budget must be at least 1, got {budget}",
-                          path, "search", "budget")
-    search = {
-        "budget": budget,
-        "seed": _get_int(cp, path, "search", "seed", 0),
-        "strides": _parse_strides(cp, path),
-    }
-    return AppConfig(plant, mission, space, oracle, formula, search)
+    return AppConfig(plant, mission, space, oracle, formula, _parse_strides(cp, path))
 
 
 def _parse_strides(cp, path):
@@ -242,37 +251,17 @@ def _base_meta(app, config_path, kind):
     }
 
 
-def _load_run(args):
-    """The run configuration, with the command line's oracle flags applied."""
-    app = load_config(args.config)
-    changes = {}
-    if args.oracle:
-        changes["kind"] = args.oracle
-        if args.oracle == "offline":
-            changes["window"] = None  # an inherited window has no effect offline
-    if args.window is not None:
-        changes["window"] = args.window
-    if args.repeats is not None:
-        changes["repeats"] = args.repeats
-    if changes:
-        try:
-            app.oracle = replace(app.oracle, **changes)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return app
-
-
 def _make_validator(app):
     return SimulationValidator(app.plant, app.mission, app.oracle,
                                formula=app.formula)
 
 
 def cmd_ground_truth(args):
-    app = _load_run(args)
+    app = load_config(args.config)
     q0 = query_count()
     t0 = time.perf_counter()
     grid = ground_truth(app.space, _make_validator(app),
-                        strides=app.search["strides"])
+                        strides=app.strides)
     wall = time.perf_counter() - t0
     grid_to_csv(grid, args.out)
     meta = _base_meta(app, args.config, "classified_grid")
@@ -298,7 +287,7 @@ def cmd_search(args):
                 raise ConfigError(f"{flag} has no effect on --algorithm {algorithm}")
     elif args.budget is not None and args.budget < 1:
         raise ConfigError(f"--budget must be at least 1, got {args.budget}")
-    app = _load_run(args)
+    app = load_config(args.config)
     validator = _make_validator(app)
     q0 = query_count()
     t0 = time.perf_counter()
@@ -310,8 +299,8 @@ def cmd_search(args):
         summary = (f"{len(bl.entries())} boundary columns of "
                    f"{app.space.n_p * app.space.n_d}")
     else:
-        budget = app.search["budget"] if args.budget is None else args.budget
-        seed = app.search["seed"] if args.seed is None else args.seed
+        budget = 200 if args.budget is None else args.budget
+        seed = 0 if args.seed is None else args.seed
         fn = {"random-fuzz": random_fuzz, "hill-climb": hill_climb,
               "genetic": genetic_search}[algorithm]
         configs = fn(app.space, validator, budget=budget, seed=seed)
@@ -381,15 +370,20 @@ def _read_grid(path, meta, space):
 def cmd_eval(args):
     gt_meta = _load_meta(args.gt)
     rs_meta = _load_meta(args.result)
+    if gt_meta.get("kind") != "classified_grid":
+        raise ConfigError(f"--gt {args.gt}: its sidecar's kind is {gt_meta.get('kind')!r}"
+                          "; eval scores against a 'classified_grid'")
+    kind = rs_meta.get("kind")
+    if kind not in ("boundary_line", "config_set"):
+        raise ConfigError(f"--result {args.result}: its sidecar's kind is {kind!r}; "
+                          "eval scores a 'boundary_line' or a 'config_set'")
     if gt_meta.get("space") != rs_meta.get("space"):
         raise ConfigError("ground truth and result were produced on different grids")
     space = _read_space(args.gt, gt_meta)
     gt = _read_grid(args.gt, gt_meta, space)
 
-    with open(args.result) as fh:
-        header = fh.readline().strip()
     try:
-        if "status" in header.split(","):
+        if kind == "boundary_line":
             region = region_from_boundary(boundary_from_csv(args.result, space), space)
         else:
             region = configs_from_csv(args.result, space)
@@ -422,6 +416,12 @@ def cmd_eval(args):
 def cmd_plot(args):
     if args.grid is None and args.boundary is None:
         raise ConfigError("plot needs --grid and/or --boundary")
+    if (args.a1 is None) != (args.a2 is None):
+        raise ConfigError("--a1 and --a2 go together: give both, or neither to "
+                          "take the plant from the sidecar")
+    if args.a1 is not None and not (math.isfinite(args.a1) and math.isfinite(args.a2)):
+        raise ConfigError(f"--a1 and --a2 must be finite, got {args.a1!r} and "
+                          f"{args.a2!r}")
     source = args.grid if args.grid is not None else args.boundary
     meta = _load_meta(source)
     space = _read_space(source, meta)
@@ -449,14 +449,14 @@ def cmd_plot(args):
             raise ConfigError(str(exc)) from exc
 
     a1, a2 = args.a1, args.a2
-    if a1 is None and a2 is None and "plant" in meta:
+    if a1 is None and "plant" in meta:
         try:
             a1, a2 = float(meta["plant"]["a1"]), float(meta["plant"]["a2"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{_sidecar(source)}: 'plant' needs numbers a1 and a2, "
                               f"got {meta['plant']!r}") from exc
     theory = None
-    if a1 is not None and a2 is not None:
+    if a1 is not None:
         d_values = [space.d_value(k) for k in range(space.n_d)]
         theory = theoretical_boundary(p, a1, a2, d_values)
 
@@ -480,15 +480,13 @@ def build_parser():
     # everything runs in one process; the flag stays, accepting only 1,
     # because perfbench's workloads still pass --workers 1
     run.add_argument("--workers", type=int, choices=(1,), default=1)
-    run.add_argument("--oracle", choices=("offline", "online"))
-    run.add_argument("--window", type=int)
-    run.add_argument("--repeats", type=int)
 
     sub.add_parser("ground-truth", parents=[run], help="label a grid by brute force")
     se = sub.add_parser("search", parents=[run], help="run a boundary search or baseline")
     se.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    se.add_argument("--budget", type=int)
-    se.add_argument("--seed", type=int)
+    # the baselines' settings, rejected by the walks: None when not given
+    se.add_argument("--budget", type=int, help="baseline query budget (default 200)")
+    se.add_argument("--seed", type=int, help="baseline random seed (default 0)")
 
     ev = sub.add_parser("eval", help="score a search result against ground truth")
     ev.add_argument("--gt", required=True)

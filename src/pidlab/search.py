@@ -18,7 +18,7 @@ import csv
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 
 from .plant import PidConfig
@@ -143,15 +143,11 @@ class ParamSpace:
                     yield ip, ii, id_
 
     def to_dict(self):
-        return {"p_min": self.p_min, "p_max": self.p_max, "p_step": self.p_step,
-                "i_min": self.i_min, "i_max": self.i_max, "i_step": self.i_step,
-                "d_min": self.d_min, "d_max": self.d_max, "d_step": self.d_step}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{k: float(d[k]) for k in ("p_min", "p_max", "p_step",
-                                               "i_min", "i_max", "i_step",
-                                               "d_min", "d_max", "d_step")})
+        return cls(**{f.name: float(d[f.name]) for f in fields(cls) if f.init})
 
 
 def _axis_parser(value, index, count):

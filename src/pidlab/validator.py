@@ -65,7 +65,8 @@ class OracleConfig:
     window: window length in samples, required for online and
         rejected for offline, where it would have no effect.
     repeats: odd number of simulations per query; the majority vote wins.
-    base_seed: run j of a query simulates with noise seed base_seed + j.
+    base_seed: run j of a query simulates with noise seed base_seed + j,
+        so it must be >= 0 (a noise seed is a non-negative integer).
     """
 
     kind: str = "offline"
@@ -79,9 +80,12 @@ class OracleConfig:
         if self.kind == "online" and (self.window is None or self.window < 2):
             raise ValueError("online oracle needs a window of >= 2 samples")
         if self.kind == "offline" and self.window is not None:
-            raise ValueError("offline oracle takes no window")
+            raise ValueError("window has no effect on an offline oracle; "
+                             "set kind online or drop the window")
         if self.repeats < 1 or self.repeats % 2 == 0:
             raise ValueError("repeats must be a positive odd number")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -37,16 +38,28 @@ d_step = 0.3
 
 # (key, text replaced in BASE_CONFIG or None to append, new text)
 NON_FINITE = [
-    ("budget", None, "\n[search]\nbudget = inf\n"),
     ("base_seed", None, "\n[oracle]\nbase_seed = inf\n"),
     ("repeats", None, "\n[oracle]\nrepeats = 1e400\n"),
     ("p_max", "p_max = 2.0", "p_max = inf"),
     ("dt", "dt = 0.01", "dt = nan"),
     ("duration", "duration = 16", "duration = nan"),
-    ("seed", None, "\n[search]\nseed = nan\n"),
     ("t_max", "t_max = 120", "t_max = nan"),
     ("sensor_sigma", None, "\n[noise]\nsensor_sigma = nan\n"),
     ("hold_tol", "hold_tol = 0.05", "hold_tol = NaN"),
+]
+
+# (case, text replaced in BASE_CONFIG or None to append, new text ending in the
+# line the error names, message fragment): sections and keys the config
+# table does not list
+NOT_A_KEY = [
+    ("typo", None, "\n[oracle]\nrepeat = 3\n", "[oracle] repeat is not a config key"),
+    ("unknown key", "a2 = 1.0", "a2 = 1.0\na3 = 7", "[plant] a3 is not a config key"),
+    ("another mode's key", "duration = 16", "duration = 16\nradius = 9",
+     "[mission] radius is not a config key"),
+    ("unknown section", None, "\n[serch]\n", "[serch] is not a config section"),
+    ("DEFAULT key", None, "\n[DEFAULT]\nrepeats = 3\n", "the DEFAULT section takes no keys"),
+    ("search budget", None, "\n[search]\nbudget = 0\n", "[search] budget is not a config key"),
+    ("search seed", None, "\n[search]\nseed = nan\n", "[search] seed is not a config key"),
 ]
 
 
@@ -91,7 +104,7 @@ class TestLoadConfig:
         assert app.mission.mode == "hold" and app.mission.duration == 16
         assert app.space.size() == 15 * 3
         assert app.oracle.kind == "offline" and app.formula is None
-        assert app.search == {"budget": 200, "seed": 0, "strides": (1, 1, 1)}
+        assert app.strides == (1, 1, 1)
 
     def test_optional_sections(self, config):
         config.write_text(BASE_CONFIG + """
@@ -104,8 +117,6 @@ window = 120
 repeats = 3
 
 [search]
-budget = 44
-seed = 9
 strides = 1 2 1
 """)
         app = load_config(config)
@@ -113,7 +124,7 @@ strides = 1 2 1
         assert app.plant.noise.seed == 0
         assert (app.oracle.kind, app.oracle.window, app.oracle.repeats) == \
             ("online", 120, 3)
-        assert app.search == {"budget": 44, "seed": 9, "strides": (1, 2, 1)}
+        assert app.strides == (1, 2, 1)
 
     def test_formula_override(self, config):
         config.write_text(BASE_CONFIG + "\n[oracle]\nformula = (G (< (abs e) 2.0))\n")
@@ -134,9 +145,17 @@ strides = 1 2 1
                              "p_min = 1000000\np_max = 1000000.01\np_step = 0.001"),
          "[space] kp step 0.001 is finer than the 9 significant digits"),
         (lambda t: t + "\n[oracle]\nwindow = 200\n", "window"),
+        (lambda t: t + "\n[oracle]\nbase_seed = -1\n", "[oracle] base_seed must be >= 0"),
+        (lambda t: t + "\n[noise]\nsensor_sigma = -1\n",
+         "[noise] sensor_sigma must be >= 0"),
+        (lambda t: t.replace("t_max = 120", "t_max = 10"),
+         "[mission] duration: mission duration exceeds plant t_max"),
     ] + [
         (lambda t, old=old, new=new: edit(t, old, new), f"{key} must be a finite number")
         for key, old, new in NON_FINITE
+    ] + [
+        (lambda t, old=old, new=new: edit(t, old, new), fragment)
+        for _, old, new, fragment in NOT_A_KEY
     ])
     def test_bad_configs_raise(self, config, mutate, fragment):
         config.write_text(mutate(BASE_CONFIG))
@@ -151,7 +170,10 @@ strides = 1 2 1
     def test_error_points_at_the_line(self, config):
         for _, old, new in [("i_step", "i_step = 0.4", "i_step = fast"),
                             ("strides", None, "\n[search]\nstrides = 1 \u00b2 1\n"),
-                            ("budget", None, "\n[search]\nbudget = 0\n")] + NON_FINITE:
+                            ("repeats", None, "\n[oracle]\nrepeats = 2\n"),
+                            ("base_seed", None, "\n[oracle]\nbase_seed = -1\n"),
+                            ("t_max", "duration = 16", "duration = 160"),
+                            ] + NON_FINITE + [case[:3] for case in NOT_A_KEY]:
             text = edit(BASE_CONFIG, old, new)
             config.write_text(text)
             with pytest.raises(ConfigError) as err:
@@ -160,10 +182,13 @@ strides = 1 2 1
             assert re.search(rf"run\.ini:{at}: ", str(err.value)), new
 
     def test_error_points_at_the_key_in_its_own_section(self, config):
-        # configparser lower-cases keys; the anchor must find them anyway
+        # configparser lower-cases keys; the anchor must find them anyway, and
+        # not stop at an earlier key whose name ends in the same word
         for tail, line, where in [
-                ("\n[search]\nseed = 4\n\n[noise]\nseed = 3\n", "seed = 3", "[noise] seed"),
-                ("\n[search]\nSeed = 4\n\n[noise]\nSeed = 3\n", "Seed = 3", "[noise] seed"),
+                ("\n[oracle]\nbase_seed = 4\n\n[noise]\nseed = 3\n", "seed = 3",
+                 "[noise] seed"),
+                ("\n[oracle]\nBase_Seed = 4\n\n[noise]\nSeed = 3\n", "Seed = 3",
+                 "[noise] seed"),
                 ("\n[oracle]\nWindow = 20\n", "Window = 20", "[oracle] window")]:
             text = BASE_CONFIG + tail
             config.write_text(text)
@@ -171,6 +196,14 @@ strides = 1 2 1
                 load_config(config)
             at = text.splitlines().index(line) + 1
             assert f"run.ini:{at}: {where}" in str(err.value)
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "run.ini"
+        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        app = load_config(path)
+        assert (app.mission.mode, app.oracle.kind) == ("hold", "offline")
+        assert app.formula is not None
 
 
 class TestGroundTruthCommand:
@@ -231,6 +264,28 @@ class TestGroundTruthCommand:
         assert "finer than the 9 significant digits" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old,new,fragment", [case[1:] for case in NOT_A_KEY],
+                             ids=[case[0] for case in NOT_A_KEY])
+    def test_unknown_section_or_key_exit_code(self, config, tmp_path, capsys,
+                                              old, new, fragment):
+        text = edit(BASE_CONFIG, old, new)
+        config.write_text(text)
+        assert main(["ground-truth", "--config", str(config),
+                     "--out", str(tmp_path / "gt.csv")]) == 2
+        at = text.splitlines().index(new.strip().splitlines()[-1]) + 1
+        err = capsys.readouterr().err
+        assert f"run.ini:{at}: " in err and fragment in err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_negative_base_seed_exit_code(self, config, tmp_path, capsys):
+        # numpy would refuse the negative noise seed mid-run
+        config.write_text(BASE_CONFIG + "\n[noise]\nsensor_sigma = 0.01\n"
+                          "\n[oracle]\nbase_seed = -1\n")
+        assert main(["ground-truth", "--config", str(config),
+                     "--out", str(tmp_path / "gt.csv")]) == 2
+        assert "base_seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
 
 class TestSearchCommand:
     def test_boundary_run(self, config, tmp_path):
@@ -256,13 +311,11 @@ class TestSearchCommand:
         assert (meta["budget"], meta["seed"]) == (10, 7)
         assert meta["oracle_queries"] == 10
 
-    @pytest.mark.parametrize("extra,tail", [
-        (["--budget", "-5"], ""), (["--budget", "0"], ""), ([], "\n[search]\nbudget = 0\n")])
-    def test_budget_below_one_is_config_error(self, config, tmp_path, capsys, extra, tail):
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_budget_below_one_is_config_error(self, config, tmp_path, capsys, budget):
         # a baseline with no budget would spend no query and write an empty CSV
-        config.write_text(config.read_text() + tail)
         assert main(["search", "--config", str(config), "--algorithm", "random-fuzz",
-                     "--out", str(tmp_path / "fuzz.csv"), *extra]) == 2
+                     "--out", str(tmp_path / "fuzz.csv"), "--budget", budget]) == 2
         assert "budget must be at least 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
 
@@ -281,30 +334,6 @@ class TestSearchCommand:
         assert main(["search", "--config", str(config), "--algorithm",
                      "simulated-annealing", "--out", str(tmp_path / "x.csv"),
                      "--workers", "1"]) == 2
-
-
-class TestOracleOverrides:
-    def run(self, config, tmp_path, *extra):
-        return main(["search", "--config", str(config), "--algorithm",
-                     "random-fuzz", "--out", str(tmp_path / "fuzz.csv"),
-                     "--budget", "1", "--workers", "1", *extra])
-
-    def test_window_with_offline_oracle_is_config_error(self, config, tmp_path, capsys):
-        assert self.run(config, tmp_path, "--window", "50") == 2
-        assert "window" in capsys.readouterr().err
-        assert not (tmp_path / "fuzz.json").exists()
-
-    def test_online_override_takes_the_window(self, config, tmp_path):
-        assert self.run(config, tmp_path, "--oracle", "online", "--window", "50") == 0
-        oracle = read_json(tmp_path / "fuzz.json")["oracle"]
-        assert (oracle["kind"], oracle["window"]) == ("online", 50)
-
-    def test_offline_override_drops_the_inherited_window(self, config, tmp_path):
-        config.write_text(BASE_CONFIG + "\n[oracle]\nkind = online\nwindow = 120\n")
-        assert self.run(config, tmp_path, "--oracle", "offline") == 0
-        oracle = read_json(tmp_path / "fuzz.json")["oracle"]
-        assert (oracle["kind"], oracle["window"]) == ("offline", None)
-        assert self.run(config, tmp_path, "--oracle", "offline", "--window", "50") == 2
 
 
 class TestEvalCommand:
@@ -336,6 +365,21 @@ class TestEvalCommand:
                      "--out", str(out)]) == 0
         got = read_json(out)
         assert 0.0 <= got["mr"] <= 1.0 and 0.0 <= got["hr"] <= 1.0
+
+    def test_result_kind_comes_from_its_sidecar(self, artifacts, tmp_path, capsys):
+        # a ground-truth grid read as a config set would flag every labeled cell
+        gt, bl = artifacts
+        out = tmp_path / "m.json"
+        for ground, result, flag in ((gt, gt, "--result"), (bl, bl, "--gt"),
+                                     (bl, gt, "--gt")):
+            assert main(["eval", "--gt", str(ground), "--result", str(result),
+                         "--out", str(out)]) == 2
+            assert f"{flag} {tmp_path}" in capsys.readouterr().err
+            assert not out.exists()
+        rewrite_sidecar(bl, lambda meta: meta.pop("kind"))
+        assert main(["eval", "--gt", str(gt), "--result", str(bl),
+                     "--out", str(out)]) == 2
+        assert "sidecar's kind is None" in capsys.readouterr().err
 
     def test_mismatched_grids_refused(self, artifacts, tmp_path):
         gt_path, bl_path = artifacts
@@ -479,6 +523,27 @@ class TestPlotCommand:
 
     def test_needs_some_input(self, tmp_path):
         assert main(["plot", "--out", str(tmp_path / "x.svg")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--a1", "--a2"])
+    def test_one_plant_coefficient_is_config_error(self, artifacts, tmp_path, capsys,
+                                                   flag):
+        # the other would come from nowhere, and the theory line would go
+        gt, _ = artifacts
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--out", str(out), "--grid", str(gt), flag, "2"]) == 2
+        assert "--a1 and --a2 go together" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("a1", ["nan", "inf", "-inf"])
+    def test_non_finite_plant_coefficient_is_config_error(self, artifacts, tmp_path,
+                                                          capsys, a1):
+        # theoretical_boundary has no line for it, so the plot would drop it
+        gt, _ = artifacts
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--out", str(out), "--grid", str(gt),
+                     "--a1", a1, "--a2", "1"]) == 2
+        assert "--a1 and --a2 must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_multiplane_grid_needs_p(self, tmp_path):
         multi = tmp_path / "multi.ini"

@@ -44,6 +44,11 @@ class TestOracleConfig:
         with pytest.raises(ValueError):
             OracleConfig(kind="offline", window=200)  # it would have no effect
 
+    def test_rejects_negative_base_seed(self):
+        # run j seeds its noise with base_seed + j, and numpy takes no negative seed
+        with pytest.raises(ValueError, match="base_seed must be >= 0"):
+            OracleConfig(base_seed=-1)
+
 
 class TestSimulationValidator:
     def test_known_verdicts(self):
