@@ -238,14 +238,64 @@ def _sat_block(node, ctx, r0, r1, c0, c1):
     return ~empty & (counts > 0) | beyond
 
 
+def _signals(traj):
+    return {"x": traj.x, "v": traj.v, "r": traj.r, "e": traj.e,
+            "abs_e": np.abs(traj.e), "t": traj.t}
+
+
 def _context(traj, window, optimistic):
     """Evaluation state for one trace: signals, the window length (horizon
     column window - 1), whether past-horizon obligations hold, and the
     per-atom cache filled by _atom_rows."""
-    return {"sig": {"x": traj.x, "v": traj.v, "r": traj.r, "e": traj.e,
-                    "abs_e": np.abs(traj.e), "t": traj.t},
-            "mode": traj.mode, "dt": traj.dt, "window": window,
-            "optimistic": optimistic, "atoms": {}}
+    return {"sig": _signals(traj), "mode": traj.mode, "dt": traj.dt,
+            "window": window, "optimistic": optimistic, "atoms": {}}
+
+
+def _atoms(node):
+    """The atoms of formula node, each once per occurrence."""
+    if isinstance(node, Atom):
+        yield node
+    elif isinstance(node, (And, Or)):
+        for child in node.children:
+            yield from _atoms(child)
+    elif isinstance(node, Implies):
+        yield from _atoms(node.lhs)
+        yield from _atoms(node.rhs)
+    else:
+        yield from _atoms(node.child)
+
+
+# The signals that move with the state; t, r and mode do not.
+_STATE_SIGNALS = frozenset(("x", "v", "e", "abs_e"))
+
+
+def atom_margin(formula, traj):
+    """How far the trace's x and v may move, sample by sample, before an
+    atom of formula can change its truth value at some sample.
+
+    The smallest |lhs - rhs| over every sample of every atom with a side
+    on x, v, e or abs_e: the per-atom robustness of Donze & Maler (FORMATS
+    2010). A Prev atom counts half its gap, since both of its sides may
+    move. inf when no atom has such a side; nan when a gap is.
+    """
+    sig = _signals(traj)
+    margin = math.inf
+    for atom in set(_atoms(formula)):
+        rhs = atom.rhs
+        prev = isinstance(rhs, Prev)
+        if atom.signal not in _STATE_SIGNALS and not (prev and rhs.signal in _STATE_SIGNALS):
+            continue
+        lhs = sig[atom.signal]
+        if prev:
+            gap = np.abs(lhs[1:] - (sig[rhs.signal][:-1] + rhs.offset)) / 2.0
+        else:
+            gap = np.abs(lhs - np.float64(rhs))
+        if len(gap):
+            low = float(gap.min())
+            if math.isnan(low):
+                return low
+            margin = min(margin, low)
+    return margin
 
 
 def eval_offline(formula, traj):

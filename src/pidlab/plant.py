@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,10 +116,24 @@ class Mission:
             raise ValueError("duration must be > 0")
 
 
+# Each builder's errors lead with the key at fault, so a config error can
+# point at its line.
+def _check_positive(**values):
+    for name, value in values.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0")
+
+
+def _check_deadline(settle_deadline, duration):
+    if settle_deadline <= 0 or settle_deadline >= duration:
+        raise ValueError("settle_deadline must satisfy 0 < settle_deadline < duration")
+
+
 def hold_mission(setpoint=1.0, hold_tol=0.05, settle_deadline=20.0, duration=60.0):
     """Constant setpoint; spec: |e| stays under hold_tol once settled."""
-    if hold_tol <= 0 or settle_deadline <= 0 or settle_deadline >= duration:
-        raise ValueError("need 0 < settle_deadline < duration and hold_tol > 0")
+    if hold_tol <= 0:
+        raise ValueError("hold_tol must be > 0")
+    _check_deadline(settle_deadline, duration)
     return Mission(HOLD, duration, {
         "setpoint": float(setpoint),
         "hold_tol": float(hold_tol),
@@ -133,7 +148,9 @@ def brake_mission(cruise_speed=1.0, brake_at=20.0, brake_deadline=10.0,
     Spec: |v| drops below v_stop within brake_deadline of the brake instant
     and stays there.
     """
-    if brake_at <= 0 or brake_at + brake_deadline >= duration:
+    if brake_at <= 0:
+        raise ValueError("brake_at must be > 0")
+    if brake_at + brake_deadline >= duration:
         raise ValueError("brake_at + brake_deadline must fall inside the mission")
     if v_stop <= 0:
         raise ValueError("v_stop must be > 0")
@@ -149,10 +166,8 @@ def circle_mission(radius=2.0, freq=0.05, circle_tol=0.25, settle_deadline=20.0,
                    duration=60.0):
     """Sinusoid reference r(t) = radius*sin(2*pi*freq*t), the one-dimensional
     projection of a circular track."""
-    if radius <= 0 or freq <= 0 or circle_tol <= 0:
-        raise ValueError("radius, freq and circle_tol must be > 0")
-    if settle_deadline <= 0 or settle_deadline >= duration:
-        raise ValueError("need 0 < settle_deadline < duration")
+    _check_positive(radius=radius, freq=freq, circle_tol=circle_tol)
+    _check_deadline(settle_deadline, duration)
     return Mission(CIRCLE_TRACK, duration, {
         "radius": float(radius),
         "freq": float(freq),
@@ -171,12 +186,14 @@ def return_home_mission(out_dist=5.0, out_t=40.0, return_t=40.0, home_radius=0.5
     to skip the turnaround transient) the error magnitude never grows by more
     than eps_mono per sample.
     """
-    if out_t <= 0 or return_t <= 0 or out_t + return_t >= duration:
+    _check_positive(out_t=out_t, return_t=return_t)
+    if out_t + return_t >= duration:
         raise ValueError("out_t + return_t must fall inside the mission")
     if settle_deadline <= out_t + return_t or settle_deadline >= duration:
         raise ValueError("settle_deadline must sit between homecoming and mission end")
-    if home_radius <= 0 or eps_mono <= 0 or mono_margin < 0:
-        raise ValueError("home_radius and eps_mono must be > 0, mono_margin >= 0")
+    _check_positive(home_radius=home_radius, eps_mono=eps_mono)
+    if mono_margin < 0:
+        raise ValueError("mono_margin must be >= 0")
     return Mission(RETURN_HOME, duration, {
         "out_dist": float(out_dist),
         "out_t": float(out_t),
@@ -255,16 +272,26 @@ def sample_count(plant, mission):
     return int(math.floor(mission.duration / float(plant.dt) + 1e-9)) + 1
 
 
-def _drive(plant, mission):
-    """What every run of mission on plant shares, whatever its gains.
+class _Inputs(NamedTuple):
+    """What every run of a mission on a plant shares, whatever its gains.
 
-    Returns (dt, times, r, steps): the step, the sample times, the reference
-    at each sample, and an iterator over the n - 1 steps yielding
-    (noise, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) as Python floats: the
-    sensor noise draw, the reference and its slope at the step's start,
-    middle and end, and the sawtooth there (0.0 when it is off).
-    Inputs are sampled at k * dt / 2, none clamped to the duration.
+    r_half and rd_half hold the reference and its slope at k * dt / 2, so
+    step k reads its start, middle and end at 2k, 2k + 1 and 2k + 2; noise
+    holds one sensor draw per step, and dist the sawtooth at each step's
+    start, middle and end (None when it is off). None is clamped to the
+    duration.
     """
+
+    dt: float
+    times: np.ndarray
+    r_half: np.ndarray
+    rd_half: np.ndarray
+    noise: np.ndarray
+    dist: tuple | None
+
+
+def _inputs(plant, mission):
+    """The _Inputs of every run of mission on plant."""
     dt = float(plant.dt)
     n = sample_count(plant, mission)
     times = np.arange(n) * dt
@@ -279,22 +306,38 @@ def _drive(plant, mission):
     else:
         noise = np.zeros(n - 1)
 
-    # Memoryviews yield Python floats without copying the arrays. Each
-    # sawtooth sample takes the operations of the per-step expression
+    # Each sawtooth sample takes the operations of the per-step expression
     # damp * (2 * frac(dfreq * t) - 1) in the same order, so it is the
     # same float.
     damp, dfreq = spec.disturbance_amp, spec.disturbance_freq
+    dist = None
     if damp > 0.0 and dfreq > 0.0:
         t0 = np.arange(n - 1) * dt
-        dist = [memoryview(damp * (2.0 * ((dfreq * t) % 1.0) - 1.0))
-                for t in (t0, t0 + 0.5 * dt, t0 + dt)]
-    else:
-        dist = [repeat(0.0)] * 3
-    steps = zip(memoryview(noise),
+        dist = tuple(damp * (2.0 * ((dfreq * t) % 1.0) - 1.0)
+                     for t in (t0, t0 + 0.5 * dt, t0 + dt))
+    return _Inputs(dt, times, r_half, rd_half, noise, dist)
+
+
+def _drive(plant, mission):
+    """What simulate and simulate_batch loop over.
+
+    Returns (dt, times, r, steps): the step, the sample times, the reference
+    at each sample, and an iterator over the n - 1 steps yielding
+    (noise, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) as Python floats: the
+    sensor noise draw, the reference and its slope at the step's start,
+    middle and end, and the sawtooth there (0.0 when it is off). Only the
+    iterator holds the input arrays, and each is freed as its memoryview's
+    iterator runs out.
+    """
+    inputs = _inputs(plant, mission)
+    # Memoryviews yield Python floats without copying the arrays.
+    dist = [repeat(0.0)] * 3 if inputs.dist is None else map(memoryview, inputs.dist)
+    r_half, rd_half = inputs.r_half, inputs.rd_half
+    steps = zip(memoryview(inputs.noise),
                 memoryview(r_half[:-1:2]), memoryview(rd_half[:-1:2]),
                 memoryview(r_half[1::2]), memoryview(rd_half[1::2]),
                 memoryview(r_half[2::2]), memoryview(rd_half[2::2]), *dist)
-    return dt, times, r_half[::2].copy(), steps
+    return inputs.dt, inputs.times, r_half[::2].copy(), steps
 
 
 def simulate(plant, pid, mission):
@@ -377,6 +420,122 @@ def simulate(plant, pid, mission):
         vm[k] = v
 
     return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs, mode=mission.mode)
+
+
+# Steps per block of simulate_linear's scan, and blocks per chunk of it.
+_BLOCK = 32
+_CHUNK = 32
+
+
+def _rk4_map(plant, pid, dt):
+    """RK4's step on the unclamped closed loop as an exact affine map.
+
+    The loop is s' = A s + b(t) on s = (x, v, q) with
+    b = (0, kp * (r - noise) + kd * r' + u, r - noise), so one RK4 step with
+    b sampled at the step's start, middle (stages 2 and 3) and end is
+    s[k + 1] = M s[k] + N0 b0 + Nm bm + N1 b1. Returns (M, V) with V's rows
+    the state response to one unit of each of (b0[1], b0[2], bm[1], bm[2],
+    b1[1], b1[2]).
+    """
+    kp, ki, kd = float(pid.kp), float(pid.ki), float(pid.kd)
+    a1, a2 = float(plant.a1), float(plant.a2)
+    eye = np.eye(3)
+    h1 = dt * np.array([[0.0, 1.0, 0.0], [-(a1 + kp), -(a2 + kd), ki], [-1.0, 0.0, 0.0]])
+    h2 = h1 @ h1
+    h3 = h2 @ h1
+    m = eye + h1 + h2 / 2.0 + h3 / 6.0 + (h3 @ h1) / 24.0
+    n0 = dt / 6.0 * (eye + h1 + h2 / 2.0 + h3 / 4.0)
+    nm = dt / 6.0 * (4.0 * eye + 2.0 * h1 + h2 / 2.0)
+    n1 = dt / 6.0 * eye
+    return m, np.stack([n0[:, 1], n0[:, 2], nm[:, 1], nm[:, 2], n1[:, 1], n1[:, 2]])
+
+
+def simulate_linear(plant, pid, mission, limit=CLAMP):
+    """simulate's run from RK4's exact linear map, or None once a sample's
+    |x| or |v| reaches limit or is not finite.
+
+    Below the clamp each RK4 step is the affine map of _rk4_map, fed the
+    inputs simulate reads (the same reference, noise and sawtooth floats),
+    so with limit <= CLAMP the run is simulate's up to rounding: t and r
+    are simulate's, x and v may differ in their last bits, and a verdict
+    on them is simulate's only where no spec atom sits that close to its
+    threshold (mtl.atom_margin).
+    """
+    inputs = _inputs(plant, mission)
+    xv = _linear_scan(inputs, plant, pid, limit)
+    if xv is None:
+        return None
+    xs, vs = xv
+    dt, times, r = inputs.dt, inputs.times, inputs.r_half[::2].copy()
+    inputs = None  # the inputs are freed before e is built, as simulate's are
+    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs, mode=mission.mode)
+
+
+def _linear_scan(inputs, plant, pid, limit):
+    """x and v of the run on inputs, or None past limit (see simulate_linear).
+
+    The scan takes _BLOCK steps at a time: one matmul with the block
+    Toeplitz matrix of the powers of M gives every block's response from a
+    zero state, and a carry over the blocks adds each block's start state.
+    It runs _CHUNK blocks at a time, so its temporaries do not grow with the
+    run, and stops at the first chunk past limit.
+    """
+    n = len(inputs.times)
+    kp, kd = float(pid.kp), float(pid.kd)
+    m, resp = _rk4_map(plant, pid, inputs.dt)
+    size = _BLOCK
+    with np.errstate(all="ignore"):  # an unstable map's powers overflow
+        powers = np.empty((size + 1, 3, 3))
+        powers[0] = np.eye(3)
+        for j in range(size):
+            powers[j + 1] = m @ powers[j]
+        # toeplitz[6 i + c, 3 j + d] = (M^(j - i) V^T)[d, c] for i <= j, else
+        # 0: component d of the state after step j of a block, from one unit
+        # of input column c at its step i
+        lag = np.arange(size)[None, :] - np.arange(size)[:, None]
+        toeplitz = (resp[None] @ powers[:size].transpose(0, 2, 1))[np.maximum(lag, 0)]
+        toeplitz[lag < 0] = 0.0
+        toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(6 * size, 3 * size)
+        # from_start[e, 3 j + d]: M^(j + 1)[d, e], the part of step j + 1
+        # the block's start state makes
+        from_start = powers[1:].transpose(2, 0, 1).reshape(3, 3 * size)
+        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = powers[size].tolist()
+
+    xs = np.empty(n)
+    vs = np.empty(n)
+    xs[0] = vs[0] = 0.0
+    x = v = q = 0.0
+    r_half, rd_half, noise = inputs.r_half, inputs.rd_half, inputs.noise
+    span = size * _CHUNK
+    for k0 in range(0, n - 1, span):
+        k1 = min(k0 + span, n - 1)
+        steps = k1 - k0
+        blocks = -(-steps // size)
+        # per step: kp * (r - noise) + kd * r' + u and r - noise at the
+        # step's start, middle and end; zero past the run's last step
+        forcing = np.zeros((blocks * size, 6))
+        for at in range(3):
+            y = r_half[2 * k0 + at:2 * k1 + at:2] - noise[k0:k1]
+            w = kp * y + kd * rd_half[2 * k0 + at:2 * k1 + at:2]
+            if inputs.dist is not None:
+                w += inputs.dist[at][k0:k1]
+            forcing[:steps, 2 * at] = w
+            forcing[:steps, 2 * at + 1] = y
+        with np.errstate(all="ignore"):
+            local = forcing.reshape(blocks, 6 * size) @ toeplitz
+            starts = []
+            for zx, zv, zq in local[:, -3:].tolist():
+                starts.append((x, v, q))
+                x, v, q = (c00 * x + c01 * v + c02 * q + zx,
+                           c10 * x + c11 * v + c12 * q + zv,
+                           c20 * x + c21 * v + c22 * q + zq)
+            local += np.array(starts) @ from_start
+        run = local.reshape(blocks * size, 3)[:steps]
+        xs[k0 + 1:k1 + 1] = run[:, 0]
+        vs[k0 + 1:k1 + 1] = run[:, 1]
+        if not np.abs(run[:, :2]).max() < limit:
+            return None
+    return xs, vs
 
 
 def simulate_batch(plant, pids, mission):

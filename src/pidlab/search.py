@@ -35,10 +35,8 @@ MUTATE_PROB = 0.1
 
 
 def _axis_count(lo, hi, step):
-    if step <= 0:
-        raise ValueError("grid step must be > 0")
-    if hi < lo:
-        raise ValueError("axis range is empty")
+    """Grid points of the axis lo, lo + step, ... up to hi, for step > 0 and
+    hi >= lo."""
     # lo and hi carry up to half an ulp of rounding each, which a step much
     # finer than their magnitude magnifies: the slack grows with max|x| / step
     slack = 1e-9 + 2 * sys.float_info.epsilon * max(abs(lo), abs(hi)) / step
@@ -73,6 +71,12 @@ class ParamSpace:
         for axis, lo, hi, step in (("p", self.p_min, self.p_max, self.p_step),
                                    ("i", self.i_min, self.i_max, self.i_step),
                                    ("d", self.d_min, self.d_max, self.d_step)):
+            # each message leads with the key at fault, so a config error can
+            # point at its line
+            if not step > 0:
+                raise ValueError(f"{axis}_step must be > 0")
+            if hi < lo:
+                raise ValueError(f"{axis}_max must be >= {axis}_min")
             count = _axis_count(lo, hi, step)
             object.__setattr__(self, "n_" + axis, count)
             name = "k" + axis
@@ -83,7 +87,7 @@ class ParamSpace:
                 except ValueError:
                     back = None
                 if back != k:
-                    raise ValueError(f"{name} step {step!r} is finer than the 9 significant "
+                    raise ValueError(f"{axis}_step {step!r} is finer than the 9 significant "
                                      f"digits grid CSVs keep at {name}={value!r}")
 
     def p_value(self, idx):

@@ -9,10 +9,14 @@ the first time it is asked and answers repeats of it from a memo, so a
 searcher that revisits a config pays a query but no simulation.
 
 SimulationValidator.classify is classify_many of one pid. classify_many and
-evalkit.compare_oracles check their runs through SimulationValidator._checks:
-fewer than BATCH_MIN new pids are simulated one at a time with simulate, more
-with the bit-identical simulate_batch, one seed at a time, in calls whose x
-and v arrays stay within BATCH_BYTES.
+evalkit.compare_oracles check their runs through SimulationValidator._checks.
+BATCH_MIN new pids or more are simulated with simulate_batch, one seed at
+a time, in calls whose x and v arrays stay within BATCH_BYTES; its runs are
+bit-identical to simulate's. Fewer are run one at a time: each run is first
+built with simulate_linear, and judged from that run where it stays clear of
+the clamp and every spec atom stays farther from its threshold than
+LINEAR_TOL * (1 + its largest |x| or |v|). Elsewhere simulate builds the
+run. The verdicts are simulate's on both routes.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mtl import And, eval_offline, eval_online, mode_spec
-from .plant import sample_count, simulate, simulate_batch
+from .mtl import And, atom_margin, eval_offline, eval_online, mode_spec
+from .plant import CLAMP, sample_count, simulate, simulate_batch, simulate_linear
 from .stability import routh_stable
 
 # Largest x/v array one simulate_batch call of _checks may fill, at 16
@@ -35,6 +39,13 @@ BATCH_BYTES = 32 * 2**20
 # batch call, about 0.3 s on the 60 s disturbed hold whatever its size,
 # costs more than 15 ms per pid from simulate (2-vCPU VM).
 BATCH_MIN = 20
+
+# A linear run stands in for simulate's where every spec atom stays more
+# than LINEAR_TOL * (1 + the run's largest |x| or |v|) from its threshold,
+# about 1,000 times the linear scan's error on unclamped runs. A run that
+# comes within that distance of the clamp, LINEAR_LIMIT, is simulated.
+LINEAR_TOL = 1e-9
+LINEAR_LIMIT = (CLAMP - LINEAR_TOL) / (1.0 + LINEAR_TOL)
 
 _lock = threading.Lock()
 _queries = 0
@@ -152,14 +163,19 @@ class SimulationValidator(Validator):
     def _checks(self, pids, check):
         """Yield (pid, [check(run) for each run a query of pid votes on]).
 
-        Fewer than BATCH_MIN pids are simulated one run at a time with
-        simulate, more with simulate_batch, one seed at a time, in chunks of
-        near-equal size whose x/v array fills at most BATCH_BYTES. Each run
-        is checked and dropped before the next run or batch is built.
+        Fewer than BATCH_MIN pids are run one at a time by _check_one, more
+        with simulate_batch, one seed at a time, in chunks of near-equal size
+        whose x/v array fills at most BATCH_BYTES. Each run is checked and
+        dropped before the next run or batch is built.
+
+        check may depend only on the truth values of self.formula's atoms
+        over the run, or over a head of it: _check_one certifies a linear
+        run for those alone. compare_oracles' three judges share one
+        formula, so its check meets this.
         """
         if len(pids) < BATCH_MIN:
             for pid in pids:
-                yield pid, [check(simulate(plant, pid, self.mission)) for plant in self._plants()]
+                yield pid, [self._check_one(plant, pid, check) for plant in self._plants()]
             return
         width = max(1, BATCH_BYTES // (16 * sample_count(self.plant, self.mission)))
         chunks = -(-len(pids) // width)
@@ -169,6 +185,18 @@ class SimulationValidator(Validator):
             by_seed = [list(map(check, simulate_batch(plant, chunk, self.mission)))
                        for plant in self._plants()]
             yield from zip(chunk, zip(*by_seed))
+
+    def _check_one(self, plant, pid, check):
+        """check of pid's run on plant: of simulate_linear's run where no
+        atom of self.formula can tell it from simulate's, else of simulate's.
+        """
+        run = simulate_linear(plant, pid, self.mission, limit=LINEAR_LIMIT)
+        if run is not None:
+            tol = LINEAR_TOL * (1.0 + max(np.abs(run.x).max(), np.abs(run.v).max()))
+            if atom_margin(self.formula, run) > tol:
+                return check(run)
+        run = None  # freed before simulate builds its own
+        return check(simulate(plant, pid, self.mission))
 
     def _plants(self):
         """The plant of each run of a query: run j has noise seed base_seed + j."""

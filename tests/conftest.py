@@ -7,19 +7,29 @@ from pidlab import validator as validator_module
 
 @pytest.fixture
 def freed_runs(monkeypatch):
-    """Check that no earlier run is alive when the validator simulates.
+    """Check that no earlier run is alive when the validator builds a run.
 
-    Each simulate call asserts that every trajectory it built before has
-    been freed, and each simulate_batch call the same of every earlier
-    call's x/v array.
-    Returns the number of simulate and simulate_batch calls, by name.
+    Each simulate_linear, simulate and simulate_batch call asserts that
+    every trajectory built before it, linear or simulated, and every
+    earlier batch's x/v array, has been freed: a rejected linear run too,
+    before simulate builds the run again.
+    Returns the number of calls of each, by name.
     """
     refs = []
-    calls = {"simulate": 0, "simulate_batch": 0}
+    calls = {"simulate_linear": 0, "simulate": 0, "simulate_batch": 0}
+    real_linear = validator_module.simulate_linear
     real, real_batch = validator_module.simulate, validator_module.simulate_batch
 
     def alive():
         return sum(ref() is not None for ref in refs)
+
+    def simulate_linear(plant, pid, mission, **kwargs):
+        assert alive() == 0, "an earlier run is still alive"
+        calls["simulate_linear"] += 1
+        traj = real_linear(plant, pid, mission, **kwargs)
+        if traj is not None:
+            refs.append(weakref.ref(traj.x))
+        return traj
 
     def simulate(plant, pid, mission):
         assert alive() == 0, "an earlier run is still alive"
@@ -29,12 +39,13 @@ def freed_runs(monkeypatch):
         return traj
 
     def simulate_batch(plant, pids, mission):
-        assert alive() == 0, "an earlier batch's array is still alive"
+        assert alive() == 0, "an earlier run or batch's array is still alive"
         calls["simulate_batch"] += 1
         for traj in real_batch(plant, pids, mission):
             refs.append(weakref.ref(traj.x.base))
             yield traj
 
+    monkeypatch.setattr(validator_module, "simulate_linear", simulate_linear)
     monkeypatch.setattr(validator_module, "simulate", simulate)
     monkeypatch.setattr(validator_module, "simulate_batch", simulate_batch)
     return calls

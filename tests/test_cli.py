@@ -143,7 +143,7 @@ strides = 1 2 1
         (lambda t: t + "\n[oracle]\nkind = offline\nwindow = 200\n", "window"),
         (lambda t: t.replace("p_min = 2.0\np_max = 2.0\np_step = 1.0",
                              "p_min = 1000000\np_max = 1000000.01\np_step = 0.001"),
-         "[space] kp step 0.001 is finer than the 9 significant digits"),
+         "[space] p_step 0.001 is finer than the 9 significant digits"),
         (lambda t: t + "\n[oracle]\nwindow = 200\n", "window"),
         (lambda t: t + "\n[oracle]\nbase_seed = -1\n", "[oracle] base_seed must be >= 0"),
         (lambda t: t + "\n[noise]\nsensor_sigma = -1\n",
@@ -173,6 +173,11 @@ strides = 1 2 1
                             ("repeats", None, "\n[oracle]\nrepeats = 2\n"),
                             ("base_seed", None, "\n[oracle]\nbase_seed = -1\n"),
                             ("t_max", "duration = 16", "duration = 160"),
+                            ("i_step", "i_step = 0.4", "i_step = 0"),
+                            ("i_max", "i_max = 6.0", "i_max = 0.2"),
+                            ("hold_tol", "hold_tol = 0.05", "hold_tol = 0"),
+                            ("settle_deadline", "settle_deadline = 8", "settle_deadline = 70"),
+                            ("p_step", "p_step = 1.0", "p_step = -1"),
                             ] + NON_FINITE + [case[:3] for case in NOT_A_KEY]:
             text = edit(BASE_CONFIG, old, new)
             config.write_text(text)
@@ -275,6 +280,22 @@ class TestGroundTruthCommand:
         at = text.splitlines().index(new.strip().splitlines()[-1]) + 1
         err = capsys.readouterr().err
         assert f"run.ini:{at}: " in err and fragment in err
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("old,new,fragment", [
+        ("i_step = 0.4", "i_step = 0", "[space] i_step must be > 0"),
+        ("settle_deadline = 8\nduration = 16", "settle_deadline = 70\nduration = 60",
+         "[mission] settle_deadline must satisfy 0 < settle_deadline < duration"),
+    ], ids=["i_step", "settle_deadline"])
+    def test_builder_error_exit_code_names_the_line(self, config, tmp_path, capsys,
+                                                    old, new, fragment):
+        text = edit(BASE_CONFIG, old, new)
+        config.write_text(text)
+        assert main(["ground-truth", "--config", str(config),
+                     "--out", str(tmp_path / "gt.csv")]) == 2
+        at = text.splitlines().index(new.splitlines()[0]) + 1
+        err = capsys.readouterr().err
+        assert f"run.ini:{at}: {fragment}" in err
         assert list(tmp_path.iterdir()) == [config]
 
     def test_negative_base_seed_exit_code(self, config, tmp_path, capsys):

@@ -13,6 +13,7 @@ from pidlab import (Metrics, NoiseSpec, OracleConfig, ParamSpace, PidConfig,
                     identify_boundary, miss_rate, query_count,
                     region_from_boundary, reset_query_count, routh_stable)
 from pidlab import validator as validator_module
+from pidlab.plant import CLAMP
 from pidlab.evalkit import (INVALID, VALID, ClassifiedGrid, configs_from_csv,
                             configs_to_csv, grid_from_csv, grid_to_csv)
 from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, BoundaryLine,
@@ -213,9 +214,9 @@ class TestGroundTruth:
                              ids=["few-cells", "batch-min-cells"])
     def test_the_cell_count_picks_the_simulator(self, cells, monkeypatch):
         sims, batches = [], []
-        simulate, simulate_batch = validator_module.simulate, validator_module.simulate_batch
-        monkeypatch.setattr(validator_module, "simulate",
-                            lambda *a: sims.append(a[1]) or simulate(*a))
+        linear, simulate_batch = validator_module.simulate_linear, validator_module.simulate_batch
+        monkeypatch.setattr(validator_module, "simulate_linear",
+                            lambda *a, **k: sims.append(a[1]) or linear(*a, **k))
         monkeypatch.setattr(validator_module, "simulate_batch",
                             lambda *a: batches.append(list(a[1])) or simulate_batch(*a))
         s = ParamSpace(3.0, 3.0, 1.0, 1.0, 1.0 * cells, 1.0, 2.0, 2.0, 1.0)
@@ -238,8 +239,8 @@ class TestGroundTruth:
         gt = ground_truth(s, v)
         assert set(gt.labels.values()) == {VALID, INVALID}
         sims = []
-        monkeypatch.setattr(validator_module, "simulate", lambda *a: sims.append(a))
-        monkeypatch.setattr(validator_module, "simulate_batch", lambda *a: sims.append(a))
+        for name in ("simulate_linear", "simulate", "simulate_batch"):
+            monkeypatch.setattr(validator_module, name, lambda *a, **k: sims.append(a))
         n = query_count()
         bl = identify_boundary(s, v)
         assert query_count() > n and sims == []
@@ -302,9 +303,9 @@ class TestCompareOracles:
         assert any(row[1] != row[2] for row in expect) == (case == "circle_lap")
 
         sims, batches = [], []
-        real, real_batch = validator_module.simulate, validator_module.simulate_batch
-        monkeypatch.setattr(validator_module, "simulate",
-                            lambda *a: sims.append(a[2].duration) or real(*a))
+        real, real_batch = validator_module.simulate_linear, validator_module.simulate_batch
+        monkeypatch.setattr(validator_module, "simulate_linear",
+                            lambda *a, **k: sims.append(a[2].duration) or real(*a, **k))
         monkeypatch.setattr(validator_module, "simulate_batch",
                             lambda *a: batches.append((a[2].duration, len(a[1])))
                             or real_batch(*a))
@@ -331,7 +332,8 @@ class TestCompareOracles:
     @pytest.mark.parametrize("ref_factor", [0.5, 0, -2, float("nan")])
     def test_a_reference_shorter_than_the_run_is_refused(self, ref_factor, monkeypatch):
         sims = []
-        monkeypatch.setattr(validator_module, "simulate", lambda *a: sims.append(a))
+        for name in ("simulate_linear", "simulate"):
+            monkeypatch.setattr(validator_module, name, lambda *a, **k: sims.append(a))
         reset_query_count()
         with pytest.raises(ValueError, match="ref_factor must be >= 1"):
             compare_oracles([PidConfig(1, 0.5, 1)], hold_mission(settle_deadline=5, duration=10),
@@ -355,8 +357,9 @@ class TestCompareOracles:
                    PidConfig(2, 1, 0.4)]
         compare_oracles(configs, mission, plant, window=100, cfg=OracleConfig(repeats=3),
                         ref_factor=2)
-        assert freed_runs == ({"simulate": 0, "simulate_batch": 6} if batch_min == 1
-                              else {"simulate": 12, "simulate_batch": 0})
+        assert freed_runs == ({"simulate_linear": 0, "simulate": 0, "simulate_batch": 6}
+                              if batch_min == 1 else
+                              {"simulate_linear": 12, "simulate": 0, "simulate_batch": 0})
 
     def test_duplicate_configs_are_simulated_once(self, monkeypatch):
         a, b = PidConfig(1, 0.5, 1), PidConfig(1, 5, 1)
@@ -364,9 +367,9 @@ class TestCompareOracles:
         plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.02))
         cfg = OracleConfig(repeats=3)
         sims = []
-        real = validator_module.simulate
-        monkeypatch.setattr(validator_module, "simulate",
-                            lambda *a: sims.append((a[0].noise.seed, a[1])) or real(*a))
+        real = validator_module.simulate_linear
+        monkeypatch.setattr(validator_module, "simulate_linear",
+                            lambda *a, **k: sims.append((a[0].noise.seed, a[1])) or real(*a, **k))
         reset_query_count()
         cmp = compare_oracles([a, b, a], mission, plant, window=100, cfg=cfg, ref_factor=2)
         assert query_count() == 9
@@ -374,6 +377,30 @@ class TestCompareOracles:
         assert [row[0] for row in cmp.rows] == [a, b, a] and cmp.rows[0] == cmp.rows[2]
         assert cmp.rows[:2] == compare_oracles([a, b], mission, plant, window=100, cfg=cfg,
                                                ref_factor=2).rows
+
+
+    def test_clamped_runs_can_be_valid_lap_runs(self, monkeypatch):
+        # "a run that reaches the clamp is invalid" would be a wrong rule: these
+        # six configs of perfbench's online_configs.csv diverge, yet their
+        # clamped runs swing through +-0.8 every lap, so lap_reach holds
+        configs = [PidConfig(0.2, 3.0, 0.2), PidConfig(0.2, 3.0, 0.6), PidConfig(0.2, 3.0, 1.2),
+                   PidConfig(0.5, 3.0, 0.2), PidConfig(0.5, 3.0, 0.6), PidConfig(1.0, 3.0, 0.2)]
+        plant = PlantModel(a1=1.0, a2=1.0, dt=0.01, t_max=60.0)
+        mission = circle_mission(radius=1.0, freq=0.05, duration=60.0)
+        peaks = []
+        real = validator_module.simulate
+
+        def simulate(plant, pid, mission):
+            run = real(plant, pid, mission)
+            peaks.append(max(abs(run.x).max(), abs(run.v).max()))
+            return run
+
+        monkeypatch.setattr(validator_module, "simulate", simulate)
+        cmp = compare_oracles(configs, mission, plant, window=200,
+                              formula=circle_lap_spec(mission))
+        assert cmp.rows == [(pid, True, True, True) for pid in configs]
+        # each reference run reached the clamp, so the per-pid route simulated it
+        assert peaks == [CLAMP] * len(configs)
 
 
 class TestCsvRoundTrips:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from pidlab import (PidConfig, PlantModel, NoiseSpec, brake_mission,
                     circle_mission, hold_mission, reference_at,
                     return_home_mission, routh_stable, simulate)
-from pidlab.plant import CLAMP, Mission, Trajectory, sample_count, simulate_batch
+from pidlab.plant import (CLAMP, Mission, Trajectory, sample_count, simulate_batch,
+                          simulate_linear)
 
 
 STABLE = PidConfig(1, 0.5, 1)
@@ -33,6 +34,27 @@ class TestConfigValidation:
         # numpy warnings are errors under pytest; adding these would warn
         pid = PidConfig(np.float64(1e308), np.float64(1e308), np.float64(-1e308))
         assert pid.kp == 1e308
+
+    @pytest.mark.parametrize("builder,kwargs,key", [
+        (hold_mission, {"hold_tol": 0}, "hold_tol"),
+        (hold_mission, {"settle_deadline": 70, "duration": 60}, "settle_deadline"),
+        (brake_mission, {"brake_at": 0}, "brake_at"),
+        (brake_mission, {"brake_deadline": 50}, "brake_at"),
+        (brake_mission, {"v_stop": -1}, "v_stop"),
+        (circle_mission, {"freq": 0}, "freq"),
+        (circle_mission, {"circle_tol": -0.1}, "circle_tol"),
+        (circle_mission, {"settle_deadline": 0}, "settle_deadline"),
+        (return_home_mission, {"return_t": 0}, "return_t"),
+        (return_home_mission, {"out_t": 60, "return_t": 60}, "out_t"),
+        (return_home_mission, {"settle_deadline": 70}, "settle_deadline"),
+        (return_home_mission, {"eps_mono": 0}, "eps_mono"),
+        (return_home_mission, {"mono_margin": -1}, "mono_margin"),
+    ])
+    def test_builder_errors_lead_with_the_key(self, builder, kwargs, key):
+        # the config loader points at the line of the key a message starts with
+        with pytest.raises(ValueError) as err:
+            builder(**kwargs)
+        assert str(err.value).partition(" ")[0] == key
 
     def test_pid_pickles_and_replaces(self):
         pid = PidConfig(0.1, 2.5, -3.0)
@@ -460,3 +482,55 @@ class TestSimulateBatch:
         assert xv.shape == (6001, 2, 2)
         assert all(a.base is xv for a in (first.v, second.x, second.v))
         assert first.e.base is None and second.e.base is None
+
+
+def linear_error(plant, pid, mission):
+    """(largest |x_lin - x_rk4| and |v_lin - v_rk4|) / (1 + largest |x|, |v|)
+    of simulate's run, with the two runs' t and r checked equal; None when
+    simulate's run reaches the clamp."""
+    exact = simulate(plant, pid, mission)
+    scale = max(np.abs(exact.x).max(), np.abs(exact.v).max())
+    if not scale < CLAMP:
+        return None
+    lin = simulate_linear(plant, pid, mission)
+    assert lin is not None and (lin.dt, lin.mode, len(lin)) == (exact.dt, exact.mode, len(exact))
+    assert np.array_equal(lin.t, exact.t) and np.array_equal(lin.r, exact.r)
+    assert np.array_equal(lin.e, lin.r - lin.x)
+    return max(np.abs(lin.x - exact.x).max(), np.abs(lin.v - exact.v).max()) / (1.0 + scale)
+
+
+class TestSimulateLinear:
+    """simulate_linear is simulate's run, up to rounding, wherever that run
+    stays below the clamp."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(mode=st.integers(0, 3), kp=st.floats(-2, 10), ki=st.floats(-1, 10),
+           kd=st.floats(-1, 5), dt=st.floats(0.002, 0.1), duration=st.floats(1.0, 60.0),
+           sigma=st.sampled_from([0.0, 0.05]), freq=st.floats(0.01, 50.0),
+           seed=st.integers(0, 2**16))
+    def test_error_bound_on_unclamped_runs(self, mode, kp, ki, kd, dt, duration, sigma,
+                                           freq, seed):
+        plant = PlantModel(dt=dt, t_max=max(duration, 10 * dt),
+                           noise=NoiseSpec(sensor_sigma=sigma, disturbance_amp=0.4,
+                                           disturbance_freq=freq, seed=seed))
+        error = linear_error(plant, PidConfig(kp, ki, kd), short_missions(duration)[mode])
+        assert error is None or error <= 1e-11
+
+    def test_error_bound_on_a_600s_circle(self):
+        plant = PlantModel(t_max=600.0, noise=NoiseSpec(sensor_sigma=0.02, disturbance_amp=0.1,
+                                                        disturbance_freq=0.3, seed=4))
+        mission = circle_mission(radius=1.0, freq=0.05, duration=600.0)
+        for pid in (PidConfig(1.0, 0.3, 0.6), PidConfig(0.2, 0.05, 0.2), PidConfig(4.0, 1.0, 2.5)):
+            assert linear_error(plant, pid, mission) <= 1e-11
+
+    @pytest.mark.parametrize("gains", ["clamped", "divergent"])
+    def test_a_run_that_reaches_the_limit_is_none(self, gains):
+        assert simulate_linear(PlantModel(), GAINS[gains], hold_mission()) is None
+
+    def test_the_limit_stops_the_scan(self):
+        mission = hold_mission(settle_deadline=10.0, duration=20.0)
+        run = simulate(PlantModel(), GAINS["unstable"], mission)
+        peak = max(np.abs(run.x).max(), np.abs(run.v).max())
+        assert 1.0 < peak < CLAMP
+        assert simulate_linear(PlantModel(), GAINS["unstable"], mission, limit=peak * 0.99) is None
+        assert simulate_linear(PlantModel(), GAINS["unstable"], mission, limit=peak * 1.01)

@@ -55,7 +55,7 @@ class TestParamSpace:
         # every kp value of this axis prints as 1000000 under %.9g
         with pytest.raises(ValueError, match="finer than the 9 significant digits"):
             ParamSpace(1e6, 1e6 + 0.01, 0.001, 0.1, 4, 0.1, 0, 1, 0.5)
-        with pytest.raises(ValueError, match="kd step"):
+        with pytest.raises(ValueError, match="d_step"):
             ParamSpace(1, 1, 1, 0.1, 4, 0.1, -5e7, -5e7 + 0.04, 0.01)
         # the same step on a nine-digit axis is fine
         assert ParamSpace(1e5, 1e5 + 0.01, 0.001, 0.1, 4, 0.1, 0, 1, 0.5).n_p == 11

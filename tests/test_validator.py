@@ -13,8 +13,8 @@ from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig, PlantModel,
                     query_count, reset_query_count, return_home_mission,
                     routh_stable, simulate)
 from pidlab import validator as validator_module
-from pidlab.plant import sample_count
-from pidlab.mtl import And, Atom, Globally
+from pidlab.plant import sample_count, simulate_linear
+from pidlab.mtl import And, Atom, Globally, atom_margin
 from pidlab.validator import LookupValidator, Validator
 
 
@@ -138,6 +138,8 @@ class TestMajorityVoting:
                 calls.append(plant.noise.seed)
                 return len(calls) - 1  # stands in for the trajectory of run k
 
+            # no run is linear, so every run is a scripted simulate call
+            monkeypatch.setattr(validator_module, "simulate_linear", lambda *a, **k: None)
             monkeypatch.setattr(validator_module, "simulate", fake_simulate)
             v._check = lambda k: (True, None) if outcomes[k] else (False, "scripted")
             return v, calls
@@ -201,14 +203,16 @@ SHORT_HOLD = hold_mission(settle_deadline=4.0, duration=8.0)
 
 @pytest.fixture
 def sim_calls(monkeypatch):
-    """The pids validator.simulate is called with, in call order."""
+    """The pid of each run validator builds one at a time, in call order:
+    every such run starts as a validator.simulate_linear call."""
     calls = []
+    real = validator_module.simulate_linear
 
-    def counting(plant, pid, mission):
+    def counting(plant, pid, mission, **kwargs):
         calls.append(pid)
-        return simulate(plant, pid, mission)
+        return real(plant, pid, mission, **kwargs)
 
-    monkeypatch.setattr(validator_module, "simulate", counting)
+    monkeypatch.setattr(validator_module, "simulate_linear", counting)
     return calls
 
 
@@ -456,6 +460,7 @@ class TestSimulationClassifyMany:
     def test_the_first_failing_run_names_the_clause(self, monkeypatch):
         # each run stands in for its trajectory by its seed, and fails a
         # clause of its own
+        monkeypatch.setattr(validator_module, "simulate_linear", lambda *a, **k: None)
         monkeypatch.setattr(validator_module, "simulate",
                             lambda plant, pid, mission: plant.noise.seed)
         monkeypatch.setattr(validator_module, "simulate_batch",
@@ -517,8 +522,9 @@ class TestSimulationClassifyMany:
         monkeypatch.setattr(validator_module, "BATCH_MIN", batch_min)
         self.fresh(OracleConfig(repeats=3)).classify_many(self.PIDS[:6])
         # three chunks of two pids, or eighteen runs one at a time
-        assert freed_runs == ({"simulate": 0, "simulate_batch": 9} if batch_min == 1
-                              else {"simulate": 18, "simulate_batch": 0})
+        assert freed_runs == ({"simulate_linear": 0, "simulate": 0, "simulate_batch": 9}
+                              if batch_min == 1 else
+                              {"simulate_linear": 18, "simulate": 0, "simulate_batch": 0})
 
     def test_nothing_new_simulates_nothing(self, monkeypatch, batch_calls, sim_calls):
         monkeypatch.setattr(validator_module, "BATCH_MIN", 1)
@@ -544,3 +550,66 @@ class TestSimulationClassifyMany:
         assert [len(chunk) for _, chunk in batch_calls] == sizes
         assert [pid for _, chunk in batch_calls for pid in chunk] == pids
         assert batch == [self.fresh().classify(pid) for pid in pids]
+
+
+class TestLinearRoute:
+    """Below BATCH_MIN new pids each run is built by simulate_linear and
+    judged from it only where its certificate holds; the verdicts are
+    simulate's either way."""
+
+    PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.03, disturbance_amp=0.2,
+                                       disturbance_freq=0.7))
+    PID = PidConfig(1.0, 0.5, 1.0)
+
+    def exact(self, v, pid):
+        """The verdict from simulate and _check alone, seed by seed."""
+        return v._tally([v._check(simulate(plant, pid, v.mission)) for plant in v._plants()])
+
+    def test_a_threshold_at_a_samples_error_takes_simulate(self, freed_runs):
+        run = simulate_linear(self.PLANT, self.PID, SHORT_HOLD)
+        settled = np.abs(run.e)[run.t > SHORT_HOLD.params["settle_deadline"]]
+        mission = hold_mission(hold_tol=float(settled.max()), settle_deadline=4.0,
+                               duration=8.0)
+        v = SimulationValidator(self.PLANT, mission, OracleConfig())
+        assert atom_margin(v.formula, run) == 0.0
+        del run
+        verdict = v.classify(self.PID)
+        assert freed_runs == {"simulate_linear": 1, "simulate": 1, "simulate_batch": 0}
+        assert verdict == self.exact(v, self.PID)
+        # a threshold just off every sample's error is judged from the linear run
+        mission = replace(mission, params={**mission.params, "hold_tol": 1.01 * settled.max()})
+        SimulationValidator(self.PLANT, mission, OracleConfig()).classify(self.PID)
+        assert freed_runs == {"simulate_linear": 2, "simulate": 1, "simulate_batch": 0}
+
+    @pytest.mark.parametrize("pid", [PidConfig(-5, 1, -3), PidConfig(1e5, 1e5, 1e5)],
+                             ids=["clamped", "nan"])
+    def test_a_diverging_pid_takes_simulate(self, pid, freed_runs):
+        v = SimulationValidator(self.PLANT, SHORT_HOLD, OracleConfig(repeats=3))
+        verdict = v.classify(pid)
+        assert freed_runs == {"simulate_linear": 3, "simulate": 3, "simulate_batch": 0}
+        assert not verdict.valid and verdict == self.exact(v, pid)
+
+    @pytest.mark.parametrize("cfg", [OracleConfig(repeats=3),
+                                     OracleConfig(kind="online", window=150)],
+                             ids=["offline-repeats-3", "online"])
+    def test_verdicts_equal_simulate_on_every_mode(self, cfg, freed_runs):
+        pids = [PidConfig(p, i, d) for p in (-5.0, 0.5, 2.0, 6.0)
+                for i in (0.1, 1.0, 4.0) for d in (-3.0, 0.4, 1.5)]
+        assert len(pids) >= validator_module.BATCH_MIN
+        missions = [hold_mission(hold_tol=0.1, settle_deadline=6.0, duration=12.0),
+                    brake_mission(brake_at=4.0, brake_deadline=4.0, v_stop=0.1, duration=12.0),
+                    circle_mission(radius=1.0, freq=0.2, circle_tol=0.3, settle_deadline=6.0,
+                                   duration=12.0),
+                    return_home_mission(out_dist=2.0, out_t=3.0, return_t=3.0,
+                                        home_radius=0.3, settle_deadline=9.0,
+                                        mono_margin=1.0, duration=12.0)]
+        for mission in missions:
+            v = SimulationValidator(self.PLANT, mission, cfg)
+            got = [verdict for k in range(0, len(pids), 9)
+                   for verdict in v.classify_many(pids[k:k + 9])]
+            assert got == [self.exact(v, pid) for pid in pids], mission.mode
+            assert {verdict.valid for verdict in got} == {True, False}, mission.mode
+        runs = len(missions) * len(pids) * cfg.repeats
+        # every run starts linear; some near the clamp or a threshold are simulated
+        assert freed_runs["simulate_linear"] == runs
+        assert 0 < freed_runs["simulate"] < runs / 2
