@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -35,16 +36,8 @@ from .validator import OracleConfig, SimulationValidator, query_count
 
 ALGORITHMS = ("boundary", "boundary-dsoff", "random-fuzz", "hill-climb", "genetic")
 
-_MISSION_BUILDERS = {
-    "hold": (hold_mission, ("setpoint", "hold_tol", "settle_deadline", "duration")),
-    "brake": (brake_mission, ("cruise_speed", "brake_at", "brake_deadline",
-                              "v_stop", "duration")),
-    "circle_track": (circle_mission, ("radius", "freq", "circle_tol",
-                                      "settle_deadline", "duration")),
-    "return_home": (return_home_mission, ("out_dist", "out_t", "return_t",
-                                          "home_radius", "settle_deadline",
-                                          "mono_margin", "eps_mono", "duration")),
-}
+_MISSION_BUILDERS = {"hold": hold_mission, "brake": brake_mission,
+                      "circle_track": circle_mission, "return_home": return_home_mission}
 
 
 class ConfigError(Exception):
@@ -182,7 +175,8 @@ def load_config(path):
     if mode not in _MISSION_BUILDERS:
         raise ConfigError(f"[mission] mode must be one of {sorted(_MISSION_BUILDERS)}, "
                           f"got {mode!r}", path, "mission", "mode")
-    builder, mission_keys = _MISSION_BUILDERS[mode]
+    builder = _MISSION_BUILDERS[mode]
+    mission_keys = tuple(inspect.signature(builder).parameters)
     _check_keys(cp, path, {**_SECTIONS, "mission": _SECTIONS["mission"] + mission_keys})
 
     noise = _build(path, "noise", NoiseSpec,
@@ -265,8 +259,8 @@ def cmd_ground_truth(args):
     wall = time.perf_counter() - t0
     grid_to_csv(grid, args.out)
     meta = _base_meta(app, args.config, "classified_grid")
-    meta["coverage"] = ("exhaustive" if grid.coverage == "exhaustive"
-                        else {"sampled": list(grid.strides())})
+    meta["coverage"] = ("exhaustive" if grid.strides == (1, 1, 1)
+                        else {"sampled": list(grid.strides)})
     meta["labeled"] = len(grid.labels)
     meta["invalid"] = len(grid.invalid_set())
     meta["oracle_queries"] = query_count() - q0
@@ -347,17 +341,19 @@ def _read_space(path, meta):
 
 
 def _read_grid(path, meta, space):
-    """The labeled grid at path, with the coverage its sidecar records."""
+    """The labeled grid at path, with the strides its sidecar's coverage
+    records: (1, 1, 1) for "exhaustive", [sp, si, sd] for {"sampled": [...]}."""
     coverage = meta.get("coverage", "exhaustive")
+    strides = (1, 1, 1)
     if coverage != "exhaustive":
-        strides = coverage.get("sampled") if isinstance(coverage, dict) else None
-        if not (isinstance(strides, list) and len(strides) == 3
-                and all(type(s) is int and s >= 1 for s in strides)):
+        sampled = coverage.get("sampled") if isinstance(coverage, dict) else None
+        if not (isinstance(sampled, list) and len(sampled) == 3
+                and all(type(s) is int and s >= 1 for s in sampled)):
             raise ConfigError(f"{_sidecar(path)}: 'coverage' must be \"exhaustive\" "
                               f"or {{\"sampled\": [sp, si, sd]}}, got {coverage!r}")
-        coverage = ("sampled", tuple(strides))
+        strides = tuple(sampled)
     try:
-        grid = grid_from_csv(path, space, coverage=coverage)
+        grid = grid_from_csv(path, space, strides=strides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     labeled = meta.get("labeled")

@@ -8,11 +8,10 @@ measured against a brute-force labeled grid (exhaustive or strided).
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, replace
 
 from .plant import PidConfig, sample_count
-from .search import ALL_INVALID, ALL_VALID, read_csv
+from .search import ALL_INVALID, ALL_VALID, csv_number, read_csv
 from .validator import OracleConfig, SimulationValidator, _note_queries
 
 VALID = "valid"
@@ -21,26 +20,16 @@ INVALID = "invalid"
 
 @dataclass
 class ClassifiedGrid:
-    """Oracle labels over (a subset of) a ParamSpace grid.
-
-    coverage is "exhaustive" or ("sampled", (sp, si, sd)) where the triple
-    holds the index strides actually labeled.
+    """Oracle labels over a ParamSpace grid, or over the regular sub-grid
+    that the index strides (sp, si, sd) pick: indices 0, s, 2s, ... per axis.
     """
 
     space: object
     labels: dict
-    coverage: object = "exhaustive"
+    strides: tuple = (1, 1, 1)
 
     def invalid_set(self):
         return {pid for pid, lab in self.labels.items() if lab == INVALID}
-
-    def strides(self):
-        if self.coverage == "exhaustive":
-            return (1, 1, 1)
-        kind, strides = self.coverage
-        if kind != "sampled":
-            raise ValueError(f"unknown coverage {self.coverage!r}")
-        return strides
 
 
 def ground_truth(space, validator, *, strides=(1, 1, 1), workers=1):
@@ -55,8 +44,7 @@ def ground_truth(space, validator, *, strides=(1, 1, 1), workers=1):
     pids = [space.pid_at(*trip) for trip in space.iter_indices(strides)]
     labels = {pid: VALID if verdict.valid else INVALID
               for pid, verdict in zip(pids, validator.classify_many(pids))}
-    coverage = "exhaustive" if strides == (1, 1, 1) else ("sampled", tuple(strides))
-    return ClassifiedGrid(space=space, labels=labels, coverage=coverage)
+    return ClassifiedGrid(space=space, labels=labels, strides=tuple(strides))
 
 
 def region_from_boundary(bl, space=None):
@@ -175,43 +163,37 @@ def compare_oracles(configs, mission, plant, window, cfg=None, formula=None,
                             online_agreement=sum(on == ref for _, _, on, ref in rows) / total)
 
 
-def _csv_field(value):
-    """value as csv.writer spells it inside a row."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow(("", value))
-    return buf.getvalue()[1:-2]
-
-
 def grid_to_csv(grid, path):
     """Write kp,ki,kd,label rows with 9 significant digits.
 
     Rows follow the grid's index order. Each axis value is formatted once;
-    the bytes are those csv.writer writes, \r\n line ends included.
+    the bytes are those csv.writer writes, \r\n line ends included. A label
+    other than valid or invalid, which grid_from_csv refuses, raises
+    ValueError naming its cell before the file is opened.
     """
     space = grid.space
-    sp, si, sd = grid.strides()
+    sp, si, sd = grid.strides
     p_axis, i_axis, d_axis = (
-        [(v, "%.9g" % v) for v in map(value, range(0, count, stride))]
+        [(v, csv_number(v)) for v in map(value, range(0, count, stride))]
         for value, count, stride in ((space.p_value, space.n_p, sp),
                                      (space.i_value, space.n_i, si),
                                      (space.d_value, space.n_d, sd)))
     labels = grid.labels
-    spelled = {VALID: VALID, INVALID: INVALID}
     lines = ["kp,ki,kd,label\r\n"]
     for p, p_text in p_axis:
         for i, i_text in i_axis:
             head = f"{p_text},{i_text},"
             for d, d_text in d_axis:
                 label = labels[PidConfig(p, i, d)]
-                text = spelled.get(label)
-                if text is None:
-                    text = _csv_field(label)
-                lines.append(f"{head}{d_text},{text}\r\n")
+                if label != VALID and label != INVALID:
+                    raise ValueError(f"cell kp={p_text}, ki={i_text}, kd={d_text} has label "
+                                     f"{label!r}; grid CSVs hold only valid and invalid")
+                lines.append(f"{head}{d_text},{label}\r\n")
     with open(path, "w", newline="") as fh:
         fh.writelines(lines)
 
 
-def grid_from_csv(path, space, coverage="exhaustive"):
+def grid_from_csv(path, space, strides=(1, 1, 1)):
     """Read labels back, snapping each row onto the space grid.
 
     Raises ValueError, naming the file and line, on an unknown label, a
@@ -229,7 +211,7 @@ def grid_from_csv(path, space, coverage="exhaustive"):
         labels[pid] = label
 
     read_csv(path, ("kp", "ki", "kd", "label"), cell)
-    return ClassifiedGrid(space=space, labels=labels, coverage=coverage)
+    return ClassifiedGrid(space=space, labels=labels, strides=strides)
 
 
 def configs_to_csv(configs, path):
@@ -238,7 +220,7 @@ def configs_to_csv(configs, path):
         writer = csv.writer(fh)
         writer.writerow(["kp", "ki", "kd"])
         for pid in sorted(configs, key=lambda c: (c.kp, c.ki, c.kd)):
-            writer.writerow(["%.9g" % pid.kp, "%.9g" % pid.ki, "%.9g" % pid.kd])
+            writer.writerow([csv_number(pid.kp), csv_number(pid.ki), csv_number(pid.kd)])
 
 
 def configs_from_csv(path, space):

@@ -43,6 +43,12 @@ def _axis_count(lo, hi, step):
     return int(math.floor((hi - lo) / step + slack)) + 1
 
 
+def csv_number(value):
+    """value as every CSV writer prints it: 9 significant digits. ParamSpace
+    refuses a grid whose axis values would not read back from this spelling."""
+    return "%.9g" % value
+
+
 @dataclass(frozen=True)
 class ParamSpace:
     """Axis-aligned grid over (kp, ki, kd).
@@ -83,7 +89,7 @@ class ParamSpace:
             for k in range(count):
                 value = lo + k * step
                 try:
-                    back = self._snap(float("%.9g" % value), lo, step, count, name)
+                    back = self._snap(float(csv_number(value)), lo, step, count, name)
                 except ValueError:
                     back = None
                 if back != k:
@@ -108,7 +114,7 @@ class ParamSpace:
         if not -1.0 < pos < count:
             raise ValueError(f"{name}={value!r} is not on the grid")
         idx = int(round(pos))
-        # the CSV writers keep 9 significant digits (%.9g): off by <= 5e-9 * |value|
+        # csv_number keeps 9 significant digits: off by <= 5e-9 * |value|
         tol = 1e-6 * step + 5e-9 * abs(value)
         if idx < 0 or idx >= count or abs(lo + idx * step - value) > tol:
             raise ValueError(f"{name}={value!r} is not on the grid")
@@ -117,7 +123,7 @@ class ParamSpace:
     def parsers(self):
         """(kp, ki, kd) functions from a CSV field to the grid value it names.
 
-        The writers' "%.9g" spelling of every axis value is looked up in a
+        The csv_number spelling of every axis value is looked up in a
         table; __post_init__ has checked that each such spelling snaps back
         onto its own index, so a hit equals float() and snapping. Any other
         spelling (" 1", "1.0", "1e0") is read with float() and snapped, so
@@ -158,7 +164,7 @@ def _axis_parser(value, index, count):
     table = {}
     for k in range(count):
         v = value(k)
-        table["%.9g" % v] = v
+        table[csv_number(v)] = v
 
     def parse(text):
         v = table.get(text)
@@ -446,8 +452,8 @@ def boundary_to_csv(bl, path):
         writer = csv.writer(fh)
         writer.writerow(["p", "d", "status", "i_save"])
         for c in bl.columns:
-            sv = "%.9g" % c.i_save if c.i_save is not None else ""
-            writer.writerow(["%.9g" % c.p, "%.9g" % c.d, c.status, sv])
+            sv = csv_number(c.i_save) if c.i_save is not None else ""
+            writer.writerow([csv_number(c.p), csv_number(c.d), c.status, sv])
 
 
 def boundary_from_csv(path, space):

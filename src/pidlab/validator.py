@@ -35,9 +35,12 @@ from .stability import routh_stable
 # 35 of a 600 s one.
 BATCH_BYTES = 32 * 2**20
 
-# Fewest new pids _checks simulates with simulate_batch. Below it a
-# batch call, about 0.3 s on the 60 s disturbed hold whatever its size,
-# costs more than 15 ms per pid from simulate (2-vCPU VM).
+# Fewest new pids _checks simulates with simulate_batch. The one-at-a-time
+# route takes certified runs from simulate_linear, so on the 60 s disturbed
+# hold (2 vCPUs, seed 3, fresh validators) 25 new pids took 0.14-0.18 s one
+# at a time and 0.28-0.30 s batched, and 50 took 0.43-0.47 s and 0.22-0.31 s.
+# The crossover lies between 25 and 50, but no workload has between 20 and
+# 50 new pids to show a retune.
 BATCH_MIN = 20
 
 # A linear run stands in for simulate's where every spec atom stays more
@@ -87,9 +90,11 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.kind not in ("offline", "online"):
-            raise ValueError(f"oracle kind must be offline or online, got {self.kind!r}")
-        if self.kind == "online" and (self.window is None or self.window < 2):
-            raise ValueError("online oracle needs a window of >= 2 samples")
+            raise ValueError(f"kind must be offline or online, got {self.kind!r}")
+        if self.kind == "online" and self.window is None:
+            raise ValueError("kind online needs a window of >= 2 samples")
+        if self.kind == "online" and self.window < 2:
+            raise ValueError("window must be >= 2 samples for an online oracle")
         if self.kind == "offline" and self.window is not None:
             raise ValueError("window has no effect on an offline oracle; "
                              "set kind online or drop the window")

@@ -48,6 +48,16 @@ NON_FINITE = [
     ("hold_tol", "hold_tol = 0.05", "hold_tol = NaN"),
 ]
 
+# (key, None, appended text ending in the key's line, message): [oracle] kind
+# and window settings that OracleConfig refuses
+ORACLE_KIND = [
+    ("kind", None, "\n[oracle]\nkind = foo\n", "kind must be offline or online, got 'foo'"),
+    ("kind", None, "\n[oracle]\nkind = online\n",
+     "kind online needs a window of >= 2 samples"),
+    ("window", None, "\n[oracle]\nkind = online\nwindow = 1\n",
+     "window must be >= 2 samples for an online oracle"),
+]
+
 # (case, text replaced in BASE_CONFIG or None to append, new text ending in the
 # line the error names, message fragment): sections and keys the config
 # table does not list
@@ -156,6 +166,9 @@ strides = 1 2 1
     ] + [
         (lambda t, old=old, new=new: edit(t, old, new), fragment)
         for _, old, new, fragment in NOT_A_KEY
+    ] + [
+        (lambda t, new=new: t + new, f"[oracle] {message}")
+        for _, _, new, message in ORACLE_KIND
     ])
     def test_bad_configs_raise(self, config, mutate, fragment):
         config.write_text(mutate(BASE_CONFIG))
@@ -178,7 +191,7 @@ strides = 1 2 1
                             ("hold_tol", "hold_tol = 0.05", "hold_tol = 0"),
                             ("settle_deadline", "settle_deadline = 8", "settle_deadline = 70"),
                             ("p_step", "p_step = 1.0", "p_step = -1"),
-                            ] + NON_FINITE + [case[:3] for case in NOT_A_KEY]:
+                            ] + NON_FINITE + [case[:3] for case in NOT_A_KEY + ORACLE_KIND]:
             text = edit(BASE_CONFIG, old, new)
             config.write_text(text)
             with pytest.raises(ConfigError) as err:
@@ -374,6 +387,25 @@ class TestEvalCommand:
         assert got["hr"] == expected.hr
         assert got["gt_size"] == expected.gt_size
         assert got["rs_size"] == expected.rs_size
+
+    def test_strided_ground_truth_is_scored_on_its_sub_grid(self, config, tmp_path):
+        config.write_text(BASE_CONFIG + "\n[search]\nstrides = 1 2 1\n")
+        gt_path, bl_path, out = tmp_path / "gt.csv", tmp_path / "bl.csv", tmp_path / "m.json"
+        assert main(["ground-truth", "--config", str(config), "--out", str(gt_path)]) == 0
+        meta = read_json(tmp_path / "gt.json")
+        assert meta["coverage"] == {"sampled": [1, 2, 1]}
+        assert meta["labeled"] == 8 * 3  # every other ki of 15, every kd of 3
+        assert main(["search", "--config", str(config), "--algorithm", "boundary",
+                     "--out", str(bl_path)]) == 0
+        assert main(["eval", "--gt", str(gt_path), "--result", str(bl_path),
+                     "--out", str(out)]) == 0
+        space = load_config(config).space
+        expected = compute_metrics(
+            grid_from_csv(gt_path, space, strides=(1, 2, 1)),
+            region_from_boundary(boundary_from_csv(bl_path, space), space))
+        got = read_json(out)
+        assert (got["mr"], got["hr"], got["rs_size"]) == \
+            (expected.mr, expected.hr, expected.rs_size)
 
     def test_config_set_results_are_scored_too(self, artifacts, config, tmp_path):
         gt_path, _ = artifacts

@@ -1,5 +1,6 @@
 import csv
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -175,7 +176,7 @@ class TestGroundTruth:
         s = worked_space()
         gt = ground_truth(s, validator=RouthValidator(1, 1))
         assert len(gt.labels) == s.size()
-        assert gt.coverage == "exhaustive"
+        assert gt.strides == (1, 1, 1)
         for pid, lab in gt.labels.items():
             assert (lab == VALID) == routh_stable(pid, 1, 1)
         assert query_count() == s.size()
@@ -183,8 +184,7 @@ class TestGroundTruth:
     def test_strided_subgrid(self):
         s = worked_space()
         gt = ground_truth(s, validator=RouthValidator(1, 1), strides=(1, 2, 1))
-        assert gt.coverage == ("sampled", (1, 2, 1))
-        assert gt.strides() == (1, 2, 1)
+        assert gt.strides == (1, 2, 1)
         assert len(gt.labels) == 20 * 3
         for pid in gt.labels:
             assert s.i_index(pid.ki) % 2 == 0
@@ -411,22 +411,33 @@ class TestCsvRoundTrips:
         grid_to_csv(gt, path)
         back = grid_from_csv(path, s)
         assert back.labels == gt.labels
-        assert back.coverage == "exhaustive"
+        assert back.strides == (1, 1, 1)
 
     def test_strided_grid_round_trip(self, tmp_path):
         s = worked_space()
         gt = ground_truth(s, validator=RouthValidator(1, 1), strides=(1, 2, 1))
         path = tmp_path / "gt.csv"
         grid_to_csv(gt, path)
-        back = grid_from_csv(path, s, coverage=("sampled", (1, 2, 1)))
+        back = grid_from_csv(path, s, strides=(1, 2, 1))
         assert back.labels == gt.labels
-        assert back.strides() == (1, 2, 1)
+        assert back.strides == (1, 2, 1)
 
     def test_grid_rejects_bad_label(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("kp,ki,kd,label\n1,0.1,0,wobbly\n")
         with pytest.raises(ValueError):
             grid_from_csv(path, worked_space())
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "", None, 3.5, "line\nbreak"])
+    def test_grid_writer_refuses_labels_the_reader_refuses(self, tmp_path, label):
+        s = worked_space()
+        grid = ClassifiedGrid(s, {pid: VALID for pid in (s.pid_at(*idx)
+                                                         for idx in s.iter_indices())})
+        grid.labels[s.pid_at(0, 3, 1)] = label
+        cell = r"^cell kp=1, ki=0\.4, kd=0\.5 has label " + re.escape(repr(label))
+        with pytest.raises(ValueError, match=cell):
+            grid_to_csv(grid, tmp_path / "new.csv")
+        assert not (tmp_path / "new.csv").exists()
 
     def test_configs_round_trip(self, tmp_path):
         s = worked_space()
@@ -536,13 +547,13 @@ def reference_grid_to_csv(grid, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kp", "ki", "kd", "label"])
-        for ip, ii, id_ in grid.space.iter_indices(grid.strides()):
+        for ip, ii, id_ in grid.space.iter_indices(grid.strides):
             pid = grid.space.pid_at(ip, ii, id_)
             writer.writerow(["%.9g" % pid.kp, "%.9g" % pid.ki, "%.9g" % pid.kd,
                              grid.labels[pid]])
 
 
-def reference_grid_from_csv(path, space, coverage="exhaustive"):
+def reference_grid_from_csv(path, space, strides=(1, 1, 1)):
     labels = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -556,7 +567,7 @@ def reference_grid_from_csv(path, space, coverage="exhaustive"):
                                space.i_index(float(row["ki"])),
                                space.d_index(float(row["kd"])))
             labels[pid] = row["label"]
-    return ClassifiedGrid(space=space, labels=labels, coverage=coverage)
+    return ClassifiedGrid(space=space, labels=labels, strides=strides)
 
 
 def reference_configs_from_csv(path, space):
@@ -602,9 +613,8 @@ SPELLINGS = {"repr": lambda text: repr(float(text)),
 def random_artifacts(space, rng, strides=(1, 1, 1)):
     """A labeled (sub-)grid, a config set and a boundary line on space."""
     cells = [space.pid_at(*idx) for idx in space.iter_indices(strides)]
-    coverage = "exhaustive" if strides == (1, 1, 1) else ("sampled", strides)
     grid = ClassifiedGrid(space, {pid: rng.choice((VALID, INVALID)) for pid in cells},
-                          coverage)
+                          strides)
     configs = {pid for pid in cells if rng.random() < 0.5}
     columns = []
     for ip in range(space.n_p):
@@ -625,7 +635,7 @@ class TestCsvAgainstTheReferences:
         grid_to_csv(grid, d / "new.csv")
         reference_grid_to_csv(grid, d / "old.csv")
         assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
-        back = grid_from_csv(d / "new.csv", space, grid.coverage)
+        back = grid_from_csv(d / "new.csv", space, grid.strides)
         assert back.labels == reference_grid_from_csv(d / "new.csv", space).labels
         assert back.labels == grid.labels
         configs_to_csv(configs, d / "configs.csv")
@@ -662,17 +672,6 @@ class TestCsvAgainstTheReferences:
         assert grid_from_csv(path, s).labels == reference_grid_from_csv(path, s).labels == {
             s.pid_at(0, 0, 0): VALID, s.pid_at(0, 1, 0): INVALID,
             s.pid_at(1, 0, 0): VALID, s.pid_at(1, 1, 0): INVALID}
-
-    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "", None, 3.5, "line\nbreak"])
-    def test_labels_the_readers_refuse_are_still_written_as_csv_writes_them(
-            self, tmp_path, label):
-        s = worked_space()
-        grid = ClassifiedGrid(s, {pid: VALID for pid in (s.pid_at(*idx)
-                                                         for idx in s.iter_indices())})
-        grid.labels[s.pid_at(0, 3, 1)] = label
-        grid_to_csv(grid, tmp_path / "new.csv")
-        reference_grid_to_csv(grid, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def one_plane_space():
