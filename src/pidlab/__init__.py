@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .evalkit import (ClassifiedGrid, Metrics, compare_oracles, compute_metrics,
-                      ground_truth, hit_rate, miss_rate, region_from_boundary)
+from .evalkit import (ClassifiedGrid, Metrics, compute_metrics, ground_truth,
+                      region_from_boundary)
 from .mtl import (And, Atom, Eventually, Globally, Implies, Not, Or, Prev,
                   circle_lap_spec, eval_offline, eval_online, mode_spec,
                   parse_formula)
@@ -15,5 +15,6 @@ from .search import (BoundaryLine, ParamSpace, boundary_from_csv,
                      identify_boundary, random_fuzz, search_column)
 from .stability import (characteristic_roots, roots_stable, routh_stable,
                         theoretical_boundary)
-from .validator import (OracleConfig, RouthValidator, SimulationValidator,
-                        Validator, Verdict, query_count, reset_query_count)
+from .validator import (OracleComparison, OracleConfig, RouthValidator,
+                        SimulationValidator, Validator, Verdict, compare_oracles,
+                        query_count, reset_query_count)

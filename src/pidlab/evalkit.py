@@ -8,11 +8,10 @@ measured against a brute-force labeled grid (exhaustive or strided).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .plant import PidConfig, sample_count
+from .plant import PidConfig
 from .search import ALL_INVALID, ALL_VALID, csv_number, read_csv
-from .validator import OracleConfig, SimulationValidator, _note_queries
 
 VALID = "valid"
 INVALID = "invalid"
@@ -36,15 +35,19 @@ def ground_truth(space, validator, *, strides=(1, 1, 1), workers=1):
     """Label grid configs by querying the oracle once each, in one
     classify_many call.
 
-    strides > 1 label a regular sub-grid (indices 0, s, 2s, ... per axis).
-    workers must be 1: labeling runs in this process.
+    strides > 1 label a regular sub-grid (indices 0, s, 2s, ... per axis);
+    each must be an int >= 1. workers must be 1: labeling runs in this
+    process.
     """
+    strides = tuple(strides)
+    if len(strides) != 3 or not all(type(s) is int and s >= 1 for s in strides):
+        raise ValueError(f"strides must be three integers >= 1, got {strides!r}")
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
     pids = [space.pid_at(*trip) for trip in space.iter_indices(strides)]
     labels = {pid: VALID if verdict.valid else INVALID
               for pid, verdict in zip(pids, validator.classify_many(pids))}
-    return ClassifiedGrid(space=space, labels=labels, strides=tuple(strides))
+    return ClassifiedGrid(space=space, labels=labels, strides=strides)
 
 
 def region_from_boundary(bl, space=None):
@@ -70,18 +73,6 @@ def region_from_boundary(bl, space=None):
     if len(seen) != expect:
         raise ValueError(f"boundary line covers {len(seen)} of {expect} columns")
     return region
-
-
-def miss_rate(gt, region):
-    """|GT_invalid - RS| / |GT_invalid|; 0 when the ground truth has no
-    invalid configs at all."""
-    return compute_metrics(gt, region).mr
-
-
-def hit_rate(gt, region):
-    """|RS & GT_invalid| / |RS|, with RS restricted to the labeled grid;
-    1 for an empty result set."""
-    return compute_metrics(gt, region).hr
 
 
 @dataclass(frozen=True)
@@ -114,53 +105,6 @@ def compute_metrics(gt, region):
                    hr=inter / len(rs) if rs else 1.0,
                    gt_size=len(bad), rs_size=len(rs), intersection=inter,
                    flags=tuple(flags))
-
-
-@dataclass
-class OracleComparison:
-    rows: list  # (pid, offline_valid, online_valid, reference_valid)
-    offline_agreement: float
-    online_agreement: float
-
-
-def compare_oracles(configs, mission, plant, window, cfg=None, formula=None,
-                    ref_factor=10):
-    """Offline vs online verdicts against a long-horizon reference.
-
-    The reference verdict is the offline oracle on a run ref_factor times
-    longer (standing in for human-reviewed labels). Each distinct config is
-    simulated once per seed, at that length, and the offline and online
-    verdicts judge the first sample_count(plant, mission) samples of those
-    runs. Every verdict is one query. Agreement is the fraction of configs
-    where each oracle matches the reference.
-    """
-    if not ref_factor >= 1:
-        raise ValueError(f"ref_factor must be >= 1, got {ref_factor!r}")
-    if cfg is None:
-        cfg = OracleConfig()
-    offline = replace(cfg, kind="offline", window=None)
-    long_mission = replace(mission, duration=mission.duration * ref_factor)
-    long_plant = replace(plant, t_max=max(plant.t_max, long_mission.duration))
-    judges = (SimulationValidator(plant, mission, offline, formula=formula),
-              SimulationValidator(plant, mission, replace(cfg, kind="online", window=window),
-                                  formula=formula),
-              SimulationValidator(long_plant, long_mission, offline, formula=formula))
-    off_v, on_v, ref_v = judges
-    n = sample_count(plant, mission)
-
-    def check(run):  # no name holds run once it is checked three ways
-        short = run.head(n)
-        return off_v._check(short), on_v._check(short), ref_v._check(run)
-
-    configs = list(configs)
-    _note_queries(3 * len(configs))
-    valid = {pid: [judge._tally(own).valid for judge, own in zip(judges, zip(*checks))]
-             for pid, checks in ref_v._checks(list(dict.fromkeys(configs)), check)}
-    rows = [(pid, *valid[pid]) for pid in configs]
-    total = max(len(rows), 1)
-    return OracleComparison(rows=rows,
-                            offline_agreement=sum(off == ref for _, off, _, ref in rows) / total,
-                            online_agreement=sum(on == ref for _, _, on, ref in rows) / total)
 
 
 def grid_to_csv(grid, path):

@@ -65,12 +65,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sensor_sigma < 0:
-            raise ValueError("sensor_sigma must be >= 0")
-        if self.disturbance_amp < 0:
-            raise ValueError("disturbance_amp must be >= 0")
-        if self.disturbance_freq < 0:
-            raise ValueError("disturbance_freq must be >= 0")
+        for key in ("sensor_sigma", "disturbance_amp", "disturbance_freq"):
+            value = getattr(self, key)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{key} must be >= 0 and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,7 @@ class PlantModel:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
-        if not (math.isfinite(self.a1) and math.isfinite(self.a2)):
-            raise ValueError("a1 and a2 must be finite")
+        _check_finite(a1=self.a1, a2=self.a2, dt=self.dt, t_max=self.t_max)
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.t_max < 10 * self.dt:
@@ -112,12 +109,20 @@ class Mission:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mission mode {self.mode!r}")
+        _check_finite(duration=self.duration)
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
 
 
-# Each builder's errors lead with the key at fault, so a config error can
-# point at its line.
+# Each error of a constructor or builder leads with the key at fault, so a
+# config error can point at its line. Every float must be finite; the checks
+# after that compare finite numbers, which NaN would have slipped past.
+def _check_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _check_positive(**values):
     for name, value in values.items():
         if value <= 0:
@@ -131,6 +136,7 @@ def _check_deadline(settle_deadline, duration):
 
 def hold_mission(setpoint=1.0, hold_tol=0.05, settle_deadline=20.0, duration=60.0):
     """Constant setpoint; spec: |e| stays under hold_tol once settled."""
+    _check_finite(**locals())
     if hold_tol <= 0:
         raise ValueError("hold_tol must be > 0")
     _check_deadline(settle_deadline, duration)
@@ -148,6 +154,7 @@ def brake_mission(cruise_speed=1.0, brake_at=20.0, brake_deadline=10.0,
     Spec: |v| drops below v_stop within brake_deadline of the brake instant
     and stays there.
     """
+    _check_finite(**locals())
     if brake_at <= 0:
         raise ValueError("brake_at must be > 0")
     if brake_at + brake_deadline >= duration:
@@ -166,6 +173,7 @@ def circle_mission(radius=2.0, freq=0.05, circle_tol=0.25, settle_deadline=20.0,
                    duration=60.0):
     """Sinusoid reference r(t) = radius*sin(2*pi*freq*t), the one-dimensional
     projection of a circular track."""
+    _check_finite(**locals())
     _check_positive(radius=radius, freq=freq, circle_tol=circle_tol)
     _check_deadline(settle_deadline, duration)
     return Mission(CIRCLE_TRACK, duration, {
@@ -186,6 +194,7 @@ def return_home_mission(out_dist=5.0, out_t=40.0, return_t=40.0, home_radius=0.5
     to skip the turnaround transient) the error magnitude never grows by more
     than eps_mono per sample.
     """
+    _check_finite(**locals())
     _check_positive(out_t=out_t, return_t=return_t)
     if out_t + return_t >= duration:
         raise ValueError("out_t + return_t must fall inside the mission")

@@ -79,6 +79,9 @@ class ParamSpace:
                                    ("d", self.d_min, self.d_max, self.d_step)):
             # each message leads with the key at fault, so a config error can
             # point at its line
+            for key, value in (("_min", lo), ("_max", hi), ("_step", step)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{axis}{key} must be finite, got {value!r}")
             if not step > 0:
                 raise ValueError(f"{axis}_step must be > 0")
             if hi < lo:

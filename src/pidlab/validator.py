@@ -8,10 +8,13 @@ and simulations differ: a SimulationValidator simulates a gain triple only
 the first time it is asked and answers repeats of it from a memo, so a
 searcher that revisits a config pays a query but no simulation.
 
-SimulationValidator.classify is classify_many of one pid. classify_many and
-evalkit.compare_oracles check their runs through SimulationValidator._checks.
-BATCH_MIN new pids or more are simulated with simulate_batch, one seed at
-a time, in calls whose x and v arrays stay within BATCH_BYTES; its runs are
+OracleConfig is the judge: check finds a run's first failing conjunct, and
+vote takes the majority over a query's runs. SimulationValidator.classify is
+classify_many of one pid. classify_many and compare_oracles judge their runs
+through SimulationValidator._verdicts, which builds each run once for every
+judge it is asked with, each judging the whole run or its head. BATCH_MIN
+new pids or more are simulated with simulate_batch, one seed at a time, in
+calls whose x and v arrays stay within BATCH_BYTES; its runs are
 bit-identical to simulate's. Fewer are run one at a time: each run is first
 built with simulate_linear, and judged from that run where it stays clear of
 the clamp and every spec atom stays farther from its threshold than
@@ -30,12 +33,12 @@ from .mtl import And, atom_margin, eval_offline, eval_online, mode_spec
 from .plant import CLAMP, sample_count, simulate, simulate_batch, simulate_linear
 from .stability import routh_stable
 
-# Largest x/v array one simulate_batch call of _checks may fill, at 16
+# Largest x/v array one simulate_batch call of _verdicts may fill, at 16
 # bytes per sample per pid: about 350 pids of a 60 s run at dt 0.01, and
 # 35 of a 600 s one.
 BATCH_BYTES = 32 * 2**20
 
-# Fewest new pids _checks simulates with simulate_batch. The one-at-a-time
+# Fewest new pids _verdicts simulates with simulate_batch. The one-at-a-time
 # route takes certified runs from simulate_linear, so on the 60 s disturbed
 # hold (2 vCPUs, seed 3, fresh validators) 25 new pids took 0.14-0.18 s one
 # at a time and 0.28-0.30 s batched, and 50 took 0.43-0.47 s and 0.22-0.31 s.
@@ -89,6 +92,10 @@ class OracleConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        for key in ("window", "repeats", "base_seed"):
+            value = getattr(self, key)
+            if type(value) is not int and not (key == "window" and value is None):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.kind not in ("offline", "online"):
             raise ValueError(f"kind must be offline or online, got {self.kind!r}")
         if self.kind == "online" and self.window is None:
@@ -102,6 +109,26 @@ class OracleConfig:
             raise ValueError("repeats must be a positive odd number")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+
+    def check(self, formula, traj):
+        """(ok, label of the first failing conjunct) of formula over traj; an
+        unlabeled conjunct k is conjunct_k, and a formula not an And is one."""
+        parts = formula.children if isinstance(formula, And) else (formula,)
+        for k, part in enumerate(parts):
+            if not (eval_online(part, traj, self.window) if self.kind == "online"
+                    else eval_offline(part, traj)):
+                return False, part.label or f"conjunct_{k}"
+        return True, None
+
+    def vote(self, checks):
+        """The majority Verdict over a query's (ok, failing clause) checks,
+        one per run; violated_spec is the first failing run's clause."""
+        checks = list(checks)
+        votes = sum(1 for ok, _ in checks if ok)
+        valid = votes > self.repeats // 2
+        violated = None if valid else next(label for ok, label in checks if not ok)
+        return Verdict(valid=valid, violated_spec=violated, runs=self.repeats,
+                       votes_valid=votes)
 
 
 @dataclass(frozen=True)
@@ -153,7 +180,7 @@ class SimulationValidator(Validator):
         """One verdict per pid, counting len(pids) queries.
 
         Memoised pids are answered from the memo; each distinct new pid is
-        simulated once per seed, and its runs are voted on by _checks.
+        simulated once per seed, and its runs are judged by _verdicts.
         """
         pids = list(pids)
         _note_queries(len(pids))
@@ -161,26 +188,35 @@ class SimulationValidator(Validator):
         # store the same verdict, so the race costs time, never correctness.
         memo = self._memo
         new = [pid for pid in dict.fromkeys(pids) if pid not in memo]
-        for pid, checks in self._checks(new, self._check):
-            memo[pid] = self._tally(checks)
+        for pid, (verdict,) in self._verdicts(new, ((self.cfg, None),)):
+            memo[pid] = verdict
         return [memo[pid] for pid in pids]
 
-    def _checks(self, pids, check):
-        """Yield (pid, [check(run) for each run a query of pid votes on]).
+    def _verdicts(self, pids, judges):
+        """Yield (pid, one Verdict per judge) for each of pids, counting no
+        query and filling no memo.
+
+        A judge is an (OracleConfig, samples) pair: its cfg checks
+        self.formula over each run of pid, or over the run's first samples
+        samples, and votes on those checks. The runs are self.cfg's, so
+        every judge's repeats and base_seed must be self.cfg's too.
 
         Fewer than BATCH_MIN pids are run one at a time by _check_one, more
         with simulate_batch, one seed at a time, in chunks of near-equal size
         whose x/v array fills at most BATCH_BYTES. Each run is checked and
         dropped before the next run or batch is built.
-
-        check may depend only on the truth values of self.formula's atoms
-        over the run, or over a head of it: _check_one certifies a linear
-        run for those alone. compare_oracles' three judges share one
-        formula, so its check meets this.
         """
+        formula = self.formula
+
+        def check(run):  # no name holds run once every judge has checked it
+            return [cfg.check(formula, run if n is None else run.head(n)) for cfg, n in judges]
+
+        def vote(runs):  # runs: per run of pid, its checks, one per judge
+            return tuple(cfg.vote(own) for (cfg, _), own in zip(judges, zip(*runs)))
+
         if len(pids) < BATCH_MIN:
             for pid in pids:
-                yield pid, [self._check_one(plant, pid, check) for plant in self._plants()]
+                yield pid, vote([self._check_one(plant, pid, check) for plant in self._plants()])
             return
         width = max(1, BATCH_BYTES // (16 * sample_count(self.plant, self.mission)))
         chunks = -(-len(pids) // width)
@@ -189,7 +225,8 @@ class SimulationValidator(Validator):
             # no name holds a batch, so each is freed before the next seed's
             by_seed = [list(map(check, simulate_batch(plant, chunk, self.mission)))
                        for plant in self._plants()]
-            yield from zip(chunk, zip(*by_seed))
+            for pid, checks in zip(chunk, zip(*by_seed)):
+                yield pid, vote(checks)
 
     def _check_one(self, plant, pid, check):
         """check of pid's run on plant: of simulate_linear's run where no
@@ -208,32 +245,6 @@ class SimulationValidator(Validator):
         for j in range(self.cfg.repeats):
             yield replace(self.plant,
                           noise=replace(self.plant.noise, seed=self.cfg.base_seed + j))
-
-    def _tally(self, checks):
-        """The majority verdict over the runs' (ok, failing clause) checks."""
-        votes = 0
-        violated = None
-        for ok, label in checks:
-            if ok:
-                votes += 1
-            elif violated is None:
-                violated = label
-        repeats = self.cfg.repeats
-        valid = votes > repeats // 2
-        return Verdict(valid=valid, violated_spec=None if valid else violated,
-                       runs=repeats, votes_valid=votes)
-
-    def _check(self, traj):
-        parts = self.formula.children if isinstance(self.formula, And) else (self.formula,)
-        for k, part in enumerate(parts):
-            if not self._holds(part, traj):
-                return False, part.label or f"conjunct_{k}"
-        return True, None
-
-    def _holds(self, formula, traj):
-        if self.cfg.kind == "online":
-            return eval_online(formula, traj, self.cfg.window)
-        return eval_offline(formula, traj)
 
 
 _ROUTH_STABLE = Verdict(valid=True, violated_spec=None, runs=1, votes_valid=1)
@@ -297,3 +308,43 @@ class LookupValidator(Validator):
         return Verdict(valid=ok, violated_spec=None if ok else "lookup",
                        runs=1, votes_valid=int(ok))
 
+
+@dataclass
+class OracleComparison:
+    rows: list  # (pid, offline_valid, online_valid, reference_valid)
+    offline_agreement: float
+    online_agreement: float
+
+
+def compare_oracles(configs, mission, plant, window, cfg=None, formula=None,
+                    ref_factor=10):
+    """Offline vs online verdicts against a long-horizon reference.
+
+    The reference verdict is the offline oracle on a run ref_factor times
+    longer (standing in for human-reviewed labels). One validator, the
+    reference's, simulates each distinct config once per seed, at that
+    length, and the offline and online verdicts judge the first
+    sample_count(plant, mission) samples of those runs. Every verdict is
+    one query. Agreement is the fraction of configs where each oracle
+    matches the reference.
+    """
+    if not ref_factor >= 1:
+        raise ValueError(f"ref_factor must be >= 1, got {ref_factor!r}")
+    if cfg is None:
+        cfg = OracleConfig()
+    offline = replace(cfg, kind="offline", window=None)
+    online = replace(cfg, kind="online", window=window)
+    long_mission = replace(mission, duration=mission.duration * ref_factor)
+    long_plant = replace(plant, t_max=max(plant.t_max, long_mission.duration))
+    reference = SimulationValidator(long_plant, long_mission, offline, formula=formula)
+    n = sample_count(plant, mission)
+    configs = list(configs)
+    _note_queries(3 * len(configs))
+    valid = {pid: [verdict.valid for verdict in verdicts]
+             for pid, verdicts in reference._verdicts(
+                 list(dict.fromkeys(configs)), ((offline, n), (online, n), (offline, None)))}
+    rows = [(pid, *valid[pid]) for pid in configs]
+    total = max(len(rows), 1)
+    return OracleComparison(rows=rows,
+                            offline_agreement=sum(off == ref for _, off, _, ref in rows) / total,
+                            online_agreement=sum(on == ref for _, _, on, ref in rows) / total)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from pidlab import (Metrics, NoiseSpec, OracleConfig, ParamSpace, PidConfig,
                     PlantModel, RouthValidator, SimulationValidator,
                     circle_lap_spec, circle_mission, compare_oracles,
-                    compute_metrics, ground_truth, hit_rate, hold_mission,
-                    identify_boundary, miss_rate, query_count,
+                    compute_metrics, ground_truth, hold_mission,
+                    identify_boundary, query_count,
                     region_from_boundary, reset_query_count, routh_stable)
 from pidlab import validator as validator_module
 from pidlab.plant import CLAMP
@@ -87,9 +87,9 @@ class TestMetricArithmetic:
     def test_worked_ratio(self):
         gt, bad, good = synthetic_grid(200, 100)
         region = set(bad[:170]) | set(good[:10])  # 180 flagged, 170 correct
-        assert miss_rate(gt, region) == pytest.approx(0.15)
-        assert hit_rate(gt, region) == pytest.approx(170 / 180)
         m = compute_metrics(gt, region)
+        assert m.mr == pytest.approx(0.15)
+        assert m.hr == pytest.approx(170 / 180)
         assert (m.gt_size, m.rs_size, m.intersection) == (200, 180, 170)
         assert m.flags == ()
 
@@ -188,6 +188,14 @@ class TestGroundTruth:
         assert len(gt.labels) == 20 * 3
         for pid in gt.labels:
             assert s.i_index(pid.ki) % 2 == 0
+
+    @pytest.mark.parametrize("strides", [(-1, 1, 1), (0, 1, 1), (1, 2), (1, 1, 1, 1),
+                                         (1, 1.0, 1), (1, True, 1), (1, 1, 2.5)])
+    def test_strides_other_than_three_positive_ints_raise(self, strides):
+        # (-1, 1, 1) used to label nothing, and (0, 1, 1) to raise from range()
+        with pytest.raises(ValueError, match="strides must be three integers >= 1"):
+            ground_truth(worked_space(), validator=RouthValidator(1, 1), strides=strides)
+        assert query_count() == 0
 
     @pytest.mark.parametrize("workers", [0, -1, 2])
     def test_workers_other_than_one_raise(self, workers):
@@ -360,6 +368,24 @@ class TestCompareOracles:
         assert freed_runs == ({"simulate_linear": 0, "simulate": 0, "simulate_batch": 6}
                               if batch_min == 1 else
                               {"simulate_linear": 12, "simulate": 0, "simulate_batch": 0})
+
+    @pytest.mark.parametrize("batch_min", [1, 100], ids=["batched", "one-at-a-time"])
+    def test_one_validator_judges_every_verdict(self, monkeypatch, batch_min):
+        built = []
+
+        class Counting(SimulationValidator):
+            def __init__(self, *args, **kwargs):
+                built.append(args[1].duration)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(validator_module, "SimulationValidator", Counting)
+        monkeypatch.setattr(validator_module, "BATCH_MIN", batch_min)
+        mission = hold_mission(settle_deadline=5, duration=10)
+        cmp = compare_oracles([PidConfig(3, 1, 2), PidConfig(1, 5, 1)], mission,
+                              PlantModel(), window=100, ref_factor=2)
+        # the reference's validator, and no validator for the short verdicts
+        assert built == [20]
+        assert [row[1:] for row in cmp.rows] == [(True, True, True), (False, False, False)]
 
     def test_duplicate_configs_are_simulated_once(self, monkeypatch):
         a, b = PidConfig(1, 0.5, 1), PidConfig(1, 5, 1)

@@ -1,0 +1,82 @@
+"""Modules of pidlab reach into one another through public names only.
+
+A name with one leading underscore is private to the module that defines
+it. Dunders are exempt. Two shapes break that rule:
+- `from .x import _name`, a private name imported from another module;
+- `obj._name`, where obj is not self or cls and no code in this module
+  defines _name (a def, a class, or an assignment to a name or attribute).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import pidlab
+
+PACKAGE = Path(pidlab.__file__).parent
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def violations(source, filename):
+    """'filename:line: reason' for each private name that source reaches in
+    another module."""
+    tree = ast.parse(source, filename)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "pidlab"):
+            module = "." * node.level + (node.module or "")
+            found += [(node.lineno, f"imports {alias.name} from {module}")
+                      for alias in node.names if _private(alias.name)]
+        elif (isinstance(node, ast.Attribute) and _private(node.attr)
+              and node.attr not in defined
+              and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            found.append((node.lineno, f"reaches {node.attr} of another module"))
+    return [f"{filename}:{line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reaches_a_private_name_of_another(path):
+    assert violations(path.read_text(), path.name) == []
+
+
+def test_both_shapes_are_caught():
+    source = '''
+from .validator import SimulationValidator, _note_queries
+from . import _helpers
+from pidlab.search import _axis_count
+from .plant import __all__
+
+_TABLE = {}
+
+
+class Local:
+    _shared = 1
+
+    def __init__(self):
+        self._memo = {}
+
+    def own(self, other, v):
+        other._memo.clear()
+        Local._shared += 1
+        _TABLE._keys = None
+        return cls._anything, self._anything, v.__dict__, v._checks(), v._tally
+'''
+    assert violations(source, "m.py") == [
+        "m.py:2: imports _note_queries from .validator",
+        "m.py:3: imports _helpers from .",
+        "m.py:4: imports _axis_count from pidlab.search",
+        "m.py:20: reaches _checks of another module",
+        "m.py:20: reaches _tally of another module"]

@@ -1,3 +1,4 @@
+import inspect
 import math
 import pickle
 from dataclasses import FrozenInstanceError, replace
@@ -54,6 +55,21 @@ class TestConfigValidation:
         # the config loader points at the line of the key a message starts with
         with pytest.raises(ValueError) as err:
             builder(**kwargs)
+        assert str(err.value).partition(" ")[0] == key
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make,key", [
+        *((NoiseSpec, key) for key in ("sensor_sigma", "disturbance_amp", "disturbance_freq")),
+        *((PlantModel, key) for key in ("a1", "a2", "dt", "t_max")),
+        (lambda duration: Mission("hold", duration, {}), "duration"),
+        *((builder, key) for builder in (hold_mission, brake_mission, circle_mission,
+                                         return_home_mission)
+          for key in inspect.signature(builder).parameters)])
+    def test_non_finite_floats_are_refused_by_key(self, make, key, value):
+        # NaN passed every `x < 0` and `x <= 0` check: NoiseSpec(sensor_sigma=nan)
+        # ran with no noise, and hold_mission(hold_tol=nan) judged every run invalid
+        with pytest.raises(ValueError) as err:
+            make(**{key: value})
         assert str(err.value).partition(" ")[0] == key
 
     def test_pid_pickles_and_replaces(self):

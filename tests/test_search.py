@@ -112,6 +112,14 @@ class TestParamSpace:
         s = worked_space()
         assert ParamSpace.from_dict(s.to_dict()) == s
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["p_min", "p_max", "p_step", "i_min", "i_max",
+                                     "i_step", "d_min", "d_max", "d_step"])
+    def test_non_finite_bounds_are_refused_by_key(self, key, value):
+        with pytest.raises(ValueError) as err:
+            ParamSpace(**{**worked_space().to_dict(), key: value})
+        assert str(err.value).partition(" ")[0] == key
+
 
 class TestSearchColumn:
     def test_invalid_entry_descends_to_largest_valid(self):

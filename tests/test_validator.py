@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig, PlantModel,
-                    RouthValidator, SimulationValidator, brake_mission,
+                    RouthValidator, SimulationValidator, Verdict, brake_mission,
                     circle_mission, genetic_search, hill_climb, hold_mission,
                     query_count, reset_query_count, return_home_mission,
                     routh_stable, simulate)
@@ -48,6 +48,48 @@ class TestOracleConfig:
         # run j seeds its noise with base_seed + j, and numpy takes no negative seed
         with pytest.raises(ValueError, match="base_seed must be >= 0"):
             OracleConfig(base_seed=-1)
+
+    @pytest.mark.parametrize("key,value", [
+        ("repeats", 3.0), ("repeats", True), ("repeats", "3"), ("window", 2.5),
+        ("window", 200.0), ("window", True), ("base_seed", float("nan")),
+        ("base_seed", 1.0), ("base_seed", False)])
+    def test_counts_must_be_ints(self, key, value):
+        # repeats=3.0 used to pass and then fail the first classify in range()
+        online = {"kind": "online", "window": 200}
+        with pytest.raises(ValueError, match=f"{key} must be an integer") as err:
+            OracleConfig(**{**online, key: value})
+        assert str(err.value).partition(" ")[0] == key
+
+
+class TestJudge:
+    """OracleConfig checks a run against a formula and votes on the checks."""
+
+    FORMULA = And((Globally(Atom("x", "<", 99), label="easy"),
+                   Globally(Atom("x", "<", -99)),
+                   Globally(Atom("x", "<", -98), label="later")))
+
+    def test_check_names_the_first_failing_conjunct(self):
+        run = simulate(PlantModel(), PidConfig(1, 0.5, 1), SHORT_HOLD)
+        for cfg in (OracleConfig(), OracleConfig(kind="online", window=50)):
+            assert cfg.check(self.FORMULA, run) == (False, "conjunct_1")
+            assert cfg.check(self.FORMULA.children[0], run) == (True, None)
+            assert cfg.check(Globally(Atom("x", ">", 99), label="far"), run) == (False, "far")
+
+    def test_check_reads_only_the_samples_it_is_given(self):
+        run = simulate(PlantModel(), PidConfig(3, 1, 2), SHORT_HOLD)
+        spec = Globally(Atom("t", "<", 0.5), label="early")
+        for cfg in (OracleConfig(), OracleConfig(kind="online", window=5)):
+            assert cfg.check(spec, run.head(50)) == (True, None)
+            assert cfg.check(spec, run) == (False, "early")
+
+    @pytest.mark.parametrize("checks,verdict", [
+        ([(True, None)], Verdict(True, None, 1, 1)),
+        ([(False, "a")], Verdict(False, "a", 1, 0)),
+        ([(False, "a"), (True, None), (False, "b")], Verdict(False, "a", 3, 1)),
+        ([(True, None), (False, "b"), (True, None)], Verdict(True, None, 3, 2)),
+        ([(True, None), (False, "b"), (False, "c")], Verdict(False, "b", 3, 1))])
+    def test_vote_is_the_majority_and_names_the_first_failing_run(self, checks, verdict):
+        assert OracleConfig(repeats=len(checks)).vote(iter(checks)) == verdict
 
 
 class TestSimulationValidator:
@@ -141,7 +183,8 @@ class TestMajorityVoting:
             # no run is linear, so every run is a scripted simulate call
             monkeypatch.setattr(validator_module, "simulate_linear", lambda *a, **k: None)
             monkeypatch.setattr(validator_module, "simulate", fake_simulate)
-            v._check = lambda k: (True, None) if outcomes[k] else (False, "scripted")
+            monkeypatch.setattr(OracleConfig, "check", lambda self, formula, k:
+                                (True, None) if outcomes[k] else (False, "scripted"))
             return v, calls
         return make
 
@@ -249,24 +292,21 @@ class TestVerdictMemo:
             assert {verdict.valid for verdict in fresh} == {True, False}
 
     def test_given_runs_are_judged_without_simulating(self, sim_calls):
-        # a validator with another kind or window but the same plant, mission,
-        # repeats and base_seed votes on the runs another's _checks checks
+        # a judge with another kind or window but the same repeats and
+        # base_seed votes on the runs the validator builds for its own cfg
         off = SimulationValidator(self.PLANT, SHORT_HOLD, self.CFG)
-        on = SimulationValidator(self.PLANT, SHORT_HOLD,
-                                 OracleConfig(kind="online", window=100,
-                                              repeats=3, base_seed=5))
-        for pid, checks in off._checks(list(self.PIDS),
-                                       lambda run: (off._check(run), on._check(run))):
-            off_checks, on_checks = zip(*checks)
-            assert off._tally(off_checks) == SimulationValidator(
+        on_cfg = OracleConfig(kind="online", window=100, repeats=3, base_seed=5)
+        for pid, (off_verdict, on_verdict) in off._verdicts(
+                list(self.PIDS), ((self.CFG, None), (on_cfg, None))):
+            assert off_verdict == SimulationValidator(
                 self.PLANT, SHORT_HOLD, self.CFG).classify(pid)
-            assert on._tally(on_checks) == SimulationValidator(
-                self.PLANT, SHORT_HOLD, on.cfg).classify(pid)
-        # _checks once per pid, then the two fresh validators per pid;
-        # _checks counts no query and fills no memo
+            assert on_verdict == SimulationValidator(
+                self.PLANT, SHORT_HOLD, on_cfg).classify(pid)
+        # _verdicts once per pid, then the two fresh validators per pid;
+        # _verdicts counts no query and fills no memo
         assert len(sim_calls) == 3 * 3 * len(self.PIDS)
         assert query_count() == 2 * len(self.PIDS)
-        assert off._memo == on._memo == {}
+        assert off._memo == {}
 
 
 class TestBaselinesOnTheMemo:
@@ -465,8 +505,9 @@ class TestSimulationClassifyMany:
                             lambda plant, pid, mission: plant.noise.seed)
         monkeypatch.setattr(validator_module, "simulate_batch",
                             lambda plant, pids, mission: [plant.noise.seed] * len(pids))
+        monkeypatch.setattr(OracleConfig, "check",
+                            lambda self, formula, seed: (seed == 8, f"clause_{seed}"))
         v = self.fresh(OracleConfig(repeats=3, base_seed=7))
-        v._check = lambda seed: (seed == 8, f"clause_{seed}")
         assert v.classify_many(self.PIDS[:2]) == [v.classify(self.PIDS[2])] * 2
         assert v.classify(self.PIDS[2]).violated_spec == "clause_7"
 
@@ -490,10 +531,11 @@ class TestSimulationClassifyMany:
         a, b = self.PIDS[:2]
         assert v.classify(a) == real(self.fresh(), [a])[0]
         assert asked == [[a]] and query_count() == 2
-        # _checks simulates without a query or a memo entry; classify_many keeps both
-        [(pid, checks)] = v._checks([b], v._check)
-        assert pid == b and len(checks) == 1 and query_count() == 2
-        assert v.classify(b) == v.classify_many([b])[0]
+        # _verdicts simulates without a query or a memo entry; classify_many keeps both
+        [(pid, verdicts)] = v._verdicts([b], ((v.cfg, None),))
+        assert pid == b and len(verdicts) == 1 and verdicts[0].runs == 1
+        assert query_count() == 2
+        assert v.classify(b) == v.classify_many([b])[0] == verdicts[0]
         assert asked == [[a], [b], [b]]
         assert len(sim_calls) == 4 and query_count() == 4
 
@@ -562,8 +604,9 @@ class TestLinearRoute:
     PID = PidConfig(1.0, 0.5, 1.0)
 
     def exact(self, v, pid):
-        """The verdict from simulate and _check alone, seed by seed."""
-        return v._tally([v._check(simulate(plant, pid, v.mission)) for plant in v._plants()])
+        """The verdict from simulate and cfg.check alone, seed by seed."""
+        return v.cfg.vote([v.cfg.check(v.formula, simulate(plant, pid, v.mission))
+                           for plant in v._plants()])
 
     def test_a_threshold_at_a_samples_error_takes_simulate(self, freed_runs):
         run = simulate_linear(self.PLANT, self.PID, SHORT_HOLD)
