@@ -56,7 +56,7 @@ class NoiseSpec:
     disturbance_amp / disturbance_freq: a deterministic sawtooth
         amp * (2*frac(freq*t) - 1) added to the actuator command. Disabled
         unless both are > 0.
-    seed: RNG seed for the sensor noise stream.
+    seed: RNG seed for the sensor noise stream, an int >= 0.
     """
 
     sensor_sigma: float = 0.0
@@ -69,6 +69,10 @@ class NoiseSpec:
             value = getattr(self, key)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{key} must be >= 0 and finite, got {value!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ edge into the next column.
 
 Also ships the three black-box baselines (random fuzzing with local
 guidance, hill climbing, a small genetic algorithm) used for comparison at
-equal query budgets.
+equal query budgets. A baseline is only a policy: a generator of grid
+indices, sent back whether each probe was invalid. One driver, _spend,
+checks the integer budget, asks the oracle and collects the invalid configs.
 """
 
 from __future__ import annotations
@@ -265,17 +267,10 @@ def _search_plane(space, validator, p_idx, dsoff):
         else:
             # ablated variant: no downward search, keep the carried height
             status, i_idx = BOUNDARY, carry
-        p_val = space.p_value(p_idx)
-        d_val = space.d_value(d_idx)
-        if status == BOUNDARY:
-            records.append(ColumnRecord(p_val, d_val, BOUNDARY, space.i_value(i_idx)))
-            carry = i_idx
-        elif status == ALL_VALID:
-            records.append(ColumnRecord(p_val, d_val, ALL_VALID, None))
-            carry = space.n_i - 1
-        else:
-            records.append(ColumnRecord(p_val, d_val, ALL_INVALID, None))
-            carry = 0
+        records.append(ColumnRecord(space.p_value(p_idx), space.d_value(d_idx), status,
+                                    None if i_idx is None else space.i_value(i_idx)))
+        # the next column enters at this boundary, or at the edge the walk left by
+        carry = {BOUNDARY: i_idx, ALL_VALID: space.n_i - 1, ALL_INVALID: 0}[status]
     return records
 
 
@@ -296,6 +291,35 @@ def identify_boundary(space, validator, *, workers=1, dsoff=False):
     return BoundaryLine(space=space, columns=[
         c for p_idx in range(space.n_p)
         for c in _search_plane(space, validator, p_idx, dsoff=dsoff)])
+
+
+def _spend(space, validator, budget, probes):
+    """The invalid configs among the first budget grid indices probes yields.
+
+    probes is sent back whether each probe was invalid, and is never resumed
+    after the last query budget allows. budget must be an int >= 1.
+    """
+    if type(budget) is not int:
+        raise ValueError(f"budget must be an integer, got {budget!r}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget!r}")
+    found = set()
+    bad = None
+    for _ in range(budget):
+        try:
+            idx = probes.send(bad)
+        except StopIteration:
+            break
+        pid = space.pid_at(*idx)
+        bad = not validator.classify(pid).valid
+        if bad:
+            found.add(pid)
+    return found
+
+
+def _draw(space, rng):
+    """A uniform random grid index; kp, ki and kd are drawn in that order."""
+    return rng.randrange(space.n_p), rng.randrange(space.n_i), rng.randrange(space.n_d)
 
 
 def _neighbor(space, rng, idx):
@@ -320,14 +344,14 @@ def random_fuzz(space, validator, *, budget=100, seed=0):
     Spends exactly `budget` oracle queries (or stops early once the whole
     grid has been probed) and returns the set of invalid configs found.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget!r}")
-    rng = random.Random(seed)
+    return _spend(space, validator, budget, _fuzz(space, random.Random(seed)))
+
+
+def _fuzz(space, rng):
     total = space.size()
     probed = set()
-    found = set()
     guide = None
-    while len(probed) < min(budget, total):
+    while len(probed) < total:
         idx = None
         if guide is not None:
             cand = _neighbor(space, rng, guide)
@@ -342,11 +366,8 @@ def random_fuzz(space, validator, *, budget=100, seed=0):
             if cand not in probed:
                 idx = cand
         probed.add(idx)
-        pid = space.pid_at(*idx)
-        if not validator.classify(pid).valid:
-            found.add(pid)
+        if (yield idx):
             guide = idx
-    return found
 
 
 def hill_climb(space, validator, *, budget=100, seed=0):
@@ -356,36 +377,23 @@ def hill_climb(space, validator, *, budget=100, seed=0):
     neighbor is invalid (the quantity being maximized); restarts after
     MAX_STALL consecutive valid proposals. Returns invalid configs found.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget!r}")
-    rng = random.Random(seed)
-    found = set()
-    spent = 0
+    return _spend(space, validator, budget, _climb(space, random.Random(seed)))
 
-    def probe(idx):
-        nonlocal spent
-        spent += 1
-        pid = space.pid_at(*idx)
-        bad = not validator.classify(pid).valid
-        if bad:
-            found.add(pid)
-        return bad
 
-    while spent < budget:
-        current = (rng.randrange(space.n_p), rng.randrange(space.n_i),
-                   rng.randrange(space.n_d))
-        probe(current)
+def _climb(space, rng):
+    while True:
+        current = _draw(space, rng)
+        yield current
         stall = 0
-        while spent < budget and stall < MAX_STALL:
+        while stall < MAX_STALL:
             cand = _neighbor(space, rng, current)
             if cand is None:
                 break
-            if probe(cand):
+            if (yield cand):
                 current = cand
                 stall = 0
             else:
                 stall += 1
-    return found
 
 
 def genetic_search(space, validator, *, budget=100, seed=0):
@@ -397,45 +405,22 @@ def genetic_search(space, validator, *, budget=100, seed=0):
     evaluated individual costs one query and the run stops exactly at the
     budget. Returns invalid configs found.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget!r}")
-    rng = random.Random(seed)
-    found = set()
-    spent = 0
+    return _spend(space, validator, budget, _evolve(space, random.Random(seed)))
 
-    def evaluate(idx):
-        nonlocal spent
-        spent += 1
-        pid = space.pid_at(*idx)
-        bad = not validator.classify(pid).valid
-        if bad:
-            found.add(pid)
-        return 1 if bad else 0
 
-    total = space.size()
-    pop_size = min(POP_SIZE, total, budget)
+def _evolve(space, rng):
+    pop_size = min(POP_SIZE, space.size())
     pop = []
     seen = set()
     while len(pop) < pop_size:
-        idx = (rng.randrange(space.n_p), rng.randrange(space.n_i),
-               rng.randrange(space.n_d))
-        if idx in seen:
-            continue
-        seen.add(idx)
-        pop.append((idx, evaluate(idx)))
-
-    def pick():
-        best = None
-        for _ in range(TOURNAMENT):
-            cand = pop[rng.randrange(len(pop))]
-            if best is None or cand[1] > best[1]:
-                best = cand
-        return best[0]
-
-    while spent < budget:
+        idx = _draw(space, rng)
+        if idx not in seen:
+            seen.add(idx)
+            pop.append((idx, (yield idx)))
+    while True:
         nxt = []
-        while len(nxt) < pop_size and spent < budget:
-            mom, dad = pick(), pick()
+        while len(nxt) < pop_size:
+            mom, dad = _tournament(pop, rng), _tournament(pop, rng)
             cut = rng.randint(1, 2)
             child = list(mom[:cut] + dad[cut:])
             for dim in range(3):
@@ -443,10 +428,18 @@ def genetic_search(space, validator, *, budget=100, seed=0):
                     limit = (space.n_p, space.n_i, space.n_d)[dim]
                     child[dim] = min(limit - 1, max(0, child[dim] + rng.choice((-1, 1))))
             idx = tuple(child)
-            nxt.append((idx, evaluate(idx)))
-        if nxt:
-            pop = nxt
-    return found
+            nxt.append((idx, (yield idx)))
+        pop = nxt
+
+
+def _tournament(pop, rng):
+    """The fittest of TOURNAMENT random (index, invalid) entries of pop."""
+    best = None
+    for _ in range(TOURNAMENT):
+        cand = pop[rng.randrange(len(pop))]
+        if best is None or cand[1] > best[1]:
+            best = cand
+    return best[0]
 
 
 def boundary_to_csv(bl, path):

@@ -8,7 +8,7 @@ map path coordinates back to (kd, ki) values.
 
 from __future__ import annotations
 
-from .evalkit import INVALID, VALID
+from .evalkit import INVALID
 from .search import BOUNDARY
 
 WIDTH = 640

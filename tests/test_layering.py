@@ -5,6 +5,9 @@ it. Dunders are exempt. Two shapes break that rule:
 - `from .x import _name`, a private name imported from another module;
 - `obj._name`, where obj is not self or cls and no code in this module
   defines _name (a def, a class, or an assignment to a name or attribute).
+
+Every name a module imports is used in it, too; `__init__.py` is exempt,
+because its imports are the package's exports.
 """
 
 import ast
@@ -47,9 +50,53 @@ def violations(source, filename):
     return [f"{filename}:{line}: {what}" for line, what in sorted(found)]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def unused_imports(source, filename):
+    """'filename:line: imports name and never uses it' for each such name."""
+    tree = ast.parse(source, filename)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # import a.b binds a
+            imported += [(node.lineno, alias.asname or alias.name.partition(".")[0])
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{filename}:{line}: imports {name} and never uses it"
+            for line, name in sorted(imported) if name not in used]
+
+
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_reaches_a_private_name_of_another(path):
     assert violations(path.read_text(), path.name) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_does_not_use(path):
+    assert unused_imports(path.read_text(), path.name) == []
+
+
+def test_unused_imports_are_caught():
+    source = '''
+from __future__ import annotations
+import os.path
+import sys
+import numpy as np
+from .evalkit import INVALID, VALID
+from .plant import PidConfig as Pid
+
+
+def f(x: Pid) -> None:
+    return os.path.join(INVALID, np.nan)
+'''
+    assert unused_imports(source, "m.py") == [
+        "m.py:4: imports sys and never uses it",
+        "m.py:6: imports VALID and never uses it"]
 
 
 def test_both_shapes_are_caught():

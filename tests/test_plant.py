@@ -50,6 +50,10 @@ class TestConfigValidation:
         (return_home_mission, {"settle_deadline": 70}, "settle_deadline"),
         (return_home_mission, {"eps_mono": 0}, "eps_mono"),
         (return_home_mission, {"mono_margin": -1}, "mono_margin"),
+        # numpy would refuse -1 and 1.5 only at the first simulate, and run True as 1
+        (NoiseSpec, {"seed": -1}, "seed"),
+        (NoiseSpec, {"seed": 1.5}, "seed"),
+        (NoiseSpec, {"seed": True}, "seed"),
     ])
     def test_builder_errors_lead_with_the_key(self, builder, kwargs, key):
         # the config loader points at the line of the key a message starts with

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -284,12 +287,47 @@ def tiny_space():
     return ParamSpace(1.0, 1.0, 1.0, 0.5, 1.5, 0.5, 0.0, 0.5, 0.5)
 
 
-@pytest.mark.parametrize("budget", [0, -3])
+@pytest.mark.parametrize("budget,message", [
+    (0, "budget must be at least 1, got 0"),
+    (-3, "budget must be at least 1, got -3"),
+    # unchecked, 2.5 would spend 3 queries and True 1
+    (2.5, "budget must be an integer, got 2.5"),
+    (True, "budget must be an integer, got True")])
 @pytest.mark.parametrize("fn", [random_fuzz, hill_climb, genetic_search])
-def test_a_budget_below_one_is_refused_before_any_query(fn, budget):
-    with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+def test_a_budget_below_one_is_refused_before_any_query(fn, budget, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         fn(worked_space(), RouthValidator(1, 1), budget=budget, seed=0)
     assert query_count() == 0
+
+
+class Recording(LookupValidator):
+    """LookupValidator that keeps every pid it is asked about, in order."""
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.asked = []
+
+    def classify(self, pid):
+        self.asked.append(pid)
+        return super().classify(pid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fn=st.sampled_from([random_fuzz, hill_climb, genetic_search]),
+       shape=st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4)),
+       table_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16),
+       b=st.integers(1, 60), more=st.integers(1, 60))
+def test_a_budget_cuts_the_query_sequence_short(fn, shape, table_seed, seed, b, more):
+    n_p, n_i, n_d = shape
+    s = ParamSpace(0.0, n_p - 1.0, 1.0, 0.0, n_i - 1.0, 1.0, 0.0, n_d - 1.0, 1.0)
+    rng = random.Random(table_seed)
+    valid = {s.pid_at(*idx): rng.random() < 0.5 for idx in s.iter_indices()}
+    short, long = Recording(valid.__getitem__), Recording(valid.__getitem__)
+    found = fn(s, short, budget=b, seed=seed)
+    fn(s, long, budget=b + more, seed=seed)
+    # a larger budget only appends queries; the cut changes nothing before it
+    assert short.asked == long.asked[:b]
+    assert found == {pid for pid in short.asked if not valid[pid]}
 
 
 class TestRandomFuzz:
