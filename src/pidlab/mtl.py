@@ -21,11 +21,16 @@ resolved there and are treated as satisfied, which is exactly why
 long-horizon Eventually properties can slip past an online monitor. Online
 blocks hold at most _BLOCK_ELEMS samples (or one window, if that is
 longer), and the first block with a violated window ends the evaluation.
+
+parse_formula reads the text syntax given at the end of this module. Time
+bounds must be finite seconds with 0 <= lo <= hi and no number may be NaN;
+every malformed text raises MtlSyntaxError with a character offset.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,8 @@ COMPARATORS = ("<", "<=", ">", ">=", "=")
 # Samples (window starts x window offsets) per block of eval_online; fixes
 # its working set whatever the trace length or window.
 _BLOCK_ELEMS = 1 << 16
+# Sample offset that stands for a time bound past any trace.
+_FAR = 1 << 62
 
 
 class MtlSyntaxError(ValueError):
@@ -59,6 +66,8 @@ class Prev:
     def __post_init__(self):
         if self.signal not in SIGNALS or self.signal == "mode":
             raise ValueError(f"prev() not defined for signal {self.signal!r}")
+        if math.isnan(self.offset):
+            raise ValueError("prev() offset is NaN")
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,8 @@ class Atom:
                 raise ValueError("mode atoms support only '=' against a mode name")
         elif isinstance(self.rhs, str):
             raise ValueError("string rhs is only valid for the mode signal")
+        elif isinstance(self.rhs, float) and math.isnan(self.rhs):
+            raise ValueError(f"threshold for {self.signal!r} is NaN")
 
 
 @dataclass(frozen=True)
@@ -108,8 +119,8 @@ class Implies:
 def _check_bounds(t_lo, t_hi):
     if (t_lo is None) != (t_hi is None):
         raise ValueError("temporal bounds must be both set or both omitted")
-    if t_lo is not None and (t_lo < 0 or t_hi < t_lo):
-        raise ValueError("need 0 <= t_lo <= t_hi")
+    if t_lo is not None and not 0 <= t_lo <= t_hi < math.inf:
+        raise ValueError(f"need 0 <= t_lo <= t_hi < inf, got [{t_lo} {t_hi}]")
 
 
 @dataclass(frozen=True)
@@ -161,11 +172,11 @@ def _eval_atom(node, ctx):
 
 
 def _offsets(node, dt):
-    """Interval bounds as sample offsets, rounded toward the interval interior."""
+    """Interval bounds as sample offsets, rounded inward and capped at _FAR."""
     if node.t_lo is None:
         return 0, None
-    lo = max(0, math.ceil(node.t_lo / dt - 1e-9))
-    hi = math.floor(node.t_hi / dt + 1e-9)
+    lo = max(0, math.ceil(min(node.t_lo / dt - 1e-9, _FAR)))
+    hi = math.floor(min(node.t_hi / dt + 1e-9, _FAR))
     return lo, hi
 
 
@@ -408,147 +419,98 @@ def circle_lap_spec(mission, reach_frac=0.8):
 #   rhs     = number | modename | (prev sig) | (+ (prev sig) number)
 # ---------------------------------------------------------------------------
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()[]":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "()[]":
-            j += 1
-        tokens.append((text[i:j], i))
-        i = j
-    return tokens
+_TOKEN = re.compile(r"[()\[\]]|[^\s()\[\]]+")
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def parse_formula(text):
+    """Parse the prefix syntax into a formula tree. Raises MtlSyntaxError."""
+    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)][::-1]
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, len(self.text))
+    def peek():
+        return tokens[-1] if tokens else (None, len(text))
 
-    def take(self, expect=None):
-        tok, at = self.peek()
+    def take(expect=None):
+        tok, at = peek()
         if tok is None:
             raise MtlSyntaxError("unexpected end of formula", at)
         if expect is not None and tok != expect:
             raise MtlSyntaxError(f"expected {expect!r}, got {tok!r}", at)
-        self.pos += 1
-        return tok, at
+        return tokens.pop()
 
-    def number(self):
-        tok, at = self.take()
+    def build(make, at, *args):
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise MtlSyntaxError(str(exc), at) from None
+
+    def number():
+        tok, at = take()
         try:
             return float(tok)
         except ValueError:
             raise MtlSyntaxError(f"expected a number, got {tok!r}", at) from None
 
-    def signal(self):
-        tok, at = self.take()
+    def signal():
+        tok, at = take()
         if tok == "(":
-            head, hat = self.take()
-            if head != "abs":
-                raise MtlSyntaxError(f"unknown signal form {head!r}", hat)
-            inner, iat = self.take()
-            if inner != "e":
-                raise MtlSyntaxError("abs is only defined for e", iat)
-            self.take(")")
+            for want in ("abs", "e", ")"):
+                take(want)
             return "abs_e"
         if tok not in SIGNALS or tok == "abs_e":
             raise MtlSyntaxError(f"unknown signal {tok!r}", at)
         return tok
 
-    def rhs(self):
-        tok, at = self.peek()
-        if tok == "(":
-            self.take("(")
-            head, hat = self.take()
-            if head == "prev":
-                sig = self.signal()
-                self.take(")")
-                return Prev(sig)
-            if head == "+":
-                self.take("(")
-                inner, iat = self.take()
-                if inner != "prev":
-                    raise MtlSyntaxError("only (+ (prev sig) number) is supported", iat)
-                sig = self.signal()
-                self.take(")")
-                off = self.number()
-                self.take(")")
-                return Prev(sig, off)
-            raise MtlSyntaxError(f"unknown rhs form {head!r}", hat)
-        tok, at = self.take()
-        try:
-            return float(tok)
-        except ValueError:
-            return tok  # mode name
-
-    def bounds(self):
-        tok, _ = self.peek()
-        if tok != "[":
-            return None, None
-        self.take("[")
-        lo = self.number()
-        hi = self.number()
-        self.take("]")
-        return lo, hi
-
-    def formula(self):
-        _, at = self.take("(")
-        head, hat = self.take()
-        if head in COMPARATORS:
-            sig = self.signal()
-            rhs = self.rhs()
-            self.take(")")
+    def rhs():
+        tok, at = take()
+        if tok != "(":
             try:
-                return Atom(sig, head, rhs)
-            except ValueError as exc:
-                raise MtlSyntaxError(str(exc), at) from None
-        if head == "not":
-            child = self.formula()
-            self.take(")")
-            return Not(child)
-        if head in ("and", "or"):
-            kids = [self.formula()]
-            while self.peek()[0] == "(":
-                kids.append(self.formula())
-            self.take(")")
+                return float(tok)
+            except ValueError:
+                return tok  # mode name
+        head, hat = take()
+        if head == "prev":
+            sig, off = signal(), 0.0
+        elif head == "+":
+            take("(")
+            take("prev")
+            sig = signal()
+            take(")")
+            off = number()
+        else:
+            raise MtlSyntaxError(f"unknown rhs form {head!r}", hat)
+        take(")")
+        return build(Prev, at, sig, off)
+
+    def formula():
+        _, at = take("(")
+        head, hat = take()
+        if head in COMPARATORS:
+            make, args = Atom, (signal(), head, rhs())
+        elif head == "not":
+            make, args = Not, (formula(),)
+        elif head == "=>":
+            make, args = Implies, (formula(), formula())
+        elif head in ("and", "or"):
+            kids = [formula()]
+            while peek()[0] == "(":
+                kids.append(formula())
             if len(kids) < 2:
                 raise MtlSyntaxError(f"{head} needs at least two operands", hat)
-            return And(tuple(kids)) if head == "and" else Or(tuple(kids))
-        if head == "=>":
-            lhs = self.formula()
-            rhs = self.formula()
-            self.take(")")
-            return Implies(lhs, rhs)
-        if head in ("G", "E"):
-            lo, hi = self.bounds()
-            child = self.formula()
-            self.take(")")
-            cls = Globally if head == "G" else Eventually
-            try:
-                return cls(child, t_lo=lo, t_hi=hi)
-            except ValueError as exc:
-                raise MtlSyntaxError(str(exc), at) from None
-        raise MtlSyntaxError(f"unknown operator {head!r}", hat)
+            make, args = (And if head == "and" else Or), (tuple(kids),)
+        elif head in ("G", "E"):
+            lo = hi = None
+            if peek()[0] == "[":
+                take("[")
+                lo, hi = number(), number()
+                take("]")
+            make, args = (Globally if head == "G" else Eventually), (formula(), lo, hi)
+        else:
+            raise MtlSyntaxError(f"unknown operator {head!r}", hat)
+        take(")")
+        return build(make, at, *args)
 
-
-def parse_formula(text):
-    """Parse the prefix syntax into a formula tree. Raises MtlSyntaxError."""
-    parser = _Parser(text)
-    node = parser.formula()
-    tok, at = parser.peek()
+    node = formula()
+    tok, at = peek()
     if tok is not None:
         raise MtlSyntaxError(f"trailing input {tok!r}", at)
     return node

@@ -8,6 +8,8 @@ map path coordinates back to (kd, ki) values.
 
 from __future__ import annotations
 
+import html
+
 from .evalkit import INVALID
 from .search import BOUNDARY
 
@@ -125,6 +127,6 @@ def render_plane(space, p_value, grid=None, boundary=None, theory=None,
                  f'text-anchor="middle" transform="rotate(-90 16 {MT + tr.ph / 2:.2f})">ki</text>')
     text = title if title is not None else f"kp = {p_value:g}"
     parts.append(f'<text x="{WIDTH / 2:.0f}" y="14" font-size="13" '
-                 f'text-anchor="middle">{text}</text>')
+                 f'text-anchor="middle">{html.escape(text)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -72,6 +72,13 @@ NOT_A_KEY = [
     ("search seed", None, "\n[search]\nseed = nan\n", "[search] seed is not a config key"),
 ]
 
+# (case, None to append, new text): formulas that fit the grammar but that the
+# reader refuses, and that would otherwise crash the first oracle query
+BAD_FORMULA = [
+    ("inf bound", None, "\n[oracle]\nformula = (G [0 inf] (< (abs e) 2.0))\n"),
+    ("prev mode", None, "\n[oracle]\nformula = (G (< x (prev mode)))\n"),
+]
+
 
 def edit(text, old, new):
     return text.replace(old, new) if old else text + new
@@ -169,6 +176,8 @@ strides = 1 2 1
     ] + [
         (lambda t, new=new: t + new, f"[oracle] {message}")
         for _, _, new, message in ORACLE_KIND
+    ] + [
+        (lambda t, new=new: t + new, "[oracle] formula") for _, _, new in BAD_FORMULA
     ])
     def test_bad_configs_raise(self, config, mutate, fragment):
         config.write_text(mutate(BASE_CONFIG))
@@ -191,7 +200,8 @@ strides = 1 2 1
                             ("hold_tol", "hold_tol = 0.05", "hold_tol = 0"),
                             ("settle_deadline", "settle_deadline = 8", "settle_deadline = 70"),
                             ("p_step", "p_step = 1.0", "p_step = -1"),
-                            ] + NON_FINITE + [case[:3] for case in NOT_A_KEY + ORACLE_KIND]:
+                            ] + NON_FINITE + BAD_FORMULA + [case[:3] for case in
+                                                            NOT_A_KEY + ORACLE_KIND]:
             text = edit(BASE_CONFIG, old, new)
             config.write_text(text)
             with pytest.raises(ConfigError) as err:
@@ -309,6 +319,17 @@ class TestGroundTruthCommand:
         at = text.splitlines().index(new.splitlines()[0]) + 1
         err = capsys.readouterr().err
         assert f"run.ini:{at}: {fragment}" in err
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("new", [case[2] for case in BAD_FORMULA],
+                             ids=[case[0] for case in BAD_FORMULA])
+    def test_refused_formula_exit_code(self, config, tmp_path, capsys, new):
+        text = BASE_CONFIG + new
+        config.write_text(text)
+        assert main(["ground-truth", "--config", str(config),
+                     "--out", str(tmp_path / "gt.csv")]) == 2
+        at = text.splitlines().index(new.strip().splitlines()[-1]) + 1
+        assert f"run.ini:{at}: [oracle] formula: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
 
     def test_negative_base_seed_exit_code(self, config, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pidlab import (PidConfig, PlantModel, brake_mission, circle_mission,
@@ -473,6 +474,33 @@ class TestOfflineSemantics:
         assert eval_offline(Atom("mode", "=", "brake"), traj)
         assert not eval_offline(Atom("mode", "=", "hold"), traj)
 
+    @pytest.mark.parametrize("dt", [1.0, 0.01, 1e-300])
+    @pytest.mark.parametrize("cls", [Globally, Eventually])
+    def test_a_bound_past_any_trace_acts_as_no_bound(self, cls, dt):
+        # t_hi / dt overflows a float here; the offset saturates instead
+        for x in ([0, 0, 0, 0, 0, 2, 0, 0], [2, 2, 0, 2, 2, 2, 2, 2], [0] * 8):
+            traj = make_traj(x, dt=dt)
+            far, free = cls(Atom("x", "<", 1), 0.0, 1e308), cls(Atom("x", "<", 1))
+            assert eval_offline(far, traj) == eval_offline(free, traj)
+            for w in (2, 3, 9):
+                assert eval_online(far, traj, w) == eval_online(free, traj, w)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Globally(Atom("x", "<", 1), 0.0, math.inf),
+        lambda: Eventually(Atom("x", "<", 1), math.nan, 1.0),
+        lambda: Globally(Atom("x", "<", 1), 2.0, 1.0),
+        lambda: Atom("x", "<", math.nan),
+        lambda: Atom("x", "<", Prev("x", math.nan)),
+    ])
+    def test_non_finite_bounds_and_nan_numbers_are_refused(self, make):
+        with pytest.raises(ValueError, match="need 0 <= t_lo <= t_hi|NaN"):
+            make()
+
+    def test_an_infinite_threshold_means_finite(self):
+        traj = make_traj([0.0, -5.0, math.inf])
+        assert eval_offline(Atom("abs_e", "<", math.inf), traj)
+        assert not eval_offline(Globally(Atom("abs_e", "<", math.inf)), traj)
+
 
 class TestOnlineSemantics:
     def test_window_covering_trace_equals_offline(self):
@@ -630,6 +658,8 @@ class TestParser:
     @pytest.mark.parametrize("text", [
         "", "(G", "(G x)", "(< q 1)", "(< x one)", "(foo x 1)",
         "(= x hold)", "(G [1] (< x 1))", "(< x 1) junk", "(and (< x 1))",
+        "(< x (prev mode))", "(< x (+ (prev mode) 1))", "(G [0 inf] (< x 1))",
+        "(G [nan 1] (< x 1))", "(< x nan)",
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(MtlSyntaxError):
@@ -723,3 +753,64 @@ def test_atom_margin_edge_cases():
     assert mtl.atom_margin(Atom("t", ">", Prev("x")), traj) == 0.5
     nan = make_traj([0.0, float("nan")])
     assert math.isnan(mtl.atom_margin(Atom("x", "<", 5.0), nan))
+
+
+# ---------------------------------------------------------------------------
+# parse_formula against a printer of the same grammar
+# ---------------------------------------------------------------------------
+
+def formula_text(f):
+    """f in the README's prefix syntax; f-strings spell floats as repr does."""
+    if isinstance(f, Atom):
+        name = {"abs_e": "(abs e)"}
+        rhs = f.rhs
+        if isinstance(rhs, Prev):
+            prev = f"(prev {name.get(rhs.signal, rhs.signal)})"
+            rhs = f"(+ {prev} {rhs.offset})" if rhs.offset else prev
+        return f"({f.op} {name.get(f.signal, f.signal)} {rhs})"
+    if isinstance(f, Not):
+        return f"(not {formula_text(f.child)})"
+    if isinstance(f, (And, Or)):
+        head = "and" if isinstance(f, And) else "or"
+        return f"({head} " + " ".join(map(formula_text, f.children)) + ")"
+    if isinstance(f, Implies):
+        return f"(=> {formula_text(f.lhs)} {formula_text(f.rhs)})"
+    head = "G" if isinstance(f, Globally) else "E"
+    bounds = "" if f.t_lo is None else f"[{f.t_lo} {f.t_hi}] "
+    return f"({head} {bounds}{formula_text(f.child)})"
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=formulas() | margin_formulas())
+def test_every_tree_round_trips_through_its_text(f):
+    assert parse_formula(formula_text(f)) == f
+
+
+_EDITS = st.tuples(st.sampled_from(["delete", "swap", "replace", "insert"]),
+                   st.integers(0, 99), st.integers(0, 99),
+                   st.sampled_from(["(", ")", "[", "]", "mode", "nan", "inf", "1e308",
+                                    "prev", "x"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(f=formulas() | margin_formulas(), edits=st.lists(_EDITS, min_size=1, max_size=2))
+@example(f=Atom("x", "<", Prev("x")), edits=[("replace", 5, 0, "mode")])
+def test_edited_text_parses_or_fails_with_an_offset(f, edits):
+    """One or two token edits (edit, position, other position, new token) of
+    a printed formula: the result parses or is an MtlSyntaxError pointing
+    into the text, never another exception."""
+    tokens = re.findall(r"[()\[\]]|[^\s()\[\]]+", formula_text(f))
+    for edit, i, j, new in edits:
+        i %= len(tokens) + (edit == "insert")
+        if edit == "delete":
+            del tokens[i]
+        elif edit == "swap":
+            j %= len(tokens)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i:i + (edit == "replace")] = [new]
+    text = " ".join(tokens)
+    try:
+        parse_formula(text)
+    except MtlSyntaxError as err:
+        assert err.pos is not None and 0 <= err.pos <= len(text)

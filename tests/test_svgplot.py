@@ -1,4 +1,5 @@
 import re
+from xml.etree import ElementTree
 
 import pytest
 
@@ -66,6 +67,10 @@ class TestRenderPlane:
     def test_custom_title(self):
         svg = render_plane(worked_space(), 1.0, title="sweep 7")
         assert "sweep 7" in svg and "kp = 1" not in svg
+        # markup characters are escaped, so the document stays well-formed
+        title = "R&D <x> \"q\" 'p'"
+        root = ElementTree.fromstring(render_plane(worked_space(), 1.0, title=title))
+        assert root.findall(".//{*}text")[-1].text == title
 
     def test_cells_match_labels(self):
         s = worked_space()
