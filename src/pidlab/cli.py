@@ -26,8 +26,7 @@ from .evalkit import (compute_metrics, configs_from_csv, configs_to_csv,
                       grid_from_csv, grid_to_csv, ground_truth,
                       region_from_boundary)
 from .mtl import MtlSyntaxError, parse_formula
-from .plant import (NoiseSpec, PlantModel, brake_mission, circle_mission,
-                    hold_mission, return_home_mission, sample_count)
+from .plant import MODES, NoiseSpec, PlantModel, sample_count
 from .search import (ParamSpace, boundary_from_csv, boundary_to_csv,
                      genetic_search, hill_climb, identify_boundary, random_fuzz)
 from .stability import theoretical_boundary
@@ -35,10 +34,6 @@ from .svgplot import render_plane
 from .validator import OracleConfig, SimulationValidator, query_count
 
 ALGORITHMS = ("boundary", "boundary-dsoff", "random-fuzz", "hill-climb", "genetic")
-
-_MISSION_BUILDERS = {"hold": hold_mission, "brake": brake_mission,
-                      "circle_track": circle_mission, "return_home": return_home_mission}
-
 
 class ConfigError(Exception):
     """Configuration problem, with a best-effort file:line anchor: the line of
@@ -172,10 +167,10 @@ def load_config(path):
         if not cp.has_section(section):
             raise ConfigError(f"missing [{section}] section", path)
     mode = cp.get("mission", "mode", fallback=None)
-    if mode not in _MISSION_BUILDERS:
-        raise ConfigError(f"[mission] mode must be one of {sorted(_MISSION_BUILDERS)}, "
+    if mode not in MODES:
+        raise ConfigError(f"[mission] mode must be one of {sorted(MODES)}, "
                           f"got {mode!r}", path, "mission", "mode")
-    builder = _MISSION_BUILDERS[mode]
+    builder = MODES[mode]
     mission_keys = tuple(inspect.signature(builder).parameters)
     _check_keys(cp, path, {**_SECTIONS, "mission": _SECTIONS["mission"] + mission_keys})
 

@@ -23,8 +23,9 @@ blocks hold at most _BLOCK_ELEMS samples (or one window, if that is
 longer), and the first block with a violated window ends the evaluation.
 
 parse_formula reads the text syntax given at the end of this module. Time
-bounds must be finite seconds with 0 <= lo <= hi and no number may be NaN;
-every malformed text raises MtlSyntaxError with a character offset.
+bounds must be finite seconds with 0 <= lo <= hi, no number may be NaN, and
+forms nest at most _MAX_DEPTH deep; every malformed text raises
+MtlSyntaxError with a character offset.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ COMPARATORS = ("<", "<=", ">", ">=", "=")
 _BLOCK_ELEMS = 1 << 16
 # Sample offset that stands for a time bound past any trace.
 _FAR = 1 << 62
+# Forms a formula text may nest, so the reader and the evaluators, which
+# recurse once per form, stay far from Python's recursion limit. The
+# shipped specs nest at most 4 forms.
+_MAX_DEPTH = 100
 
 
 class MtlSyntaxError(ValueError):
@@ -481,19 +486,21 @@ def parse_formula(text):
         take(")")
         return build(Prev, at, sig, off)
 
-    def formula():
+    def formula(depth):
         _, at = take("(")
+        if depth > _MAX_DEPTH:
+            raise MtlSyntaxError(f"formula nests deeper than {_MAX_DEPTH} forms", at)
         head, hat = take()
         if head in COMPARATORS:
             make, args = Atom, (signal(), head, rhs())
         elif head == "not":
-            make, args = Not, (formula(),)
+            make, args = Not, (formula(depth + 1),)
         elif head == "=>":
-            make, args = Implies, (formula(), formula())
+            make, args = Implies, (formula(depth + 1), formula(depth + 1))
         elif head in ("and", "or"):
-            kids = [formula()]
+            kids = [formula(depth + 1)]
             while peek()[0] == "(":
-                kids.append(formula())
+                kids.append(formula(depth + 1))
             if len(kids) < 2:
                 raise MtlSyntaxError(f"{head} needs at least two operands", hat)
             make, args = (And if head == "and" else Or), (tuple(kids),)
@@ -503,13 +510,13 @@ def parse_formula(text):
                 take("[")
                 lo, hi = number(), number()
                 take("]")
-            make, args = (Globally if head == "G" else Eventually), (formula(), lo, hi)
+            make, args = (Globally if head == "G" else Eventually), (formula(depth + 1), lo, hi)
         else:
             raise MtlSyntaxError(f"unknown operator {head!r}", hat)
         take(")")
         return build(make, at, *args)
 
-    node = formula()
+    node = formula(1)
     tok, at = peek()
     if tok is not None:
         raise MtlSyntaxError(f"trailing input {tok!r}", at)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +23,6 @@ HOLD = "hold"
 BRAKE = "brake"
 CIRCLE_TRACK = "circle_track"
 RETURN_HOME = "return_home"
-MODES = (HOLD, BRAKE, CIRCLE_TRACK, RETURN_HOME)
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,6 +215,11 @@ def return_home_mission(out_dist=5.0, out_t=40.0, return_t=40.0, home_radius=0.5
     })
 
 
+# Each mode's mission builder; a Mission and the config reader take no other mode.
+MODES = {HOLD: hold_mission, BRAKE: brake_mission, CIRCLE_TRACK: circle_mission,
+         RETURN_HOME: return_home_mission}
+
+
 def reference_at(mission, t):
     """Reference position and velocity at time t.
 
@@ -285,72 +287,37 @@ def sample_count(plant, mission):
     return int(math.floor(mission.duration / float(plant.dt) + 1e-9)) + 1
 
 
-class _Inputs(NamedTuple):
-    """What every run of a mission on a plant shares, whatever its gains.
-
-    r_half and rd_half hold the reference and its slope at k * dt / 2, so
-    step k reads its start, middle and end at 2k, 2k + 1 and 2k + 2; noise
-    holds one sensor draw per step, and dist the sawtooth at each step's
-    start, middle and end (None when it is off). None is clamped to the
-    duration.
-    """
-
-    dt: float
-    times: np.ndarray
-    r_half: np.ndarray
-    rd_half: np.ndarray
-    noise: np.ndarray
-    dist: tuple | None
-
-
 def _inputs(plant, mission):
-    """The _Inputs of every run of mission on plant."""
+    """(dt, times, r, steps) shared by every run of mission on plant: the
+    step, the sample times, the reference at each sample, and steps, ten
+    arrays of n - 1 floats whose entry k is what step k reads. They are the
+    sensor noise draw, the reference and its slope at the step's start,
+    middle and end (r0, rd0, rm, rdm, r1, rd1) as views of one half-step
+    sampling, and the sawtooth there (u0, um, u1); noise or sawtooth that is
+    off is a broadcast 0.0. A run resumed at step k reads them from k on.
+    """
     dt = float(plant.dt)
     n = sample_count(plant, mission)
-    times = np.arange(n) * dt
-
-    # Reference sampled at half-step resolution so RK4 stages index it directly.
-    half_t = np.arange(2 * n - 1) * (dt / 2.0)
-    r_half, rd_half = reference_at(mission, half_t)
+    # the reference at k * dt / 2: step k's start, middle and end are at 2k,
+    # 2k + 1 and 2k + 2, and no time is clamped to the duration
+    halves = reference_at(mission, np.arange(2 * n - 1) * (dt / 2.0))
+    refs = (half[at::2][:n - 1] for at in range(3) for half in halves)
 
     spec = plant.noise
+    noise = off = np.broadcast_to(0.0, n - 1)
     if spec.sensor_sigma > 0.0:
         noise = spec.sensor_sigma * np.random.default_rng(spec.seed).standard_normal(n - 1)
-    else:
-        noise = np.zeros(n - 1)
 
     # Each sawtooth sample takes the operations of the per-step expression
     # damp * (2 * frac(dfreq * t) - 1) in the same order, so it is the
     # same float.
     damp, dfreq = spec.disturbance_amp, spec.disturbance_freq
-    dist = None
+    dist = (off,) * 3
     if damp > 0.0 and dfreq > 0.0:
         t0 = np.arange(n - 1) * dt
         dist = tuple(damp * (2.0 * ((dfreq * t) % 1.0) - 1.0)
                      for t in (t0, t0 + 0.5 * dt, t0 + dt))
-    return _Inputs(dt, times, r_half, rd_half, noise, dist)
-
-
-def _drive(plant, mission):
-    """What simulate and simulate_batch loop over.
-
-    Returns (dt, times, r, steps): the step, the sample times, the reference
-    at each sample, and an iterator over the n - 1 steps yielding
-    (noise, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) as Python floats: the
-    sensor noise draw, the reference and its slope at the step's start,
-    middle and end, and the sawtooth there (0.0 when it is off). Only the
-    iterator holds the input arrays, and each is freed as its memoryview's
-    iterator runs out.
-    """
-    inputs = _inputs(plant, mission)
-    # Memoryviews yield Python floats without copying the arrays.
-    dist = [repeat(0.0)] * 3 if inputs.dist is None else map(memoryview, inputs.dist)
-    r_half, rd_half = inputs.r_half, inputs.rd_half
-    steps = zip(memoryview(inputs.noise),
-                memoryview(r_half[:-1:2]), memoryview(rd_half[:-1:2]),
-                memoryview(r_half[1::2]), memoryview(rd_half[1::2]),
-                memoryview(r_half[2::2]), memoryview(rd_half[2::2]), *dist)
-    return inputs.dt, inputs.times, r_half[::2].copy(), steps
+    return dt, np.arange(n) * dt, halves[0][::2].copy(), (noise, *refs, *dist)
 
 
 def simulate(plant, pid, mission):
@@ -373,7 +340,7 @@ def simulate(plant, pid, mission):
         Trajectory of floor(duration/dt) + 1 samples at t = k * dt, none clamped
         to the duration: the first samples of a longer mission's run, bit for bit.
     """
-    dt, times, r, steps = _drive(plant, mission)
+    dt, times, r, steps = _inputs(plant, mission)
     n = len(times)
 
     # float(): numpy scalar gains would drag the whole loop onto numpy scalars
@@ -382,20 +349,16 @@ def simulate(plant, pid, mission):
 
     xs = np.empty(n)
     vs = np.empty(n)
-    x = 0.0
-    v = 0.0
-    q = 0.0
-    xs[0] = x
-    vs[0] = v
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    xs[0] = vs[0] = x = v = q = 0.0
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    # The loop reads and writes only Python floats, which cost about a third
-    # of what numpy scalars do per operation.
+    # The loop reads and writes only Python floats, through memoryviews that
+    # do not copy the arrays: a float operation costs about a third of a
+    # numpy scalar's.
     xm = memoryview(xs)
     vm = memoryview(vs)
-
-    for k, (nk, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) in enumerate(steps, 1):
+    for k, (nk, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) in enumerate(
+            zip(*map(memoryview, steps)), 1):
         # stage 1
         e = r0 - (x + nk)
         acc = kp * e + ki * q + kd * (rd0 - v) + u0 - a2 * v - a1 * x
@@ -468,34 +431,34 @@ def simulate_linear(plant, pid, mission, limit=CLAMP):
     |x| or |v| reaches limit or is not finite.
 
     Below the clamp each RK4 step is the affine map of _rk4_map, fed the
-    inputs simulate reads (the same reference, noise and sawtooth floats),
-    so with limit <= CLAMP the run is simulate's up to rounding: t and r
-    are simulate's, x and v may differ in their last bits, and a verdict
-    on them is simulate's only where no spec atom sits that close to its
-    threshold (mtl.atom_margin).
+    step inputs simulate loops over (the same reference, noise and sawtooth
+    floats), so with limit <= CLAMP the run is simulate's up to rounding:
+    t and r are simulate's, x and v may differ in their last bits, and a
+    verdict on them is simulate's only where no spec atom sits that close
+    to its threshold (mtl.atom_margin).
     """
-    inputs = _inputs(plant, mission)
-    xv = _linear_scan(inputs, plant, pid, limit)
+    dt, times, r, steps = _inputs(plant, mission)
+    xv = _linear_scan(dt, steps, plant, pid, limit)
     if xv is None:
         return None
     xs, vs = xv
-    dt, times, r = inputs.dt, inputs.times, inputs.r_half[::2].copy()
-    inputs = None  # the inputs are freed before e is built, as simulate's are
     return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs, mode=mission.mode)
 
 
-def _linear_scan(inputs, plant, pid, limit):
-    """x and v of the run on inputs, or None past limit (see simulate_linear).
+def _linear_scan(dt, steps, plant, pid, limit):
+    """x and v of the run on _inputs' steps, or None past limit (see
+    simulate_linear).
 
     The scan takes _BLOCK steps at a time: one matmul with the block
     Toeplitz matrix of the powers of M gives every block's response from a
     zero state, and a carry over the blocks adds each block's start state.
-    It runs _CHUNK blocks at a time, so its temporaries do not grow with the
-    run, and stops at the first chunk past limit.
+    It runs _CHUNK blocks at a time, reading the steps' slices [k0:k1], so
+    its temporaries do not grow with the run, and stops at the first chunk
+    past limit.
     """
-    n = len(inputs.times)
+    n = len(steps[0]) + 1
     kp, kd = float(pid.kp), float(pid.kd)
-    m, resp = _rk4_map(plant, pid, inputs.dt)
+    m, resp = _rk4_map(plant, pid, dt)
     size = _BLOCK
     with np.errstate(all="ignore"):  # an unstable map's powers overflow
         powers = np.empty((size + 1, 3, 3))
@@ -518,22 +481,22 @@ def _linear_scan(inputs, plant, pid, limit):
     vs = np.empty(n)
     xs[0] = vs[0] = 0.0
     x = v = q = 0.0
-    r_half, rd_half, noise = inputs.r_half, inputs.rd_half, inputs.noise
+    noise = steps[0]
+    # (r, r', u) at the step's start, middle and end
+    points = tuple(zip(steps[1:7:2], steps[2:7:2], steps[7:]))
     span = size * _CHUNK
     for k0 in range(0, n - 1, span):
         k1 = min(k0 + span, n - 1)
-        steps = k1 - k0
-        blocks = -(-steps // size)
+        count = k1 - k0
+        blocks = -(-count // size)
         # per step: kp * (r - noise) + kd * r' + u and r - noise at the
         # step's start, middle and end; zero past the run's last step
         forcing = np.zeros((blocks * size, 6))
-        for at in range(3):
-            y = r_half[2 * k0 + at:2 * k1 + at:2] - noise[k0:k1]
-            w = kp * y + kd * rd_half[2 * k0 + at:2 * k1 + at:2]
-            if inputs.dist is not None:
-                w += inputs.dist[at][k0:k1]
-            forcing[:steps, 2 * at] = w
-            forcing[:steps, 2 * at + 1] = y
+        for at, (ref, slope, u) in enumerate(points):
+            y = ref[k0:k1] - noise[k0:k1]
+            w = kp * y + kd * slope[k0:k1] + u[k0:k1]
+            forcing[:count, 2 * at] = w
+            forcing[:count, 2 * at + 1] = y
         with np.errstate(all="ignore"):
             local = forcing.reshape(blocks, 6 * size) @ toeplitz
             starts = []
@@ -543,7 +506,7 @@ def _linear_scan(inputs, plant, pid, limit):
                            c10 * x + c11 * v + c12 * q + zv,
                            c20 * x + c21 * v + c22 * q + zq)
             local += np.array(starts) @ from_start
-        run = local.reshape(blocks * size, 3)[:steps]
+        run = local.reshape(blocks * size, 3)[:count]
         xs[k0 + 1:k1 + 1] = run[:, 0]
         vs[k0 + 1:k1 + 1] = run[:, 1]
         if not np.abs(run[:, :2]).max() < limit:
@@ -571,7 +534,7 @@ def simulate_batch(plant, pids, mission):
         the call; run j's Trajectory is built when the generator reaches
         it, from views of column j of the x/v array plus its own e.
     """
-    dt, times, r, steps = _drive(plant, mission)
+    dt, times, r, steps = _inputs(plant, mission)
     pids = list(pids)
     m = len(pids)
     # one row per factor of the products a stage takes, in the order of
@@ -618,7 +581,8 @@ def simulate_batch(plant, pids, mission):
         subtract(acc, a1x, out=acc)
 
     with np.errstate(all="ignore"):
-        for k, (nk, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) in enumerate(steps, 1):
+        for k, (nk, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) in enumerate(
+                zip(*map(memoryview, steps)), 1):
             np.copyto(p1, state)
             stage(s1, r0, rd0, u0, nk)
             multiply(half, k1, out=step_sum)

@@ -77,6 +77,8 @@ NOT_A_KEY = [
 BAD_FORMULA = [
     ("inf bound", None, "\n[oracle]\nformula = (G [0 inf] (< (abs e) 2.0))\n"),
     ("prev mode", None, "\n[oracle]\nformula = (G (< x (prev mode)))\n"),
+    ("nested 1000 deep", None,
+     "\n[oracle]\nformula = " + "(not " * 999 + "(< x 1)" + ")" * 999 + "\n"),
 ]
 
 

@@ -7,7 +7,9 @@ it. Dunders are exempt. Two shapes break that rule:
   defines _name (a def, a class, or an assignment to a name or attribute).
 
 Every name a module imports is used in it, too; `__init__.py` is exempt,
-because its imports are the package's exports.
+because its imports are the package's exports. And every private def, class
+or assignment at a module's top level is read somewhere in that module, so a
+refactor cannot leave a dead helper behind.
 """
 
 import ast
@@ -67,6 +69,26 @@ def unused_imports(source, filename):
             for line, name in sorted(imported) if name not in used]
 
 
+def unread_privates(source, filename):
+    """'filename:line: defines name and never reads it' for each private
+    name that a top-level def, class or assignment binds and no code in
+    source reads."""
+    tree = ast.parse(source, filename)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [(node.lineno, name.id) for target in targets
+                      for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{filename}:{line}: defines {name} and never reads it"
+            for line, name in sorted(bound) if _private(name) and name not in read]
+
+
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -79,6 +101,48 @@ def test_no_module_reaches_a_private_name_of_another(path):
                          ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path.read_text(), path.name) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_defines_a_private_name_it_never_reads(path):
+    assert unread_privates(path.read_text(), path.name) == []
+
+
+def test_unread_privates_are_caught():
+    source = '''
+_USED = 1
+_UNUSED = 2
+_A, (_B, PUBLIC) = 3, (4, 5)
+_T: int = _USED + _A
+_COUNT += 1
+
+
+def _helper():
+    return _inner()
+
+
+def _inner():
+    return PUBLIC
+
+
+def _orphan():
+    return _helper()
+
+
+class _Shape:
+    _slot = 1
+
+    def _method(self):
+        _local = 1
+        return _local
+'''
+    assert unread_privates(source, "m.py") == [
+        "m.py:3: defines _UNUSED and never reads it",
+        "m.py:4: defines _B and never reads it",
+        "m.py:5: defines _T and never reads it",
+        "m.py:6: defines _COUNT and never reads it",
+        "m.py:17: defines _orphan and never reads it",
+        "m.py:21: defines _Shape and never reads it"]
 
 
 def test_unused_imports_are_caught():

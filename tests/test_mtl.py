@@ -670,6 +670,22 @@ class TestParser:
             parse_formula("(G (=> (> t 20) (< (abs q) 0.05)))")
         assert err.value.pos is not None
 
+    def test_nesting_is_capped_at_100_forms(self):
+        def nested(head, depth):
+            return head * (depth - 1) + "(< x 10)" + ")" * (depth - 1)
+
+        traj = make_traj([0, 1, 2, 3], dt=1.0)
+        f = parse_formula(nested("(G ", 100))
+        assert eval_offline(f, traj) and eval_online(f, traj, 2)
+        assert parse_formula(nested("(and (< x 9) ", 100))
+        # refused at the first form 101 deep: the 101st G, the 100th and's
+        # first operand, the 101st not
+        for head, depth, at in [("(G ", 101, 300), ("(and (< x 9) ", 101, 99 * 13 + 5),
+                                ("(not ", 1000, 500)]:
+            with pytest.raises(MtlSyntaxError, match="deeper than 100 forms") as err:
+                parse_formula(nested(head, depth))
+            assert err.value.pos == at
+
 
 # ---------------------------------------------------------------------------
 # atom_margin against a per-atom, per-sample loop
