@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Ten alternating parent/change pairs of the benchmark command, summarised as BENCH_<pr>.json.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --pr N [--workload NAME ...]
+        [--claim WORKLOAD:METRIC] [--change-text TEXT] [--note TEXT ...]
+        [--parent-commit REF]
+
+PARENT and CHANGE are two checkouts of the repository. There are ten
+pairs, one per seed perfbench ships digests for: pair k runs CHANGE's
+BENCHMARK.json command with `--workload W --seed k --seconds S --trace 0`,
+S its run_seconds, in each checkout, the parent first in even pairs and
+the change first in odd ones, every workload in turn within a pair. The
+last stdout line of a run is its JSON result. The summary goes to
+BENCH_<pr>.json in the current directory.
+
+The summary has the layout of the earlier BENCH_*.json files: per workload
+and per end-to-end metric of CHANGE's BENCHMARK.json, each side's median,
+quartiles (numpy linear percentiles), IQR and values in pair order; the
+change's median over the parent's; change_wins, the pairs where the change
+is better in the metric's direction (ties count for neither); whether the
+median gap exceeds the parent's IQR; and within_bound, the change's median
+against the parent's widened by the metric's bound. With --claim, the claim
+is met when the change wins at least nine of the ten pairs and its median
+beats the parent's by more than the parent's IQR. The file is rewritten
+after every pair, so a cut run leaves the pairs it finished; its claim is
+judged only once all ten are in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+# perfbench takes a seed modulo its ten shipped seeds, so ten pairs run each
+# shipped seed once; a claim needs nine wins in ten pairs.
+PAIRS = 10
+CLAIM_WINS = 9
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--workload", action="append", default=None,
+                        help="a workload to run (repeatable); default: every one")
+    parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims")
+    parser.add_argument("--change-text", default="", help="what the change does")
+    parser.add_argument("--note", action="append", default=[])
+    parser.add_argument("--parent-commit", default=None,
+                        help="default: PARENT's git HEAD, where it has one")
+    return parser.parse_args(argv)
+
+
+def run_one(checkout, command, workload, seed, seconds):
+    """The JSON result of one untraced benchmark run in checkout."""
+    cmd = [*command, "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited "
+                         f"{done.returncode}\n{done.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def spread(values):
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(median), 6), "q1": round(float(q1), 6),
+            "q3": round(float(q3), 6), "iqr": round(float(q3 - q1), 6),
+            "n": len(values), "values": [round(v, 6) for v in values]}
+
+
+def compare(metric, runs):
+    """One end-to-end metric's summary over the pairs in runs."""
+    lower = metric["better"] == "lower"
+    values = {side: [run[side]["metrics"][metric["name"]]["value"] for run in runs]
+              for side in SIDES}
+    stats = {side: spread(values[side]) for side in SIDES}
+    parent, change = stats["parent"]["median"], stats["change"]["median"]
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+    ties = sum(p == c for p, c in zip(values["parent"], values["change"]))
+    widened = parent * (1.0 + metric["bound"] if lower else 1.0 - metric["bound"])
+    return {
+        "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+        **stats,
+        "change_over_parent": round(change / parent, 4) if parent else None,
+        "change_wins": wins,
+        "ties": ties,
+        "median_gap_exceeds_parent_iqr": abs(change - parent) > stats["parent"]["iqr"],
+        "within_bound": change <= widened if lower else change >= widened,
+    }
+
+
+def summarise(runs, metrics):
+    """The per-workload block of one workload's finished pairs."""
+    return {
+        "pairs": len(runs),
+        "seeds": [run["seed"] for run in runs],
+        "parent_first": [run["parent_first"] for run in runs],
+        "runs_correct": {side: sum(bool(run[side]["correct"]) for run in runs)
+                         for side in SIDES},
+        "failed_operations": {side: sum(run[side]["failed"] for run in runs) for side in SIDES},
+        "end_to_end": {metric["name"]: compare(metric, runs) for metric in metrics},
+    }
+
+
+def claim_of(spec, workloads):
+    workload, _, metric = spec.partition(":")
+    block = workloads[workload]["end_to_end"][metric]
+    parent, change = block["parent"]["median"], block["change"]["median"]
+    gain = parent - change if block["better"] == "lower" else change - parent
+    pairs = workloads[workload]["pairs"]
+    return {"workload": workload, "metric": metric, "parent_median": parent,
+            "change_median": change, "parent_iqr": block["parent"]["iqr"],
+            "change_wins": block["change_wins"], "pairs": pairs,
+            "met": pairs == PAIRS and block["change_wins"] >= CLAIM_WINS
+            and gain > block["parent"]["iqr"]}
+
+
+def git_commit(checkout):
+    try:
+        done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip() or None
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"]
+    command, seconds = spec["command"], spec["run_seconds"]
+    names = args.workload or [w["name"] for w in spec["workloads"]]
+    out = Path(f"BENCH_{args.pr}.json")
+    doc = {
+        "change": args.change_text,
+        "parent_commit": args.parent_commit or git_commit(args.parent) or "unknown",
+        "change_commit": "the commit that adds this file",
+        "harness": f"{' '.join(command)} --workload W --seed S --seconds {seconds:g} --trace 0",
+        "method": f"{PAIRS} pairs per workload, pair k on seed k (0-{PAIRS - 1}), "
+                  "parent first in even pairs and change first in odd pairs "
+                  "(parent_first), every workload in turn within a pair; each side runs "
+                  "from its own checkout. Medians and quartiles are numpy linear "
+                  "percentiles over the runs of a side; values lists every run in pair "
+                  "order; change_wins counts pairs where the change is better by the "
+                  "metric's direction, ties counting for neither; within_bound compares "
+                  "the change's median with the parent's median widened by the metric's "
+                  "bound.",
+        "machine": {"vcpus": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__},
+        **({"claim": None} if args.claim else {}),
+        "notes": args.note,
+        "workloads": {},
+    }
+    runs = {name: [] for name in names}
+    for seed in range(PAIRS):
+        parent_first = seed % 2 == 0
+        order = SIDES if parent_first else SIDES[::-1]
+        for name in names:
+            pair = {"seed": seed, "parent_first": parent_first}
+            for side in order:
+                checkout = args.parent if side == "parent" else args.change
+                pair[side] = run_one(checkout, command, name, seed, seconds)
+                wall = pair[side]["metrics"]["wall_s"]["value"]
+                print(f"pair {seed} {name} {side}: wall_s {wall:.3f} "
+                      f"correct {pair[side]['correct']}", file=sys.stderr, flush=True)
+            runs[name].append(pair)
+        doc["workloads"] = {name: summarise(runs[name], metrics) for name in names}
+        if args.claim:
+            doc["claim"] = claim_of(args.claim, doc["workloads"])
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,8 +17,11 @@ Offline evaluation is the one-row block whose window is the whole trace;
 obligations reaching past its end fail. The online evaluator slides a
 shorter window along the trace and flags a violation as soon as any window
 fails. Obligations whose interval reaches past a window's end cannot be
-resolved there and are treated as satisfied, which is exactly why
-long-horizon Eventually properties can slip past an online monitor. Online
+resolved there. They are treated as satisfied under positive polarity,
+which is exactly why long-horizon Eventually properties can slip past an
+online monitor, and as violated under negative polarity (under a not or
+on the left of an =>), so that every online violation is one of the whole
+trace at some window start. Online
 blocks hold at most _BLOCK_ELEMS samples (or one window, if that is
 longer), and the first block with a violated window ends the evaluation.
 
@@ -194,30 +197,34 @@ def _atom_rows(node, ctx):
     return rows
 
 
-def _sat_block(node, ctx, r0, r1, c0, c1):
+def _sat_block(node, ctx, r0, r1, c0, c1, positive=True):
     """Satisfaction of node for window starts r0 .. r1 - 1 (rows) at window
     offsets c0 .. c1 (columns, inclusive).
 
     Row w0, column off is the satisfaction at sample w0 + off with horizon
     w0 + window - 1, i.e. column window - 1 in every row. A temporal
-    operator's window of child columns is [off + lo, min(off + hi, window - 1)];
-    obligations whose interval reaches past the horizon hold if the context
-    is optimistic and fail otherwise. The result may be a read-only view;
-    nothing here writes into a child's result.
+    operator's window of child columns is [off + lo, min(off + hi, window - 1)].
+    positive is node's polarity: it flips under a not and on the left of
+    an =>. Where the context is optimistic, an obligation whose interval
+    reaches past the horizon is unresolved, and it holds under positive
+    polarity and fails under negative, so that no window reads False where
+    the whole trace reads True. Otherwise such obligations quantify over the
+    samples that exist. The result may be a read-only view; nothing here
+    writes into a child's result.
     """
     if isinstance(node, Atom):
         return _atom_rows(node, ctx)[r0:r1, c0:c1 + 1]
     if isinstance(node, Not):
-        return ~_sat_block(node.child, ctx, r0, r1, c0, c1)
+        return ~_sat_block(node.child, ctx, r0, r1, c0, c1, not positive)
     if isinstance(node, And):
-        parts = [_sat_block(c, ctx, r0, r1, c0, c1) for c in node.children]
+        parts = [_sat_block(c, ctx, r0, r1, c0, c1, positive) for c in node.children]
         return np.logical_and.reduce(parts)
     if isinstance(node, Or):
-        parts = [_sat_block(c, ctx, r0, r1, c0, c1) for c in node.children]
+        parts = [_sat_block(c, ctx, r0, r1, c0, c1, positive) for c in node.children]
         return np.logical_or.reduce(parts)
     if isinstance(node, Implies):
-        a = _sat_block(node.lhs, ctx, r0, r1, c0, c1)
-        b = _sat_block(node.rhs, ctx, r0, r1, c0, c1)
+        a = _sat_block(node.lhs, ctx, r0, r1, c0, c1, not positive)
+        b = _sat_block(node.rhs, ctx, r0, r1, c0, c1, positive)
         return ~a | b
 
     h = ctx["window"] - 1
@@ -225,33 +232,37 @@ def _sat_block(node, ctx, r0, r1, c0, c1):
     shape = (r1 - r0, c1 - c0 + 1)
     offs = np.arange(c0, c1 + 1)
     starts = offs + lo
+    globally = isinstance(node, Globally)
+    # An unresolved obligation takes the polarity's value. That decides a
+    # positive Eventually (it holds) and a negative Globally (it fails);
+    # elsewhere the samples that exist give the same value.
+    decides = ctx["optimistic"] and globally != positive
     if hi is None:
         ends = np.full_like(offs, h)
-        beyond = np.full(len(offs), ctx["optimistic"])
+        beyond = np.full(len(offs), decides)
     else:
         ends = np.minimum(offs + hi, h)
-        beyond = (offs + hi > h) & ctx["optimistic"]
-    if isinstance(node, Eventually) and beyond.all():
-        # every obligation reaches past the horizon, so none can fail here
-        return np.ones(shape, dtype=bool)
+        beyond = (offs + hi > h) & decides
+    if beyond.all():
+        # every obligation is unresolved, so no child sample can decide one
+        return np.full(shape, positive)
     k0 = c0 + lo
     k1 = int(ends.max())
     if k0 > h or k1 < k0:
         # no child sample is ever visible (also when rounding leaves hi < lo)
-        held = isinstance(node, Globally) | beyond
-        return np.broadcast_to(held, shape)
-    child = _sat_block(node.child, ctx, r0, r1, k0, k1)
-    width = k1 - k0 + 1
-    cs = np.zeros((shape[0], width + 1), dtype=np.int32)  # counts <= window
-    np.cumsum(child, axis=1, dtype=np.int32, out=cs[:, 1:])
-    empty = starts > ends
-    s_off = np.clip(starts - k0, 0, width)
-    e_off = np.clip(ends - k0 + 1, 0, width)
-    counts = cs[:, e_off] - cs[:, s_off]
-    if isinstance(node, Globally):
+        seen = np.broadcast_to(globally, shape)
+    else:
+        child = _sat_block(node.child, ctx, r0, r1, k0, k1, positive)
+        width = k1 - k0 + 1
+        cs = np.zeros((shape[0], width + 1), dtype=np.int32)  # counts <= window
+        np.cumsum(child, axis=1, dtype=np.int32, out=cs[:, 1:])
+        empty = starts > ends
+        s_off = np.clip(starts - k0, 0, width)
+        e_off = np.clip(ends - k0 + 1, 0, width)
+        counts = cs[:, e_off] - cs[:, s_off]
         # truncated intervals quantify over what exists; empty ones hold
-        return empty | (counts == e_off - s_off)
-    return ~empty & (counts > 0) | beyond
+        seen = empty | (counts == e_off - s_off) if globally else ~empty & (counts > 0)
+    return seen | beyond if positive else seen & ~beyond
 
 
 def _signals(traj):
@@ -261,8 +272,9 @@ def _signals(traj):
 
 def _context(traj, window, optimistic):
     """Evaluation state for one trace: signals, the window length (horizon
-    column window - 1), whether past-horizon obligations hold, and the
-    per-atom cache filled by _atom_rows."""
+    column window - 1), whether past-horizon obligations are unresolved
+    (online) rather than judged on the samples that exist (offline), and
+    the per-atom cache filled by _atom_rows."""
     return {"sig": _signals(traj), "mode": traj.mode, "dt": traj.dt,
             "window": window, "optimistic": optimistic, "atoms": {}}
 
@@ -331,7 +343,8 @@ def eval_online(formula, traj, window):
     """Sliding-window verdict.
 
     Evaluates the formula at the start of every window of `window` samples,
-    with obligations reaching past the window's end treated as satisfied.
+    with obligations reaching past the window's end treated as satisfied
+    under positive polarity and as violated under negative polarity.
     False iff some window is violated. A window spanning the whole trace (or
     more) degenerates to eval_offline. Window starts are judged in blocks
     of _BLOCK_ELEMS // window (at least one; see the module docstring).

@@ -15,11 +15,16 @@ through SimulationValidator._verdicts, which builds each run once for every
 judge it is asked with, each judging the whole run or its head. BATCH_MIN
 new pids or more are simulated with simulate_batch, one seed at a time, in
 calls whose x and v arrays stay within BATCH_BYTES; its runs are
-bit-identical to simulate's. Fewer are run one at a time: each run is first
-built with simulate_linear, and judged from that run where it stays clear of
-the clamp and every spec atom stays farther from its threshold than
-LINEAR_TOL * (1 + its largest |x| or |v|). Elsewhere simulate builds the
-run. The verdicts are simulate's on both routes.
+bit-identical to simulate's. Fewer are run one at a time. A run whose
+RK4 step map, raised to the mission's step count (plant.step_map_power),
+has an entry that is not below LINEAR_LIMIT or not finite is predicted to
+reach the clamp, and simulate builds it. Every other run is first built
+with simulate_linear, and judged from that run where it stays clear of the
+clamp and every spec atom stays farther from its threshold than
+LINEAR_TOL * (1 + its largest |x| or |v|); elsewhere simulate builds it
+too. The prediction only picks the route, so the verdicts are simulate's
+on both routes. On the search pass of the disturbed 40x40 hold at seed 3,
+235 of the 395 runs are predicted to clamp, and all of them do.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mtl import And, atom_margin, eval_offline, eval_online, mode_spec
-from .plant import CLAMP, sample_count, simulate, simulate_batch, simulate_linear
+from .plant import (CLAMP, sample_count, simulate, simulate_batch, simulate_linear,
+                    step_map_power)
 from .stability import routh_stable
 
 # Largest x/v array one simulate_batch call of _verdicts may fill, at 16
@@ -39,11 +45,13 @@ from .stability import routh_stable
 BATCH_BYTES = 32 * 2**20
 
 # Fewest new pids _verdicts simulates with simulate_batch. The one-at-a-time
-# route takes certified runs from simulate_linear, so on the 60 s disturbed
-# hold (2 vCPUs, seed 3, fresh validators) 25 new pids took 0.14-0.18 s one
-# at a time and 0.28-0.30 s batched, and 50 took 0.43-0.47 s and 0.22-0.31 s.
-# The crossover lies between 25 and 50, but no workload has between 20 and
-# 50 new pids to show a retune.
+# route takes certified runs from simulate_linear and sends runs predicted to
+# clamp straight to simulate. On the 60 s disturbed hold (2 vCPUs, seed 3,
+# fresh validators, every 64th or 32nd cell of the 40x40 plane, best and
+# worst of three), 25 new pids took 0.20-0.21 s one at a time and
+# 0.31-0.33 s batched, and 50 took 0.39-0.41 s and 0.31-0.33 s; 35 took
+# 0.26-0.30 s and 0.20-0.27 s. The crossover lies between 25 and 35, but no
+# workload has between 20 and 35 new pids to show a retune.
 BATCH_MIN = 20
 
 # A linear run stands in for simulate's where every spec atom stays more
@@ -216,7 +224,11 @@ class SimulationValidator(Validator):
 
         if len(pids) < BATCH_MIN:
             for pid in pids:
-                yield pid, vote([self._check_one(plant, pid, check) for plant in self._plants()])
+                # the power reads no noise, so one serves every seed's run
+                linear = bool((np.abs(step_map_power(self.plant, pid, self.mission))
+                               < LINEAR_LIMIT).all())
+                yield pid, vote([self._check_one(plant, pid, check, linear)
+                                 for plant in self._plants()])
             return
         width = max(1, BATCH_BYTES // (16 * sample_count(self.plant, self.mission)))
         chunks = -(-len(pids) // width)
@@ -228,16 +240,20 @@ class SimulationValidator(Validator):
             for pid, checks in zip(chunk, zip(*by_seed)):
                 yield pid, vote(checks)
 
-    def _check_one(self, plant, pid, check):
+    def _check_one(self, plant, pid, check, linear):
         """check of pid's run on plant: of simulate_linear's run where no
         atom of self.formula can tell it from simulate's, else of simulate's.
+        linear is False where the step map predicts the run to reach the
+        clamp (an entry of step_map_power not below LINEAR_LIMIT, or not
+        finite); such a run is not tried linear.
         """
-        run = simulate_linear(plant, pid, self.mission, limit=LINEAR_LIMIT)
-        if run is not None:
-            tol = LINEAR_TOL * (1.0 + max(np.abs(run.x).max(), np.abs(run.v).max()))
-            if atom_margin(self.formula, run) > tol:
-                return check(run)
-        run = None  # freed before simulate builds its own
+        if linear:
+            run = simulate_linear(plant, pid, self.mission, limit=LINEAR_LIMIT)
+            if run is not None:
+                tol = LINEAR_TOL * (1.0 + max(np.abs(run.x).max(), np.abs(run.v).max()))
+                if atom_margin(self.formula, run) > tol:
+                    return check(run)
+            run = None  # freed before simulate builds its own
         return check(simulate(plant, pid, self.mission))
 
     def _plants(self):

@@ -41,17 +41,18 @@ def _ref_cmp(op, a, b):
     return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b, "=": a == b}[op]
 
 
-def ref_sat(node, traj, i, h, optimistic, memo=None):
-    """Verdict of node at sample i with horizon h; memo caches verdicts per
-    (node, i, h) across the calls of one top-level evaluation."""
+def ref_sat(node, traj, i, h, optimistic, memo=None, positive=True):
+    """Verdict of node at sample i with horizon h and polarity positive;
+    memo caches verdicts per (node, i, h, positive) across the calls of one
+    top-level evaluation."""
     memo = {} if memo is None else memo
-    key = (id(node), i, h)
+    key = (id(node), i, h, positive)
     if key not in memo:
-        memo[key] = _ref_sat(node, traj, i, h, optimistic, memo)
+        memo[key] = _ref_sat(node, traj, i, h, optimistic, memo, positive)
     return memo[key]
 
 
-def _ref_sat(node, traj, i, h, optimistic, memo):
+def _ref_sat(node, traj, i, h, optimistic, memo, positive):
     if isinstance(node, Atom):
         if node.signal == "mode":
             return traj.mode == node.rhs
@@ -64,14 +65,14 @@ def _ref_sat(node, traj, i, h, optimistic, memo):
             rhs = node.rhs
         return bool(_ref_cmp(node.op, sig[i], rhs))
     if isinstance(node, Not):
-        return not ref_sat(node.child, traj, i, h, optimistic, memo)
+        return not ref_sat(node.child, traj, i, h, optimistic, memo, not positive)
     if isinstance(node, And):
-        return all(ref_sat(c, traj, i, h, optimistic, memo) for c in node.children)
+        return all(ref_sat(c, traj, i, h, optimistic, memo, positive) for c in node.children)
     if isinstance(node, Or):
-        return any(ref_sat(c, traj, i, h, optimistic, memo) for c in node.children)
+        return any(ref_sat(c, traj, i, h, optimistic, memo, positive) for c in node.children)
     if isinstance(node, Implies):
-        return (not ref_sat(node.lhs, traj, i, h, optimistic, memo)
-                or ref_sat(node.rhs, traj, i, h, optimistic, memo))
+        return (not ref_sat(node.lhs, traj, i, h, optimistic, memo, not positive)
+                or ref_sat(node.rhs, traj, i, h, optimistic, memo, positive))
     if node.t_lo is None:
         lo, hi = 0, None
     else:
@@ -79,11 +80,15 @@ def _ref_sat(node, traj, i, h, optimistic, memo):
         hi = math.floor(node.t_hi / traj.dt + 1e-9)
     last = h if hi is None else min(i + hi, h)
     indices = range(i + lo, last + 1)
+    # an obligation past an optimistic horizon is unresolved: it holds under
+    # positive polarity and fails under negative
+    unresolved = optimistic and (hi is None or i + hi > h)
     if isinstance(node, Globally):
-        return all(ref_sat(node.child, traj, j, h, optimistic, memo) for j in indices)
-    hit = any(ref_sat(node.child, traj, j, h, optimistic, memo) for j in indices)
-    beyond = hi is None or i + hi > h
-    return hit or (optimistic and beyond)
+        return (all(ref_sat(node.child, traj, j, h, optimistic, memo, positive)
+                    for j in indices)
+                and not (unresolved and not positive))
+    hit = any(ref_sat(node.child, traj, j, h, optimistic, memo, positive) for j in indices)
+    return hit or (unresolved and positive)
 
 
 def ref_offline(node, traj):
@@ -139,8 +144,9 @@ def _eval_atom(node, ctx, j0, j1):
     return _compare(node.op, lhs, np.float64(node.rhs))
 
 
-def _sat_range(node, ctx, j0, j1, h, optimistic):
-    """Satisfaction of node at each index in [j0, j1], horizon h (inclusive).
+def _sat_range(node, ctx, j0, j1, h, optimistic, positive=True):
+    """Satisfaction of node at each index in [j0, j1], horizon h (inclusive),
+    under polarity positive.
 
     Indices are absolute trace positions; h is the last sample visible to
     this evaluation (the trace end offline, the window end online).
@@ -148,16 +154,16 @@ def _sat_range(node, ctx, j0, j1, h, optimistic):
     if isinstance(node, Atom):
         return _eval_atom(node, ctx, j0, j1)
     if isinstance(node, Not):
-        return ~_sat_range(node.child, ctx, j0, j1, h, optimistic)
+        return ~_sat_range(node.child, ctx, j0, j1, h, optimistic, not positive)
     if isinstance(node, And):
-        parts = [_sat_range(c, ctx, j0, j1, h, optimistic) for c in node.children]
+        parts = [_sat_range(c, ctx, j0, j1, h, optimistic, positive) for c in node.children]
         return np.logical_and.reduce(parts)
     if isinstance(node, Or):
-        parts = [_sat_range(c, ctx, j0, j1, h, optimistic) for c in node.children]
+        parts = [_sat_range(c, ctx, j0, j1, h, optimistic, positive) for c in node.children]
         return np.logical_or.reduce(parts)
     if isinstance(node, Implies):
-        a = _sat_range(node.lhs, ctx, j0, j1, h, optimistic)
-        b = _sat_range(node.rhs, ctx, j0, j1, h, optimistic)
+        a = _sat_range(node.lhs, ctx, j0, j1, h, optimistic, not positive)
+        b = _sat_range(node.rhs, ctx, j0, j1, h, optimistic, positive)
         return ~a | b
 
     # Temporal: window of child indices [j + lo, min(j + hi, h)] per j.
@@ -178,7 +184,7 @@ def _sat_range(node, ctx, j0, j1, h, optimistic):
         counts = np.zeros(len(js), dtype=int)
         widths = np.zeros(len(js), dtype=int)
     else:
-        child = _sat_range(node.child, ctx, c0, c1, h, optimistic)
+        child = _sat_range(node.child, ctx, c0, c1, h, optimistic, positive)
         cs = np.concatenate(([0], np.cumsum(child)))
         empty = starts > ends
         s_off = np.clip(starts - c0, 0, len(child))
@@ -186,10 +192,14 @@ def _sat_range(node, ctx, j0, j1, h, optimistic):
         counts = cs[e_off] - cs[s_off]
         widths = e_off - s_off
     if isinstance(node, Globally):
-        # truncated intervals quantify over what exists; empty ones hold
-        return empty | (counts == widths)
+        # truncated intervals quantify over what exists; empty ones hold;
+        # under negative polarity an unresolved one fails
+        sat = empty | (counts == widths)
+        if optimistic and not positive:
+            sat &= ~beyond
+        return sat
     sat = ~empty & (counts > 0)
-    if optimistic:
+    if optimistic and positive:
         sat |= beyond
     return sat
 
@@ -299,6 +309,28 @@ def traces_and_windows(draw):
     traj = Trajectory(dt=dt, t=np.arange(n) * dt, x=x, v=v, r=r, e=r - x,
                       mode=draw(st.sampled_from(["hold", "brake"])))
     return traj, draw(st.integers(2, n + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=formulas(), tw=traces_and_windows())
+def test_every_online_alarm_is_real(f, tw):
+    """An online violation is one of the whole trace: where eval_online
+    reads False, the formula is False at some window start, judged offline
+    over the whole trace. So is every cell of an online block under
+    negative polarity, against the reference at that polarity."""
+    traj, window = tw
+    n = len(traj)
+    memo = {}
+    if not eval_online(f, traj, window):
+        assert any(not ref_sat(f, traj, w0, n - 1, False, memo)
+                   for w0 in range(max(1, n - window + 1)))
+    if window < n:
+        got = _sat_block(f, _context(traj, window, optimistic=True),
+                         0, n - window + 1, 0, window - 1, positive=False)
+        memo = {}
+        want = [[ref_sat(f, traj, w0 + off, w0 + window - 1, True, memo, positive=False)
+                 for off in range(window)] for w0 in range(n - window + 1)]
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("block", [1, 3, mtl._BLOCK_ELEMS])
@@ -527,6 +559,24 @@ class TestOnlineSemantics:
     def test_window_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             eval_online(Atom("x", "<", 1), make_traj([0, 1]), 1)
+
+    @pytest.mark.parametrize("text", [
+        "(not (E [0 50] (> x 1000000000)))",
+        "(=> (E [0 50] (> x 1000000000)) (< x 0))",
+        "(G (not (E [0 50] (> x 1000000000))))",
+        "(not (G (< x 0.5)))",
+    ])
+    def test_a_negated_unresolved_obligation_raises_no_alarm(self, text):
+        traj = simulate(PlantModel(), PidConfig(1, 0.5, 1), hold_mission())
+        f = parse_formula(text)
+        assert eval_offline(f, traj) and eval_online(f, traj, 200)
+
+    def test_a_negated_obligation_resolved_in_the_window_still_alarms(self):
+        # x reaches 5 at sample 3: under not, the E [0 2] windows that see it fail
+        traj = make_traj([0, 0, 0, 5, 0, 0, 0, 0])
+        f = Globally(Not(Eventually(Atom("x", ">", 1), t_lo=0, t_hi=2)))
+        assert not eval_offline(f, traj)
+        assert not eval_online(f, traj, 3)
 
     def test_globally_of_atoms_agrees_with_offline(self):
         rng = random.Random(3)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from pidlab import (PidConfig, PlantModel, NoiseSpec, brake_mission,
                     circle_mission, hold_mission, reference_at,
                     return_home_mission, routh_stable, simulate)
+from pidlab import plant as plant_module
 from pidlab.plant import (CLAMP, Mission, Trajectory, sample_count, simulate_batch,
-                          simulate_linear)
+                          simulate_linear, step_map_power)
 
 
 STABLE = PidConfig(1, 0.5, 1)
@@ -544,9 +545,12 @@ class TestSimulateLinear:
         for pid in (PidConfig(1.0, 0.3, 0.6), PidConfig(0.2, 0.05, 0.2), PidConfig(4.0, 1.0, 2.5)):
             assert linear_error(plant, pid, mission) <= 1e-11
 
-    @pytest.mark.parametrize("gains", ["clamped", "divergent"])
-    def test_a_run_that_reaches_the_limit_is_none(self, gains):
-        assert simulate_linear(PlantModel(), GAINS[gains], hold_mission()) is None
+    @pytest.mark.parametrize("pid", [GAINS["clamped"], GAINS["divergent"],
+                                     PidConfig(1e200, 1, 1), PidConfig(-1e300, 0, 0)],
+                             ids=["clamped", "divergent", "huge", "huge-negative"])
+    def test_a_run_that_reaches_the_limit_is_none(self, pid):
+        # huge gains overflow the step map without a warning (an error here)
+        assert simulate_linear(PlantModel(), pid, hold_mission()) is None
 
     def test_the_limit_stops_the_scan(self):
         mission = hold_mission(settle_deadline=10.0, duration=20.0)
@@ -557,9 +561,30 @@ class TestSimulateLinear:
         assert simulate_linear(PlantModel(), GAINS["unstable"], mission, limit=peak * 1.01)
 
 
-def traced_peak_per_sample(run, plant, pid, mission):
-    """The traced peak of one call of run, in bytes per sample of the run."""
+class TestStepMapPower:
+    """step_map_power is the step map raised to the run's step count."""
+
+    @pytest.mark.parametrize("pid", [STABLE, PidConfig(1, 5, 1), PidConfig(-5, 1, -3)])
+    @pytest.mark.parametrize("dt, duration", [(0.01, 60.0), (0.007, 10.0), (0.05, 0.5)])
+    def test_equals_the_matrix_power(self, pid, dt, duration):
+        plant = PlantModel(dt=dt, t_max=max(duration, 10 * dt))
+        mission = hold_mission(settle_deadline=duration / 2, duration=duration)
+        m, _ = plant_module._rk4_map(plant, pid, dt)
+        want = np.linalg.matrix_power(m, sample_count(plant, mission) - 1)
+        assert np.allclose(step_map_power(plant, pid, mission), want, rtol=1e-9, atol=0.0)
+
+    def test_a_diverging_loop_overflows_silently(self):
+        power = step_map_power(PlantModel(), PidConfig(1e5, 1e5, 1e5), hold_mission())
+        assert not np.isfinite(power).all()
+        assert np.isfinite(step_map_power(PlantModel(), STABLE, hold_mission())).all()
+
+
+def traced_peak_per_sample(run, plant, pid, mission, cold=False):
+    """The traced peak of one call of run, in bytes per sample of the run;
+    cold drops the kept step layout first, so the call builds its own."""
     run(plant, pid, mission)  # a first call may allocate once-only caches
+    if cold:
+        plant_module._layout = None
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -572,18 +597,91 @@ def traced_peak_per_sample(run, plant, pid, mission):
     return peak / len(trace)
 
 
+MEMORY_CASES = pytest.mark.parametrize("noise, bound", [
+    (NoiseSpec(), 80.0),
+    (NoiseSpec(sensor_sigma=0.02, disturbance_amp=0.1, disturbance_freq=0.3, seed=4), 112.0),
+], ids=["quiet", "noisy"])
+
+
 class TestInputMemory:
     """The step inputs are views of the half-step reference, and noise or
-    sawtooth that is off takes no memory. Measured at 72 bytes per sample
-    quiet and 104 noisy for both runs, whose trace alone holds 40; copying
-    the inputs into one dense (10, n - 1) table reads 128 and 165."""
+    sawtooth that is off takes no memory. A call that builds the layout
+    was measured at 72 bytes per sample quiet and 104 noisy for both runs;
+    copying the inputs into one dense (10, n - 1) table reads 128 and 165.
+    A call that finds the layout kept from the last one reads 24 and 32:
+    x, v and e, plus the noise draw."""
 
     @pytest.mark.parametrize("run", [simulate, simulate_linear], ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("noise, bound", [
-        (NoiseSpec(), 80.0),
-        (NoiseSpec(sensor_sigma=0.02, disturbance_amp=0.1, disturbance_freq=0.3, seed=4), 112.0),
-    ], ids=["quiet", "noisy"])
+    @MEMORY_CASES
     def test_peak_per_sample_of_a_600s_circle(self, run, noise, bound):
         plant = PlantModel(t_max=600.0, noise=noise)
         mission = circle_mission(radius=1.0, freq=0.05, duration=600.0)
         assert traced_peak_per_sample(run, plant, STABLE, mission) <= bound
+
+    @pytest.mark.parametrize("run", [simulate, simulate_linear], ids=lambda f: f.__name__)
+    @MEMORY_CASES
+    def test_peak_per_sample_of_a_600s_circle_that_builds_its_layout(self, run, noise, bound):
+        plant = PlantModel(t_max=600.0, noise=noise)
+        mission = circle_mission(radius=1.0, freq=0.05, duration=600.0)
+        assert traced_peak_per_sample(run, plant, STABLE, mission, cold=True) <= bound
+
+
+def batch_of_one(plant, pid, mission):
+    (run,) = simulate_batch(plant, [pid], mission)
+    return run
+
+
+class TestStepLayoutMemo:
+    """_inputs keeps the seed-independent part of the last step layout it
+    built, keyed by the exact bits of dt, the mission and the sawtooth."""
+
+    NOISY = NoiseSpec(sensor_sigma=0.02, disturbance_amp=0.3, disturbance_freq=0.7, seed=5)
+
+    def cases(self):
+        missions = [*short_missions(4.0), hold_mission(setpoint=0.0, settle_deadline=2.0,
+                                                       duration=4.0),
+                    hold_mission(setpoint=-0.0, settle_deadline=2.0, duration=4.0)]
+        noises = [NoiseSpec(), self.NOISY, replace(self.NOISY, disturbance_freq=0.5)]
+        return [(PlantModel(dt=dt, noise=noise), mission)
+                for dt in (0.01, 0.007) for mission in missions for noise in noises]
+
+    @pytest.mark.parametrize("run", [simulate, simulate_linear, batch_of_one],
+                             ids=lambda f: f.__name__)
+    def test_runs_taken_in_turn_equal_cold_builds(self, run, monkeypatch):
+        cases = self.cases()
+        warm = [run(plant, STABLE, mission) for plant, mission in cases + cases[::-1]]
+        for (plant, mission), got in zip(cases + cases[::-1], warm):
+            monkeypatch.setattr(plant_module, "_layout", None)
+            want = run(plant, STABLE, mission)
+            for name in "txvre":
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.array_equal(a, b), name
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+    def test_a_negative_zero_setpoint_is_not_the_zero_entry(self):
+        for setpoint, negative in ((0.0, False), (-0.0, True), (0.0, False)):
+            run = simulate(PlantModel(), STABLE, hold_mission(setpoint=setpoint))
+            assert (np.signbit(run.r) == negative).all()
+            assert np.signbit(run.e[0]) == negative
+
+    def test_a_layout_is_kept_across_noise_seeds_only(self):
+        mission = hold_mission()
+        first = plant_module._inputs(PlantModel(noise=self.NOISY), mission)
+        second = plant_module._inputs(PlantModel(noise=replace(self.NOISY, seed=6)), mission)
+        assert all(a is b for a, b in zip((first[1], first[2], *first[3][1:]),
+                                          (second[1], second[2], *second[3][1:])))
+        assert not np.array_equal(first[3][0], second[3][0])  # the noise is drawn per call
+        third = plant_module._inputs(PlantModel(noise=replace(self.NOISY, disturbance_amp=0.2)),
+                                     mission)
+        assert third[1] is not first[1] and third[3][7] is not first[3][7]
+
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NOISY], ids=["quiet", "noisy"])
+    def test_writing_into_a_kept_array_raises(self, noise):
+        plant, mission = PlantModel(noise=noise), circle_mission(settle_deadline=5.0, duration=10.0)
+        run = simulate(plant, STABLE, mission)
+        _, times, r, steps = plant_module._inputs(plant, mission)
+        assert run.t is times and run.r is r
+        for array in (times, r, *steps[1:]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert simulate(plant, STABLE, mission).t[0] == 0.0

@@ -13,9 +13,9 @@ from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig, PlantModel,
                     query_count, reset_query_count, return_home_mission,
                     routh_stable, simulate)
 from pidlab import validator as validator_module
-from pidlab.plant import sample_count, simulate_linear
+from pidlab.plant import sample_count, simulate_linear, step_map_power
 from pidlab.mtl import And, Atom, Globally, atom_margin
-from pidlab.validator import LookupValidator, Validator
+from pidlab.validator import LINEAR_LIMIT, LookupValidator, Validator
 
 
 @pytest.fixture(autouse=True)
@@ -138,12 +138,13 @@ SHORT_MISSIONS = (hold_mission(settle_deadline=4.0, duration=8.0),
                   return_home_mission(out_t=2.0, return_t=2.0, settle_deadline=6.0,
                                       mono_margin=0.5, duration=8.0))
 
-GAIN = st.floats(-1e6, 1e6) | st.sampled_from([-1e6, -1e5, 1e5, 1e6])
+GAIN = st.floats(-1e6, 1e6) | st.sampled_from([-1e6, -1e5, 1e5, 1e6, -1e200, 1e200, 1e300])
 
 
 class TestDivergentGains:
-    """Any gains within +-1e6 give a trace that is finite or judged invalid,
-    and nothing raises (numpy warnings are errors under pytest)."""
+    """Any gains within +-1e6, or as huge as 1e300, give a trace that is
+    finite or judged invalid, and nothing raises (numpy warnings are errors
+    under pytest)."""
 
     @settings(max_examples=80, deadline=None)
     @given(kp=GAIN, ki=GAIN, kd=GAIN, sigma=st.sampled_from([0.0, 0.02]),
@@ -595,9 +596,9 @@ class TestSimulationClassifyMany:
 
 
 class TestLinearRoute:
-    """Below BATCH_MIN new pids each run is built by simulate_linear and
-    judged from it only where its certificate holds; the verdicts are
-    simulate's either way."""
+    """Below BATCH_MIN new pids each run that the step map does not predict
+    to reach the clamp is built by simulate_linear and judged from it only
+    where its certificate holds; the verdicts are simulate's either way."""
 
     PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.03, disturbance_amp=0.2,
                                        disturbance_freq=0.7))
@@ -624,13 +625,27 @@ class TestLinearRoute:
         SimulationValidator(self.PLANT, mission, OracleConfig()).classify(self.PID)
         assert freed_runs == {"simulate_linear": 2, "simulate": 1, "simulate_batch": 0}
 
-    @pytest.mark.parametrize("pid", [PidConfig(-5, 1, -3), PidConfig(1e5, 1e5, 1e5)],
-                             ids=["clamped", "nan"])
+    @pytest.mark.parametrize("pid", [PidConfig(-5, 1, -3), PidConfig(1e5, 1e5, 1e5),
+                                     PidConfig(1e200, 1, 1), PidConfig(-1e300, 0, 0)],
+                             ids=["clamped", "nan", "huge", "huge-negative"])
     def test_a_diverging_pid_takes_simulate(self, pid, freed_runs):
+        # the huge gains overflow the step map itself, without a warning
         v = SimulationValidator(self.PLANT, SHORT_HOLD, OracleConfig(repeats=3))
         verdict = v.classify(pid)
-        assert freed_runs == {"simulate_linear": 3, "simulate": 3, "simulate_batch": 0}
+        assert freed_runs == {"simulate_linear": 0, "simulate": 3, "simulate_batch": 0}
         assert not verdict.valid and verdict == self.exact(v, pid)
+
+    def test_the_clamp_prediction_is_taken_once_per_pid(self, monkeypatch):
+        calls = []
+
+        def counted(plant, pid, mission):
+            calls.append(pid)
+            return step_map_power(plant, pid, mission)
+
+        monkeypatch.setattr(validator_module, "step_map_power", counted)
+        v = SimulationValidator(self.PLANT, SHORT_HOLD, OracleConfig(repeats=3))
+        v.classify_many([self.PID, PidConfig(-5, 1, -3)])
+        assert calls == [self.PID, PidConfig(-5, 1, -3)]
 
     @pytest.mark.parametrize("cfg", [OracleConfig(repeats=3),
                                      OracleConfig(kind="online", window=150)],
@@ -653,6 +668,11 @@ class TestLinearRoute:
             assert got == [self.exact(v, pid) for pid in pids], mission.mode
             assert {verdict.valid for verdict in got} == {True, False}, mission.mode
         runs = len(missions) * len(pids) * cfg.repeats
-        # every run starts linear; some near the clamp or a threshold are simulated
-        assert freed_runs["simulate_linear"] == runs
-        assert 0 < freed_runs["simulate"] < runs / 2
+        clamped = cfg.repeats * sum(
+            not (np.abs(step_map_power(self.PLANT, pid, mission)) < LINEAR_LIMIT).all()
+            for mission in missions for pid in pids)
+        # every run not predicted to clamp starts linear; some near the clamp
+        # or a threshold are simulated, as is every run predicted to clamp
+        assert 0 < clamped < runs / 2
+        assert freed_runs["simulate_linear"] == runs - clamped
+        assert clamped <= freed_runs["simulate"] < runs / 2
