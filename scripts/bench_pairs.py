@@ -18,12 +18,17 @@ and per end-to-end metric of CHANGE's BENCHMARK.json, each side's median,
 quartiles (numpy linear percentiles), IQR and values in pair order; the
 change's median over the parent's; change_wins, the pairs where the change
 is better in the metric's direction (ties count for neither); whether the
-median gap exceeds the parent's IQR; and within_bound, the change's median
-against the parent's widened by the metric's bound. With --claim, the claim
-is met when the change wins at least nine of the ten pairs and its median
-beats the parent's by more than the parent's IQR. The file is rewritten
-after every pair, so a cut run leaves the pairs it finished; its claim is
-judged only once all ten are in.
+median gap exceeds the parent's IQR; within_bound, the change's median
+against the parent's widened by the metric's bound; and ratio, each pair's
+change/parent value in pair order with their median, quartiles and IQR and
+wins, the pairs whose ratio lies on the metric's better side of 1 (ratio is
+null when a parent value is 0). A pair runs one seed on both sides, so the
+ratios are free of the spread between seeds that widens each side's IQR.
+With --claim, the claim is met when the change wins at least nine of the
+ten pairs and its median beats the parent's by more than the parent's IQR;
+the ratios do not enter it. The file is rewritten after every pair, so a
+cut run leaves the pairs it finished; its claim is judged only once all ten
+are in.
 """
 
 from __future__ import annotations
@@ -80,6 +85,15 @@ def spread(values):
             "n": len(values), "values": [round(v, 6) for v in values]}
 
 
+def ratios(parent, change, lower):
+    """Each pair's change/parent value, their spread and wins; None if a
+    parent value is 0."""
+    if 0 in parent:
+        return None
+    values = [c / p for p, c in zip(parent, change)]
+    return {**spread(values), "wins": sum((r < 1) if lower else (r > 1) for r in values)}
+
+
 def compare(metric, runs):
     """One end-to-end metric's summary over the pairs in runs."""
     lower = metric["better"] == "lower"
@@ -98,6 +112,7 @@ def compare(metric, runs):
         "ties": ties,
         "median_gap_exceeds_parent_iqr": abs(change - parent) > stats["parent"]["iqr"],
         "within_bound": change <= widened if lower else change >= widened,
+        "ratio": ratios(values["parent"], values["change"], lower),
     }
 
 
@@ -158,7 +173,9 @@ def main(argv=None):
                   "order; change_wins counts pairs where the change is better by the "
                   "metric's direction, ties counting for neither; within_bound compares "
                   "the change's median with the parent's median widened by the metric's "
-                  "bound.",
+                  "bound; ratio holds each pair's change/parent value in pair order, "
+                  "their median and quartiles, and wins, the ratios on the metric's "
+                  "better side of 1.",
         "machine": {"vcpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
         **({"claim": None} if args.claim else {}),

@@ -12,7 +12,7 @@ from .plant import (Mission, NoiseSpec, PidConfig, PlantModel, Trajectory,
                     return_home_mission, simulate)
 from .search import (BoundaryLine, ParamSpace, boundary_from_csv,
                      boundary_to_csv, genetic_search, hill_climb,
-                     identify_boundary, random_fuzz, search_column)
+                     identify_boundary, random_fuzz)
 from .stability import (characteristic_roots, roots_stable, routh_stable,
                         theoretical_boundary)
 from .validator import (OracleComparison, OracleConfig, RouthValidator,

@@ -1,17 +1,15 @@
 """Boundary search over a 3-D grid of PID gains.
 
-For each kp plane the searcher walks kd columns left to right, carrying the
-previous column's boundary height as the starting ki. An invalid start
-triggers a downward walk to the first valid gain; a valid start climbs until
-the first invalid one and keeps the last valid. Columns whose walk leaves
-the grid are tagged all_valid / all_invalid and carry the respective grid
-edge into the next column.
-
-Also ships the three black-box baselines (random fuzzing with local
-guidance, hill climbing, a small genetic algorithm) used for comparison at
-equal query budgets. A baseline is only a policy: a generator of grid
-indices, sent back whether each probe was invalid. One driver, _spend,
-checks the integer budget, asks the oracle and collects the invalid configs.
+Every searcher is a policy: a generator that yields grid indices and is sent
+each probe's Verdict. One driver, _drive, asks the oracle, enforces a query
+budget where there is one, collects the invalid configs and returns the
+policy's own return value. The coordinate walk (_walk) covers each kp plane's
+kd columns left to right, entering each at the previous column's boundary
+height: an invalid entry walks down to the first valid ki, a valid one climbs
+to the last valid. A walk that leaves the grid tags its column all_valid /
+all_invalid and carries that grid edge on. The three black-box baselines
+(random fuzzing with local guidance, hill climbing, a small genetic
+algorithm) are compared with it at equal query budgets.
 """
 
 from __future__ import annotations
@@ -236,41 +234,41 @@ class BoundaryLine:
         raise KeyError(f"no column at p={p}, d={d}")
 
 
-def search_column(space, validator, p_idx, d_idx, i_start_idx, entry_valid):
-    """Walk one kd column in ki from an entry whose verdict is known.
+def _column(space, p_idx, d_idx, start, entry_valid):
+    """Policy: walk one kd column in ki from an entry whose verdict is known.
 
     A valid entry climbs while verdicts stay valid and returns the last
-    valid index; climbing off the top yields all_valid. An invalid entry
-    descends to the first valid index; falling off the bottom yields
-    all_invalid. The entry itself is never re-queried.
-
-    Returns:
-        (status, i_idx) with i_idx set only for status "boundary".
+    valid index; climbing off the top returns all_valid. An invalid entry
+    descends to the first valid index; falling off the bottom returns
+    all_invalid. The entry itself is never re-queried. Returns (status,
+    i_idx), i_idx set only for status "boundary".
     """
     step = 1 if entry_valid else -1
-    j = i_start_idx + step
+    j = start + step
     while 0 <= j < space.n_i:
-        if validator.classify(space.pid_at(p_idx, j, d_idx)).valid != entry_valid:
+        if (yield p_idx, j, d_idx).valid != entry_valid:
             return BOUNDARY, j - 1 if entry_valid else j
         j += step
     return (ALL_VALID if entry_valid else ALL_INVALID), None
 
 
-def _search_plane(space, validator, p_idx, dsoff):
+def _walk(space, dsoff):
+    """Policy: the coordinate walk over every kp plane; returns one
+    ColumnRecord per (kp, kd) column."""
     records = []
-    carry = space.n_i - 1
-    for d_idx in range(space.n_d):
-        entry_valid = validator.classify(space.pid_at(p_idx, carry, d_idx)).valid
-        if entry_valid or not dsoff:
-            status, i_idx = search_column(space, validator, p_idx, d_idx, carry,
-                                          entry_valid)
-        else:
-            # ablated variant: no downward search, keep the carried height
-            status, i_idx = BOUNDARY, carry
-        records.append(ColumnRecord(space.p_value(p_idx), space.d_value(d_idx), status,
-                                    None if i_idx is None else space.i_value(i_idx)))
-        # the next column enters at this boundary, or at the edge the walk left by
-        carry = {BOUNDARY: i_idx, ALL_VALID: space.n_i - 1, ALL_INVALID: 0}[status]
+    for p_idx in range(space.n_p):
+        carry = space.n_i - 1
+        for d_idx in range(space.n_d):
+            entry_valid = (yield p_idx, carry, d_idx).valid
+            if entry_valid or not dsoff:
+                status, i_idx = yield from _column(space, p_idx, d_idx, carry, entry_valid)
+            else:
+                # ablated variant: no downward search, keep the carried height
+                status, i_idx = BOUNDARY, carry
+            records.append(ColumnRecord(space.p_value(p_idx), space.d_value(d_idx), status,
+                                        None if i_idx is None else space.i_value(i_idx)))
+            # the next column enters at this boundary, or at the edge the walk left by
+            carry = {BOUNDARY: i_idx, ALL_VALID: space.n_i - 1, ALL_INVALID: 0}[status]
     return records
 
 
@@ -288,33 +286,29 @@ def identify_boundary(space, validator, *, workers=1, dsoff=False):
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
-    return BoundaryLine(space=space, columns=[
-        c for p_idx in range(space.n_p)
-        for c in _search_plane(space, validator, p_idx, dsoff=dsoff)])
+    return BoundaryLine(space=space, columns=_drive(space, validator, _walk(space, dsoff))[0])
 
 
-def _spend(space, validator, budget, probes):
-    """The invalid configs among the first budget grid indices probes yields.
-
-    probes is sent back whether each probe was invalid, and is never resumed
-    after the last query budget allows. budget must be an int >= 1.
-    """
-    if type(budget) is not int:
+def _drive(space, validator, probes, budget=None):
+    """(probes' return value, the invalid configs it probed). With a budget
+    (an int >= 1) probes is never resumed after the last query the budget
+    allows, and its return value reads None if it had not finished."""
+    if budget is not None and type(budget) is not int:
         raise ValueError(f"budget must be an integer, got {budget!r}")
-    if budget < 1:
+    if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget!r}")
-    found = set()
-    bad = None
-    for _ in range(budget):
+    found, verdict, asked = set(), None, 0
+    while budget is None or asked < budget:
         try:
-            idx = probes.send(bad)
-        except StopIteration:
-            break
+            idx = probes.send(verdict)
+        except StopIteration as stop:
+            return stop.value, found
         pid = space.pid_at(*idx)
-        bad = not validator.classify(pid).valid
-        if bad:
+        verdict = validator.classify(pid)
+        asked += 1
+        if not verdict.valid:
             found.add(pid)
-    return found
+    return None, found
 
 
 def _draw(space, rng):
@@ -344,7 +338,7 @@ def random_fuzz(space, validator, *, budget=100, seed=0):
     Spends exactly `budget` oracle queries (or stops early once the whole
     grid has been probed) and returns the set of invalid configs found.
     """
-    return _spend(space, validator, budget, _fuzz(space, random.Random(seed)))
+    return _drive(space, validator, _fuzz(space, random.Random(seed)), budget)[1]
 
 
 def _fuzz(space, rng):
@@ -366,7 +360,7 @@ def _fuzz(space, rng):
             if cand not in probed:
                 idx = cand
         probed.add(idx)
-        if (yield idx):
+        if not (yield idx).valid:
             guide = idx
 
 
@@ -377,7 +371,7 @@ def hill_climb(space, validator, *, budget=100, seed=0):
     neighbor is invalid (the quantity being maximized); restarts after
     MAX_STALL consecutive valid proposals. Returns invalid configs found.
     """
-    return _spend(space, validator, budget, _climb(space, random.Random(seed)))
+    return _drive(space, validator, _climb(space, random.Random(seed)), budget)[1]
 
 
 def _climb(space, rng):
@@ -389,7 +383,7 @@ def _climb(space, rng):
             cand = _neighbor(space, rng, current)
             if cand is None:
                 break
-            if (yield cand):
+            if not (yield cand).valid:
                 current = cand
                 stall = 0
             else:
@@ -405,7 +399,7 @@ def genetic_search(space, validator, *, budget=100, seed=0):
     evaluated individual costs one query and the run stops exactly at the
     budget. Returns invalid configs found.
     """
-    return _spend(space, validator, budget, _evolve(space, random.Random(seed)))
+    return _drive(space, validator, _evolve(space, random.Random(seed)), budget)[1]
 
 
 def _evolve(space, rng):
@@ -416,7 +410,7 @@ def _evolve(space, rng):
         idx = _draw(space, rng)
         if idx not in seen:
             seen.add(idx)
-            pop.append((idx, (yield idx)))
+            pop.append((idx, not (yield idx).valid))
     while True:
         nxt = []
         while len(nxt) < pop_size:
@@ -428,7 +422,7 @@ def _evolve(space, rng):
                     limit = (space.n_p, space.n_i, space.n_d)[dim]
                     child[dim] = min(limit - 1, max(0, child[dim] + rng.choice((-1, 1))))
             idx = tuple(child)
-            nxt.append((idx, (yield idx)))
+            nxt.append((idx, not (yield idx).valid))
         pop = nxt
 
 

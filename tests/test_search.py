@@ -11,8 +11,8 @@ from pidlab import (BoundaryLine, OracleConfig, ParamSpace, PidConfig,
                     ground_truth, hill_climb, hold_mission, identify_boundary,
                     query_count, random_fuzz, reset_query_count, routh_stable)
 from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, ColumnRecord,
-                           _axis_count, search_column)
-from pidlab.validator import LookupValidator
+                           _axis_count, _column, _drive)
+from pidlab.validator import LookupValidator, Verdict
 
 
 def worked_space():
@@ -124,28 +124,33 @@ class TestParamSpace:
         assert str(err.value).partition(" ")[0] == key
 
 
+def drive_column(space, validator, p_idx, d_idx, start, entry_valid):
+    """One column's walk, driven on its own."""
+    return _drive(space, validator, _column(space, p_idx, d_idx, start, entry_valid))[0]
+
+
 class TestSearchColumn:
     def test_invalid_entry_descends_to_largest_valid(self):
         s = worked_space()
-        status, idx = search_column(s, RouthValidator(1, 1), 0, 1, 39, False)
+        status, idx = drive_column(s, RouthValidator(1, 1), 0, 1, 39, False)
         assert (status, s.i_value(idx)) == (BOUNDARY, pytest.approx(2.9))
 
     def test_valid_entry_climbs_to_largest_valid(self):
         s = worked_space()
-        status, idx = search_column(s, RouthValidator(1, 1), 0, 1,
-                                    s.i_index(2.0), True)
+        status, idx = drive_column(s, RouthValidator(1, 1), 0, 1,
+                                   s.i_index(2.0), True)
         assert (status, s.i_value(idx)) == (BOUNDARY, pytest.approx(2.9))
 
     def test_descent_exhausts_to_all_invalid(self):
         s = worked_space()
-        status, idx = search_column(s, LookupValidator(lambda pid: False),
-                                    0, 0, 39, False)
+        status, idx = drive_column(s, LookupValidator(lambda pid: False),
+                                   0, 0, 39, False)
         assert (status, idx) == (ALL_INVALID, None)
 
     def test_climb_exhausts_to_all_valid(self):
         s = worked_space()
-        status, idx = search_column(s, LookupValidator(lambda pid: True),
-                                    0, 0, 0, True)
+        status, idx = drive_column(s, LookupValidator(lambda pid: True),
+                                   0, 0, 0, True)
         assert (status, idx) == (ALL_VALID, None)
 
     @settings(max_examples=300, deadline=None)
@@ -162,7 +167,7 @@ class TestSearchColumn:
         oracle = LookupValidator(lambda pid: valid_at(s.i_index(pid.ki)))
         entry = valid_at(start)
         reset_query_count()
-        got = search_column(s, oracle, 0, 0, start, entry)
+        got = drive_column(s, oracle, 0, 0, start, entry)
         if top == -1:
             assert got == (ALL_INVALID, None)
         elif top == n_i - 1:
@@ -310,6 +315,104 @@ class Recording(LookupValidator):
     def classify(self, pid):
         self.asked.append(pid)
         return super().classify(pid)
+
+
+def reference_walk(space, validator, dsoff):
+    """The coordinate walk as a loop that asks the oracle itself, kept to
+    pin the probe order of the policy identify_boundary drives."""
+
+    def column(p_idx, d_idx, start, entry_valid):
+        step = 1 if entry_valid else -1
+        j = start + step
+        while 0 <= j < space.n_i:
+            if validator.classify(space.pid_at(p_idx, j, d_idx)).valid != entry_valid:
+                return BOUNDARY, j - 1 if entry_valid else j
+            j += step
+        return (ALL_VALID if entry_valid else ALL_INVALID), None
+
+    records = []
+    for p_idx in range(space.n_p):
+        carry = space.n_i - 1
+        for d_idx in range(space.n_d):
+            entry_valid = validator.classify(space.pid_at(p_idx, carry, d_idx)).valid
+            if entry_valid or not dsoff:
+                status, i_idx = column(p_idx, d_idx, carry, entry_valid)
+            else:
+                status, i_idx = BOUNDARY, carry
+            records.append(ColumnRecord(space.p_value(p_idx), space.d_value(d_idx), status,
+                                        None if i_idx is None else space.i_value(i_idx)))
+            carry = {BOUNDARY: i_idx, ALL_VALID: space.n_i - 1, ALL_INVALID: 0}[status]
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 6)),
+       table_seed=st.integers(0, 2**16), density=st.floats(0.0, 1.0), dsoff=st.booleans())
+def test_the_walk_asks_what_the_reference_loop_asks(shape, table_seed, density, dsoff):
+    n_p, n_i, n_d = shape
+    s = ParamSpace(0.0, n_p - 1.0, 1.0, 0.0, n_i - 1.0, 1.0, 0.0, n_d - 1.0, 1.0)
+    rng = random.Random(table_seed)
+    valid = {s.pid_at(*idx): rng.random() < density for idx in s.iter_indices()}
+    walked, reference = Recording(valid.__getitem__), Recording(valid.__getitem__)
+    columns = identify_boundary(s, walked, dsoff=dsoff).columns
+    assert columns == reference_walk(s, reference, dsoff)
+    assert walked.asked == reference.asked
+
+
+DONE = object()
+
+
+class Toy:
+    """A policy that yields the given grid indices in turn and then returns
+    DONE; sent keeps every value it was sent, the first resume's None too."""
+
+    def __init__(self, probes):
+        self.sent = []
+        self.probes = self.run(probes)
+
+    @staticmethod
+    def run(probes):
+        for idx in probes:
+            yield idx
+        return DONE
+
+    def send(self, value):
+        self.sent.append(value)
+        return self.probes.send(value)
+
+
+class TestDrive:
+    def test_the_policy_is_sent_verdicts_and_its_value_returned(self):
+        s = worked_space()
+        probes = [(0, ii, 1) for ii in range(0, 40, 4)]
+        toy = Toy(probes)
+        value, found = _drive(s, RouthValidator(1, 1), toy)
+        assert value is DONE
+        assert toy.sent[0] is None
+        verdicts = toy.sent[1:]
+        assert all(type(v) is Verdict for v in verdicts)
+        assert len(verdicts) == len(probes) == query_count()
+        assert [v.valid for v in verdicts] == [routh_stable(s.pid_at(*i), 1, 1)
+                                               for i in probes]
+        assert found == {s.pid_at(*i) for i, v in zip(probes, verdicts) if not v.valid}
+
+    @pytest.mark.parametrize("budget", [1, 3, 7])
+    def test_a_budget_stops_the_policy_before_its_next_resume(self, budget):
+        toy = Toy([(0, ii, 0) for ii in range(10)])
+        value, _ = _drive(worked_space(), RouthValidator(1, 1), toy, budget)
+        assert value is None
+        assert query_count() == budget
+        # one resume per query; none after the last
+        assert len(toy.sent) == budget
+
+    def test_a_policy_that_ends_before_its_budget_ends_the_run(self):
+        s = worked_space()
+        toy = Toy([(0, 0, 0), (0, 1, 0)])
+        value, found = _drive(s, LookupValidator(lambda pid: False), toy, budget=50)
+        assert value is DONE
+        assert query_count() == 2
+        assert len(toy.sent) == 3  # the third resume finds the policy done
+        assert found == {s.pid_at(0, 0, 0), s.pid_at(0, 1, 0)}
 
 
 @settings(max_examples=150, deadline=None)
