@@ -5,7 +5,10 @@
         [--claim WORKLOAD:METRIC] [--change-text TEXT] [--note TEXT ...]
         [--parent-commit REF]
 
-PARENT and CHANGE are two checkouts of the repository. There are ten
+PARENT and CHANGE are two checkouts of the repository. Before the pairs,
+each checkout runs the tier-1 suite once and tests/test_acceptance.py once
+(TEST_RUNS, with src on PYTHONPATH), and the wall time, exit code and last
+output line of each run go into the summary's notes. There are ten
 pairs, one per seed perfbench ships digests for: pair k runs CHANGE's
 BENCHMARK.json command with `--workload W --seed k --seconds S --trace 0`,
 S its run_seconds, in each checkout, the parent first in even pairs and
@@ -39,6 +42,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +53,11 @@ SIDES = ("parent", "change")
 # shipped seed once; a claim needs nine wins in ten pairs.
 PAIRS = 10
 CLAIM_WINS = 9
+
+# The test runs timed in each checkout before the pairs: the tier-1 suite
+# and the acceptance checks, the two wall times the roadmap's north star names.
+PYTEST = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+TEST_RUNS = {"tier-1": PYTEST, "tests/test_acceptance.py": [*PYTEST, "tests/test_acceptance.py"]}
 
 
 def parse_args(argv):
@@ -76,6 +85,22 @@ def run_one(checkout, command, workload, seed, seconds):
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited "
                          f"{done.returncode}\n{done.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def time_tests(checkout, side):
+    """One note per TEST_RUNS entry: its wall time in checkout, its exit
+    code and the last line it printed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    notes = []
+    for label, cmd in TEST_RUNS.items():
+        start = time.perf_counter()
+        done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        last = (done.stdout.strip().splitlines() or [""])[-1]
+        notes.append(f"{label} in {side}: {wall:.1f} s wall, exit {done.returncode}, {last!r}")
+        print(notes[-1], file=sys.stderr, flush=True)
+    return notes
 
 
 def spread(values):
@@ -160,6 +185,8 @@ def main(argv=None):
     command, seconds = spec["command"], spec["run_seconds"]
     names = args.workload or [w["name"] for w in spec["workloads"]]
     out = Path(f"BENCH_{args.pr}.json")
+    tests = [note for side in SIDES
+             for note in time_tests(args.parent if side == "parent" else args.change, side)]
     doc = {
         "change": args.change_text,
         "parent_commit": args.parent_commit or git_commit(args.parent) or "unknown",
@@ -179,7 +206,7 @@ def main(argv=None):
         "machine": {"vcpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
         **({"claim": None} if args.claim else {}),
-        "notes": args.note,
+        "notes": [*args.note, *tests],
         "workloads": {},
     }
     runs = {name: [] for name in names}

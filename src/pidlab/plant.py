@@ -431,9 +431,8 @@ def simulate(plant, pid, mission):
     return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs, mode=mission.mode)
 
 
-# Steps per block of simulate_linear's scan, and blocks per chunk of it.
-_BLOCK = 32
-_CHUNK = 32
+# Steps per chunk of simulate_linear's scan.
+_SPAN = 4096
 
 
 def _rk4_map(plant, pid, dt):
@@ -460,6 +459,15 @@ def _rk4_map(plant, pid, dt):
     return m, np.stack([n0[:, 1], n0[:, 2], nm[:, 1], nm[:, 2], n1[:, 1], n1[:, 2]])
 
 
+def _squares(m, count):
+    """[M, M^2, M^4, ...]: count matrices, each the square of the one
+    before. An unstable M's squares overflow; callers silence that."""
+    squares = [m]
+    while len(squares) < count:
+        squares.append(squares[-1] @ squares[-1])
+    return squares[:count]
+
+
 def step_map_power(plant, pid, mission):
     """M^(n - 1), for M the RK4 step map of _rk4_map and n the mission's
     sample count: the unclamped, unforced loop's state (x, v, q) at the
@@ -473,12 +481,9 @@ def step_map_power(plant, pid, mission):
     power = np.eye(3)
     steps = sample_count(plant, mission) - 1
     with np.errstate(all="ignore"):
-        while steps:
-            if steps & 1:
-                power = power @ m
-            steps >>= 1
-            if steps:
-                m = m @ m
+        for bit, square in enumerate(_squares(m, steps.bit_length())):
+            if steps >> bit & 1:
+                power = power @ square
     return power
 
 
@@ -505,68 +510,53 @@ def _linear_scan(dt, steps, plant, pid, limit):
     """x and v of the run on _inputs' steps, or None past limit (see
     simulate_linear).
 
-    The scan takes _BLOCK steps at a time: one matmul with the block
-    Toeplitz matrix of the powers of M gives every block's response from a
-    zero state, and a carry over the blocks adds each block's start state.
-    It runs _CHUNK blocks at a time, reading the steps' slices [k0:k1], so
-    its temporaries do not grow with the run, and stops at the first chunk
-    past limit.
+    The scan takes _SPAN steps at a time, reading the steps' slices
+    [k0:k1], so its temporaries do not grow with the run, and stops at the
+    first chunk past limit. Within a chunk, run[:, i] starts as step i's
+    own response V^T f[i], plus M s for the chunk's start state s at
+    i = 0; pass j of a doubling scan adds M^(2^j) run[:, i - 2^j] to every
+    run[:, i] that has one, so after the passes run[:, i] is the state
+    after step i.
     """
     n = len(steps[0]) + 1
     kp, kd = float(pid.kp), float(pid.kd)
     m, resp = _rk4_map(plant, pid, dt)
-    size = _BLOCK
-    with np.errstate(all="ignore"):  # an unstable map's powers overflow
-        powers = np.empty((size + 1, 3, 3))
-        powers[0] = np.eye(3)
-        for j in range(size):
-            powers[j + 1] = m @ powers[j]
-        # toeplitz[6 i + c, 3 j + d] = (M^(j - i) V^T)[d, c] for i <= j, else
-        # 0: component d of the state after step j of a block, from one unit
-        # of input column c at its step i
-        lag = np.arange(size)[None, :] - np.arange(size)[:, None]
-        toeplitz = (resp[None] @ powers[:size].transpose(0, 2, 1))[np.maximum(lag, 0)]
-        toeplitz[lag < 0] = 0.0
-        toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(6 * size, 3 * size)
-        # from_start[e, 3 j + d]: M^(j + 1)[d, e], the part of step j + 1
-        # the block's start state makes
-        from_start = powers[1:].transpose(2, 0, 1).reshape(3, 3 * size)
-        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = powers[size].tolist()
-
+    # Squared in extended precision where the platform has it: each float
+    # squaring doubles the relative error of the square before it, and the
+    # scan applies every square to all the steps after it.
+    with np.errstate(all="ignore"):
+        squares = [square.astype(float) for square in
+                   _squares(m.astype(np.longdouble), (_SPAN - 1).bit_length())]
     xs = np.empty(n)
     vs = np.empty(n)
     xs[0] = vs[0] = 0.0
-    x = v = q = 0.0
+    state = np.zeros(3)
     noise = steps[0]
     # (r, r', u) at the step's start, middle and end
     points = tuple(zip(steps[1:7:2], steps[2:7:2], steps[7:]))
-    span = size * _CHUNK
-    for k0 in range(0, n - 1, span):
-        k1 = min(k0 + span, n - 1)
-        count = k1 - k0
-        blocks = -(-count // size)
+    for k0 in range(0, n - 1, _SPAN):
+        k1 = min(k0 + _SPAN, n - 1)
         # per step: kp * (r - noise) + kd * r' + u and r - noise at the
-        # step's start, middle and end; zero past the run's last step
-        forcing = np.zeros((blocks * size, 6))
-        for at, (ref, slope, u) in enumerate(points):
-            y = ref[k0:k1] - noise[k0:k1]
-            w = kp * y + kd * slope[k0:k1] + u[k0:k1]
-            forcing[:count, 2 * at] = w
-            forcing[:count, 2 * at + 1] = y
-        with np.errstate(all="ignore"):
-            local = forcing.reshape(blocks, 6 * size) @ toeplitz
-            starts = []
-            for zx, zv, zq in local[:, -3:].tolist():
-                starts.append((x, v, q))
-                x, v, q = (c00 * x + c01 * v + c02 * q + zx,
-                           c10 * x + c11 * v + c12 * q + zv,
-                           c20 * x + c21 * v + c22 * q + zq)
-            local += np.array(starts) @ from_start
-        run = local.reshape(blocks * size, 3)[:count]
-        xs[k0 + 1:k1 + 1] = run[:, 0]
-        vs[k0 + 1:k1 + 1] = run[:, 1]
-        if not np.abs(run[:, :2]).max() < limit:
+        # step's start, middle and end
+        forcing = np.empty((6, k1 - k0))
+        with np.errstate(all="ignore"):  # an unstable map's powers overflow
+            for at, (ref, slope, u) in enumerate(points):
+                y = ref[k0:k1] - noise[k0:k1]
+                forcing[2 * at] = kp * y + kd * slope[k0:k1] + u[k0:k1]
+                forcing[2 * at + 1] = y
+            run = resp.T @ forcing
+            run[:, 0] += m @ state
+            for bit, square in enumerate(squares):
+                shift = 1 << bit
+                if shift >= k1 - k0:
+                    break
+                # the product is built before the add, so the overlap is safe
+                run[:, shift:] += square @ run[:, :-shift]
+        xs[k0 + 1:k1 + 1] = run[0]
+        vs[k0 + 1:k1 + 1] = run[1]
+        if not np.abs(run[:2]).max() < limit:
             return None
+        state = run[:, -1]
     return xs, vs
 
 

@@ -2,14 +2,15 @@
 
 Every searcher is a policy: a generator that yields grid indices and is sent
 each probe's Verdict. One driver, _drive, asks the oracle, enforces a query
-budget where there is one, collects the invalid configs and returns the
-policy's own return value. The coordinate walk (_walk) covers each kp plane's
-kd columns left to right, entering each at the previous column's boundary
-height: an invalid entry walks down to the first valid ki, a valid one climbs
-to the last valid. A walk that leaves the grid tags its column all_valid /
-all_invalid and carries that grid edge on. The three black-box baselines
-(random fuzzing with local guidance, hill climbing, a small genetic
-algorithm) are compared with it at equal query budgets.
+budget where there is one, collects the invalid configs where a baseline
+asks for them and returns the policy's own return value. The coordinate
+walk (_walk) covers each kp plane's kd columns left to right, entering each
+at the previous column's boundary height: an invalid entry walks down to the
+first valid ki, a valid one climbs to the last valid. A walk that leaves the
+grid tags its column all_valid / all_invalid and carries that grid edge on.
+The three black-box baselines (random fuzzing with local guidance, hill
+climbing, a small genetic algorithm) are compared with it at equal query
+budgets.
 """
 
 from __future__ import annotations
@@ -286,29 +287,30 @@ def identify_boundary(space, validator, *, workers=1, dsoff=False):
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
-    return BoundaryLine(space=space, columns=_drive(space, validator, _walk(space, dsoff))[0])
+    return BoundaryLine(space=space, columns=_drive(space, validator, _walk(space, dsoff)))
 
 
-def _drive(space, validator, probes, budget=None):
-    """(probes' return value, the invalid configs it probed). With a budget
-    (an int >= 1) probes is never resumed after the last query the budget
-    allows, and its return value reads None if it had not finished."""
+def _drive(space, validator, probes, budget=None, found=None):
+    """probes' return value. With a budget (an int >= 1) probes is never
+    resumed after the last query the budget allows, and its return value
+    reads None if it had not finished. Where found is a set, every invalid
+    config probed is added to it."""
     if budget is not None and type(budget) is not int:
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget!r}")
-    found, verdict, asked = set(), None, 0
+    verdict, asked = None, 0
     while budget is None or asked < budget:
         try:
             idx = probes.send(verdict)
         except StopIteration as stop:
-            return stop.value, found
+            return stop.value
         pid = space.pid_at(*idx)
         verdict = validator.classify(pid)
         asked += 1
-        if not verdict.valid:
+        if found is not None and not verdict.valid:
             found.add(pid)
-    return None, found
+    return None
 
 
 def _draw(space, rng):
@@ -338,7 +340,9 @@ def random_fuzz(space, validator, *, budget=100, seed=0):
     Spends exactly `budget` oracle queries (or stops early once the whole
     grid has been probed) and returns the set of invalid configs found.
     """
-    return _drive(space, validator, _fuzz(space, random.Random(seed)), budget)[1]
+    found = set()
+    _drive(space, validator, _fuzz(space, random.Random(seed)), budget, found)
+    return found
 
 
 def _fuzz(space, rng):
@@ -371,7 +375,9 @@ def hill_climb(space, validator, *, budget=100, seed=0):
     neighbor is invalid (the quantity being maximized); restarts after
     MAX_STALL consecutive valid proposals. Returns invalid configs found.
     """
-    return _drive(space, validator, _climb(space, random.Random(seed)), budget)[1]
+    found = set()
+    _drive(space, validator, _climb(space, random.Random(seed)), budget, found)
+    return found
 
 
 def _climb(space, rng):
@@ -399,7 +405,9 @@ def genetic_search(space, validator, *, budget=100, seed=0):
     evaluated individual costs one query and the run stops exactly at the
     budget. Returns invalid configs found.
     """
-    return _drive(space, validator, _evolve(space, random.Random(seed)), budget)[1]
+    found = set()
+    _drive(space, validator, _evolve(space, random.Random(seed)), budget, found)
+    return found
 
 
 def _evolve(space, rng):

@@ -1,6 +1,10 @@
 """scripts/bench_pairs.py's per-metric summary, on synthetic runs."""
 
 import importlib.util
+import json
+import os
+import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,43 @@ def test_a_zero_parent_value_has_no_ratio(bench_pairs):
     block = bench_pairs.compare(WALL, runs([0.0, 1.0], [0.5, 1.0]))
     assert block["ratio"] is None
     assert block["change_wins"] == 0
+
+
+def test_test_wall_times_are_taken_in_each_checkout_before_the_pairs(
+        bench_pairs, tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["bench"], "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [WALL]}))
+    calls = []
+
+    def run(cmd, cwd, **kwargs):
+        # a stand-in for subprocess.run: pytest prints its summary last,
+        # the benchmark its JSON result
+        calls.append((Path(cwd).name, cmd))
+        if cmd[0] == "bench":
+            result = {"metrics": {"wall_s": {"value": 1.0}}, "correct": True, "failed": 0}
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(result), "")
+        assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == "src"
+        return subprocess.CompletedProcess(cmd, 0, "...\n7 passed in 0.01s\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(parent), str(change), "--pr", "5",
+                             "--parent-commit", "abc", "--note", "given"]) == 0
+    tests = [(where, cmd[-1]) for where, cmd in calls[:4]]
+    assert tests == [("parent", "--continue-on-collection-errors"),
+                     ("parent", "tests/test_acceptance.py"),
+                     ("change", "--continue-on-collection-errors"),
+                     ("change", "tests/test_acceptance.py")]
+    assert all(cmd[0] == "bench" for _, cmd in calls[4:])
+    assert len(calls[4:]) == 2 * bench_pairs.PAIRS
+    notes = json.loads((tmp_path / "BENCH_5.json").read_text())["notes"]
+    assert notes[0] == "given"
+    assert [note.partition(":")[0] for note in notes[1:]] == [
+        "tier-1 in parent", "tests/test_acceptance.py in parent",
+        "tier-1 in change", "tests/test_acceptance.py in change"]
+    assert all(re.fullmatch(r".*: \d+\.\d s wall, exit 0, '7 passed in 0.01s'", note)
+               for note in notes[1:])

@@ -356,6 +356,8 @@ def assert_same_trace(plant, pid, mission):
     return got
 
 
+SPAN = plant_module._SPAN  # steps per chunk of simulate_linear's scan
+
 GAINS = {"stable": STABLE, "unstable": PidConfig(1, 5, 1),
          "clamped": PidConfig(-50, 100, -50), "divergent": PidConfig(1e5, 1e5, 1e5)}
 
@@ -545,6 +547,24 @@ class TestSimulateLinear:
         for pid in (PidConfig(1.0, 0.3, 0.6), PidConfig(0.2, 0.05, 0.2), PidConfig(4.0, 1.0, 2.5)):
             assert linear_error(plant, pid, mission) <= 1e-11
 
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(
+        sensor_sigma=0.02, disturbance_amp=0.3, disturbance_freq=0.7, seed=5)],
+        ids=["quiet", "noisy"])
+    @pytest.mark.parametrize("steps, pid", [
+        (0, STABLE), (1, STABLE), (SPAN - 1, STABLE), (SPAN, STABLE), (SPAN + 1, STABLE),
+        (2 * SPAN + 1, STABLE), (2 * SPAN + 1, GAINS["unstable"])],
+        ids=["0", "1", "span-1", "span", "span+1", "2span+1", "2span+1-unstable"])
+    def test_error_bound_at_chunk_edges(self, steps, pid, noise):
+        # the scan takes SPAN steps per chunk; the unstable run grows to
+        # about 600 over its 8,193 steps, short of the clamp
+        dt = 0.01
+        duration = (steps + 0.5) * dt
+        plant = PlantModel(dt=dt, t_max=max(duration, 10 * dt), noise=noise)
+        mission = hold_mission(settle_deadline=duration / 2, duration=duration)
+        assert sample_count(plant, mission) == steps + 1
+        error = linear_error(plant, pid, mission)
+        assert error is not None and error <= 1e-11
+
     @pytest.mark.parametrize("pid", [GAINS["clamped"], GAINS["divergent"],
                                      PidConfig(1e200, 1, 1), PidConfig(-1e300, 0, 0)],
                              ids=["clamped", "divergent", "huge", "huge-negative"])
@@ -552,13 +572,20 @@ class TestSimulateLinear:
         # huge gains overflow the step map without a warning (an error here)
         assert simulate_linear(PlantModel(), pid, hold_mission()) is None
 
-    def test_the_limit_stops_the_scan(self):
-        mission = hold_mission(settle_deadline=10.0, duration=20.0)
-        run = simulate(PlantModel(), GAINS["unstable"], mission)
-        peak = max(np.abs(run.x).max(), np.abs(run.v).max())
+    @pytest.mark.parametrize("duration", [20.0, 2.5 * SPAN * 0.01],
+                             ids=["one-chunk", "three-chunks"])
+    def test_the_limit_stops_the_scan(self, duration):
+        plant = PlantModel(t_max=duration)
+        mission = hold_mission(settle_deadline=10.0, duration=duration)
+        run = simulate(plant, GAINS["unstable"], mission)
+        size = np.maximum(np.abs(run.x), np.abs(run.v))
+        peak = size.max()
         assert 1.0 < peak < CLAMP
-        assert simulate_linear(PlantModel(), GAINS["unstable"], mission, limit=peak * 0.99) is None
-        assert simulate_linear(PlantModel(), GAINS["unstable"], mission, limit=peak * 1.01)
+        # the samples before the last chunk stay below the limit, so the
+        # scan first passes it in its last chunk
+        assert size[:(len(run) - 2) // SPAN * SPAN + 1].max() < peak * 0.99
+        assert simulate_linear(plant, GAINS["unstable"], mission, limit=peak * 0.99) is None
+        assert simulate_linear(plant, GAINS["unstable"], mission, limit=peak * 1.01)
 
 
 class TestStepMapPower:
@@ -606,10 +633,12 @@ MEMORY_CASES = pytest.mark.parametrize("noise, bound", [
 class TestInputMemory:
     """The step inputs are views of the half-step reference, and noise or
     sawtooth that is off takes no memory. A call that builds the layout
-    was measured at 72 bytes per sample quiet and 104 noisy for both runs;
-    copying the inputs into one dense (10, n - 1) table reads 128 and 165.
-    A call that finds the layout kept from the last one reads 24 and 32:
-    x, v and e, plus the noise draw."""
+    was measured at 72.1 bytes per sample quiet and 104.1 noisy for
+    simulate, and 73.7 and 105.7 for simulate_linear, whose scan adds one
+    chunk's forcing and state arrays; copying the inputs into one dense
+    (10, n - 1) table reads 128 and 165. A call that finds the layout kept
+    from the last one reads 24.0 and 32.0 (simulate_linear 25.7 and
+    33.7): x, v and e, plus the noise draw."""
 
     @pytest.mark.parametrize("run", [simulate, simulate_linear], ids=lambda f: f.__name__)
     @MEMORY_CASES

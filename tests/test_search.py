@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 
@@ -126,7 +127,7 @@ class TestParamSpace:
 
 def drive_column(space, validator, p_idx, d_idx, start, entry_valid):
     """One column's walk, driven on its own."""
-    return _drive(space, validator, _column(space, p_idx, d_idx, start, entry_valid))[0]
+    return _drive(space, validator, _column(space, p_idx, d_idx, start, entry_valid))
 
 
 class TestSearchColumn:
@@ -381,12 +382,29 @@ class Toy:
         return self.probes.send(value)
 
 
+class HeldBySet(LookupValidator):
+    """LookupValidator that, at each query, notes whether a set still holds
+    the config it was asked about before."""
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.last = None
+        self.held = []
+
+    def classify(self, pid):
+        if self.last is not None:
+            self.held.append(any(type(r) is set for r in gc.get_referrers(self.last)))
+        self.last = pid
+        return super().classify(pid)
+
+
 class TestDrive:
     def test_the_policy_is_sent_verdicts_and_its_value_returned(self):
         s = worked_space()
         probes = [(0, ii, 1) for ii in range(0, 40, 4)]
         toy = Toy(probes)
-        value, found = _drive(s, RouthValidator(1, 1), toy)
+        found = {PidConfig(9, 9, 9)}
+        value = _drive(s, RouthValidator(1, 1), toy, found=found)
         assert value is DONE
         assert toy.sent[0] is None
         verdicts = toy.sent[1:]
@@ -394,13 +412,25 @@ class TestDrive:
         assert len(verdicts) == len(probes) == query_count()
         assert [v.valid for v in verdicts] == [routh_stable(s.pid_at(*i), 1, 1)
                                                for i in probes]
-        assert found == {s.pid_at(*i) for i, v in zip(probes, verdicts) if not v.valid}
+        # found only grows, by the invalid configs probed
+        assert found == {PidConfig(9, 9, 9)} | {s.pid_at(*i) for i, v in zip(probes, verdicts)
+                                                 if not v.valid}
+
+    def test_without_found_no_probed_config_is_kept(self):
+        # the walk's driver collects nothing: no set holds a config once
+        # the next one is asked about, though every verdict is invalid
+        s = worked_space()
+        oracle = HeldBySet(lambda pid: False)
+        assert _drive(s, oracle, Toy([(0, ii, 0) for ii in range(6)])) is DONE
+        assert oracle.held == [False] * 5
+        oracle = HeldBySet(lambda pid: False)
+        _drive(s, oracle, Toy([(0, ii, 0) for ii in range(6)]), found=set())
+        assert oracle.held == [True] * 5  # the check sees a set that does hold them
 
     @pytest.mark.parametrize("budget", [1, 3, 7])
     def test_a_budget_stops_the_policy_before_its_next_resume(self, budget):
         toy = Toy([(0, ii, 0) for ii in range(10)])
-        value, _ = _drive(worked_space(), RouthValidator(1, 1), toy, budget)
-        assert value is None
+        assert _drive(worked_space(), RouthValidator(1, 1), toy, budget) is None
         assert query_count() == budget
         # one resume per query; none after the last
         assert len(toy.sent) == budget
@@ -408,7 +438,8 @@ class TestDrive:
     def test_a_policy_that_ends_before_its_budget_ends_the_run(self):
         s = worked_space()
         toy = Toy([(0, 0, 0), (0, 1, 0)])
-        value, found = _drive(s, LookupValidator(lambda pid: False), toy, budget=50)
+        found = set()
+        value = _drive(s, LookupValidator(lambda pid: False), toy, budget=50, found=found)
         assert value is DONE
         assert query_count() == 2
         assert len(toy.sent) == 3  # the third resume finds the policy done
