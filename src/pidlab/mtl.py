@@ -14,16 +14,19 @@ Donze, Ferrere & Maler, CAV 2013). Atoms are computed once over the whole
 trace and each row is a view into them.
 
 Offline evaluation is the one-row block whose window is the whole trace;
-obligations reaching past its end fail. The online evaluator slides a
-shorter window along the trace and flags a violation as soon as any window
-fails. Obligations whose interval reaches past a window's end cannot be
-resolved there. They are treated as satisfied under positive polarity,
-which is exactly why long-horizon Eventually properties can slip past an
-online monitor, and as violated under negative polarity (under a not or
-on the left of an =>), so that every online violation is one of the whole
-trace at some window start. Online
-blocks hold at most _BLOCK_ELEMS samples (or one window, if that is
-longer), and the first block with a violated window ends the evaluation.
+obligations reaching past its end fail. eval_prefix reads the same block
+optimistically, as a prefix of a longer trace: it is False only where
+every longer trace is, which lets a run stop once its verdict is decided.
+The online evaluator slides a shorter window along the trace and flags a
+violation as soon as any window fails. Obligations whose interval reaches
+past a window's end cannot be resolved there. They are treated as
+satisfied under positive polarity, which is exactly why long-horizon
+Eventually properties can slip past an online monitor, and as violated
+under negative polarity (under a not or on the left of an =>), so that
+every online violation is one of the whole trace at some window start.
+Online blocks hold at most _BLOCK_ELEMS samples (or one window, if that
+is longer), and the first block with a violated window ends the
+evaluation.
 
 parse_formula reads the text syntax given at the end of this module. Time
 bounds must be finite seconds with 0 <= lo <= hi, no number may be NaN, and
@@ -332,11 +335,36 @@ def eval_offline(formula, traj):
     The one-row case of the online evaluation: a single window spanning the
     trace, in which obligations past the trace end fail.
     """
+    return _one_window(formula, traj, optimistic=False)
+
+
+def eval_prefix(formula, traj):
+    """Optimistic verdict of a prefix: False only where every trace that
+    starts with traj's samples fails formula under eval_offline.
+
+    The one-window reading of eval_online's context: one window spans traj,
+    and an obligation whose interval reaches past its end is unresolved,
+    held under positive polarity and failed under negative. eval_online
+    with a window of len(traj) or more degenerates to eval_offline instead,
+    which judges such obligations on the samples that exist and so may read
+    False where a longer trace reads True.
+    """
+    return _one_window(formula, traj, optimistic=True)
+
+
+def _one_window(formula, traj, optimistic):
+    """formula at sample 0 of the one window that spans traj."""
     n = len(traj)
     if n == 0:
         raise ValueError("empty trajectory")
-    ctx = _context(traj, n, optimistic=False)
-    return bool(_sat_block(formula, ctx, 0, 1, 0, 0)[0, 0])
+    return bool(_sat_block(formula, _context(traj, n, optimistic), 0, 1, 0, 0)[0, 0])
+
+
+def time_thresholds(formula):
+    """The constants that formula's t atoms compare against, sorted, each
+    once: the times at which a t atom can change its truth value."""
+    return sorted({float(atom.rhs) for atom in _atoms(formula)
+                   if atom.signal == "t" and not isinstance(atom.rhs, Prev)})
 
 
 def eval_online(formula, traj, window):

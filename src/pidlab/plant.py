@@ -353,7 +353,7 @@ def _layout_of(mission, dt, n, damp, dfreq):
     return times, r, refs, dist
 
 
-def simulate(plant, pid, mission):
+def simulate(plant, pid, mission, stops=(), decided=None):
     """Integrate the closed loop over the mission and sample every dt.
 
     Classic fixed-step RK4 on the augmented state (x, v, q) with
@@ -368,13 +368,23 @@ def simulate(plant, pid, mission):
         pid: PidConfig gains.
         mission: Mission; its duration sets the horizon and must not exceed
             plant.t_max.
+        stops: sample counts at which the run pauses. At each one below the
+            run's length, in increasing order, decided is called with the
+            run's first stop samples, and where it returns True that prefix
+            is the result. Counts outside [1, samples) are ignored.
+        decided: the caller's test of a prefix; required with stops.
 
     Returns:
         Trajectory of floor(duration/dt) + 1 samples at t = k * dt, none clamped
-        to the duration: the first samples of a longer mission's run, bit for bit.
+        to the duration: the first samples of a longer mission's run, bit for bit;
+        or the prefix decided accepted, the same samples of this run, bit for bit.
     """
     dt, times, r, steps = _inputs(plant, mission)
     n = len(times)
+    # the step count after each pause, then the run's last step
+    ends = sorted({int(stop) - 1 for stop in stops if 1 <= stop < n})
+    if ends and decided is None:
+        raise ValueError("stops need a decided test")
 
     # float(): numpy scalar gains would drag the whole loop onto numpy scalars
     kp, ki, kd = float(pid.kp), float(pid.ki), float(pid.kd)
@@ -390,43 +400,54 @@ def simulate(plant, pid, mission):
     # numpy scalar's.
     xm = memoryview(xs)
     vm = memoryview(vs)
+    views = [memoryview(step) for step in steps]
     high, low = CLAMP, -CLAMP  # locals read faster than a global
     # Stage s's slope (dx, dv, dq) is (v, acc1, e1), (v2, acc2, e2),
-    # (v3, acc3, e3) and (vv, acc, e).
-    for k, (nk, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) in enumerate(
-            zip(*map(memoryview, steps)), 1):
-        # stage 1
-        e1 = r0 - (x + nk)
-        acc1 = kp * e1 + ki * q + kd * (rd0 - v) + u0 - a2 * v - a1 * x
-        # stage 2
-        xv = x + half * v
-        v2 = v + half * acc1
-        e2 = rm - (xv + nk)
-        acc2 = kp * e2 + ki * (q + half * e1) + kd * (rdm - v2) + um - a2 * v2 - a1 * xv
-        # stage 3
-        xv = x + half * v2
-        v3 = v + half * acc2
-        e3 = rm - (xv + nk)
-        acc3 = kp * e3 + ki * (q + half * e2) + kd * (rdm - v3) + um - a2 * v3 - a1 * xv
-        # stage 4
-        xv = x + dt * v3
-        vv = v + dt * acc3
-        e = r1 - (xv + nk)
-        acc = kp * e + ki * (q + dt * e3) + kd * (rd1 - vv) + u1 - a2 * vv - a1 * xv
+    # (v3, acc3, e3) and (vv, acc, e). (x, v, q) carry across the pauses
+    # in these locals, so the steps after a pause are the uninterrupted run's.
+    start = 0
+    for end in (*ends, n - 1):
+        for k, (nk, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) in enumerate(
+                zip(*(view[start:end] for view in views)), start + 1):
+            # stage 1
+            e1 = r0 - (x + nk)
+            acc1 = kp * e1 + ki * q + kd * (rd0 - v) + u0 - a2 * v - a1 * x
+            # stage 2
+            xv = x + half * v
+            v2 = v + half * acc1
+            e2 = rm - (xv + nk)
+            acc2 = kp * e2 + ki * (q + half * e1) + kd * (rdm - v2) + um - a2 * v2 - a1 * xv
+            # stage 3
+            xv = x + half * v2
+            v3 = v + half * acc2
+            e3 = rm - (xv + nk)
+            acc3 = kp * e3 + ki * (q + half * e2) + kd * (rdm - v3) + um - a2 * v3 - a1 * xv
+            # stage 4
+            xv = x + dt * v3
+            vv = v + dt * acc3
+            e = r1 - (xv + nk)
+            acc = kp * e + ki * (q + dt * e3) + kd * (rd1 - vv) + u1 - a2 * vv - a1 * xv
 
-        x += sixth * (v + 2.0 * (v2 + v3) + vv)
-        v += sixth * (acc1 + 2.0 * (acc2 + acc3) + acc)
-        q += sixth * (e1 + 2.0 * (e2 + e3) + e)
-        if x > high:
-            x = high
-        elif x < low:
-            x = low
-        if v > high:
-            v = high
-        elif v < low:
-            v = low
-        xm[k] = x
-        vm[k] = v
+            x += sixth * (v + 2.0 * (v2 + v3) + vv)
+            v += sixth * (acc1 + 2.0 * (acc2 + acc3) + acc)
+            q += sixth * (e1 + 2.0 * (e2 + e3) + e)
+            if x > high:
+                x = high
+            elif x < low:
+                x = low
+            if v > high:
+                v = high
+            elif v < low:
+                v = low
+            xm[k] = x
+            vm[k] = v
+        if end < n - 1:
+            m = end + 1
+            run = Trajectory(dt=dt, t=times[:m], x=xs[:m], v=vs[:m], r=r[:m],
+                             e=r[:m] - xs[:m], mode=mission.mode)
+            if decided(run):
+                return run
+        start = end
 
     return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs, mode=mission.mode)
 

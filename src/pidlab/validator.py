@@ -23,8 +23,21 @@ with simulate_linear, and judged from that run where it stays clear of the
 clamp and every spec atom stays farther from its threshold than
 LINEAR_TOL * (1 + its largest |x| or |v|); elsewhere simulate builds it
 too. The prediction only picks the route, so the verdicts are simulate's
-on both routes. On the search pass of the disturbed 40x40 hold at seed 3,
-235 of the 395 runs are predicted to clamp, and all of them do.
+on both routes. On the search pass of the disturbed 40x40 hold at seed 0,
+248 of the 399 runs are predicted to clamp: 225 distinct pids, of which 3
+never reach it.
+
+A run given to simulate on this route ends once its verdict is decided.
+It pauses at the first sample past each time that a t atom of the
+formula's first conjunct compares against, and it stops at the first
+pause where OracleConfig.decided holds for every judge: the judge's
+samples are all there, or every run with this prefix fails the first
+conjunct under that judge (mtl.eval_prefix, or an online alarm in a
+window the prefix holds). The prefix is bit for bit the run's first
+samples, and the check over it names the same first failing conjunct,
+so verdicts and violated_spec are those of the whole run. Only the first
+conjunct may end a run, since violated_spec names the first failing
+conjunct in formula order. The batched route runs every column whole.
 """
 
 from __future__ import annotations
@@ -34,7 +47,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mtl import And, atom_margin, eval_offline, eval_online, mode_spec
+from .mtl import (And, atom_margin, eval_offline, eval_online, eval_prefix, mode_spec,
+                  time_thresholds)
 from .plant import (CLAMP, sample_count, simulate, simulate_batch, simulate_linear,
                     step_map_power)
 from .stability import routh_stable
@@ -122,12 +136,30 @@ class OracleConfig:
     def check(self, formula, traj):
         """(ok, label of the first failing conjunct) of formula over traj; an
         unlabeled conjunct k is conjunct_k, and a formula not an And is one."""
-        parts = formula.children if isinstance(formula, And) else (formula,)
-        for k, part in enumerate(parts):
+        for k, part in enumerate(_conjuncts(formula)):
             if not (eval_online(part, traj, self.window) if self.kind == "online"
                     else eval_offline(part, traj)):
                 return False, part.label or f"conjunct_{k}"
         return True, None
+
+    def decided(self, formula, prefix, samples):
+        """Whether check's result over the first samples samples of a run is
+        known from the run's prefix alone: the prefix holds them all, or
+        every run that starts with it fails formula's first conjunct, so
+        that check names that conjunct.
+
+        An offline reading, and an online one whose window spans the
+        samples (eval_online then degenerates to eval_offline), fail where
+        eval_prefix of the prefix is False. A shorter window fails where it
+        alarms on the prefix, which must hold more than one window:
+        eval_online over exactly one window would judge it offline.
+        """
+        if len(prefix) >= samples:
+            return True
+        first = _conjuncts(formula)[0]
+        if self.kind == "online" and self.window < samples:
+            return len(prefix) > self.window and not eval_online(first, prefix, self.window)
+        return not eval_prefix(first, prefix)
 
     def vote(self, checks):
         """The majority Verdict over a query's (ok, failing clause) checks,
@@ -138,6 +170,10 @@ class OracleConfig:
         violated = None if valid else next(label for ok, label in checks if not ok)
         return Verdict(valid=valid, violated_spec=violated, runs=self.repeats,
                        votes_valid=votes)
+
+
+def _conjuncts(formula):
+    return formula.children if isinstance(formula, And) else (formula,)
 
 
 @dataclass(frozen=True)
@@ -213,25 +249,40 @@ class SimulationValidator(Validator):
         Fewer than BATCH_MIN pids are run one at a time by _check_one, more
         with simulate_batch, one seed at a time, in chunks of near-equal size
         whose x/v array fills at most BATCH_BYTES. Each run is checked and
-        dropped before the next run or batch is built.
+        dropped before the next run or batch is built. A run that
+        _check_one simulates pauses at the first sample past each time that
+        a t atom of the formula's first conjunct compares against, and ends
+        there once every judge's check is decided (OracleConfig.decided).
         """
+        if not pids:
+            return
         formula = self.formula
+        n = sample_count(self.plant, self.mission)
 
         def check(run):  # no name holds run once every judge has checked it
-            return [cfg.check(formula, run if n is None else run.head(n)) for cfg, n in judges]
+            return [cfg.check(formula, run if m is None else run.head(m)) for cfg, m in judges]
 
         def vote(runs):  # runs: per run of pid, its checks, one per judge
             return tuple(cfg.vote(own) for (cfg, _), own in zip(judges, zip(*runs)))
 
         if len(pids) < BATCH_MIN:
+            # the sample count up to the first of simulate's sample times
+            # past each threshold
+            stops = np.searchsorted(np.arange(n) * float(self.plant.dt),
+                                    time_thresholds(_conjuncts(formula)[0]), side="right") + 1
+
+            def decided(prefix):
+                return all(cfg.decided(formula, prefix, n if m is None else min(m, n))
+                           for cfg, m in judges)
+
             for pid in pids:
                 # the power reads no noise, so one serves every seed's run
                 linear = bool((np.abs(step_map_power(self.plant, pid, self.mission))
                                < LINEAR_LIMIT).all())
-                yield pid, vote([self._check_one(plant, pid, check, linear)
+                yield pid, vote([self._check_one(plant, pid, check, linear, stops, decided)
                                  for plant in self._plants()])
             return
-        width = max(1, BATCH_BYTES // (16 * sample_count(self.plant, self.mission)))
+        width = max(1, BATCH_BYTES // (16 * n))
         chunks = -(-len(pids) // width)
         for k in range(chunks):
             chunk = pids[k * len(pids) // chunks:(k + 1) * len(pids) // chunks]
@@ -241,9 +292,10 @@ class SimulationValidator(Validator):
             for pid, checks in zip(chunk, zip(*by_seed)):
                 yield pid, vote(checks)
 
-    def _check_one(self, plant, pid, check, linear):
+    def _check_one(self, plant, pid, check, linear, stops, decided):
         """check of pid's run on plant: of simulate_linear's run where no
-        atom of self.formula can tell it from simulate's, else of simulate's.
+        atom of self.formula can tell it from simulate's, else of simulate's,
+        which pauses at stops and ends at the first prefix decided accepts.
         linear is False where the step map predicts the run to reach the
         clamp (an entry of step_map_power not below LINEAR_LIMIT, or not
         finite); such a run is not tried linear.
@@ -255,7 +307,7 @@ class SimulationValidator(Validator):
                 if atom_margin(self.formula, run) > tol:
                     return check(run)
             run = None  # freed before simulate builds its own
-        return check(simulate(plant, pid, self.mission))
+        return check(simulate(plant, pid, self.mission, stops=stops, decided=decided))
 
     def _plants(self):
         """The plant of each run of a query: run j has noise seed base_seed + j."""

@@ -31,10 +31,10 @@ def freed_runs(monkeypatch):
             refs.append(weakref.ref(traj.x))
         return traj
 
-    def simulate(plant, pid, mission):
+    def simulate(plant, pid, mission, **kwargs):
         assert alive() == 0, "an earlier run is still alive"
         calls["simulate"] += 1
-        traj = real(plant, pid, mission)
+        traj = real(plant, pid, mission, **kwargs)
         refs.append(weakref.ref(traj.x))
         return traj
 

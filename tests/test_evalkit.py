@@ -416,8 +416,8 @@ class TestCompareOracles:
         peaks = []
         real = validator_module.simulate
 
-        def simulate(plant, pid, mission):
-            run = real(plant, pid, mission)
+        def simulate(plant, pid, mission, **kwargs):
+            run = real(plant, pid, mission, **kwargs)
             peaks.append(max(abs(run.x).max(), abs(run.v).max()))
             return run
 
@@ -427,6 +427,27 @@ class TestCompareOracles:
         assert cmp.rows == [(pid, True, True, True) for pid in configs]
         # each reference run reached the clamp, so the per-pid route simulated it
         assert peaks == [CLAMP] * len(configs)
+
+
+    def test_a_reference_bound_for_the_clamp_ends_once_decided(self, monkeypatch):
+        # online_lap_circle's hold pass in perfbench: (0.2, 3, 0.2) is bound
+        # for the clamp, so its 600 s reference is simulated, and the spec
+        # G (t > 50 -> |e| < 0.3) fails at sample 5,001, the first past 50 s
+        plant = PlantModel(a1=1.0, a2=1.0, dt=0.01, t_max=60.0)
+        hold = hold_mission(setpoint=1.0, hold_tol=0.3, settle_deadline=50.0, duration=60.0)
+        runs = []
+        real = validator_module.simulate
+
+        def simulate(plant, pid, mission, **kwargs):
+            run = real(plant, pid, mission, **kwargs)
+            runs.append((pid, mission.duration, len(run)))
+            return run
+
+        monkeypatch.setattr(validator_module, "simulate", simulate)
+        pid = PidConfig(0.2, 3.0, 0.2)
+        cmp = compare_oracles([pid], hold, plant, window=200)
+        assert cmp.rows == [(pid, False, False, False)]
+        assert runs == [(pid, 600.0, 5002)]
 
 
 class TestCsvRoundTrips:

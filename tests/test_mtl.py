@@ -333,6 +333,38 @@ def test_every_online_alarm_is_real(f, tw):
         assert np.array_equal(got, want)
 
 
+def extended(prefix, tail):
+    """prefix's trace continued by tail, rows (x, v, r) of further samples."""
+    n = len(prefix) + len(tail[0])
+    x, v, r = (np.concatenate((getattr(prefix, name), more))
+               for name, more in zip("xvr", tail))
+    return Trajectory(dt=prefix.dt, t=np.arange(n) * prefix.dt, x=x, v=v, r=r, e=r - x,
+                      mode=prefix.mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=formulas(), tw=traces_and_windows(), data=st.data())
+def test_a_prefix_reading_decides_only_what_every_extension_shares(f, tw, data):
+    """On an optimistic context over a prefix, a root read positive is False
+    only where every extension reads False offline (eval_prefix), and a
+    root read negative is True only where every extension reads True. The
+    extensions tried are the prefix itself, the drawn trace it starts, and
+    the prefix continued by other drawn samples."""
+    traj, _ = tw
+    k = data.draw(st.integers(1, len(traj)), label="prefix length")
+    prefix = traj.head(k)
+    more = data.draw(st.integers(0, 12), label="other tail length")
+    value = st.sampled_from(_ATOM_CONSTS + (0.25, -1.0))
+    tail = [data.draw(st.lists(value, min_size=more, max_size=more)) for _ in "xvr"]
+    ctx = _context(prefix, k, optimistic=True)
+    high = bool(_sat_block(f, ctx, 0, 1, 0, 0)[0, 0])
+    low = bool(_sat_block(f, _context(prefix, k, optimistic=True), 0, 1, 0, 0,
+                          positive=False)[0, 0])
+    assert mtl.eval_prefix(f, prefix) == high
+    for ext in (prefix, traj, extended(prefix, tail)):
+        assert low <= eval_offline(f, ext) <= high
+
+
 @pytest.mark.parametrize("block", [1, 3, mtl._BLOCK_ELEMS])
 @settings(max_examples=200, deadline=None)
 @given(f=formulas(), tw=traces_and_windows())

@@ -433,6 +433,53 @@ class TestRunIsTheHeadOfTheLongerRun:
                                   equal_nan=True), name
 
 
+class TestPausedRuns:
+    """simulate paused at stops: a prefix it returns is, bit for bit, the
+    first samples of the uninterrupted run, and a run that no pause ends
+    is that run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.integers(0, 3), sigma=st.sampled_from([0.0, 0.03]), saw=st.booleans(),
+           seed=st.integers(0, 2**16), gains=st.sampled_from(list(GAINS)),
+           stops=st.lists(st.integers(-3, 520), max_size=6), pick=st.integers(0, 6))
+    def test_a_prefix_is_the_uninterrupted_runs_head(self, mode, sigma, saw, seed, gains,
+                                                     stops, pick):
+        # decided accepts the pick-th stop, or none where there is none
+        accept = stops[pick] if pick < len(stops) else None
+        plant = PlantModel(noise=NoiseSpec(sensor_sigma=sigma,
+                                           disturbance_amp=0.4 if saw else 0.0,
+                                           disturbance_freq=0.7, seed=seed))
+        mission = short_missions(5.0)[mode]
+        n = sample_count(plant, mission)
+        with np.errstate(all="ignore"):  # numpy scalars warn on a divergent run
+            want = loop_simulate(plant, GAINS[gains], mission)
+        seen = []
+
+        def decided(prefix):
+            seen.append(len(prefix))
+            return len(prefix) == accept
+
+        got = simulate(plant, GAINS[gains], mission, stops=stops, decided=decided)
+        pauses = sorted({stop for stop in stops if 1 <= stop < n})
+        ended = accept in pauses
+        assert seen == [stop for stop in pauses if not ended or stop <= accept]
+        assert len(got) == (accept if ended else n)
+        assert (got.dt, got.mode) == (want.dt, want.mode)
+        for name in "txvre":
+            assert np.array_equal(getattr(got, name), getattr(want, name)[:len(got)],
+                                  equal_nan=True), name
+        if not stops:
+            for name in "txvre":
+                assert np.array_equal(getattr(simulate(plant, GAINS[gains], mission), name),
+                                      getattr(want, name), equal_nan=True), name
+
+    def test_stops_need_a_decided_test(self):
+        with pytest.raises(ValueError, match="stops need a decided test"):
+            simulate(PlantModel(), STABLE, hold_mission(), stops=(100,))
+        # stops outside the run pause nothing, so they need no test
+        assert len(simulate(PlantModel(), STABLE, hold_mission(), stops=(0, 6001))) == 6001
+
+
 def assert_batch_matches(plant, pids, mission):
     """Every run of simulate_batch equals simulate's, field by field."""
     batch = list(simulate_batch(plant, pids, mission))

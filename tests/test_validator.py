@@ -14,8 +14,9 @@ from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig, PlantModel,
                     routh_stable, simulate)
 from pidlab import validator as validator_module
 from pidlab.plant import sample_count, simulate_linear, step_map_power
-from pidlab.mtl import And, Atom, Globally, atom_margin
+from pidlab.mtl import And, Atom, Eventually, Globally, Implies, atom_margin, mode_spec
 from pidlab.validator import LINEAR_LIMIT, LookupValidator, Validator
+from test_mtl import formulas
 
 
 @pytest.fixture(autouse=True)
@@ -177,7 +178,7 @@ class TestMajorityVoting:
                                     OracleConfig(repeats=len(outcomes)))
             calls = []
 
-            def fake_simulate(plant, pid, mission):
+            def fake_simulate(plant, pid, mission, **kwargs):
                 calls.append(plant.noise.seed)
                 return len(calls) - 1  # stands in for the trajectory of run k
 
@@ -503,7 +504,7 @@ class TestSimulationClassifyMany:
         # clause of its own
         monkeypatch.setattr(validator_module, "simulate_linear", lambda *a, **k: None)
         monkeypatch.setattr(validator_module, "simulate",
-                            lambda plant, pid, mission: plant.noise.seed)
+                            lambda plant, pid, mission, **kwargs: plant.noise.seed)
         monkeypatch.setattr(validator_module, "simulate_batch",
                             lambda plant, pids, mission: [plant.noise.seed] * len(pids))
         monkeypatch.setattr(OracleConfig, "check",
@@ -676,3 +677,125 @@ class TestLinearRoute:
         assert 0 < clamped < runs / 2
         assert freed_runs["simulate_linear"] == runs - clamped
         assert clamped <= freed_runs["simulate"] < runs / 2
+
+
+# The four modes on a 12 s mission, each spec deciding well before the end
+MODE_MISSIONS = [
+    hold_mission(hold_tol=0.1, settle_deadline=6.0, duration=12.0),
+    brake_mission(brake_at=4.0, brake_deadline=4.0, v_stop=0.1, duration=12.0),
+    circle_mission(radius=1.0, freq=0.2, circle_tol=0.3, settle_deadline=6.0, duration=12.0),
+    return_home_mission(out_dist=2.0, out_t=3.0, return_t=3.0, home_radius=0.3,
+                        settle_deadline=9.0, mono_margin=1.0, duration=12.0)]
+
+
+def early_and_full(v, pids, judges):
+    """(verdicts, run lengths) of v._verdicts with every run simulated and
+    paused as _check_one asks, then the verdicts of the same runs built
+    whole."""
+    real = validator_module.simulate
+    lengths = []
+
+    def paused(plant, pid, mission, **kwargs):
+        run = real(plant, pid, mission, **kwargs)
+        lengths.append(len(run))
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validator_module, "simulate_linear", lambda *a, **k: None)
+        mp.setattr(validator_module, "simulate", paused)
+        early = list(v._verdicts(pids, judges))
+        mp.setattr(validator_module, "simulate",
+                   lambda plant, pid, mission, **kwargs: real(plant, pid, mission))
+        assert early == list(v._verdicts(pids, judges))
+    return early, lengths
+
+
+class TestEarlyStop:
+    """A run that _check_one simulates ends at the first pause where every
+    judge's check is decided, and its verdicts (valid, violated_spec and
+    votes_valid) are those of the whole run."""
+
+    PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.03, disturbance_amp=0.2,
+                                       disturbance_freq=0.7))
+    PIDS = [PidConfig(2.0, 1.0, 2.0), PidConfig(1.0, 0.5, 1.0), PidConfig(1.0, 5.0, 1.0),
+            PidConfig(0.2, 3.0, 0.2), PidConfig(-5.0, 1.0, -3.0), PidConfig(1e5, 1e5, 1e5)]
+
+    # a drawn formula guarded as the mode specs are, G (t > c -> f), so
+    # that runs pause at c, where f's obligations may reach past the pause;
+    # a G that ends at 9 s leaves f's obligations inside the run
+    GUARDS = st.sampled_from([1.0, 3.0, 6.0, 9.0])
+    GUARD_ENDS = st.sampled_from([None, 9.0])
+    # windows at and next to the pauses of the guards and the deadlines
+    NEAR_STOPS = st.sampled_from([101, 102, 103, 301, 302, 303, 601, 602, 603, 801, 802, 902])
+
+    @settings(max_examples=100, deadline=None)
+    @given(mission=st.sampled_from(MODE_MISSIONS), data=st.data(),
+           shape=st.sampled_from(["mode", "random", "guarded", "guarded-then-mode",
+                                  "mode-then-guarded"]),
+           repeats=st.sampled_from([1, 3]), base_seed=st.integers(0, 50),
+           pids=st.lists(st.sampled_from(PIDS), min_size=1, max_size=3, unique=True))
+    def test_verdicts_equal_the_whole_runs(self, mission, data, shape, repeats, base_seed,
+                                           pids):
+        spec = mode_spec(mission)
+        drawn = None if shape == "mode" else data.draw(formulas(), label="formula")
+        if shape != "mode" and shape != "random":
+            end = data.draw(self.GUARD_ENDS, label="guard end")
+            drawn = Globally(Implies(Atom("t", ">", data.draw(self.GUARDS, label="guard")),
+                                     drawn), t_lo=None if end is None else 0.0, t_hi=end)
+        formula = {"mode": spec, "random": drawn, "guarded": drawn,
+                   "guarded-then-mode": And((drawn, spec)),
+                   "mode-then-guarded": And((spec, drawn))}[shape]
+        n = sample_count(self.PLANT, mission)
+        # judges: offline or online, the window below, at or above the head,
+        # and the head the whole run (None) or shorter or longer than it
+        windows = st.integers(2, n + 40) | self.NEAR_STOPS
+        heads = st.none() | st.integers(2, n + 40) | self.NEAR_STOPS
+        shapes = st.lists(st.tuples(st.booleans(), windows, heads), min_size=1, max_size=4)
+        cfg = OracleConfig(repeats=repeats, base_seed=base_seed)
+        judges = tuple((replace(cfg, kind="online", window=window) if online else cfg, head)
+                       for online, window, head in data.draw(shapes, label="judges"))
+        v = SimulationValidator(self.PLANT, mission, cfg, formula=formula)
+        _, lengths = early_and_full(v, pids, judges)
+        assert len(lengths) == repeats * len(pids) and max(lengths) <= n
+
+    @pytest.mark.parametrize("window", [None, 302], ids=["offline", "online-window-302"])
+    def test_an_obligation_past_the_pause_does_not_end_the_run(self, window):
+        # at the pause just past t = 3, 302 samples, each sample's E [1 2]
+        # looks past the prefix; read on the samples that exist it would
+        # fail there, and so would eval_online over a window as long as the
+        # prefix
+        formula = Globally(Implies(Atom("t", ">", 3.0),
+                                   Eventually(Atom("x", ">", 0.5), t_lo=1.0, t_hi=2.0)),
+                           t_lo=0.0, t_hi=9.0)
+        mission = MODE_MISSIONS[0]
+        cfg = OracleConfig() if window is None else OracleConfig(kind="online", window=window)
+        v = SimulationValidator(self.PLANT, mission, cfg, formula=formula)
+        verdicts, lengths = early_and_full(v, [PidConfig(4.0, 1.0, 3.0)], ((cfg, None),))
+        assert lengths == [sample_count(self.PLANT, mission)]
+        assert verdicts[0][1][0].valid
+
+    def test_only_the_first_conjunct_ends_a_run(self):
+        # the second conjunct fails at once, and the first only at t = 10,
+        # which it names: the run pauses at t > 3 and ends just past t = 10
+        first = Globally(Implies(Atom("t", ">", 3.0), Atom("t", "<", 10.0)), label="first")
+        formula = And((first, Globally(Atom("abs_e", "<", 1e-9), label="second")))
+        v = SimulationValidator(self.PLANT, MODE_MISSIONS[0], OracleConfig(), formula=formula)
+        verdicts, lengths = early_and_full(v, [PidConfig(4.0, 1.0, 3.0)], ((v.cfg, None),))
+        assert lengths == [1002]
+        assert verdicts[0][1][0].violated_spec == "first"
+
+    # each mission with the first sample count past its spec's deadline
+    @pytest.mark.parametrize("mission,stop", zip(MODE_MISSIONS, (602, 802, 602, 902)),
+                             ids=[mission.mode for mission in MODE_MISSIONS])
+    def test_runs_bound_for_the_clamp_stop_early_on_every_mode(self, mission, stop):
+        v = SimulationValidator(self.PLANT, mission, OracleConfig(repeats=3))
+        judges = ((v.cfg, None), (replace(v.cfg, kind="online", window=150), None),
+                  (v.cfg, 600))
+        pids = [PidConfig(-5.0, 1.0, -3.0), PidConfig(1e5, 1e5, 1e5), PidConfig(4.0, 1.0, 3.0)]
+        verdicts, lengths = early_and_full(v, pids, judges)
+        # a spec's first conjunct fails just past its deadline on both runs
+        # that diverge, and every run of the valid pid is simulated whole
+        assert lengths == [stop] * 6 + [sample_count(self.PLANT, mission)] * 3
+        # the whole-run judges; early_and_full compared all three
+        assert [[verdict.valid for verdict in row[:2]] for _, row in verdicts] == [
+            [False, False], [False, False], [True, True]]
