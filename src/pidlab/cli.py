@@ -19,10 +19,11 @@ import sys
 import time
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from operator import countOf
 from pathlib import Path
 
 from . import __version__
-from .evalkit import (compute_metrics, configs_from_csv, configs_to_csv,
+from .evalkit import (INVALID, compute_metrics, configs_from_csv, configs_to_csv,
                       grid_from_csv, grid_to_csv, ground_truth,
                       region_from_boundary)
 from .mtl import MtlSyntaxError, parse_formula
@@ -256,13 +257,14 @@ def cmd_ground_truth(args):
     meta = _base_meta(app, args.config, "classified_grid")
     meta["coverage"] = ("exhaustive" if grid.strides == (1, 1, 1)
                         else {"sampled": list(grid.strides)})
+    invalid = countOf(grid.labels.values(), INVALID)
     meta["labeled"] = len(grid.labels)
-    meta["invalid"] = len(grid.invalid_set())
+    meta["invalid"] = invalid
     meta["oracle_queries"] = query_count() - q0
     meta["wall_time_s"] = wall
     _write_json(_sidecar(args.out), meta)
     print(f"ground-truth: labeled {len(grid.labels)} configs "
-          f"({len(grid.invalid_set())} invalid) -> {args.out}")
+          f"({invalid} invalid) -> {args.out}")
     return 0
 
 

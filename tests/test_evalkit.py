@@ -64,6 +64,27 @@ class TestRegionFromBoundary:
         with pytest.raises(ValueError):
             region_from_boundary(BoundaryLine(space=s, columns=cols))
 
+    @pytest.mark.parametrize("status", ["wobbly", "", None, "Boundary"])
+    def test_rejects_an_unknown_status(self, status):
+        # such a column used to expand as if it were a boundary column
+        s = worked_space()
+        cols = [ColumnRecord(1.0, 0.0, "all_invalid", None),
+                ColumnRecord(1.0, 0.5, status, 2.0),
+                ColumnRecord(1.0, 1.0, "boundary", 3.9)]
+        with pytest.raises(ValueError, match=r"^column p=1\.0, d=0\.5 has unknown status "
+                           + re.escape(repr(status))):
+            region_from_boundary(BoundaryLine(space=s, columns=cols))
+
+    def test_rejects_a_boundary_column_without_i_save(self):
+        # it used to raise TypeError from the ki lookup
+        s = worked_space()
+        cols = [ColumnRecord(1.0, 0.0, "all_invalid", None),
+                ColumnRecord(1.0, 0.5, "boundary", None),
+                ColumnRecord(1.0, 1.0, "boundary", 3.9)]
+        with pytest.raises(ValueError,
+                           match=r"^boundary column p=1\.0, d=0\.5 has no i_save$"):
+            region_from_boundary(BoundaryLine(space=s, columns=cols))
+
 
 def synthetic_grid(n_bad, n_good):
     """A labeled grid with the requested number of invalid/valid configs."""
@@ -486,6 +507,17 @@ class TestCsvRoundTrips:
             grid_to_csv(grid, tmp_path / "new.csv")
         assert not (tmp_path / "new.csv").exists()
 
+    def test_grid_writer_refuses_a_cell_without_a_label(self, tmp_path):
+        # it used to raise a bare KeyError(PidConfig(...))
+        s = worked_space()
+        grid = ClassifiedGrid(s, {pid: VALID for pid in (s.pid_at(*idx)
+                                                         for idx in s.iter_indices())})
+        del grid.labels[s.pid_at(0, 3, 1)]
+        grid.labels[PidConfig(2.0, 0.4, 0.5)] = VALID  # off the grid: not written
+        with pytest.raises(ValueError, match=r"^cell kp=1, ki=0\.4, kd=0\.5 has no label$"):
+            grid_to_csv(grid, tmp_path / "new.csv")
+        assert not (tmp_path / "new.csv").exists()
+
     def test_configs_round_trip(self, tmp_path):
         s = worked_space()
         configs = {s.pid_at(0, 3, 1), s.pid_at(0, 17, 2), s.pid_at(0, 39, 0)}
@@ -719,6 +751,189 @@ class TestCsvAgainstTheReferences:
         assert grid_from_csv(path, s).labels == reference_grid_from_csv(path, s).labels == {
             s.pid_at(0, 0, 0): VALID, s.pid_at(0, 1, 0): INVALID,
             s.pid_at(1, 0, 0): VALID, s.pid_at(1, 1, 0): INVALID}
+
+
+# ground_truth, region_from_boundary, compute_metrics and grid_to_csv as
+# they were before the per-axis versions, kept as references: one PidConfig
+# built or looked up per cell, and the metrics counted with set operations.
+
+def per_cell_ground_truth(space, validator, strides):
+    pids = [space.pid_at(*trip) for trip in space.iter_indices(strides)]
+    labels = {pid: VALID if verdict.valid else INVALID
+              for pid, verdict in zip(pids, validator.classify_many(pids))}
+    return ClassifiedGrid(space=space, labels=labels, strides=strides)
+
+
+def per_cell_region_from_boundary(bl, space):
+    seen = set()
+    region = set()
+    for col in bl.columns:
+        ip = space.p_index(col.p)
+        id_ = space.d_index(col.d)
+        seen.add((ip, id_))
+        if col.status == ALL_VALID:
+            continue
+        start = 0 if col.status == ALL_INVALID else space.i_index(col.i_save) + 1
+        for ii in range(start, space.n_i):
+            region.add(space.pid_at(ip, ii, id_))
+    assert len(seen) == space.n_p * space.n_d
+    return region
+
+
+def per_cell_compute_metrics(gt, region):
+    bad = gt.invalid_set()
+    rs = gt.labels.keys() & region
+    inter = len(rs & bad)
+    flags = []
+    if not bad:
+        flags.append("empty_ground_truth")
+    if not rs:
+        flags.append("empty_result_set")
+    return Metrics(mr=(len(bad) - inter) / len(bad) if bad else 0.0,
+                   hr=inter / len(rs) if rs else 1.0,
+                   gt_size=len(bad), rs_size=len(rs), intersection=inter,
+                   flags=tuple(flags))
+
+
+def per_cell_grid_to_csv(grid, path):
+    space = grid.space
+    sp, si, sd = grid.strides
+    p_axis, i_axis, d_axis = (
+        [(v, "%.9g" % v) for v in map(value, range(0, count, stride))]
+        for value, count, stride in ((space.p_value, space.n_p, sp),
+                                     (space.i_value, space.n_i, si),
+                                     (space.d_value, space.n_d, sd)))
+    lines = ["kp,ki,kd,label\r\n"]
+    for p, p_text in p_axis:
+        for i, i_text in i_axis:
+            head = f"{p_text},{i_text},"
+            for d, d_text in d_axis:
+                label = grid.labels[PidConfig(p, i, d)]
+                if label != VALID and label != INVALID:
+                    raise ValueError(f"cell kp={p_text}, ki={i_text}, kd={d_text} has label "
+                                     f"{label!r}; grid CSVs hold only valid and invalid")
+                lines.append(f"{head}{d_text},{label}\r\n")
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+
+
+class RecordingLookup(LookupValidator):
+    """A lookup oracle that records the pid lists classify_many is given."""
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.calls = []
+
+    def classify_many(self, pids):
+        self.calls.append(list(pids))
+        return super().classify_many(pids)
+
+
+strides_3 = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+
+
+def off_grid(space, pid):
+    """A config next to pid but off the space: one step past an axis end."""
+    return replace(pid, kp=space.p_min - space.p_step)
+
+
+def shuffled_labels(space, strides, rng):
+    """Labels of the strided sub-grid in shuffled order, plus cells off the
+    sub-grid and off the space, some labeled None."""
+    cells = [space.pid_at(*idx) for idx in space.iter_indices(strides)]
+    items = [(pid, rng.choice((VALID, INVALID))) for pid in cells]
+    items += [(pid, rng.choice((VALID, INVALID, None)))
+              for pid in (space.pid_at(*idx) for idx in space.iter_indices())
+              if rng.random() < 0.3]
+    items += [(off_grid(space, pid), rng.choice((VALID, INVALID, None)))
+              for pid in rng.sample(cells, min(3, len(cells)))]
+    rng.shuffle(items)
+    return dict(items)
+
+
+def drawn_region(space, labels, rng, shape):
+    """Configs of the space and off it, as a set or as a list with each
+    config given one to three times."""
+    cells = [space.pid_at(*idx) for idx in space.iter_indices()]
+    picked = [pid for pid in cells + list(labels) if rng.random() < 0.5]
+    picked += [off_grid(space, pid) for pid in rng.sample(cells, min(2, len(cells)))]
+    if shape == "set":
+        return set(picked)
+    region = [PidConfig(pid.kp, pid.ki, pid.kd)
+              for pid in picked for _ in range(rng.randint(1, 3))]
+    rng.shuffle(region)
+    return region
+
+
+def raised(fn, *args):
+    """The exception fn(*args) raises, as (type, args), or None."""
+    try:
+        fn(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), exc.args
+    return None
+
+
+class TestGridPathsAgainstTheReferences:
+    @settings(max_examples=60, deadline=None)
+    @given(space=accepted_spaces(), strides=strides_3, seed=st.integers(0, 2**16))
+    def test_ground_truth_labels_the_same_cells_in_the_same_order(self, space, strides,
+                                                                   seed):
+        def fn(pid):
+            return random.Random(f"{seed} {pid.kp!r} {pid.ki!r} {pid.kd!r}").random() < 0.5
+
+        new, old = RecordingLookup(fn), RecordingLookup(fn)
+        grid = ground_truth(space, new, strides=strides)
+        ref = per_cell_ground_truth(space, old, strides)
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(list(grid.labels.items())) == repr(list(ref.labels.items()))
+        assert grid.strides == ref.strides == strides
+        assert repr(new.calls) == repr(old.calls)
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=accepted_spaces(), seed=st.integers(0, 2**16))
+    def test_region_from_boundary_predicts_the_same_configs(self, space, seed):
+        _, _, line = random_artifacts(space, random.Random(seed))
+        assert region_from_boundary(line) == per_cell_region_from_boundary(line, space)
+
+    @settings(max_examples=100, deadline=None)
+    @given(space=accepted_spaces(), strides=strides_3, seed=st.integers(0, 2**16),
+           shape=st.sampled_from(["set", "list"]))
+    def test_compute_metrics_counts_as_the_set_operations_did(self, space, strides, seed,
+                                                              shape):
+        rng = random.Random(seed)
+        gt = ClassifiedGrid(space, shuffled_labels(space, strides, rng), strides)
+        region = drawn_region(space, gt.labels, rng, shape)
+        assert compute_metrics(gt, region) == per_cell_compute_metrics(gt, region)
+        _, _, line = random_artifacts(space, rng)
+        region = region_from_boundary(line)
+        assert compute_metrics(gt, region) == per_cell_compute_metrics(gt, region)
+
+    @settings(max_examples=100, deadline=None)
+    @given(space=accepted_spaces(), strides=strides_3, seed=st.integers(0, 2**16),
+           drop=st.booleans())
+    def test_grid_to_csv_writes_the_same_bytes(self, tmp_path_factory, space, strides,
+                                               seed, drop):
+        rng = random.Random(seed)
+        grid = ClassifiedGrid(space, shuffled_labels(space, strides, rng), strides)
+        if drop:
+            del grid.labels[space.pid_at(*rng.choice(list(space.iter_indices(strides))))]
+        d = tmp_path_factory.mktemp("grid")
+        new = raised(grid_to_csv, grid, d / "new.csv")
+        old = raised(per_cell_grid_to_csv, grid, d / "old.csv")
+        if old is None:
+            assert new is None
+            assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+            return
+        assert not (d / "new.csv").exists() and not (d / "old.csv").exists()
+        if old[0] is ValueError:
+            assert new == old
+        else:
+            # the reference raised KeyError(pid) on the first cell without a
+            # label; the writer names that cell
+            (pid,) = old[1]
+            assert new == (ValueError, (f"cell kp={pid.kp:.9g}, ki={pid.ki:.9g}, "
+                                        f"kd={pid.kd:.9g} has no label",))
 
 
 def one_plane_space():
