@@ -177,21 +177,36 @@ def grid_from_csv(path, space, strides=(1, 1, 1)):
     """Read labels back, snapping each row onto the space grid.
 
     Raises ValueError, naming the file and line, on an unknown label, a
-    value off the grid, a short row or a cell given twice.
+    value off the grid or off the sub-grid the strides pick, a short row or
+    a cell given twice.
     """
-    parse_p, parse_i, parse_d = space.parsers()
+    parse_p, parse_i, parse_d = map(_on_sub_grid, space.parsers(), _axes(space, strides),
+                                    ("kp", "ki", "kd"), strides)
     labels = {}
 
     def cell(kp, ki, kd, label):
         if label not in (VALID, INVALID):
             raise ValueError(f"unknown label {label!r}")
-        pid = PidConfig(parse_p(kp), parse_i(ki), parse_d(kd))
-        if pid in labels:
+        n = len(labels)
+        labels[PidConfig(parse_p(kp), parse_i(ki), parse_d(kd))] = label
+        if len(labels) == n:
             raise ValueError(f"cell kp={kp}, ki={ki}, kd={kd} is given twice")
-        labels[pid] = label
 
     read_csv(path, ("kp", "ki", "kd", "label"), cell)
     return ClassifiedGrid(space=space, labels=labels, strides=strides)
+
+
+def _on_sub_grid(parse, axis, name, stride):
+    """parse itself for stride 1, else parse refusing a value not in axis,
+    the values of the sub-grid."""
+    values = set(axis)
+
+    def parse_on(text):
+        if (value := parse(text)) not in values:
+            raise ValueError(f"{name}={text} is not on the sub-grid of stride {stride}")
+        return value
+
+    return parse if stride == 1 else parse_on
 
 
 def configs_to_csv(configs, path):

@@ -434,9 +434,9 @@ def mode_spec(mission):
     raise ValueError(f"no spec for mission mode {mission.mode!r}")
 
 
-def circle_lap_spec(mission, reach_frac=0.8):
+def circle_lap_spec(mission):
     """Recurrence spec for circle tracking: within every lap the plant must
-    actually swing out to both extremes of the circle.
+    actually swing out to +-0.8 of the radius on both sides.
 
     Violations of this spec span a whole lap, so an online monitor whose
     window is much shorter than the lap cannot resolve them.
@@ -447,7 +447,7 @@ def circle_lap_spec(mission, reach_frac=0.8):
     lap = 1.0 / p["freq"]
     if mission.duration < lap:
         raise ValueError("mission shorter than one lap")
-    reach = reach_frac * p["radius"]
+    reach = 0.8 * p["radius"]
     return Globally(
         And((Eventually(Atom("x", ">=", reach), t_lo=0.0, t_hi=lap),
              Eventually(Atom("x", "<=", -reach), t_lo=0.0, t_hi=lap))),

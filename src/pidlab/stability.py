@@ -51,9 +51,9 @@ def characteristic_roots(pid, a1, a2):
     return roots
 
 
-def roots_stable(pid, a1, a2, margin=ROOT_MARGIN):
-    """True iff every closed-loop pole has real part < -margin."""
-    return bool(np.all(characteristic_roots(pid, a1, a2).real < -margin))
+def roots_stable(pid, a1, a2):
+    """True iff every closed-loop pole has real part < -ROOT_MARGIN."""
+    return bool(np.all(characteristic_roots(pid, a1, a2).real < -ROOT_MARGIN))
 
 
 def theoretical_boundary(p_const, a1, a2, d_values):

@@ -1,43 +1,31 @@
 """Trajectory-based validity oracle with majority voting and query accounting.
 
 A validator answers one question: is this gain triple valid for the mission?
-Every classify() call counts as exactly one oracle query against the global
-counter, regardless of how many repeated simulations back the vote, and
-classify_many(pids) counts one per pid. Queries
-and simulations differ: a SimulationValidator simulates a gain triple only
-the first time it is asked and answers repeats of it from a memo, so a
-searcher that revisits a config pays a query but no simulation.
+Every validator implements classify_many(pids), which counts one oracle query
+per pid against the global counter, however many simulations back its vote,
+and classify(pid) is classify_many((pid,))[0]. Queries and simulations
+differ: a SimulationValidator simulates a gain triple only the first time it
+is asked and answers repeats of it from a memo, so a searcher that revisits
+a config pays a query but no simulation.
 
 OracleConfig is the judge: check finds a run's first failing conjunct, and
-vote takes the majority over a query's runs. SimulationValidator.classify is
-classify_many of one pid. classify_many and compare_oracles judge their runs
-through SimulationValidator._verdicts, which builds each run once for every
-judge it is asked with, each judging the whole run or its head. BATCH_MIN
-new pids or more are simulated with simulate_batch, one seed at a time, in
-calls whose x and v arrays stay within BATCH_BYTES; its runs are
-bit-identical to simulate's. Fewer are run one at a time. A run whose
-RK4 step map, raised to the mission's step count (plant.step_map_power),
-has an entry that is not below LINEAR_LIMIT or not finite is predicted to
-reach the clamp, and simulate builds it. Every other run is first built
-with simulate_linear, and judged from that run where it stays clear of the
-clamp and every spec atom stays farther from its threshold than
-LINEAR_TOL * (1 + its largest |x| or |v|); elsewhere simulate builds it
-too. The prediction only picks the route, so the verdicts are simulate's
-on both routes. On the search pass of the disturbed 40x40 hold at seed 0,
-248 of the 399 runs are predicted to clamp: 225 distinct pids, of which 3
-never reach it.
+vote takes the majority over a query's runs. SimulationValidator.classify_many
+and compare_oracles judge their runs through SimulationValidator._verdicts,
+which builds each run once for every judge it is asked with. It batches
+BATCH_MIN new pids or more through simulate_batch, whose runs are
+bit-identical to simulate's, and runs fewer one at a time. There a run that
+the RK4 step map predicts to reach the clamp (plant.step_map_power) is built
+by simulate, and any other by simulate_linear, judged from that run where
+LINEAR_TOL certifies it and rebuilt by simulate elsewhere, so the verdicts
+are simulate's on every route. On the search pass of the disturbed 40x40
+hold at seed 0, 248 of the 399 runs are predicted to clamp: 225 distinct
+pids, of which 3 never reach it.
 
-A run given to simulate on this route ends once its verdict is decided.
-It pauses at the first sample past each time that a t atom of the
-formula's first conjunct compares against, and it stops at the first
-pause where OracleConfig.decided holds for every judge: the judge's
-samples are all there, or every run with this prefix fails the first
-conjunct under that judge (mtl.eval_prefix, or an online alarm in a
-window the prefix holds). The prefix is bit for bit the run's first
-samples, and the check over it names the same first failing conjunct,
-so verdicts and violated_spec are those of the whole run. Only the first
-conjunct may end a run, since violated_spec names the first failing
-conjunct in formula order. The batched route runs every column whole.
+A run that simulate builds on this route ends once its verdict is decided
+(OracleConfig.decided). Its prefix is bit for bit the run's first samples,
+and only the first conjunct may end it, since violated_spec names the first
+failing conjunct in formula order, so verdicts and violated_spec are those
+of the whole run. The batched route runs every column whole.
 """
 
 from __future__ import annotations
@@ -59,13 +47,13 @@ from .stability import routh_stable
 BATCH_BYTES = 32 * 2**20
 
 # Fewest new pids _verdicts simulates with simulate_batch. The one-at-a-time
-# route takes certified runs from simulate_linear and sends runs predicted to
-# clamp straight to simulate. On the 60 s disturbed hold (2 vCPUs, seed 3,
-# fresh validators, every 64th or 32nd cell of the 40x40 plane, best and
-# worst of three), 25 new pids took 0.20-0.21 s one at a time and
-# 0.31-0.33 s batched, and 50 took 0.39-0.41 s and 0.31-0.33 s; 35 took
-# 0.26-0.30 s and 0.20-0.27 s. The crossover lies between 25 and 35, but no
-# workload has between 20 and 35 new pids to show a retune.
+# route takes certified runs from simulate_linear and ends simulate's runs
+# early. On the 60 s disturbed hold (2 vCPUs, seed 3, fresh validators, 25,
+# 35 or 50 cells evenly spaced over the 40x40 plane, best and worst of nine
+# runs in three processes), 25 new pids took 0.14-0.18 s one at a time and
+# 0.25-0.32 s batched, 35 took 0.20-0.36 s and 0.25-0.31 s, and 50 took
+# 0.26-0.43 s and 0.27-0.44 s. The crossover lies near 50, but no workload
+# has between 20 and 49 new pids to show a retune.
 BATCH_MIN = 20
 
 # A linear run stands in for simulate's where every spec atom stays more
@@ -168,8 +156,7 @@ class OracleConfig:
         votes = sum(1 for ok, _ in checks if ok)
         valid = votes > self.repeats // 2
         violated = None if valid else next(label for ok, label in checks if not ok)
-        return Verdict(valid=valid, violated_spec=violated, runs=self.repeats,
-                       votes_valid=votes)
+        return Verdict(valid=valid, violated_spec=violated, votes_valid=votes)
 
 
 def _conjuncts(formula):
@@ -180,20 +167,19 @@ def _conjuncts(formula):
 class Verdict:
     valid: bool
     violated_spec: str | None
-    runs: int
     votes_valid: int
 
 
 class Validator:
-    """Abstract simulate-and-check contract used by all searchers."""
+    """Abstract oracle contract used by all searchers; subclasses implement classify_many."""
 
     def classify(self, pid):
-        raise NotImplementedError
+        """The verdict on pid, counting one query: classify_many((pid,))[0]."""
+        return self.classify_many((pid,))[0]
 
     def classify_many(self, pids):
-        """[self.classify(pid) for pid in pids]: one verdict and one query
-        per pid. Subclasses may answer the batch at once."""
-        return [self.classify(pid) for pid in pids]
+        """One verdict per pid of the iterable pids, counting len(pids) queries."""
+        raise NotImplementedError
 
 
 class SimulationValidator(Validator):
@@ -217,16 +203,9 @@ class SimulationValidator(Validator):
         self.formula = mode_spec(mission) if formula is None else formula
         self._memo = {}
 
-    def classify(self, pid):
-        """The verdict on pid, counting one query: classify_many((pid,))[0]."""
-        return self.classify_many((pid,))[0]
-
     def classify_many(self, pids):
-        """One verdict per pid, counting len(pids) queries.
-
-        Memoised pids are answered from the memo; each distinct new pid is
-        simulated once per seed, and its runs are judged by _verdicts.
-        """
+        """Memoised pids are answered from the memo; each distinct new pid is
+        simulated once per seed, and its runs are judged by _verdicts."""
         pids = list(pids)
         _note_queries(len(pids))
         # Two threads asking for the same new pid may both simulate it; they
@@ -316,8 +295,8 @@ class SimulationValidator(Validator):
                           noise=replace(self.plant.noise, seed=self.cfg.base_seed + j))
 
 
-_ROUTH_STABLE = Verdict(valid=True, violated_spec=None, runs=1, votes_valid=1)
-_ROUTH_UNSTABLE = Verdict(valid=False, violated_spec="routh_hurwitz", runs=1, votes_valid=0)
+_ROUTH_STABLE = Verdict(valid=True, violated_spec=None, votes_valid=1)
+_ROUTH_UNSTABLE = Verdict(valid=False, violated_spec="routh_hurwitz", votes_valid=0)
 
 
 class RouthValidator(Validator):
@@ -333,6 +312,8 @@ class RouthValidator(Validator):
         self.a1 = a1
         self.a2 = a2
 
+    # Validator.classify answers the same; this stays while the benchmark's tracer
+    # counts one classify span and one routh_stable span per Routh query.
     def classify(self, pid):
         _note_queries()
         return _ROUTH_STABLE if routh_stable(pid, self.a1, self.a2) else _ROUTH_UNSTABLE
@@ -346,7 +327,7 @@ class RouthValidator(Validator):
         pid, so the batch never answers differently from classify.
         """
         if type(self).classify is not _routh_classify:
-            return super().classify_many(pids)
+            return [self.classify(pid) for pid in pids]
         pids = list(pids)
         n = len(pids)
         kp = np.fromiter((pid.kp for pid in pids), float, n)
@@ -365,17 +346,20 @@ class RouthValidator(Validator):
 _routh_classify = RouthValidator.classify
 
 
+_LOOKUP_VERDICTS = (Verdict(valid=False, violated_spec="lookup", votes_valid=0),
+                    Verdict(valid=True, violated_spec=None, votes_valid=1))
+
+
 class LookupValidator(Validator):
     """Table-driven oracle for synthetic experiments: valid iff fn(pid)."""
 
     def __init__(self, fn):
         self.fn = fn
 
-    def classify(self, pid):
-        _note_queries()
-        ok = bool(self.fn(pid))
-        return Verdict(valid=ok, violated_spec=None if ok else "lookup",
-                       runs=1, votes_valid=int(ok))
+    def classify_many(self, pids):
+        pids = list(pids)
+        _note_queries(len(pids))
+        return [_LOOKUP_VERDICTS[bool(self.fn(pid))] for pid in pids]
 
 
 @dataclass

@@ -490,6 +490,27 @@ class TestCsvRoundTrips:
         assert back.labels == gt.labels
         assert back.strides == (1, 2, 1)
 
+    # a row moved off the sub-grid: ki index 1 of stride 2, kd index 1 of stride 2
+    @pytest.mark.parametrize("strides,column,off", [((1, 2, 1), 1, "0.2"),
+                                                    ((1, 1, 2), 2, "0.5")])
+    def test_strided_grid_refuses_a_row_off_its_sub_grid(self, tmp_path, strides,
+                                                         column, off):
+        s = worked_space()
+        gt = ground_truth(s, validator=RouthValidator(1, 1), strides=strides)
+        path = tmp_path / "gt.csv"
+        grid_to_csv(gt, path)
+        lines = path.read_text().splitlines(keepends=True)
+        row = lines[3].split(",")
+        row[column] = off
+        lines[3] = ",".join(row)
+        path.write_text("".join(lines))
+        name = ("kp", "ki", "kd")[column]
+        with pytest.raises(ValueError, match=rf"gt\.csv:4: {name}={off} is not on the "
+                                             r"sub-grid of stride 2$"):
+            grid_from_csv(path, s, strides=strides)
+        # the row is on the whole grid
+        assert len(grid_from_csv(path, s).labels) == len(gt.labels)
+
     def test_grid_rejects_bad_label(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("kp,ki,kd,label\n1,0.1,0,wobbly\n")
@@ -988,12 +1009,18 @@ class TestCsvRejections:
             plain, loose = plain.columns, loose.columns
         assert loose == plain
 
-    def test_a_cell_given_twice_is_refused(self, tmp_path):
+    # the second spelling of a cell, and the line it is on
+    @pytest.mark.parametrize("again,line", [(["1", "0.5", "0"], 3),
+                                            (["1.0", "0.50", "0"], 4),
+                                            (["1", "1", "0.0"], 4)])
+    def test_a_cell_given_twice_is_refused(self, tmp_path, again, line):
         path = tmp_path / "twice.csv"
-        write_rows(path, "kp,ki,kd,label", [["1", "0.5", "0", "valid"],
-                                            ["1", "1", "0", "valid"],
-                                            ["1.0", "0.50", "0", "invalid"]])
-        with pytest.raises(ValueError, match=r"twice\.csv:4: cell .* is given twice"):
+        rows = [["1", "0.5", "0", "valid"], ["1", "1", "0", "valid"]]
+        rows.insert(line - 2, again + ["invalid"])
+        write_rows(path, "kp,ki,kd,label", rows)
+        kp, ki, kd = again
+        with pytest.raises(ValueError, match=rf"twice\.csv:{line}: cell kp={kp}, ki={ki}, "
+                                             rf"kd={kd} is given twice$"):
             grid_from_csv(path, one_plane_space())
 
     def test_errors_in_a_row_name_the_line(self, tmp_path):

@@ -6,6 +6,10 @@ it. Dunders are exempt. Two shapes break that rule:
 - `obj._name`, where obj is not self or cls and no code in this module
   defines _name (a def, a class, or an assignment to a name or attribute).
 
+In pidlab.validator, every subclass of Validator implements classify_many,
+and only Validator (classify_many of one pid) and RouthValidator define
+classify.
+
 Every name a module imports is used in it, too; `__init__.py` is exempt,
 because its imports are the package's exports. And every private def, class
 or assignment at a module's top level is read somewhere in that module, so a
@@ -106,6 +110,48 @@ def test_no_module_imports_a_name_it_does_not_use(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_defines_a_private_name_it_never_reads(path):
     assert unread_privates(path.read_text(), path.name) == []
+
+
+def validator_methods(source):
+    """{class name: names of the methods it defines} for Validator and each
+    class of source that derives from it."""
+    methods = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and (node.name == "Validator" or any(
+                isinstance(base, ast.Name) and base.id in methods for base in node.bases)):
+            methods[node.name] = {item.name for item in node.body
+                                  if isinstance(item, ast.FunctionDef)}
+    return methods
+
+
+def test_validators_implement_classify_many_and_not_classify():
+    methods = validator_methods((PACKAGE / "validator.py").read_text())
+    assert {"SimulationValidator", "RouthValidator", "LookupValidator"} < methods.keys()
+    assert [name for name, defs in methods.items() if "classify" in defs] == [
+        "Validator", "RouthValidator"]
+    assert all("classify_many" in defs for defs in methods.values())
+
+
+def test_validator_methods_follow_subclasses():
+    source = '''
+class Validator:
+    def classify(self, pid): ...
+
+
+class Direct(Validator):
+    def classify_many(self, pids): ...
+
+
+class Indirect(Direct):
+    def classify(self, pid): ...
+
+
+class Other:
+    def classify(self, pid): ...
+'''
+    assert validator_methods(source) == {"Validator": {"classify"},
+                                         "Direct": {"classify_many"},
+                                         "Indirect": {"classify"}}
 
 
 def test_unread_privates_are_caught():

@@ -84,11 +84,11 @@ class TestJudge:
             assert cfg.check(spec, run) == (False, "early")
 
     @pytest.mark.parametrize("checks,verdict", [
-        ([(True, None)], Verdict(True, None, 1, 1)),
-        ([(False, "a")], Verdict(False, "a", 1, 0)),
-        ([(False, "a"), (True, None), (False, "b")], Verdict(False, "a", 3, 1)),
-        ([(True, None), (False, "b"), (True, None)], Verdict(True, None, 3, 2)),
-        ([(True, None), (False, "b"), (False, "c")], Verdict(False, "b", 3, 1))])
+        ([(True, None)], Verdict(True, None, 1)),
+        ([(False, "a")], Verdict(False, "a", 0)),
+        ([(False, "a"), (True, None), (False, "b")], Verdict(False, "a", 1)),
+        ([(True, None), (False, "b"), (True, None)], Verdict(True, None, 2)),
+        ([(True, None), (False, "b"), (False, "c")], Verdict(False, "b", 1))])
     def test_vote_is_the_majority_and_names_the_first_failing_run(self, checks, verdict):
         assert OracleConfig(repeats=len(checks)).vote(iter(checks)) == verdict
 
@@ -193,7 +193,7 @@ class TestMajorityVoting:
     def test_two_of_three_wins(self, make_stub):
         v, calls = make_stub([True, False, True])
         verdict = v.classify(PidConfig(1, 1, 1))
-        assert verdict.valid and verdict.votes_valid == 2 and verdict.runs == 3
+        assert verdict.valid and verdict.votes_valid == 2
         assert calls == [0, 1, 2]
 
     def test_minority_valid_loses(self, make_stub):
@@ -417,20 +417,62 @@ class TestClassifyMany:
         assert [v.valid for v in Inverted(1, 1).classify_many(pids)] == [False, True]
         assert query_count() == 2
 
-    def test_default_loops_classify_through_the_memo(self, sim_calls):
-        v = SimulationValidator(PlantModel(), hold_mission(), OracleConfig())
-        a, b = PidConfig(3, 1, 2), PidConfig(1, 5, 1)
-        batch = Validator.classify_many(v, [a, b, a])
-        assert batch == [v.classify(a), v.classify(b), v.classify(a)]
-        assert [verdict.valid for verdict in batch] == [True, False, True]
-        assert query_count() == 6
-        assert sim_calls == [a, b]
+    def test_the_base_classify_is_classify_many_of_one_pid(self):
+        class Recording(Validator):
+            def __init__(self):
+                self.asked = []
+
+            def classify_many(self, pids):
+                self.asked.append(pids)
+                return [f"verdict on {pid}" for pid in pids]
+
+        v = Recording()
+        assert v.classify("a") == "verdict on a"
+        assert v.asked == [("a",)]
+        with pytest.raises(NotImplementedError):
+            Validator().classify(PidConfig(1, 1, 1))
 
     def test_default_on_a_lookup_oracle(self):
         v = LookupValidator(lambda pid: pid.ki < 1)
         pids = [PidConfig(1, 0.5, 1), PidConfig(1, 5, 1)]
         assert [verdict.valid for verdict in v.classify_many(pids)] == [True, False]
         assert query_count() == 2
+
+
+# a pool of pids for the contract property: cells of the kp = 4 plane with
+# valid and invalid verdicts under each validator below
+CONTRACT_PIDS = [PidConfig(4.0, ki, kd) for ki in (0.2, 1.0, 4.0, 8.0)
+                 for kd in (0.5, 1.5, 3.0)]
+CONTRACT_VALIDATORS = {
+    "simulation": lambda: SimulationValidator(
+        PlantModel(noise=NoiseSpec(sensor_sigma=0.08, disturbance_amp=0.1,
+                                   disturbance_freq=0.2)),
+        SHORT_HOLD, OracleConfig(repeats=3)),
+    "routh": lambda: RouthValidator(1, 1),
+    "lookup": lambda: LookupValidator(lambda pid: pid.ki < 2 * pid.kd),
+}
+
+
+class TestOneContract:
+    @pytest.mark.parametrize("kind", CONTRACT_VALIDATORS)
+    @settings(max_examples=15, deadline=None)
+    @given(pids=st.lists(st.sampled_from(CONTRACT_PIDS), max_size=16),
+           batch_min=st.sampled_from([1, validator_module.BATCH_MIN]))
+    def test_classify_many_is_the_classify_loop(self, kind, pids, batch_min):
+        make = CONTRACT_VALIDATORS[kind]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(validator_module, "BATCH_MIN", batch_min)
+            q0 = query_count()
+            batch = make().classify_many(iter(pids))
+            q1 = query_count()
+            loop = make()
+            assert batch == [loop.classify(pid) for pid in pids]
+            assert q1 - q0 == query_count() - q1 == len(pids)
+
+    @pytest.mark.parametrize("kind", CONTRACT_VALIDATORS)
+    def test_the_pool_holds_both_verdicts(self, kind):
+        verdicts = CONTRACT_VALIDATORS[kind]().classify_many(CONTRACT_PIDS)
+        assert {verdict.valid for verdict in verdicts} == {True, False}
 
 
 @pytest.fixture
@@ -535,7 +577,7 @@ class TestSimulationClassifyMany:
         assert asked == [[a]] and query_count() == 2
         # _verdicts simulates without a query or a memo entry; classify_many keeps both
         [(pid, verdicts)] = v._verdicts([b], ((v.cfg, None),))
-        assert pid == b and len(verdicts) == 1 and verdicts[0].runs == 1
+        assert pid == b and len(verdicts) == 1
         assert query_count() == 2
         assert v.classify(b) == v.classify_many([b])[0] == verdicts[0]
         assert asked == [[a], [b], [b]]
