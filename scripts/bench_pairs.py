@@ -29,9 +29,12 @@ null when a parent value is 0). A pair runs one seed on both sides, so the
 ratios are free of the spread between seeds that widens each side's IQR.
 With --claim, the claim is met when the change wins at least nine of the
 ten pairs and its median beats the parent's by more than the parent's IQR;
-the ratios do not enter it. The file is rewritten after every pair, so a
-cut run leaves the pairs it finished; its claim is judged only once all ten
-are in.
+the ratios do not enter it. With --claim, once the pairs are done each
+checkout also runs the claimed workload once with `--trace 1` on seed 0,
+and the summary's trace block holds both sides' per-layer metrics and each
+metric's change minus parent, so it shows in which layers the gain
+appears. The file is rewritten after every pair, so a cut run leaves the
+pairs it finished; its claim is judged only once all ten are in.
 """
 
 from __future__ import annotations
@@ -75,10 +78,11 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def run_one(checkout, command, workload, seed, seconds):
-    """The JSON result of one untraced benchmark run in checkout."""
+def run_one(checkout, command, workload, seed, seconds, trace=0):
+    """The JSON result of one benchmark run in checkout, untraced unless
+    trace is 1."""
     cmd = [*command, "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -167,6 +171,21 @@ def claim_of(spec, workloads):
             and gain > block["parent"]["iqr"]}
 
 
+def traced(checkouts, command, workload, seconds):
+    """The trace block: one --trace 1 run of workload on seed 0 per side,
+    each side's per-layer values and change minus parent per metric."""
+    values, correct = {}, {}
+    for side in SIDES:
+        result = run_one(checkouts[side], command, workload, 0, seconds, trace=1)
+        values[side] = {name: m["value"] for name, m in result["metrics"].items()}
+        correct[side] = result["correct"]
+        print(f"trace {workload} {side}: correct {correct[side]}", file=sys.stderr, flush=True)
+    return {"workload": workload, "seed": 0, "correct": correct, **values,
+            "change_minus_parent": {name: values["change"][name] - value
+                                    for name, value in values["parent"].items()
+                                    if name in values["change"]}}
+
+
 def git_commit(checkout):
     try:
         done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
@@ -185,8 +204,8 @@ def main(argv=None):
     command, seconds = spec["command"], spec["run_seconds"]
     names = args.workload or [w["name"] for w in spec["workloads"]]
     out = Path(f"BENCH_{args.pr}.json")
-    tests = [note for side in SIDES
-             for note in time_tests(args.parent if side == "parent" else args.change, side)]
+    checkouts = {"parent": args.parent, "change": args.change}
+    tests = [note for side in SIDES for note in time_tests(checkouts[side], side)]
     doc = {
         "change": args.change_text,
         "parent_commit": args.parent_commit or git_commit(args.parent) or "unknown",
@@ -205,7 +224,7 @@ def main(argv=None):
                   "better side of 1.",
         "machine": {"vcpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
-        **({"claim": None} if args.claim else {}),
+        **({"claim": None, "trace": None} if args.claim else {}),
         "notes": [*args.note, *tests],
         "workloads": {},
     }
@@ -216,8 +235,7 @@ def main(argv=None):
         for name in names:
             pair = {"seed": seed, "parent_first": parent_first}
             for side in order:
-                checkout = args.parent if side == "parent" else args.change
-                pair[side] = run_one(checkout, command, name, seed, seconds)
+                pair[side] = run_one(checkouts[side], command, name, seed, seconds)
                 wall = pair[side]["metrics"]["wall_s"]["value"]
                 print(f"pair {seed} {name} {side}: wall_s {wall:.3f} "
                       f"correct {pair[side]['correct']}", file=sys.stderr, flush=True)
@@ -225,6 +243,9 @@ def main(argv=None):
         doc["workloads"] = {name: summarise(runs[name], metrics) for name in names}
         if args.claim:
             doc["claim"] = claim_of(args.claim, doc["workloads"])
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+    if args.claim:
+        doc["trace"] = traced(checkouts, command, args.claim.partition(":")[0], seconds)
         out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from operator import countOf
 
 from .plant import PidConfig
-from .search import ALL_INVALID, ALL_VALID, BOUNDARY, csv_number, read_csv
+from .search import ALL_INVALID, ALL_VALID, BOUNDARY, csv_number, grid_pid, read_csv
 
 VALID = "valid"
 INVALID = "invalid"
@@ -31,9 +31,6 @@ class ClassifiedGrid:
     space: object
     labels: dict
     strides: tuple = (1, 1, 1)
-
-    def invalid_set(self):
-        return {pid for pid, lab in self.labels.items() if lab == INVALID}
 
 
 def _axes(space, strides):
@@ -59,7 +56,7 @@ def ground_truth(space, validator, *, strides=(1, 1, 1), workers=1):
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
     p_axis, i_axis, d_axis = _axes(space, strides)
-    pids = [PidConfig(p, i, d) for p in p_axis for i in i_axis for d in d_axis]
+    pids = list(map(grid_pid, product(p_axis, i_axis, d_axis)))
     labels = dict(zip(pids, [VALID if verdict.valid else INVALID
                              for verdict in validator.classify_many(pids)]))
     return ClassifiedGrid(space=space, labels=labels, strides=strides)
@@ -90,7 +87,7 @@ def region_from_boundary(bl, space=None):
             continue
         start = 0 if col.status == ALL_INVALID else space.i_index(col.i_save) + 1
         p, d = space.p_value(ip), space.d_value(id_)
-        region.update([PidConfig(p, i, d) for i in i_axis[start:]])
+        region.update(map(grid_pid, product((p,), i_axis[start:], (d,))))
     expect = space.n_p * space.n_d
     if len(seen) != expect:
         raise ValueError(f"boundary line covers {len(seen)} of {expect} columns")
@@ -188,7 +185,7 @@ def grid_from_csv(path, space, strides=(1, 1, 1)):
         if label not in (VALID, INVALID):
             raise ValueError(f"unknown label {label!r}")
         n = len(labels)
-        labels[PidConfig(parse_p(kp), parse_i(ki), parse_d(kd))] = label
+        labels[grid_pid((parse_p(kp), parse_i(ki), parse_d(kd)))] = label
         if len(labels) == n:
             raise ValueError(f"cell kp={kp}, ki={ki}, kd={kd} is given twice")
 
@@ -214,8 +211,8 @@ def configs_to_csv(configs, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kp", "ki", "kd"])
-        for pid in sorted(configs, key=lambda c: (c.kp, c.ki, c.kd)):
-            writer.writerow([csv_number(pid.kp), csv_number(pid.ki), csv_number(pid.kd)])
+        for pid in sorted(configs):
+            writer.writerow(map(csv_number, pid))
 
 
 def configs_from_csv(path, space):

@@ -10,6 +10,7 @@ does not get amplified by finite differencing.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,22 +26,24 @@ CIRCLE_TRACK = "circle_track"
 RETURN_HOME = "return_home"
 
 
-@dataclass(frozen=True, slots=True)
-class PidConfig:
-    """One controller gain triple (kp, ki, kd)."""
+class PidConfig(namedtuple("PidConfig", ("kp", "ki", "kd"))):
+    """One controller gain triple (kp, ki, kd): an immutable 3-tuple whose
+    constructor, _make, _replace and unpickling refuse a non-finite gain."""
 
-    kp: float
-    ki: float
-    kd: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        # one test on the fast path, and no arithmetic on the gains: a sum
-        # of numpy scalars would warn where it overflows
-        if math.isfinite(self.kp) and math.isfinite(self.ki) and math.isfinite(self.kd):
-            return
-        for name in ("kp", "ki", "kd"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+    def __new__(cls, kp, ki, kd):
+        # one test on the fast path; no arithmetic, which warns on numpy scalars
+        if not (math.isfinite(kp) and math.isfinite(ki) and math.isfinite(kd)):
+            for name, value in (("kp", kp), ("ki", ki), ("kd", kd)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+        return tuple.__new__(cls, (kp, ki, kd))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited one, which _replace calls, would skip the check
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

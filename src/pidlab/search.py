@@ -20,6 +20,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 from operator import itemgetter
 
 from .plant import PidConfig
@@ -87,7 +88,10 @@ class ParamSpace:
                 raise ValueError(f"{axis}_step must be > 0")
             if hi < lo:
                 raise ValueError(f"{axis}_max must be >= {axis}_min")
-            count = _axis_count(lo, hi, step)
+            try:
+                count = _axis_count(lo, hi, step)
+            except OverflowError:  # hi - lo near +-1.7e308, or a step far below both
+                raise ValueError(f"{axis}_step {step!r} overflows the axis count") from None
             object.__setattr__(self, "n_" + axis, count)
             name = "k" + axis
             for k in range(count):
@@ -110,7 +114,10 @@ class ParamSpace:
         return self.d_min + idx * self.d_step
 
     def pid_at(self, ip, ii, id_):
-        return PidConfig(self.p_value(ip), self.i_value(ii), self.d_value(id_))
+        if not (0 <= ip < self.n_p and 0 <= ii < self.n_i and 0 <= id_ < self.n_d):
+            raise IndexError(f"grid index {(ip, ii, id_)!r} is off the "
+                             f"{self.n_p}x{self.n_i}x{self.n_d} grid")
+        return grid_pid((self.p_value(ip), self.i_value(ii), self.d_value(id_)))
 
     def _snap(self, value, lo, step, count, name):
         pos = (value - lo) / step
@@ -149,19 +156,18 @@ class ParamSpace:
     def size(self):
         return self.n_p * self.n_i * self.n_d
 
-    def iter_indices(self, strides=(1, 1, 1)):
-        sp, si, sd = strides
-        for ip in range(0, self.n_p, sp):
-            for ii in range(0, self.n_i, si):
-                for id_ in range(0, self.n_d, sd):
-                    yield ip, ii, id_
-
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     @classmethod
     def from_dict(cls, d):
         return cls(**{f.name: float(d[f.name]) for f in fields(cls) if f.init})
+
+
+# PidConfig of a (kp, ki, kd) of ParamSpace axis values, without its
+# finiteness check: ParamSpace refuses an axis value that does not snap back
+# from its csv_number spelling, and inf and nan never do.
+grid_pid = partial(tuple.__new__, PidConfig)
 
 
 def _axis_parser(value, index, count):

@@ -38,12 +38,6 @@ class PlaneTransform:
     def y(self, i):
         return MT + (self.i_hi - i) / (self.i_hi - self.i_lo) * self.ph
 
-    def d_of(self, x):
-        return self.d_lo + (x - ML) / self.pw * (self.d_hi - self.d_lo)
-
-    def i_of(self, y):
-        return self.i_hi - (y - MT) / self.ph * (self.i_hi - self.i_lo)
-
 
 def _fmt(v):
     return "%.2f" % v

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -330,9 +331,7 @@ class RouthValidator(Validator):
             return [self.classify(pid) for pid in pids]
         pids = list(pids)
         n = len(pids)
-        kp = np.fromiter((pid.kp for pid in pids), float, n)
-        ki = np.fromiter((pid.ki for pid in pids), float, n)
-        kd = np.fromiter((pid.kd for pid in pids), float, n)
+        kp, ki, kd = (np.fromiter(map(itemgetter(k), pids), float, n) for k in range(3))
         # Python floats overflow to inf and turn inf * 0 into nan silently
         with np.errstate(all="ignore"):
             c2 = self.a2 + kd

@@ -204,7 +204,7 @@ def test_07_boundary_search_beats_probing_baselines(noisy_plane):
     finds, averaged over three seeds."""
     grid = noisy_plane["grid"]
     budget = noisy_plane["budget"]
-    truly_invalid = grid.invalid_set()
+    truly_invalid = {pid for pid, label in grid.labels.items() if label == "invalid"}
     rs_true = noisy_plane["metrics"].intersection
     for fn in (random_fuzz, hill_climb, genetic_search):
         counts = []

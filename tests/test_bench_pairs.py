@@ -99,3 +99,70 @@ def test_test_wall_times_are_taken_in_each_checkout_before_the_pairs(
         "tier-1 in change", "tests/test_acceptance.py in change"]
     assert all(re.fullmatch(r".*: \d+\.\d s wall, exit 0, '7 passed in 0.01s'", note)
                for note in notes[1:])
+
+
+def test_a_claim_adds_one_traced_run_of_its_workload_per_checkout(
+        bench_pairs, tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["bench"], "run_seconds": 1,
+        "workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": [WALL]}))
+    calls = []
+
+    def run(cmd, cwd, **kwargs):
+        # a stand-in for subprocess.run: traced runs report per-layer
+        # values, the change's layer half the parent's
+        if cmd[0] != "bench":
+            return subprocess.CompletedProcess(cmd, 0, "7 passed\n", "")
+        calls.append((Path(cwd).name, cmd))
+        if cmd[-1] == "1":
+            layer = 2.0 if Path(cwd).name == "parent" else 1.0
+            metrics = {"layer.self_s": {"value": layer, "unit": "s"}}
+        else:
+            metrics = {"wall_s": {"value": 1.0 if Path(cwd).name == "parent" else 0.5}}
+        result = {"metrics": metrics, "correct": True, "failed": 0}
+        return subprocess.CompletedProcess(cmd, 0, "report\n" + json.dumps(result), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(parent), str(change), "--pr", "6",
+                             "--parent-commit", "abc", "--claim", "v:wall_s"]) == 0
+    untraced = [cmd for _, cmd in calls if cmd[-2:] == ["--trace", "0"]]
+    assert len(untraced) == 2 * 2 * bench_pairs.PAIRS
+    # the traced runs come after every pair, one per checkout, of the
+    # claimed workload only
+    assert [(where, cmd[cmd.index("--workload") + 1], cmd[cmd.index("--seed") + 1],
+             cmd[-2:]) for where, cmd in calls[len(untraced):]] == [
+        ("parent", "v", "0", ["--trace", "1"]), ("change", "v", "0", ["--trace", "1"])]
+    doc = json.loads((tmp_path / "BENCH_6.json").read_text())
+    assert doc["claim"]["met"]
+    assert doc["trace"] == {"workload": "v", "seed": 0,
+                            "correct": {"parent": True, "change": True},
+                            "parent": {"layer.self_s": 2.0}, "change": {"layer.self_s": 1.0},
+                            "change_minus_parent": {"layer.self_s": -1.0}}
+
+
+def test_no_claim_runs_no_trace(bench_pairs, tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["bench"], "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [WALL]}))
+    traces = []
+
+    def run(cmd, cwd, **kwargs):
+        if cmd[0] != "bench":
+            return subprocess.CompletedProcess(cmd, 0, "7 passed\n", "")
+        traces.append(cmd[-1])
+        result = {"metrics": {"wall_s": {"value": 1.0}}, "correct": True, "failed": 0}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(result), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(parent), str(change), "--pr", "7",
+                             "--parent-commit", "abc"]) == 0
+    assert set(traces) == {"0"}
+    assert "trace" not in json.loads((tmp_path / "BENCH_7.json").read_text())

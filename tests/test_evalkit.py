@@ -2,6 +2,7 @@ import csv
 import random
 import re
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, reject, settings
@@ -27,6 +28,13 @@ def worked_space():
     return ParamSpace(p_min=1.0, p_max=1.0, p_step=1.0,
                       i_min=0.1, i_max=4.0, i_step=0.1,
                       d_min=0.0, d_max=1.0, d_step=0.5)
+
+
+def grid_indices(space, strides=(1, 1, 1)):
+    """Every (ip, ii, id_) of the sub-grid the index strides pick (indices
+    0, s, 2s, ... per axis), in index order."""
+    return product(*(range(0, n, s) for n, s in zip((space.n_p, space.n_i, space.n_d),
+                                                    strides)))
 
 
 @pytest.fixture(autouse=True)
@@ -160,7 +168,7 @@ class TestSearchRecoversThresholdOracles:
             key = (s.p_index(pid.kp), s.d_index(pid.kd))
             return s.i_index(pid.ki) <= cutoffs[key]
 
-        truth = {s.pid_at(*t) for t in s.iter_indices()
+        truth = {s.pid_at(*t) for t in grid_indices(s)
                  if not oracle(s.pid_at(*t))}
         bl = identify_boundary(s, validator=LookupValidator(oracle))
         assert region_from_boundary(bl) == truth
@@ -179,11 +187,11 @@ class TestSearchRecoversThresholdOracles:
             def oracle(pid):
                 return s.i_index(pid.ki) <= cutoffs[s.d_index(pid.kd)]
 
-            truth = {s.pid_at(*t) for t in s.iter_indices()
+            truth = {s.pid_at(*t) for t in grid_indices(s)
                      if not oracle(s.pid_at(*t))}
             gt = ClassifiedGrid(space=s, labels={
                 s.pid_at(*t): (INVALID if s.pid_at(*t) in truth else VALID)
-                for t in s.iter_indices()})
+                for t in grid_indices(s)})
             full = compute_metrics(gt, region_from_boundary(
                 identify_boundary(s, validator=LookupValidator(oracle))))
             off = compute_metrics(gt, region_from_boundary(
@@ -252,7 +260,7 @@ class TestGroundTruth:
         v = SimulationValidator(PlantModel(), hold_mission(settle_deadline=4, duration=8),
                                 OracleConfig())
         gt = ground_truth(s, v, workers=1)
-        pids = [s.pid_at(*t) for t in s.iter_indices()]
+        pids = [s.pid_at(*t) for t in grid_indices(s)]
         assert len(pids) == cells == query_count()
         if cells < validator_module.BATCH_MIN:
             assert sims == pids and batches == []
@@ -521,7 +529,7 @@ class TestCsvRoundTrips:
     def test_grid_writer_refuses_labels_the_reader_refuses(self, tmp_path, label):
         s = worked_space()
         grid = ClassifiedGrid(s, {pid: VALID for pid in (s.pid_at(*idx)
-                                                         for idx in s.iter_indices())})
+                                                         for idx in grid_indices(s))})
         grid.labels[s.pid_at(0, 3, 1)] = label
         cell = r"^cell kp=1, ki=0\.4, kd=0\.5 has label " + re.escape(repr(label))
         with pytest.raises(ValueError, match=cell):
@@ -532,7 +540,7 @@ class TestCsvRoundTrips:
         # it used to raise a bare KeyError(PidConfig(...))
         s = worked_space()
         grid = ClassifiedGrid(s, {pid: VALID for pid in (s.pid_at(*idx)
-                                                         for idx in s.iter_indices())})
+                                                         for idx in grid_indices(s))})
         del grid.labels[s.pid_at(0, 3, 1)]
         grid.labels[PidConfig(2.0, 0.4, 0.5)] = VALID  # off the grid: not written
         with pytest.raises(ValueError, match=r"^cell kp=1, ki=0\.4, kd=0\.5 has no label$"):
@@ -614,7 +622,7 @@ class TestCsvRoundTripProperties:
     @given(space=accepted_spaces(), seed=st.integers(0, 2**16))
     def test_csvs_round_trip_exactly(self, tmp_path_factory, space, seed):
         rng = random.Random(seed)
-        cells = [space.pid_at(*idx) for idx in space.iter_indices()]
+        cells = [space.pid_at(*idx) for idx in grid_indices(space)]
         grid = ClassifiedGrid(space, {pid: rng.choice((VALID, INVALID))
                                       for pid in cells})
         configs = {pid for pid in cells if rng.random() < 0.5}
@@ -647,7 +655,7 @@ def reference_grid_to_csv(grid, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kp", "ki", "kd", "label"])
-        for ip, ii, id_ in grid.space.iter_indices(grid.strides):
+        for ip, ii, id_ in grid_indices(grid.space, grid.strides):
             pid = grid.space.pid_at(ip, ii, id_)
             writer.writerow(["%.9g" % pid.kp, "%.9g" % pid.ki, "%.9g" % pid.kd,
                              grid.labels[pid]])
@@ -712,7 +720,7 @@ SPELLINGS = {"repr": lambda text: repr(float(text)),
 
 def random_artifacts(space, rng, strides=(1, 1, 1)):
     """A labeled (sub-)grid, a config set and a boundary line on space."""
-    cells = [space.pid_at(*idx) for idx in space.iter_indices(strides)]
+    cells = [space.pid_at(*idx) for idx in grid_indices(space, strides)]
     grid = ClassifiedGrid(space, {pid: rng.choice((VALID, INVALID)) for pid in cells},
                           strides)
     configs = {pid for pid in cells if rng.random() < 0.5}
@@ -779,7 +787,7 @@ class TestCsvAgainstTheReferences:
 # built or looked up per cell, and the metrics counted with set operations.
 
 def per_cell_ground_truth(space, validator, strides):
-    pids = [space.pid_at(*trip) for trip in space.iter_indices(strides)]
+    pids = [space.pid_at(*trip) for trip in grid_indices(space, strides)]
     labels = {pid: VALID if verdict.valid else INVALID
               for pid, verdict in zip(pids, validator.classify_many(pids))}
     return ClassifiedGrid(space=space, labels=labels, strides=strides)
@@ -802,7 +810,7 @@ def per_cell_region_from_boundary(bl, space):
 
 
 def per_cell_compute_metrics(gt, region):
-    bad = gt.invalid_set()
+    bad = {pid for pid, label in gt.labels.items() if label == INVALID}
     rs = gt.labels.keys() & region
     inter = len(rs & bad)
     flags = []
@@ -855,16 +863,16 @@ strides_3 = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 
 def off_grid(space, pid):
     """A config next to pid but off the space: one step past an axis end."""
-    return replace(pid, kp=space.p_min - space.p_step)
+    return pid._replace(kp=space.p_min - space.p_step)
 
 
 def shuffled_labels(space, strides, rng):
     """Labels of the strided sub-grid in shuffled order, plus cells off the
     sub-grid and off the space, some labeled None."""
-    cells = [space.pid_at(*idx) for idx in space.iter_indices(strides)]
+    cells = [space.pid_at(*idx) for idx in grid_indices(space, strides)]
     items = [(pid, rng.choice((VALID, INVALID))) for pid in cells]
     items += [(pid, rng.choice((VALID, INVALID, None)))
-              for pid in (space.pid_at(*idx) for idx in space.iter_indices())
+              for pid in (space.pid_at(*idx) for idx in grid_indices(space))
               if rng.random() < 0.3]
     items += [(off_grid(space, pid), rng.choice((VALID, INVALID, None)))
               for pid in rng.sample(cells, min(3, len(cells)))]
@@ -875,7 +883,7 @@ def shuffled_labels(space, strides, rng):
 def drawn_region(space, labels, rng, shape):
     """Configs of the space and off it, as a set or as a list with each
     config given one to three times."""
-    cells = [space.pid_at(*idx) for idx in space.iter_indices()]
+    cells = [space.pid_at(*idx) for idx in grid_indices(space)]
     picked = [pid for pid in cells + list(labels) if rng.random() < 0.5]
     picked += [off_grid(space, pid) for pid in rng.sample(cells, min(2, len(cells)))]
     if shape == "set":
@@ -938,7 +946,7 @@ class TestGridPathsAgainstTheReferences:
         rng = random.Random(seed)
         grid = ClassifiedGrid(space, shuffled_labels(space, strides, rng), strides)
         if drop:
-            del grid.labels[space.pid_at(*rng.choice(list(space.iter_indices(strides))))]
+            del grid.labels[space.pid_at(*rng.choice(list(grid_indices(space, strides))))]
         d = tmp_path_factory.mktemp("grid")
         new = raised(grid_to_csv, grid, d / "new.csv")
         old = raised(per_cell_grid_to_csv, grid, d / "old.csv")
@@ -1028,3 +1036,45 @@ class TestCsvRejections:
         path.write_text("kp,ki,kd,label\n1,0.5,0,valid\n1,0.5,0.5,wobbly\n")
         with pytest.raises(ValueError, match=r"bad\.csv:3: unknown label 'wobbly'"):
             grid_from_csv(path, one_plane_space())
+
+
+def build_signature(pids):
+    """Whether each pid is a PidConfig, its repr and its hash, sorted: equal
+    for the same type, bit-identical gains (repr tells -0.0 from 0.0) and
+    the same hashes."""
+    return sorted((type(pid) is PidConfig, repr(pid), hash(pid)) for pid in pids)
+
+
+class TestGridBuildsEqualCheckedBuilds:
+    """pid_at, ground_truth, region_from_boundary and grid_from_csv build
+    their configs without PidConfig's finiteness check; each config equals
+    the checked PidConfig(...) of the same axis values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=accepted_spaces(), strides=strides_3, seed=st.integers(0, 2**16))
+    def test_in_type_value_and_hash(self, tmp_path_factory, space, strides, seed):
+        rng = random.Random(seed)
+
+        def checked(indices):
+            return [PidConfig(space.p_value(ip), space.i_value(ii), space.d_value(id_))
+                    for ip, ii, id_ in indices]
+
+        every = checked(grid_indices(space))
+        assert (build_signature(space.pid_at(*idx) for idx in grid_indices(space))
+                == build_signature(every))
+        gt = ground_truth(space, LookupValidator(lambda pid: rng.random() < 0.5),
+                          strides=strides)
+        sub_grid = build_signature(checked(grid_indices(space, strides)))
+        assert build_signature(gt.labels) == sub_grid
+        path = tmp_path_factory.mktemp("grid") / "grid.csv"
+        grid_to_csv(gt, path)
+        assert build_signature(grid_from_csv(path, space, strides).labels) == sub_grid
+        _, _, line = random_artifacts(space, rng)
+        above = []
+        for col in line.columns:
+            start = {ALL_VALID: space.n_i, ALL_INVALID: 0}.get(col.status)
+            if start is None:
+                start = space.i_index(col.i_save) + 1
+            above += [(space.p_index(col.p), ii, space.d_index(col.d))
+                      for ii in range(start, space.n_i)]
+        assert build_signature(region_from_boundary(line)) == build_signature(checked(above))

@@ -2,7 +2,8 @@ import inspect
 import math
 import pickle
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,12 +83,29 @@ class TestConfigValidation:
         pid = PidConfig(0.1, 2.5, -3.0)
         back = pickle.loads(pickle.dumps(pid))
         assert back == pid and hash(back) == hash(pid)
-        assert replace(pid, ki=4.0) == PidConfig(0.1, 4.0, -3.0)
+        assert type(back) is PidConfig and tuple(back) == (0.1, 2.5, -3.0)
+        assert pid._replace(ki=4.0) == PidConfig(0.1, 4.0, -3.0)
         with pytest.raises(ValueError):
-            replace(pid, kd=float("nan"))
-        with pytest.raises(FrozenInstanceError):
+            pid._replace(kd=float("nan"))
+        with pytest.raises(ValueError, match="^kd must be finite"):
+            PidConfig._make((1, 2, float("nan")))
+        with pytest.raises(AttributeError):
             pid.kp = 1.0
         assert not hasattr(pid, "__dict__")
+        # the hash of the tuple of the same gains, so set and dict orders
+        # are those of the gain triples
+        assert hash(pid) == hash((pid.kp, pid.ki, pid.kd))
+        # numpy scalar gains, the largest float64 too, pass the check
+        # without a warning
+        big = np.finfo(np.float64).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pid = PidConfig(np.float64(big), np.float64(-big), np.float32(0.5))
+            assert pid._replace(ki=np.float64(big)).ki == big
+            assert PidConfig._make(np.array([big, big, big])) == (big, big, big)
+        assert pid == (big, -big, 0.5)
+        with pytest.raises(ValueError, match="^ki must be finite"):
+            PidConfig(np.float64(1), np.float64("inf"), np.float64(1))
 
     def test_plant_rejects_bad_dt(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
 import gc
+import math
 import random
 import re
+import sys
+from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from pidlab import (BoundaryLine, OracleConfig, ParamSpace, PidConfig,
@@ -16,12 +20,22 @@ from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, ColumnRecord,
 from pidlab.validator import LookupValidator, Verdict
 
 
+# the ends of the float range, where an axis sum or span overflows
+EXTREME = st.sampled_from([1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max,
+                           1e308, -1e308, 8.9e307])
+
+
 def worked_space():
     """One kp plane where the largest stable grid ki per kd column is known
     in closed form: 1.9, 2.9 and 3.9 for kd = 0, 0.5, 1."""
     return ParamSpace(p_min=1.0, p_max=1.0, p_step=1.0,
                       i_min=0.1, i_max=4.0, i_step=0.1,
                       d_min=0.0, d_max=1.0, d_step=0.5)
+
+
+def grid_indices(space):
+    """Every (ip, ii, id_) of the space, in index order."""
+    return product(range(space.n_p), range(space.n_i), range(space.n_d))
 
 
 @pytest.fixture(autouse=True)
@@ -64,6 +78,50 @@ class TestParamSpace:
         # the same step on a nine-digit axis is fine
         assert ParamSpace(1e5, 1e5 + 0.01, 0.001, 0.1, 4, 0.1, 0, 1, 0.5).n_p == 11
 
+    @settings(max_examples=300, deadline=None)
+    @given(lo=EXTREME | st.floats(allow_nan=False, allow_infinity=False),
+           step=EXTREME.filter(lambda x: x > 0)
+           | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           n=st.integers(0, 6), hi=EXTREME | st.none())
+    @example(lo=-1.7e308, step=1.7e308, n=2, hi=None)  # hi - lo overflows
+    @example(lo=1.7e308, step=1e308, n=1, hi=None)  # hi overflows
+    @example(lo=0.0, step=1.7e308, n=1, hi=None)
+    @example(lo=0.0, step=5e-324, n=1, hi=None)  # (hi - lo) / step overflows
+    @example(lo=1e308, step=5e307, n=0, hi=1.79e308)
+    def test_every_axis_value_of_a_space_that_builds_is_finite(self, lo, step, n, hi):
+        # the grid constructor leaves out PidConfig's finiteness check on
+        # this: every space that builds has finite values only
+        hi = lo + n * step if hi is None else hi
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = np.float64(hi) - lo
+            ratio = span / step
+        # a span of many steps that all read back would take long to build
+        if np.isfinite(ratio) and ratio > 50:
+            reject()
+        try:
+            s = ParamSpace(lo, hi, step, lo, hi, step, 0.0, 1.0, 0.5)
+        except ValueError:
+            return
+        assert np.isfinite(ratio)
+        values = [s.p_value(k) for k in range(s.n_p)] + [s.i_value(k) for k in range(s.n_i)]
+        assert s.n_p >= 1 and all(math.isfinite(v) for v in values)
+        assert all(math.isfinite(g) for g in s.pid_at(s.n_p - 1, s.n_i - 1, 0))
+
+    def test_an_axis_count_that_overflows_is_refused_by_key(self):
+        # (hi - lo) / step and the count's slack overflowed to inf, which
+        # raised OverflowError, not a config error
+        with pytest.raises(ValueError, match="^p_step 1.7e\\+308 overflows the axis count"):
+            ParamSpace(-1.7e308, 1.7e308, 1.7e308, 0, 1, 1, 0, 1, 1)
+        with pytest.raises(ValueError, match="^i_step 5e-324 overflows the axis count"):
+            ParamSpace(0, 1, 1, 1.7e308, 1.7e308, 5e-324, 0, 1, 1)
+
+    def test_pid_at_refuses_an_index_off_the_grid(self):
+        s = worked_space()
+        assert s.pid_at(0, s.n_i - 1, s.n_d - 1) == (1.0, s.i_value(s.n_i - 1), 1.0)
+        for idx in [(1, 0, 0), (0, s.n_i, 0), (0, 0, -1)]:
+            with pytest.raises(IndexError, match="is off the 1x40x3 grid"):
+                s.pid_at(*idx)
+
     def test_values_are_index_arithmetic(self):
         s = worked_space()
         assert s.i_value(28) == 0.1 + 28 * 0.1
@@ -103,14 +161,6 @@ class TestParamSpace:
             ParamSpace(1, 1, 0.0, 0.1, 4, 0.1, 0, 1, 0.5)
         with pytest.raises(ValueError):
             ParamSpace(1, 0, 1, 0.1, 4, 0.1, 0, 1, 0.5)
-
-    def test_iter_indices_strides(self):
-        s = worked_space()
-        full = list(s.iter_indices())
-        assert len(full) == 120
-        strided = list(s.iter_indices((1, 2, 1)))
-        assert len(strided) == 60
-        assert all(ii % 2 == 0 for _, ii, _d in strided)
 
     def test_dict_round_trip(self):
         s = worked_space()
@@ -353,7 +403,7 @@ def test_the_walk_asks_what_the_reference_loop_asks(shape, table_seed, density, 
     n_p, n_i, n_d = shape
     s = ParamSpace(0.0, n_p - 1.0, 1.0, 0.0, n_i - 1.0, 1.0, 0.0, n_d - 1.0, 1.0)
     rng = random.Random(table_seed)
-    valid = {s.pid_at(*idx): rng.random() < density for idx in s.iter_indices()}
+    valid = {s.pid_at(*idx): rng.random() < density for idx in grid_indices(s)}
     walked, reference = Recording(valid.__getitem__), Recording(valid.__getitem__)
     columns = identify_boundary(s, walked, dsoff=dsoff).columns
     assert columns == reference_walk(s, reference, dsoff)
@@ -455,7 +505,7 @@ def test_a_budget_cuts_the_query_sequence_short(fn, shape, table_seed, seed, b, 
     n_p, n_i, n_d = shape
     s = ParamSpace(0.0, n_p - 1.0, 1.0, 0.0, n_i - 1.0, 1.0, 0.0, n_d - 1.0, 1.0)
     rng = random.Random(table_seed)
-    valid = {s.pid_at(*idx): rng.random() < 0.5 for idx in s.iter_indices()}
+    valid = {s.pid_at(*idx): rng.random() < 0.5 for idx in grid_indices(s)}
     short, long = Recording(valid.__getitem__), Recording(valid.__getitem__)
     found = fn(s, short, budget=b, seed=seed)
     fn(s, long, budget=b + more, seed=seed)
@@ -475,7 +525,7 @@ class TestRandomFuzz:
         found = random_fuzz(s, validator=RouthValidator(1, 1), budget=500,
                             seed=0)
         assert query_count() == s.size() == 6
-        truth = {s.pid_at(*idx) for idx in s.iter_indices()
+        truth = {s.pid_at(*idx) for idx in grid_indices(s)
                  if not routh_stable(s.pid_at(*idx), 1, 1)}
         assert found == truth
 

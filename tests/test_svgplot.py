@@ -4,7 +4,7 @@ from xml.etree import ElementTree
 import pytest
 
 from pidlab import ParamSpace, RouthValidator, ground_truth, identify_boundary
-from pidlab.svgplot import HEIGHT, WIDTH, PlaneTransform, render_plane
+from pidlab.svgplot import HEIGHT, ML, MT, WIDTH, PlaneTransform, render_plane
 
 
 def worked_space():
@@ -41,8 +41,9 @@ class TestPlaneTransform:
     def test_round_trip(self):
         tr = PlaneTransform(worked_space())
         for d, i in [(0.0, 0.1), (0.5, 2.0), (1.0, 4.0)]:
-            assert tr.d_of(tr.x(d)) == pytest.approx(d)
-            assert tr.i_of(tr.y(i)) == pytest.approx(i)
+            # the inverse map, from the pixel margins and the padded ranges
+            assert tr.d_lo + (tr.x(d) - ML) / tr.pw * (tr.d_hi - tr.d_lo) == pytest.approx(d)
+            assert tr.i_hi - (tr.y(i) - MT) / tr.ph * (tr.i_hi - tr.i_lo) == pytest.approx(i)
 
     def test_padding_covers_half_a_cell(self):
         s = worked_space()
@@ -78,7 +79,7 @@ class TestRenderPlane:
         svg = render_plane(s, 1.0, grid=gt)
         n_invalid = svg.count('class="cell invalid"')
         n_valid = svg.count('class="cell valid"')
-        assert n_invalid == len(gt.invalid_set()) == 33
+        assert n_invalid == list(gt.labels.values()).count("invalid") == 33
         assert n_valid + n_invalid == s.size()
 
     def test_boundary_polyline_inverts_to_found_heights(self):

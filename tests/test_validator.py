@@ -411,7 +411,7 @@ class TestClassifyMany:
     def test_an_overriding_classify_is_called_per_pid(self):
         class Inverted(RouthValidator):
             def classify(self, pid):
-                return RouthValidator(self.a1, self.a2).classify(replace(pid, ki=-pid.ki))
+                return RouthValidator(self.a1, self.a2).classify(pid._replace(ki=-pid.ki))
 
         pids = [PidConfig(1, 0.5, 1), PidConfig(1, -0.5, 1)]
         assert [v.valid for v in Inverted(1, 1).classify_many(pids)] == [False, True]
