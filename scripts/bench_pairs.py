@@ -5,10 +5,12 @@
         [--claim WORKLOAD:METRIC] [--change-text TEXT] [--note TEXT ...]
         [--parent-commit REF]
 
-PARENT and CHANGE are two checkouts of the repository. Before the pairs,
-each checkout runs the tier-1 suite once and tests/test_acceptance.py once
+PARENT and CHANGE are two checkouts of the repository. The summary's notes
+give each checkout's src/pidlab size: its lines, and its code lines, which
+leave out docstrings, comments and blank lines. Before the pairs, each
+checkout runs the tier-1 suite once and tests/test_acceptance.py once
 (TEST_RUNS, with src on PYTHONPATH), and the wall time, exit code and last
-output line of each run go into the summary's notes. There are ten
+output line of each run go into the notes too. There are ten
 pairs, one per seed perfbench ships digests for: pair k runs CHANGE's
 BENCHMARK.json command with `--workload W --seed k --seconds S --trace 0`,
 S its run_seconds, in each checkout, the parent first in even pairs and
@@ -40,6 +42,7 @@ pairs it finished; its claim is judged only once all ten are in.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -105,6 +108,26 @@ def time_tests(checkout, side):
         notes.append(f"{label} in {side}: {wall:.1f} s wall, exit {done.returncode}, {last!r}")
         print(notes[-1], file=sys.stderr, flush=True)
     return notes
+
+
+def code_size(checkout, side):
+    """One note: the lines and the code lines of the Python files under
+    src/pidlab in checkout. Code lines leave out blank lines, comment lines
+    and the lines of docstrings."""
+    lines = code = 0
+    for path in sorted((checkout / "src" / "pidlab").rglob("*.py")):
+        text = path.read_text()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        rows = text.splitlines()
+        lines += len(rows)
+        code += sum(1 for n, row in enumerate(rows, 1)
+                    if row.strip() and not row.lstrip().startswith("#") and n not in docs)
+    return f"src/pidlab in {side}: {lines} lines, {code} code lines"
 
 
 def spread(values):
@@ -205,6 +228,7 @@ def main(argv=None):
     names = args.workload or [w["name"] for w in spec["workloads"]]
     out = Path(f"BENCH_{args.pr}.json")
     checkouts = {"parent": args.parent, "change": args.change}
+    sizes = [code_size(checkouts[side], side) for side in SIDES]
     tests = [note for side in SIDES for note in time_tests(checkouts[side], side)]
     doc = {
         "change": args.change_text,
@@ -225,7 +249,7 @@ def main(argv=None):
         "machine": {"vcpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
         **({"claim": None, "trace": None} if args.claim else {}),
-        "notes": [*args.note, *tests],
+        "notes": [*args.note, *sizes, *tests],
         "workloads": {},
     }
     runs = {name: [] for name in names}

@@ -425,7 +425,7 @@ def cmd_plot(args):
             raise ConfigError(f"grid spans {space.n_p} kp planes; pick one with --p")
         p = space.p_min
     try:
-        space.p_index(p)
+        space.axes[0].snap(p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -450,8 +450,7 @@ def cmd_plot(args):
                               f"got {meta['plant']!r}") from exc
     theory = None
     if a1 is not None:
-        d_values = [space.d_value(k) for k in range(space.n_d)]
-        theory = theoretical_boundary(p, a1, a2, d_values)
+        theory = theoretical_boundary(p, a1, a2, space.axes[2].values)
 
     svg = render_plane(space, p, grid=grid, boundary=boundary, theory=theory,
                        title=args.title)

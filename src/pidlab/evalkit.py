@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from itertools import product, repeat
 from operator import countOf
 
-from .plant import PidConfig
-from .search import ALL_INVALID, ALL_VALID, BOUNDARY, csv_number, grid_pid, read_csv
+from .search import ALL_INVALID, ALL_VALID, BOUNDARY, Axis, csv_number, grid_pid, read_csv
 
 VALID = "valid"
 INVALID = "invalid"
@@ -33,13 +32,12 @@ class ClassifiedGrid:
     strides: tuple = (1, 1, 1)
 
 
-def _axes(space, strides):
-    """The (kp, ki, kd) value lists of the sub-grid the index strides pick:
-    indices 0, s, 2s, ... per axis, each value the float pid_at gives."""
-    sp, si, sd = strides
-    return ([space.p_value(k) for k in range(0, space.n_p, sp)],
-            [space.i_value(k) for k in range(0, space.n_i, si)],
-            [space.d_value(k) for k in range(0, space.n_d, sd)])
+def _checked_strides(strides):
+    """strides as a tuple, refused unless it is three ints >= 1."""
+    strides = tuple(strides)
+    if len(strides) != 3 or not all(type(s) is int and s >= 1 for s in strides):
+        raise ValueError(f"strides must be three integers >= 1, got {strides!r}")
+    return strides
 
 
 def ground_truth(space, validator, *, strides=(1, 1, 1), workers=1):
@@ -50,13 +48,11 @@ def ground_truth(space, validator, *, strides=(1, 1, 1), workers=1):
     each must be an int >= 1. workers must be 1: labeling runs in this
     process. The labels follow the space's index order.
     """
-    strides = tuple(strides)
-    if len(strides) != 3 or not all(type(s) is int and s >= 1 for s in strides):
-        raise ValueError(f"strides must be three integers >= 1, got {strides!r}")
+    strides = _checked_strides(strides)
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
-    p_axis, i_axis, d_axis = _axes(space, strides)
-    pids = list(map(grid_pid, product(p_axis, i_axis, d_axis)))
+    pids = list(map(grid_pid, product(*(axis.values[::s]
+                                         for axis, s in zip(space.axes, strides)))))
     labels = dict(zip(pids, [VALID if verdict.valid else INVALID
                              for verdict in validator.classify_many(pids)]))
     return ClassifiedGrid(space=space, labels=labels, strides=strides)
@@ -71,7 +67,7 @@ def region_from_boundary(bl, space=None):
     boundary column without an i_save, raises ValueError naming it.
     """
     space = bl.space if space is None else space
-    i_axis = [space.i_value(k) for k in range(space.n_i)]
+    kp, ki, kd = space.axes
     seen = set()
     region = set()
     for col in bl.columns:
@@ -80,14 +76,13 @@ def region_from_boundary(bl, space=None):
                              f"{col.status!r}")
         if col.status == BOUNDARY and col.i_save is None:
             raise ValueError(f"boundary column p={col.p!r}, d={col.d!r} has no i_save")
-        ip = space.p_index(col.p)
-        id_ = space.d_index(col.d)
+        ip, id_ = kp.snap(col.p), kd.snap(col.d)
         seen.add((ip, id_))
         if col.status == ALL_VALID:
             continue
-        start = 0 if col.status == ALL_INVALID else space.i_index(col.i_save) + 1
-        p, d = space.p_value(ip), space.d_value(id_)
-        region.update(map(grid_pid, product((p,), i_axis[start:], (d,))))
+        start = 0 if col.status == ALL_INVALID else ki.snap(col.i_save) + 1
+        region.update(map(grid_pid, product((kp.values[ip],), ki.values[start:],
+                                            (kd.values[id_],))))
     expect = space.n_p * space.n_d
     if len(seen) != expect:
         raise ValueError(f"boundary line covers {len(seen)} of {expect} columns")
@@ -143,7 +138,7 @@ def grid_to_csv(grid, path):
     with a label other than valid or invalid, which grid_from_csv refuses,
     raises ValueError naming the cell before the file is opened.
     """
-    axes = _axes(grid.space, grid.strides)
+    axes = [axis.values[::s] for axis, s in zip(grid.space.axes, grid.strides)]
     p_at, i_at, d_at = ({v: k for k, v in enumerate(axis)} for axis in axes)
     n_i, n_d = len(axes[1]), len(axes[2])
     cells = [_UNLABELED] * (len(axes[0]) * n_i * n_d)
@@ -175,10 +170,11 @@ def grid_from_csv(path, space, strides=(1, 1, 1)):
 
     Raises ValueError, naming the file and line, on an unknown label, a
     value off the grid or off the sub-grid the strides pick, a short row or
-    a cell given twice.
+    a cell given twice, and before reading on strides other than three ints
+    >= 1.
     """
-    parse_p, parse_i, parse_d = map(_on_sub_grid, space.parsers(), _axes(space, strides),
-                                    ("kp", "ki", "kd"), strides)
+    strides = _checked_strides(strides)
+    parse_p, parse_i, parse_d = map(Axis.parser, space.axes, strides)
     labels = {}
 
     def cell(kp, ki, kd, label):
@@ -193,19 +189,6 @@ def grid_from_csv(path, space, strides=(1, 1, 1)):
     return ClassifiedGrid(space=space, labels=labels, strides=strides)
 
 
-def _on_sub_grid(parse, axis, name, stride):
-    """parse itself for stride 1, else parse refusing a value not in axis,
-    the values of the sub-grid."""
-    values = set(axis)
-
-    def parse_on(text):
-        if (value := parse(text)) not in values:
-            raise ValueError(f"{name}={text} is not on the sub-grid of stride {stride}")
-        return value
-
-    return parse if stride == 1 else parse_on
-
-
 def configs_to_csv(configs, path):
     """Write a bare kp,ki,kd set (search results from the baselines)."""
     with open(path, "w", newline="") as fh:
@@ -217,11 +200,11 @@ def configs_to_csv(configs, path):
 
 def configs_from_csv(path, space):
     """Read a kp,ki,kd set back, snapping each row onto the space grid."""
-    parse_p, parse_i, parse_d = space.parsers()
+    parse_p, parse_i, parse_d = map(Axis.parser, space.axes)
     configs = set()
 
     def config(kp, ki, kd):
-        configs.add(PidConfig(parse_p(kp), parse_i(ki), parse_d(kd)))
+        configs.add(grid_pid((parse_p(kp), parse_i(ki), parse_d(kd))))
 
     read_csv(path, ("kp", "ki", "kd"), config)
     return configs

@@ -46,19 +46,106 @@ def _axis_count(lo, hi, step):
 
 
 def csv_number(value):
-    """value as every CSV writer prints it: 9 significant digits. ParamSpace
-    refuses a grid whose axis values would not read back from this spelling."""
+    """value as every CSV writer prints it: 9 significant digits. An Axis
+    refuses values that would not read back from this spelling."""
     return "%.9g" % value
+
+
+# The most points one axis may have. On a 2-vCPU machine an axis costs about
+# 2.2 us a point to build (its values, their read-back check and the
+# spelling table; 1.7 us without the table), so 10^6 points take about
+# 2.2 s. A finer step is refused before any value is built.
+MAX_AXIS_POINTS = 10**6
+
+
+class Axis:
+    """One gain's axis lo, lo + step, ... up to hi, named kp, ki or kd.
+
+    values[k] is always lo + k * step, so identical indices give
+    bit-identical floats. The axis is refused when a value does not read
+    back from its csv_number spelling, because the printed values of a grid
+    finer than 9 significant digits would merge cells. Each refusal leads
+    with the config key at fault (p_step for kp), so a config error can
+    point at its line.
+    """
+
+    __slots__ = ("name", "lo", "step", "values", "_index")
+
+    def __init__(self, name, lo, hi, step):
+        key = name[1:] + "_"
+        for part, value in (("min", lo), ("max", hi), ("step", step)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key}{part} must be finite, got {value!r}")
+        if not step > 0:
+            raise ValueError(f"{key}step must be > 0")
+        if hi < lo:
+            raise ValueError(f"{key}max must be >= {key}min")
+        try:
+            count = _axis_count(lo, hi, step)
+        except OverflowError:  # hi - lo near +-1.7e308, or a step far below both
+            raise ValueError(f"{key}step {step!r} overflows the axis count") from None
+        if count > MAX_AXIS_POINTS:
+            raise ValueError(f"{key}step {step!r} gives {count} points on {name}, more "
+                             f"than the {MAX_AXIS_POINTS} an axis may have")
+        self.name, self.lo, self.step = name, lo, step
+        self.values = tuple(lo + k * step for k in range(count))
+        self._index = {}
+        for k, value in enumerate(self.values):
+            text = csv_number(value)
+            try:
+                back = self.snap(float(text))
+            except ValueError:
+                back = None
+            if back != k:
+                raise ValueError(f"{key}step {step!r} is finer than the 9 significant "
+                                 f"digits grid CSVs keep at {name}={value!r}")
+            self._index[text] = k
+
+    def snap(self, value):
+        """The index of the axis value that value names, within a millionth
+        of a step plus the 9-digit rounding of its spelling."""
+        pos = (value - self.lo) / self.step
+        count = len(self.values)
+        # far off the axis, or inf / nan, which round() cannot turn into an int
+        if not -1.0 < pos < count:
+            raise ValueError(f"{self.name}={value!r} is not on the grid")
+        idx = int(round(pos))
+        # csv_number keeps 9 significant digits: off by <= 5e-9 * |value|
+        tol = 1e-6 * self.step + 5e-9 * abs(value)
+        if idx < 0 or idx >= count or abs(self.values[idx] - value) > tol:
+            raise ValueError(f"{self.name}={value!r} is not on the grid")
+        return idx
+
+    def parser(self, stride=1):
+        """A function from a CSV field to the axis value it names, refusing
+        one whose index is not a multiple of stride.
+
+        The csv_number spelling of each value on the stride is one table
+        lookup; the constructor has checked that each such spelling snaps
+        back onto its own index. Any other spelling (" 1", "1.0", "1e0") is
+        read with float() and snapped, so hand-edited CSVs still read.
+        """
+        values = self.values
+        table = {text: values[k] for text, k in self._index.items() if k % stride == 0}
+
+        def parse(text):
+            value = table.get(text)
+            if value is None:
+                k = self.snap(float(text))
+                if k % stride:
+                    raise ValueError(f"{self.name}={text} is not on the sub-grid of "
+                                     f"stride {stride}")
+                value = values[k]
+            return value
+
+        return parse
 
 
 @dataclass(frozen=True)
 class ParamSpace:
-    """Axis-aligned grid over (kp, ki, kd).
+    """Axis-aligned grid over (kp, ki, kd): one Axis per gain, in axes.
 
-    Every probe made by any searcher lies exactly on this grid; values are
-    always reconstructed as min + index * step so identical indices give
-    bit-identical floats. A grid finer than the 9 significant digits its
-    CSVs keep is rejected, because its printed values would merge cells.
+    Every probe made by any searcher lies exactly on this grid.
     """
 
     p_min: float
@@ -71,87 +158,24 @@ class ParamSpace:
     d_max: float
     d_step: float
 
+    axes: tuple = field(init=False, repr=False, compare=False)
     n_p: int = field(init=False, repr=False, compare=False)
     n_i: int = field(init=False, repr=False, compare=False)
     n_d: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for axis, lo, hi, step in (("p", self.p_min, self.p_max, self.p_step),
-                                   ("i", self.i_min, self.i_max, self.i_step),
-                                   ("d", self.d_min, self.d_max, self.d_step)):
-            # each message leads with the key at fault, so a config error can
-            # point at its line
-            for key, value in (("_min", lo), ("_max", hi), ("_step", step)):
-                if not math.isfinite(value):
-                    raise ValueError(f"{axis}{key} must be finite, got {value!r}")
-            if not step > 0:
-                raise ValueError(f"{axis}_step must be > 0")
-            if hi < lo:
-                raise ValueError(f"{axis}_max must be >= {axis}_min")
-            try:
-                count = _axis_count(lo, hi, step)
-            except OverflowError:  # hi - lo near +-1.7e308, or a step far below both
-                raise ValueError(f"{axis}_step {step!r} overflows the axis count") from None
-            object.__setattr__(self, "n_" + axis, count)
-            name = "k" + axis
-            for k in range(count):
-                value = lo + k * step
-                try:
-                    back = self._snap(float(csv_number(value)), lo, step, count, name)
-                except ValueError:
-                    back = None
-                if back != k:
-                    raise ValueError(f"{axis}_step {step!r} is finer than the 9 significant "
-                                     f"digits grid CSVs keep at {name}={value!r}")
-
-    def p_value(self, idx):
-        return self.p_min + idx * self.p_step
-
-    def i_value(self, idx):
-        return self.i_min + idx * self.i_step
-
-    def d_value(self, idx):
-        return self.d_min + idx * self.d_step
+        axes = tuple(Axis("k" + a, getattr(self, a + "_min"), getattr(self, a + "_max"),
+                          getattr(self, a + "_step")) for a in "pid")
+        object.__setattr__(self, "axes", axes)
+        for a, axis in zip("pid", axes):
+            object.__setattr__(self, "n_" + a, len(axis.values))
 
     def pid_at(self, ip, ii, id_):
         if not (0 <= ip < self.n_p and 0 <= ii < self.n_i and 0 <= id_ < self.n_d):
             raise IndexError(f"grid index {(ip, ii, id_)!r} is off the "
                              f"{self.n_p}x{self.n_i}x{self.n_d} grid")
-        return grid_pid((self.p_value(ip), self.i_value(ii), self.d_value(id_)))
-
-    def _snap(self, value, lo, step, count, name):
-        pos = (value - lo) / step
-        # far off the axis, or inf / nan, which round() cannot turn into an int
-        if not -1.0 < pos < count:
-            raise ValueError(f"{name}={value!r} is not on the grid")
-        idx = int(round(pos))
-        # csv_number keeps 9 significant digits: off by <= 5e-9 * |value|
-        tol = 1e-6 * step + 5e-9 * abs(value)
-        if idx < 0 or idx >= count or abs(lo + idx * step - value) > tol:
-            raise ValueError(f"{name}={value!r} is not on the grid")
-        return idx
-
-    def parsers(self):
-        """(kp, ki, kd) functions from a CSV field to the grid value it names.
-
-        The csv_number spelling of every axis value is looked up in a
-        table; __post_init__ has checked that each such spelling snaps back
-        onto its own index, so a hit equals float() and snapping. Any other
-        spelling (" 1", "1.0", "1e0") is read with float() and snapped, so
-        hand-edited CSVs still read.
-        """
-        return (_axis_parser(self.p_value, self.p_index, self.n_p),
-                _axis_parser(self.i_value, self.i_index, self.n_i),
-                _axis_parser(self.d_value, self.d_index, self.n_d))
-
-    def p_index(self, value):
-        return self._snap(value, self.p_min, self.p_step, self.n_p, "kp")
-
-    def i_index(self, value):
-        return self._snap(value, self.i_min, self.i_step, self.n_i, "ki")
-
-    def d_index(self, value):
-        return self._snap(value, self.d_min, self.d_step, self.n_d, "kd")
+        kp, ki, kd = self.axes
+        return grid_pid((kp.values[ip], ki.values[ii], kd.values[id_]))
 
     def size(self):
         return self.n_p * self.n_i * self.n_d
@@ -165,22 +189,9 @@ class ParamSpace:
 
 
 # PidConfig of a (kp, ki, kd) of ParamSpace axis values, without its
-# finiteness check: ParamSpace refuses an axis value that does not snap back
-# from its csv_number spelling, and inf and nan never do.
+# finiteness check: an Axis refuses a value that does not snap back from its
+# csv_number spelling, and inf and nan never do.
 grid_pid = partial(tuple.__new__, PidConfig)
-
-
-def _axis_parser(value, index, count):
-    table = {}
-    for k in range(count):
-        v = value(k)
-        table[csv_number(v)] = v
-
-    def parse(text):
-        v = table.get(text)
-        return value(index(float(text))) if v is None else v
-
-    return parse
 
 
 def read_csv(path, names, handle):
@@ -233,10 +244,10 @@ class BoundaryLine:
         return [(c.p, c.i_save, c.d) for c in self.columns if c.status == BOUNDARY]
 
     def column_at(self, p, d):
-        ip = self.space.p_index(p)
-        id_ = self.space.d_index(d)
+        kp, _, kd = self.space.axes
+        ip, id_ = kp.snap(p), kd.snap(d)
         for c in self.columns:
-            if self.space.p_index(c.p) == ip and self.space.d_index(c.d) == id_:
+            if kp.snap(c.p) == ip and kd.snap(c.d) == id_:
                 return c
         raise KeyError(f"no column at p={p}, d={d}")
 
@@ -262,6 +273,7 @@ def _column(space, p_idx, d_idx, start, entry_valid):
 def _walk(space, dsoff):
     """Policy: the coordinate walk over every kp plane; returns one
     ColumnRecord per (kp, kd) column."""
+    kp, ki, kd = space.axes
     records = []
     for p_idx in range(space.n_p):
         carry = space.n_i - 1
@@ -272,8 +284,8 @@ def _walk(space, dsoff):
             else:
                 # ablated variant: no downward search, keep the carried height
                 status, i_idx = BOUNDARY, carry
-            records.append(ColumnRecord(space.p_value(p_idx), space.d_value(d_idx), status,
-                                        None if i_idx is None else space.i_value(i_idx)))
+            records.append(ColumnRecord(kp.values[p_idx], kd.values[d_idx], status,
+                                        None if i_idx is None else ki.values[i_idx]))
             # the next column enters at this boundary, or at the edge the walk left by
             carry = {BOUNDARY: i_idx, ALL_VALID: space.n_i - 1, ALL_INVALID: 0}[status]
     return records
@@ -333,8 +345,7 @@ def _neighbor(space, rng, idx):
         for sign in rng.sample((-1, 1), 2):
             cand = [ip, ii, id_]
             cand[dim] += sign
-            limit = (space.n_p, space.n_i, space.n_d)[dim]
-            if 0 <= cand[dim] < limit:
+            if 0 <= cand[dim] < len(space.axes[dim].values):
                 return tuple(cand)
     return None
 
@@ -433,8 +444,8 @@ def _evolve(space, rng):
             child = list(mom[:cut] + dad[cut:])
             for dim in range(3):
                 if rng.random() < MUTATE_PROB:
-                    limit = (space.n_p, space.n_i, space.n_d)[dim]
-                    child[dim] = min(limit - 1, max(0, child[dim] + rng.choice((-1, 1))))
+                    top = len(space.axes[dim].values) - 1
+                    child[dim] = min(top, max(0, child[dim] + rng.choice((-1, 1))))
             idx = tuple(child)
             nxt.append((idx, not (yield idx).valid))
         pop = nxt
@@ -466,7 +477,7 @@ def boundary_from_csv(path, space):
     Raises ValueError, naming the file and line, on an unknown status, a
     value off the grid, a short row or a (p, d) column given twice.
     """
-    parse_p, parse_i, parse_d = space.parsers()
+    parse_p, parse_i, parse_d = map(Axis.parser, space.axes)
     columns = []
     seen = set()
 

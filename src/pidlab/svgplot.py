@@ -43,13 +43,13 @@ def _fmt(v):
     return "%.2f" % v
 
 
-def render_plane(space, p_value, grid=None, boundary=None, theory=None,
+def render_plane(space, p, grid=None, boundary=None, theory=None,
                  title=None):
     """Build the SVG document for one kp plane.
 
     Args:
         space: ParamSpace of the plane (kd on x, ki on y).
-        p_value: the plane's kp, shown in the default title.
+        p: the plane's kp, shown in the default title.
         grid: optional ClassifiedGrid; labeled cells are filled.
         boundary: optional BoundaryLine; its boundary columns become a
             polyline (omitted entirely when no column found a boundary).
@@ -61,7 +61,8 @@ def render_plane(space, p_value, grid=None, boundary=None, theory=None,
         the SVG document as a string.
     """
     tr = PlaneTransform(space)
-    p_idx = space.p_index(p_value)
+    kp = space.axes[0]
+    p_idx = kp.snap(p)
     parts = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -76,7 +77,7 @@ def render_plane(space, p_value, grid=None, boundary=None, theory=None,
         ch = space.i_step / (tr.i_hi - tr.i_lo) * tr.ph
         cells = []
         for pid, label in grid.labels.items():
-            if space.p_index(pid.kp) != p_idx:
+            if kp.snap(pid.kp) != p_idx:
                 continue
             x = tr.x(pid.kd - space.d_step / 2.0)
             y = tr.y(pid.ki + space.i_step / 2.0)
@@ -99,7 +100,7 @@ def render_plane(space, p_value, grid=None, boundary=None, theory=None,
 
     if boundary is not None:
         pts = [(c.d, c.i_save) for c in boundary.columns
-               if c.status == BOUNDARY and space.p_index(c.p) == p_idx]
+               if c.status == BOUNDARY and kp.snap(c.p) == p_idx]
         pts.sort()
         if pts:
             coords = " ".join(f"{_fmt(tr.x(d))},{_fmt(tr.y(i))}" for d, i in pts)
@@ -119,7 +120,7 @@ def render_plane(space, p_value, grid=None, boundary=None, theory=None,
                  f'text-anchor="middle">kd</text>')
     parts.append(f'<text x="16" y="{MT + tr.ph / 2:.2f}" font-size="13" '
                  f'text-anchor="middle" transform="rotate(-90 16 {MT + tr.ph / 2:.2f})">ki</text>')
-    text = title if title is not None else f"kp = {p_value:g}"
+    text = title if title is not None else f"kp = {p:g}"
     parts.append(f'<text x="{WIDTH / 2:.0f}" y="14" font-size="13" '
                  f'text-anchor="middle">{html.escape(text)}</text>')
     parts.append("</svg>")

@@ -132,11 +132,11 @@ def test_03_noiseless_boundary_exactness(quiet_plane):
     s = QUIET_SPACE
     mismatches = []
     for id_ in range(s.n_d):
-        d = s.d_value(id_)
+        d = s.axes[2].values[id_]
         largest = None
         for ii in range(s.n_i):
             if grid.labels[s.pid_at(0, ii, id_)] == "valid":
-                largest = s.i_value(ii)
+                largest = s.axes[1].values[ii]
         col = bl.column_at(P_GAIN, d)
         found = col.i_save if col.status == "boundary" else None
         if found != largest:
@@ -145,7 +145,7 @@ def test_03_noiseless_boundary_exactness(quiet_plane):
 
     exact = identify_boundary(s, validator=RouthValidator(A1, A2))
     theory = dict(theoretical_boundary(P_GAIN, A1, A2,
-                                       [s.d_value(k) for k in range(s.n_d)]))
+                                       s.axes[2].values))
     for p, i_save, d in exact.entries():
         assert abs(i_save - theory[d]) <= s.i_step + 1e-12
 

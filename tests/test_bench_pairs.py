@@ -94,11 +94,59 @@ def test_test_wall_times_are_taken_in_each_checkout_before_the_pairs(
     assert len(calls[4:]) == 2 * bench_pairs.PAIRS
     notes = json.loads((tmp_path / "BENCH_5.json").read_text())["notes"]
     assert notes[0] == "given"
-    assert [note.partition(":")[0] for note in notes[1:]] == [
+    # the checkouts hold no src/pidlab
+    assert notes[1:3] == ["src/pidlab in parent: 0 lines, 0 code lines",
+                          "src/pidlab in change: 0 lines, 0 code lines"]
+    assert [note.partition(":")[0] for note in notes[3:]] == [
         "tier-1 in parent", "tests/test_acceptance.py in parent",
         "tier-1 in change", "tests/test_acceptance.py in change"]
     assert all(re.fullmatch(r".*: \d+\.\d s wall, exit 0, '7 passed in 0.01s'", note)
-               for note in notes[1:])
+               for note in notes[3:])
+
+
+MODULE = '''"""A module docstring
+on two lines."""
+
+# a comment
+X = 1  # a trailing comment
+
+
+class A:
+    """One line."""
+
+    def f(self):
+        """Two
+        lines."""
+        return """a string
+that is not a docstring"""
+'''
+
+
+def test_each_checkout_notes_its_code_size(bench_pairs, tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src" / "pidlab").mkdir(parents=True)
+        (checkout / "src" / "pidlab" / "a.py").write_text(MODULE)
+    (change / "src" / "pidlab" / "b.py").write_text("\n\ny = 2\n")
+    (change / "src" / "pidlab" / "notes.txt").write_text("not python\n")
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["bench"], "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [WALL]}))
+
+    def run(cmd, cwd, **kwargs):
+        if cmd[0] != "bench":
+            return subprocess.CompletedProcess(cmd, 0, "7 passed\n", "")
+        result = {"metrics": {"wall_s": {"value": 1.0}}, "correct": True, "failed": 0}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(result), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(parent), str(change), "--pr", "8",
+                             "--parent-commit", "abc"]) == 0
+    notes = json.loads((tmp_path / "BENCH_8.json").read_text())["notes"]
+    # code lines: X = 1, class A:, def f(self): and the two lines of return
+    assert notes[:2] == ["src/pidlab in parent: 15 lines, 5 code lines",
+                         "src/pidlab in change: 18 lines, 6 code lines"]
 
 
 def test_a_claim_adds_one_traced_run_of_its_workload_per_checkout(

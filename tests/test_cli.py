@@ -163,6 +163,9 @@ strides = 1 2 1
         (lambda t: t.replace("p_min = 2.0\np_max = 2.0\np_step = 1.0",
                              "p_min = 1000000\np_max = 1000000.01\np_step = 0.001"),
          "[space] p_step 0.001 is finer than the 9 significant digits"),
+        (lambda t: t.replace("p_min = 2.0\np_max = 2.0\np_step = 1.0",
+                             "p_min = 0\np_max = 1\np_step = 1e-12"),
+         "[space] p_step 1e-12 gives 1000000000001 points on kp"),
         (lambda t: t + "\n[oracle]\nwindow = 200\n", "window"),
         (lambda t: t + "\n[oracle]\nbase_seed = -1\n", "[oracle] base_seed must be >= 0"),
         (lambda t: t + "\n[noise]\nsensor_sigma = -1\n",

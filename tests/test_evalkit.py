@@ -164,9 +164,11 @@ class TestSearchRecoversThresholdOracles:
                 # -1 means the whole column is invalid; n_i-1 all valid
                 cutoffs[(ip, id_)] = rng.randrange(-1, s.n_i)
 
+        kp, ki, kd = s.axes
+
         def oracle(pid):
-            key = (s.p_index(pid.kp), s.d_index(pid.kd))
-            return s.i_index(pid.ki) <= cutoffs[key]
+            key = (kp.snap(pid.kp), kd.snap(pid.kd))
+            return ki.snap(pid.ki) <= cutoffs[key]
 
         truth = {s.pid_at(*t) for t in grid_indices(s)
                  if not oracle(s.pid_at(*t))}
@@ -185,7 +187,7 @@ class TestSearchRecoversThresholdOracles:
             cutoffs = {id_: rng.randrange(-1, s.n_i) for id_ in range(s.n_d)}
 
             def oracle(pid):
-                return s.i_index(pid.ki) <= cutoffs[s.d_index(pid.kd)]
+                return s.axes[1].snap(pid.ki) <= cutoffs[s.axes[2].snap(pid.kd)]
 
             truth = {s.pid_at(*t) for t in grid_indices(s)
                      if not oracle(s.pid_at(*t))}
@@ -216,15 +218,18 @@ class TestGroundTruth:
         assert gt.strides == (1, 2, 1)
         assert len(gt.labels) == 20 * 3
         for pid in gt.labels:
-            assert s.i_index(pid.ki) % 2 == 0
+            assert s.axes[1].snap(pid.ki) % 2 == 0
 
     @pytest.mark.parametrize("strides", [(-1, 1, 1), (0, 1, 1), (1, 2), (1, 1, 1, 1),
                                          (1, 1.0, 1), (1, True, 1), (1, 1, 2.5)])
-    def test_strides_other_than_three_positive_ints_raise(self, strides):
+    def test_strides_other_than_three_positive_ints_raise(self, strides, tmp_path):
         # (-1, 1, 1) used to label nothing, and (0, 1, 1) to raise from range()
         with pytest.raises(ValueError, match="strides must be three integers >= 1"):
             ground_truth(worked_space(), validator=RouthValidator(1, 1), strides=strides)
         assert query_count() == 0
+        # the reader refuses them before it opens the file
+        with pytest.raises(ValueError, match="strides must be three integers >= 1"):
+            grid_from_csv(tmp_path / "absent.csv", worked_space(), strides)
 
     @pytest.mark.parametrize("workers", [0, -1, 2])
     def test_workers_other_than_one_raise(self, workers):
@@ -598,14 +603,12 @@ class TestCsvRoundTripProperties:
     @settings(max_examples=150, deadline=None)
     @given(space=awkward_spaces(), frac=st.floats(0.25, 0.75))
     def test_printed_values_snap_back_and_off_grid_ones_raise(self, space, frac):
-        for value, index, lo, step, n in [
-                (space.p_value, space.p_index, space.p_min, space.p_step, space.n_p),
-                (space.i_value, space.i_index, space.i_min, space.i_step, space.n_i),
-                (space.d_value, space.d_index, space.d_min, space.d_step, space.n_d)]:
-            for k in range(n):
-                assert index(float("%.9g" % value(k))) == k
+        for axis, lo, step in zip(space.axes, (space.p_min, space.i_min, space.d_min),
+                                  (space.p_step, space.i_step, space.d_step)):
+            for k, value in enumerate(axis.values):
+                assert axis.snap(float("%.9g" % value)) == k
                 with pytest.raises(ValueError):
-                    index(lo + (k + frac) * step)
+                    axis.snap(lo + (k + frac) * step)
 
     @settings(max_examples=150, deadline=None)
     @given(axes=wide_axes())
@@ -627,12 +630,13 @@ class TestCsvRoundTripProperties:
                                       for pid in cells})
         configs = {pid for pid in cells if rng.random() < 0.5}
         columns = []
+        kp, ki, kd = space.axes
         for ip in range(space.n_p):
             for id_ in range(space.n_d):
                 status = rng.choice((BOUNDARY, ALL_VALID, ALL_INVALID))
-                i_save = (space.i_value(rng.randrange(space.n_i))
+                i_save = (ki.values[rng.randrange(space.n_i)]
                           if status == BOUNDARY else None)
-                columns.append(ColumnRecord(space.p_value(ip), space.d_value(id_),
+                columns.append(ColumnRecord(kp.values[ip], kd.values[id_],
                                             status, i_save))
         line = BoundaryLine(space, columns)
         d = tmp_path_factory.mktemp("csv")
@@ -649,7 +653,7 @@ class TestCsvRoundTripProperties:
 
 
 # The writer and readers as they were before the per-axis versions, kept as
-# references: csv.writer row by row, csv.DictReader and float() + _snap.
+# references: csv.writer row by row, csv.DictReader and float() + Axis.snap.
 
 def reference_grid_to_csv(grid, path):
     with open(path, "w", newline="") as fh:
@@ -671,9 +675,7 @@ def reference_grid_from_csv(path, space, strides=(1, 1, 1)):
         for row in reader:
             if row["label"] not in (VALID, INVALID):
                 raise ValueError(f"{path}: unknown label {row['label']!r}")
-            pid = space.pid_at(space.p_index(float(row["kp"])),
-                               space.i_index(float(row["ki"])),
-                               space.d_index(float(row["kd"])))
+            pid = space.pid_at(*(axis.snap(float(row[axis.name])) for axis in space.axes))
             labels[pid] = row["label"]
     return ClassifiedGrid(space=space, labels=labels, strides=strides)
 
@@ -682,22 +684,22 @@ def reference_configs_from_csv(path, space):
     configs = set()
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            configs.add(space.pid_at(space.p_index(float(row["kp"])),
-                                     space.i_index(float(row["ki"])),
-                                     space.d_index(float(row["kd"]))))
+            configs.add(space.pid_at(*(axis.snap(float(row[axis.name]))
+                                       for axis in space.axes)))
     return configs
 
 
 def reference_boundary_from_csv(path, space):
     columns = []
+    kp, ki, kd = space.axes
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             status = row["status"]
-            p = space.p_value(space.p_index(float(row["p"])))
-            d = space.d_value(space.d_index(float(row["d"])))
+            p = kp.values[kp.snap(float(row["p"]))]
+            d = kd.values[kd.snap(float(row["d"]))]
             i_save = None
             if status == BOUNDARY:
-                i_save = space.i_value(space.i_index(float(row["i_save"])))
+                i_save = ki.values[ki.snap(float(row["i_save"]))]
             columns.append(ColumnRecord(p, d, status, i_save))
     return BoundaryLine(space=space, columns=columns)
 
@@ -725,11 +727,12 @@ def random_artifacts(space, rng, strides=(1, 1, 1)):
                           strides)
     configs = {pid for pid in cells if rng.random() < 0.5}
     columns = []
+    kp, ki, kd = space.axes
     for ip in range(space.n_p):
         for id_ in range(space.n_d):
             status = rng.choice((BOUNDARY, ALL_VALID, ALL_INVALID))
-            i_save = space.i_value(rng.randrange(space.n_i)) if status == BOUNDARY else None
-            columns.append(ColumnRecord(space.p_value(ip), space.d_value(id_), status, i_save))
+            i_save = ki.values[rng.randrange(space.n_i)] if status == BOUNDARY else None
+            columns.append(ColumnRecord(kp.values[ip], kd.values[id_], status, i_save))
     return grid, configs, BoundaryLine(space, columns)
 
 
@@ -796,13 +799,14 @@ def per_cell_ground_truth(space, validator, strides):
 def per_cell_region_from_boundary(bl, space):
     seen = set()
     region = set()
+    kp, ki, kd = space.axes
     for col in bl.columns:
-        ip = space.p_index(col.p)
-        id_ = space.d_index(col.d)
+        ip = kp.snap(col.p)
+        id_ = kd.snap(col.d)
         seen.add((ip, id_))
         if col.status == ALL_VALID:
             continue
-        start = 0 if col.status == ALL_INVALID else space.i_index(col.i_save) + 1
+        start = 0 if col.status == ALL_INVALID else ki.snap(col.i_save) + 1
         for ii in range(start, space.n_i):
             region.add(space.pid_at(ip, ii, id_))
     assert len(seen) == space.n_p * space.n_d
@@ -828,10 +832,10 @@ def per_cell_grid_to_csv(grid, path):
     space = grid.space
     sp, si, sd = grid.strides
     p_axis, i_axis, d_axis = (
-        [(v, "%.9g" % v) for v in map(value, range(0, count, stride))]
-        for value, count, stride in ((space.p_value, space.n_p, sp),
-                                     (space.i_value, space.n_i, si),
-                                     (space.d_value, space.n_d, sd)))
+        [(v, "%.9g" % v) for v in (lo + k * step for k in range(0, count, stride))]
+        for lo, step, count, stride in ((space.p_min, space.p_step, space.n_p, sp),
+                                        (space.i_min, space.i_step, space.n_i, si),
+                                        (space.d_min, space.d_step, space.n_d, sd)))
     lines = ["kp,ki,kd,label\r\n"]
     for p, p_text in p_axis:
         for i, i_text in i_axis:
@@ -1046,17 +1050,19 @@ def build_signature(pids):
 
 
 class TestGridBuildsEqualCheckedBuilds:
-    """pid_at, ground_truth, region_from_boundary and grid_from_csv build
-    their configs without PidConfig's finiteness check; each config equals
-    the checked PidConfig(...) of the same axis values."""
+    """pid_at, ground_truth, region_from_boundary, grid_from_csv and
+    configs_from_csv build their configs without PidConfig's finiteness
+    check; each config equals the checked PidConfig(...) of the same axis
+    values."""
 
     @settings(max_examples=60, deadline=None)
     @given(space=accepted_spaces(), strides=strides_3, seed=st.integers(0, 2**16))
     def test_in_type_value_and_hash(self, tmp_path_factory, space, strides, seed):
         rng = random.Random(seed)
+        kp, ki, kd = space.axes
 
         def checked(indices):
-            return [PidConfig(space.p_value(ip), space.i_value(ii), space.d_value(id_))
+            return [PidConfig(kp.values[ip], ki.values[ii], kd.values[id_])
                     for ip, ii, id_ in indices]
 
         every = checked(grid_indices(space))
@@ -1074,7 +1080,10 @@ class TestGridBuildsEqualCheckedBuilds:
         for col in line.columns:
             start = {ALL_VALID: space.n_i, ALL_INVALID: 0}.get(col.status)
             if start is None:
-                start = space.i_index(col.i_save) + 1
-            above += [(space.p_index(col.p), ii, space.d_index(col.d))
+                start = ki.snap(col.i_save) + 1
+            above += [(kp.snap(col.p), ii, kd.snap(col.d))
                       for ii in range(start, space.n_i)]
         assert build_signature(region_from_boundary(line)) == build_signature(checked(above))
+        configs = [pid for pid in every if rng.random() < 0.5]
+        configs_to_csv(configs, path)
+        assert build_signature(configs_from_csv(path, space)) == build_signature(configs)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import sys
+import time
 from itertools import product
 
 import numpy as np
@@ -15,14 +16,33 @@ from pidlab import (BoundaryLine, OracleConfig, ParamSpace, PidConfig,
                     boundary_from_csv, boundary_to_csv, genetic_search,
                     ground_truth, hill_climb, hold_mission, identify_boundary,
                     query_count, random_fuzz, reset_query_count, routh_stable)
+from pidlab import search
 from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, ColumnRecord,
-                           _axis_count, _column, _drive)
+                           _axis_count, _column, _drive, csv_number)
 from pidlab.validator import LookupValidator, Verdict
 
 
 # the ends of the float range, where an axis sum or span overflows
 EXTREME = st.sampled_from([1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max,
                            1e308, -1e308, 8.9e307])
+
+# an axis from lo up to hi, or to lo + n * step where hi is None
+AXIS_ARGS = dict(lo=EXTREME | st.floats(allow_nan=False, allow_infinity=False),
+                 step=EXTREME.filter(lambda x: x > 0)
+                 | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                 n=st.integers(0, 6), hi=EXTREME | st.none())
+
+
+def axis_span(lo, step, n, hi):
+    """hi, and the span in steps, of an AXIS_ARGS draw. A span of more than
+    50 steps is rejected: an axis of many steps that all read back takes
+    long to build."""
+    hi = lo + n * step if hi is None else hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = (np.float64(hi) - lo) / step
+    if np.isfinite(ratio) and ratio > 50:
+        reject()
+    return hi, ratio
 
 
 def worked_space():
@@ -63,7 +83,8 @@ class TestParamSpace:
         assert _axis_count(0.0, 0.004, 0.001) == 5
         s = ParamSpace(1e4, 1e4 + 3e-4, 1e-4, 0, 1, 1, 0, 1, 1)
         assert s.n_p == 4
-        assert [s.p_index(float("%.9g" % s.p_value(k))) for k in range(4)] == [0, 1, 2, 3]
+        kp = s.axes[0]
+        assert [kp.snap(float("%.9g" % kp.values[k])) for k in range(4)] == [0, 1, 2, 3]
 
     def test_count_does_not_round_up_a_short_range(self):
         assert _axis_count(1e6, 1e6 + 0.0035, 0.001) == 4
@@ -79,10 +100,7 @@ class TestParamSpace:
         assert ParamSpace(1e5, 1e5 + 0.01, 0.001, 0.1, 4, 0.1, 0, 1, 0.5).n_p == 11
 
     @settings(max_examples=300, deadline=None)
-    @given(lo=EXTREME | st.floats(allow_nan=False, allow_infinity=False),
-           step=EXTREME.filter(lambda x: x > 0)
-           | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-           n=st.integers(0, 6), hi=EXTREME | st.none())
+    @given(**AXIS_ARGS)
     @example(lo=-1.7e308, step=1.7e308, n=2, hi=None)  # hi - lo overflows
     @example(lo=1.7e308, step=1e308, n=1, hi=None)  # hi overflows
     @example(lo=0.0, step=1.7e308, n=1, hi=None)
@@ -91,19 +109,13 @@ class TestParamSpace:
     def test_every_axis_value_of_a_space_that_builds_is_finite(self, lo, step, n, hi):
         # the grid constructor leaves out PidConfig's finiteness check on
         # this: every space that builds has finite values only
-        hi = lo + n * step if hi is None else hi
-        with np.errstate(over="ignore", invalid="ignore"):
-            span = np.float64(hi) - lo
-            ratio = span / step
-        # a span of many steps that all read back would take long to build
-        if np.isfinite(ratio) and ratio > 50:
-            reject()
+        hi, ratio = axis_span(lo, step, n, hi)
         try:
             s = ParamSpace(lo, hi, step, lo, hi, step, 0.0, 1.0, 0.5)
         except ValueError:
             return
         assert np.isfinite(ratio)
-        values = [s.p_value(k) for k in range(s.n_p)] + [s.i_value(k) for k in range(s.n_i)]
+        values = s.axes[0].values + s.axes[1].values
         assert s.n_p >= 1 and all(math.isfinite(v) for v in values)
         assert all(math.isfinite(g) for g in s.pid_at(s.n_p - 1, s.n_i - 1, 0))
 
@@ -115,46 +127,89 @@ class TestParamSpace:
         with pytest.raises(ValueError, match="^i_step 5e-324 overflows the axis count"):
             ParamSpace(0, 1, 1, 1.7e308, 1.7e308, 5e-324, 0, 1, 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(**AXIS_ARGS, stride=st.integers(1, 4))
+    @example(lo=0.1, step=0.1, n=6, hi=None, stride=2)
+    @example(lo=-1e308, step=5e307, n=4, hi=None, stride=3)
+    @example(lo=1e4, step=1e-4, n=6, hi=None, stride=2)
+    def test_each_axis_snaps_and_parses_its_own_values(self, lo, step, n, hi, stride):
+        hi, _ = axis_span(lo, step, n, hi)
+        try:
+            s = ParamSpace(lo, hi, step, lo, hi, step, 0.0, 1.0, 0.5)
+        except ValueError:
+            return
+        for axis in s.axes:
+            parse = axis.parser(stride)
+            for k, value in enumerate(axis.values):
+                assert axis.snap(value) == k
+                assert axis.snap(float(csv_number(value))) == k
+                for text in (csv_number(value), repr(value)):
+                    if k % stride == 0:
+                        assert repr(parse(text)) == repr(value)
+                    else:
+                        with pytest.raises(ValueError, match=f"^{axis.name}=.* is not on "
+                                                             f"the sub-grid of stride {stride}$"):
+                            parse(text)
+        assert ParamSpace.from_dict(s.to_dict()) == s
+        assert list(s.to_dict()) == ["p_min", "p_max", "p_step", "i_min", "i_max", "i_step",
+                                     "d_min", "d_max", "d_step"]
+
+    def test_a_step_giving_more_points_than_an_axis_may_have_is_refused_at_once(
+            self, monkeypatch):
+        # the 10^12-point axis was built value by value: no return after 10 s
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^p_step 1e-12 gives 1000000000001 points"):
+            ParamSpace(0, 1, 1e-12, 0, 1, 1, 0, 1, 1)
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setattr(search, "MAX_AXIS_POINTS", 5)
+        assert ParamSpace(0, 1, 1, 0, 4, 1, 0, 1, 1).n_i == 5
+        with pytest.raises(ValueError, match=r"^i_step 1 gives 6 points on ki, more than "
+                                             r"the 5 an axis may have$"):
+            ParamSpace(0, 1, 1, 0, 5, 1, 0, 1, 1)
+
     def test_pid_at_refuses_an_index_off_the_grid(self):
         s = worked_space()
-        assert s.pid_at(0, s.n_i - 1, s.n_d - 1) == (1.0, s.i_value(s.n_i - 1), 1.0)
+        assert s.pid_at(0, s.n_i - 1, s.n_d - 1) == (1.0, s.axes[1].values[s.n_i - 1], 1.0)
         for idx in [(1, 0, 0), (0, s.n_i, 0), (0, 0, -1)]:
             with pytest.raises(IndexError, match="is off the 1x40x3 grid"):
                 s.pid_at(*idx)
 
     def test_values_are_index_arithmetic(self):
         s = worked_space()
-        assert s.i_value(28) == 0.1 + 28 * 0.1
-        assert s.pid_at(0, 28, 1) == PidConfig(1.0, s.i_value(28), 0.5)
+        assert s.axes[1].values[28] == 0.1 + 28 * 0.1
+        assert s.pid_at(0, 28, 1) == PidConfig(1.0, s.axes[1].values[28], 0.5)
 
     def test_index_round_trip(self):
         s = worked_space()
+        ki = s.axes[1]
         for k in range(s.n_i):
-            assert s.i_index(s.i_value(k)) == k
+            assert ki.snap(ki.values[k]) == k
 
     def test_snap_rejects_off_grid(self):
         s = worked_space()
+        kp, ki, _ = s.axes
         with pytest.raises(ValueError):
-            s.i_index(0.147)
+            ki.snap(0.147)
         with pytest.raises(ValueError):
-            s.i_index(9.9)
+            ki.snap(9.9)
         with pytest.raises(ValueError):
-            s.p_index(2.0)
+            kp.snap(2.0)
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 1e308])
     def test_snap_rejects_non_finite_values_as_off_grid(self, value):
         # 1e308 - p_min overflows to inf on a grid starting at -1e308
         s = ParamSpace(-1e308, -1e308, 1e300, 0.1, 4.0, 0.1, 0.0, 1.0, 0.5)
-        for index in (s.p_index, s.i_index, s.d_index):
+        for axis in s.axes:
             with pytest.raises(ValueError, match="is not on the grid"):
-                index(value)
+                axis.snap(value)
 
     def test_snap_tolerance_is_a_fraction_of_a_fine_step(self):
         s = ParamSpace(0, 1e-5, 1e-6, 0, 1, 1, 0, 1, 1)
+        kp = s.axes[0]
         for off_grid in (0.5e-6, 1.4e-6):
             with pytest.raises(ValueError):
-                s.p_index(off_grid)
-        assert s.p_index(3e-6) == 3
+                kp.snap(off_grid)
+        assert kp.snap(3e-6) == 3
 
     def test_invalid_axes(self):
         with pytest.raises(ValueError):
@@ -184,13 +239,13 @@ class TestSearchColumn:
     def test_invalid_entry_descends_to_largest_valid(self):
         s = worked_space()
         status, idx = drive_column(s, RouthValidator(1, 1), 0, 1, 39, False)
-        assert (status, s.i_value(idx)) == (BOUNDARY, pytest.approx(2.9))
+        assert (status, s.axes[1].values[idx]) == (BOUNDARY, pytest.approx(2.9))
 
     def test_valid_entry_climbs_to_largest_valid(self):
         s = worked_space()
         status, idx = drive_column(s, RouthValidator(1, 1), 0, 1,
-                                   s.i_index(2.0), True)
-        assert (status, s.i_value(idx)) == (BOUNDARY, pytest.approx(2.9))
+                                   s.axes[1].snap(2.0), True)
+        assert (status, s.axes[1].values[idx]) == (BOUNDARY, pytest.approx(2.9))
 
     def test_descent_exhausts_to_all_invalid(self):
         s = worked_space()
@@ -215,7 +270,7 @@ class TestSearchColumn:
         def valid_at(ii):
             return ii <= top
 
-        oracle = LookupValidator(lambda pid: valid_at(s.i_index(pid.ki)))
+        oracle = LookupValidator(lambda pid: valid_at(s.axes[1].snap(pid.ki)))
         entry = valid_at(start)
         reset_query_count()
         got = drive_column(s, oracle, 0, 0, start, entry)
@@ -246,7 +301,7 @@ class TestIdentifyBoundary:
         s = worked_space()
         bl = identify_boundary(s, validator=RouthValidator(1, 1))
         for c in bl.columns:
-            assert c.i_save == s.i_value(s.i_index(c.i_save))
+            assert c.i_save == s.axes[1].values[s.axes[1].snap(c.i_save)]
 
     def test_boundary_brackets_the_transition(self):
         s = worked_space()
@@ -254,10 +309,10 @@ class TestIdentifyBoundary:
         bl = identify_boundary(s, validator=v)
         for p, i_save, d in bl.entries():
             assert routh_stable(PidConfig(p, i_save, d), 1, 1)
-            above = s.i_index(i_save) + 1
+            kp, ki, kd = s.axes
+            above = ki.snap(i_save) + 1
             if above < s.n_i:
-                assert not routh_stable(s.pid_at(s.p_index(p), above,
-                                                 s.d_index(d)), 1, 1)
+                assert not routh_stable(s.pid_at(kp.snap(p), above, kd.snap(d)), 1, 1)
 
     def test_carry_reduces_queries_below_exhaustive(self):
         s = worked_space()
@@ -381,6 +436,7 @@ def reference_walk(space, validator, dsoff):
             j += step
         return (ALL_VALID if entry_valid else ALL_INVALID), None
 
+    kp, ki, kd = space.axes
     records = []
     for p_idx in range(space.n_p):
         carry = space.n_i - 1
@@ -390,8 +446,8 @@ def reference_walk(space, validator, dsoff):
                 status, i_idx = column(p_idx, d_idx, carry, entry_valid)
             else:
                 status, i_idx = BOUNDARY, carry
-            records.append(ColumnRecord(space.p_value(p_idx), space.d_value(d_idx), status,
-                                        None if i_idx is None else space.i_value(i_idx)))
+            records.append(ColumnRecord(kp.values[p_idx], kd.values[d_idx], status,
+                                        None if i_idx is None else ki.values[i_idx]))
             carry = {BOUNDARY: i_idx, ALL_VALID: space.n_i - 1, ALL_INVALID: 0}[status]
     return records
 
@@ -535,7 +591,7 @@ class TestRandomFuzz:
                             seed=9)
         for pid in found:
             assert not routh_stable(pid, 1, 1)
-            s.i_index(pid.ki), s.d_index(pid.kd)
+            s.axes[1].snap(pid.ki), s.axes[2].snap(pid.kd)
 
     def test_same_seed_same_result(self):
         s = worked_space()
