@@ -15,6 +15,6 @@ from .search import (BoundaryLine, ParamSpace, boundary_from_csv,
                      identify_boundary, random_fuzz)
 from .stability import (characteristic_roots, roots_stable, routh_stable,
                         theoretical_boundary)
-from .validator import (OracleComparison, OracleConfig, RouthValidator,
-                        SimulationValidator, Validator, Verdict, compare_oracles,
-                        query_count, reset_query_count)
+from .validator import (LookupValidator, OracleComparison, OracleConfig,
+                        RouthValidator, SimulationValidator, Validator, Verdict,
+                        compare_oracles, query_count, reset_query_count)

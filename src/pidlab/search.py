@@ -350,7 +350,7 @@ def _neighbor(space, rng, idx):
     return None
 
 
-def random_fuzz(space, validator, *, budget=100, seed=0):
+def random_fuzz(space, validator, *, budget, seed=0):
     """Uniform grid sampling without replacement, with simple guidance:
     after an invalid hit the next probe perturbs it by one grid step.
 
@@ -385,7 +385,7 @@ def _fuzz(space, rng):
             guide = idx
 
 
-def hill_climb(space, validator, *, budget=100, seed=0):
+def hill_climb(space, validator, *, budget, seed=0):
     """Random-restart hill climbing on binary feedback.
 
     From a random start, proposes one-step neighbors and moves whenever the
@@ -413,7 +413,7 @@ def _climb(space, rng):
                 stall += 1
 
 
-def genetic_search(space, validator, *, budget=100, seed=0):
+def genetic_search(space, validator, *, budget, seed=0):
     """Small genetic algorithm over grid index triples.
 
     Fitness is 1 for invalid, 0 for valid. Tournament selection, one-point
@@ -475,7 +475,8 @@ def boundary_from_csv(path, space):
     """Read a boundary CSV back, snapping values onto the given space.
 
     Raises ValueError, naming the file and line, on an unknown status, a
-    value off the grid, a short row or a (p, d) column given twice.
+    value off the grid, an i_save on an edge column, a short row or a
+    (p, d) column given twice.
     """
     parse_p, parse_i, parse_d = map(Axis.parser, space.axes)
     columns = []
@@ -484,6 +485,9 @@ def boundary_from_csv(path, space):
     def column(p, d, status, i_save):
         if status not in (BOUNDARY, ALL_VALID, ALL_INVALID):
             raise ValueError(f"unknown column status {status!r}")
+        if status != BOUNDARY and i_save:
+            raise ValueError(f"i_save must be empty on the {status} column p={p}, d={d}, "
+                             f"got {i_save!r}")
         col = ColumnRecord(parse_p(p), parse_d(d), status,
                            parse_i(i_save) if status == BOUNDARY else None)
         if (col.p, col.d) in seen:

@@ -16,7 +16,8 @@ ROOT_MARGIN = 1e-9
 
 def characteristic_coeffs(pid, a1, a2):
     """Coefficients (c2, c1, c0) of the monic closed-loop cubic."""
-    return a2 + pid.kd, a1 + pid.kp, pid.ki
+    kp, ki, kd = pid
+    return a2 + kd, a1 + kp, ki
 
 
 def routh_stable(pid, a1, a2):
@@ -25,9 +26,14 @@ def routh_stable(pid, a1, a2):
     Stable iff kp + a1 > 0, kd + a2 > 0, ki > 0 and
     (kp + a1)(kd + a2) > ki. No epsilon is applied; boundary points
     count as unstable.
+
+    pid is a PidConfig, whose verdict is a bool, or a (kp, ki, kd) triple
+    of float arrays, whose verdict is a bool array of their shape. All four
+    tests are taken for every entry, so numpy gains, arrays or scalars, warn
+    where the product overflows; callers silence that with np.errstate.
     """
     c2, c1, c0 = characteristic_coeffs(pid, a1, a2)
-    return c1 > 0.0 and c2 > 0.0 and c0 > 0.0 and c1 * c2 > c0
+    return (c1 > 0.0) & (c2 > 0.0) & (c0 > 0.0) & (c1 * c2 > c0)
 
 
 def characteristic_roots(pid, a1, a2):

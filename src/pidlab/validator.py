@@ -13,13 +13,13 @@ vote takes the majority over a query's runs. SimulationValidator.classify_many
 and compare_oracles judge their runs through SimulationValidator._verdicts,
 which builds each run once for every judge it is asked with. It batches
 BATCH_MIN new pids or more through simulate_batch, whose runs are
-bit-identical to simulate's, and runs fewer one at a time. There a run that
-the RK4 step map predicts to reach the clamp (plant.step_map_power) is built
-by simulate, and any other by simulate_linear, judged from that run where
-LINEAR_TOL certifies it and rebuilt by simulate elsewhere, so the verdicts
-are simulate's on every route. On the search pass of the disturbed 40x40
-hold at seed 0, 248 of the 399 runs are predicted to clamp: 225 distinct
-pids, of which 3 never reach it.
+bit-identical to simulate's, and runs fewer one at a time. There each run
+is first asked of plant.simulate_linear, which builds none where the run may
+reach the clamp. Its run is judged where LINEAR_TOL certifies it, and
+simulate builds the run elsewhere, so the verdicts are simulate's on every
+route. On the search pass of the disturbed 40x40 hold at seed 0, 248 of the
+399 runs are predicted to clamp: 225 distinct pids, of which 3 never reach
+it.
 
 A run that simulate builds on this route ends once its verdict is decided
 (OracleConfig.decided). Its prefix is bit for bit the run's first samples,
@@ -38,8 +38,7 @@ import numpy as np
 
 from .mtl import (And, atom_margin, eval_offline, eval_online, eval_prefix, mode_spec,
                   time_thresholds)
-from .plant import (CLAMP, sample_count, simulate, simulate_batch, simulate_linear,
-                    step_map_power)
+from .plant import LINEAR_TOL, sample_count, simulate, simulate_batch, simulate_linear
 from .stability import routh_stable
 
 # Largest x/v array one simulate_batch call of _verdicts may fill, at 16
@@ -56,14 +55,6 @@ BATCH_BYTES = 32 * 2**20
 # 0.26-0.43 s and 0.27-0.44 s. The crossover lies near 50, but no workload
 # has between 20 and 49 new pids to show a retune.
 BATCH_MIN = 20
-
-# A linear run stands in for simulate's where every spec atom stays more
-# than LINEAR_TOL * (1 + the run's largest |x| or |v|) from its threshold,
-# about 1,000 times the linear scan's error on unclamped runs (at most
-# 7.4e-13 over 600 random runs, 3e-12 over 300,000 undamped steps). A run that
-# comes within that distance of the clamp, LINEAR_LIMIT, is simulated.
-LINEAR_TOL = 1e-9
-LINEAR_LIMIT = (CLAMP - LINEAR_TOL) / (1.0 + LINEAR_TOL)
 
 _lock = threading.Lock()
 _queries = 0
@@ -256,10 +247,7 @@ class SimulationValidator(Validator):
                            for cfg, m in judges)
 
             for pid in pids:
-                # the power reads no noise, so one serves every seed's run
-                linear = bool((np.abs(step_map_power(self.plant, pid, self.mission))
-                               < LINEAR_LIMIT).all())
-                yield pid, vote([self._check_one(plant, pid, check, linear, stops, decided)
+                yield pid, vote([self._check_one(plant, pid, check, stops, decided)
                                  for plant in self._plants()])
             return
         width = max(1, BATCH_BYTES // (16 * n))
@@ -272,21 +260,18 @@ class SimulationValidator(Validator):
             for pid, checks in zip(chunk, zip(*by_seed)):
                 yield pid, vote(checks)
 
-    def _check_one(self, plant, pid, check, linear, stops, decided):
-        """check of pid's run on plant: of simulate_linear's run where no
-        atom of self.formula can tell it from simulate's, else of simulate's,
-        which pauses at stops and ends at the first prefix decided accepts.
-        linear is False where the step map predicts the run to reach the
-        clamp (an entry of step_map_power not below LINEAR_LIMIT, or not
-        finite); such a run is not tried linear.
+    def _check_one(self, plant, pid, check, stops, decided):
+        """check of pid's run on plant: of simulate_linear's run where it
+        builds one and no atom of self.formula can tell it from simulate's,
+        else of simulate's, which pauses at stops and ends at the first
+        prefix decided accepts.
         """
-        if linear:
-            run = simulate_linear(plant, pid, self.mission, limit=LINEAR_LIMIT)
-            if run is not None:
-                tol = LINEAR_TOL * (1.0 + max(np.abs(run.x).max(), np.abs(run.v).max()))
-                if atom_margin(self.formula, run) > tol:
-                    return check(run)
-            run = None  # freed before simulate builds its own
+        run = simulate_linear(plant, pid, self.mission)
+        if run is not None:
+            tol = LINEAR_TOL * (1.0 + max(np.abs(run.x).max(), np.abs(run.v).max()))
+            if atom_margin(self.formula, run) > tol:
+                return check(run)
+        run = None  # freed before simulate builds its own
         return check(simulate(plant, pid, self.mission, stops=stops, decided=decided))
 
     def _plants(self):
@@ -320,8 +305,8 @@ class RouthValidator(Validator):
         return _ROUTH_STABLE if routh_stable(pid, self.a1, self.a2) else _ROUTH_UNSTABLE
 
     def classify_many(self, pids):
-        """routh_stable's inequalities on float64 arrays of the gains, with
-        its operations in its order, counting len(pids) queries at once.
+        """routh_stable on float64 arrays of the gains, counting len(pids)
+        queries at once.
 
         A class whose classify is not this class's own (a subclass that
         overrides it, or a wrapper bound in its place) gets it called per
@@ -331,12 +316,10 @@ class RouthValidator(Validator):
             return [self.classify(pid) for pid in pids]
         pids = list(pids)
         n = len(pids)
-        kp, ki, kd = (np.fromiter(map(itemgetter(k), pids), float, n) for k in range(3))
+        gains = tuple(np.fromiter(map(itemgetter(k), pids), float, n) for k in range(3))
         # Python floats overflow to inf and turn inf * 0 into nan silently
         with np.errstate(all="ignore"):
-            c2 = self.a2 + kd
-            c1 = self.a1 + kp
-            stable = (c1 > 0.0) & (c2 > 0.0) & (ki > 0.0) & (c1 * c2 > ki)
+            stable = routh_stable(gains, self.a1, self.a2)
         _note_queries(n)
         verdicts = (_ROUTH_UNSTABLE, _ROUTH_STABLE)
         return [verdicts[ok] for ok in stable.tolist()]

@@ -13,7 +13,8 @@ def freed_runs(monkeypatch):
     every trajectory built before it, linear or simulated, and every
     earlier batch's x/v array, has been freed: a rejected linear run too,
     before simulate builds the run again.
-    Returns the number of calls of each, by name.
+    Returns, by name, the number of calls of each that built a run or a
+    batch: a simulate_linear call that returns None builds none.
     """
     refs = []
     calls = {"simulate_linear": 0, "simulate": 0, "simulate_batch": 0}
@@ -25,9 +26,9 @@ def freed_runs(monkeypatch):
 
     def simulate_linear(plant, pid, mission, **kwargs):
         assert alive() == 0, "an earlier run is still alive"
-        calls["simulate_linear"] += 1
         traj = real_linear(plant, pid, mission, **kwargs)
         if traj is not None:
+            calls["simulate_linear"] += 1
             refs.append(weakref.ref(traj.x))
         return traj
 

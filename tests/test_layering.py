@@ -13,7 +13,9 @@ classify.
 Every name a module imports is used in it, too; `__init__.py` is exempt,
 because its imports are the package's exports. And every private def, class
 or assignment at a module's top level is read somewhere in that module, so a
-refactor cannot leave a dead helper behind.
+refactor cannot leave a dead helper behind. A public top-level def or class
+is read by some module of the package, or exported by `__init__.py`, so no
+public name is kept only for the tests.
 """
 
 import ast
@@ -93,7 +95,70 @@ def unread_privates(source, filename):
             for line, name in sorted(bound) if _private(name) and name not in read]
 
 
+def uncalled_publics(sources):
+    """'filename:line: defines name and no module reads it' for each public
+    top-level def or class of the {filename: source} package sources that
+    no module reads, as a name or an attribute, and `__init__.py` does not
+    import."""
+    trees = {filename: ast.parse(source, filename) for filename, source in sources.items()}
+    read = set()
+    for filename, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and filename == "__init__.py":
+                read.update(alias.name for alias in node.names)
+    return [f"{filename}:{node.lineno}: defines {node.name} and no module reads it"
+            for filename, tree in sorted(trees.items()) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not _private(node.name) and node.name not in read]
+
+
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def test_every_public_def_has_a_caller():
+    assert uncalled_publics({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_uncalled_publics_are_caught():
+    sources = {"__init__.py": "from .m import Exported\n", "m.py": '''
+class Exported:
+    pass
+
+
+def called():
+    return 1
+
+
+def dead():
+    return called()
+
+
+class Unused:
+    def method(self):
+        return self.attr
+
+
+def _private():
+    pass
+''', "n.py": '''
+from . import m
+
+
+def uses():
+    return m.attr_read, helper()
+
+
+def helper():
+    return 2
+'''}
+    assert uncalled_publics(sources) == [
+        "m.py:10: defines dead and no module reads it",
+        "m.py:14: defines Unused and no module reads it",
+        "n.py:5: defines uses and no module reads it"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -14,8 +14,8 @@ from pidlab import (PidConfig, PlantModel, NoiseSpec, brake_mission,
                     circle_mission, hold_mission, reference_at,
                     return_home_mission, routh_stable, simulate)
 from pidlab import plant as plant_module
-from pidlab.plant import (CLAMP, Mission, Trajectory, sample_count, simulate_batch,
-                          simulate_linear, step_map_power)
+from pidlab.plant import (CLAMP, LINEAR_LIMIT, Mission, Trajectory, sample_count,
+                          simulate_batch, simulate_linear)
 
 
 STABLE = PidConfig(1, 0.5, 1)
@@ -573,15 +573,42 @@ class TestSimulateBatch:
         assert first.e.base is None and second.e.base is None
 
 
+def step_map_power(plant, pid, mission):
+    """M^(n - 1), for M the RK4 step map of _rk4_map and n the mission's
+    sample count, from M's float squares taken in the bits of n - 1, low bit
+    first; where the loop diverges it overflows to inf or nan silently.
+    The clamp prediction simulate_linear makes, kept here as a reference."""
+    m, _ = plant_module._rk4_map(plant, pid, float(plant.dt))
+    power = np.eye(3)
+    steps = sample_count(plant, mission) - 1
+    with np.errstate(all="ignore"):
+        while steps:
+            if steps & 1:
+                power = power @ m
+            steps >>= 1
+            if steps:
+                m = m @ m
+    return power
+
+
+def predicts_clamp(plant, pid, mission):
+    """Whether step_map_power has an entry not below LINEAR_LIMIT or not finite."""
+    return not (np.abs(step_map_power(plant, pid, mission)) < LINEAR_LIMIT).all()
+
+
 def linear_error(plant, pid, mission):
     """(largest |x_lin - x_rk4| and |v_lin - v_rk4|) / (1 + largest |x|, |v|)
     of simulate's run, with the two runs' t and r checked equal; None when
-    simulate's run reaches the clamp."""
+    the step map predicts a clamp, where simulate_linear is checked to build
+    no run, or when simulate's run reaches the clamp."""
+    lin = simulate_linear(plant, pid, mission)
+    if predicts_clamp(plant, pid, mission):
+        assert lin is None
+        return None
     exact = simulate(plant, pid, mission)
     scale = max(np.abs(exact.x).max(), np.abs(exact.v).max())
     if not scale < CLAMP:
         return None
-    lin = simulate_linear(plant, pid, mission)
     assert lin is not None and (lin.dt, lin.mode, len(lin)) == (exact.dt, exact.mode, len(exact))
     assert np.array_equal(lin.t, exact.t) and np.array_equal(lin.r, exact.r)
     assert np.array_equal(lin.e, lin.r - lin.x)
@@ -639,26 +666,32 @@ class TestSimulateLinear:
 
     @pytest.mark.parametrize("duration", [20.0, 2.5 * SPAN * 0.01],
                              ids=["one-chunk", "three-chunks"])
-    def test_the_limit_stops_the_scan(self, duration):
+    def test_the_limit_stops_the_scan(self, duration, monkeypatch):
+        # the setpoint of 10 lifts the run ten times above the step map's
+        # entries, so the prediction passes and the scan meets the limit
         plant = PlantModel(t_max=duration)
-        mission = hold_mission(settle_deadline=10.0, duration=duration)
+        mission = hold_mission(setpoint=10.0, settle_deadline=10.0, duration=duration)
         run = simulate(plant, GAINS["unstable"], mission)
         size = np.maximum(np.abs(run.x), np.abs(run.v))
         peak = size.max()
-        assert 1.0 < peak < CLAMP
+        assert 10.0 < peak < CLAMP
+        assert np.abs(step_map_power(plant, GAINS["unstable"], mission)).max() < peak * 0.2
         # the samples before the last chunk stay below the limit, so the
         # scan first passes it in its last chunk
         assert size[:(len(run) - 2) // SPAN * SPAN + 1].max() < peak * 0.99
-        assert simulate_linear(plant, GAINS["unstable"], mission, limit=peak * 0.99) is None
-        assert simulate_linear(plant, GAINS["unstable"], mission, limit=peak * 1.01)
+        monkeypatch.setattr(plant_module, "LINEAR_LIMIT", peak * 0.99)
+        assert simulate_linear(plant, GAINS["unstable"], mission) is None
+        monkeypatch.setattr(plant_module, "LINEAR_LIMIT", peak * 1.01)
+        assert simulate_linear(plant, GAINS["unstable"], mission)
 
 
-class TestStepMapPower:
-    """step_map_power is the step map raised to the run's step count."""
+class TestClampPrediction:
+    """simulate_linear builds no run where the step map, raised to the
+    run's step count, predicts a clamp (step_map_power, the reference)."""
 
     @pytest.mark.parametrize("pid", [STABLE, PidConfig(1, 5, 1), PidConfig(-5, 1, -3)])
     @pytest.mark.parametrize("dt, duration", [(0.01, 60.0), (0.007, 10.0), (0.05, 0.5)])
-    def test_equals_the_matrix_power(self, pid, dt, duration):
+    def test_the_reference_equals_the_matrix_power(self, pid, dt, duration):
         plant = PlantModel(dt=dt, t_max=max(duration, 10 * dt))
         mission = hold_mission(settle_deadline=duration / 2, duration=duration)
         m, _ = plant_module._rk4_map(plant, pid, dt)
@@ -669,6 +702,43 @@ class TestStepMapPower:
         power = step_map_power(PlantModel(), PidConfig(1e5, 1e5, 1e5), hold_mission())
         assert not np.isfinite(power).all()
         assert np.isfinite(step_map_power(PlantModel(), STABLE, hold_mission())).all()
+
+    @pytest.mark.parametrize("mission", [hold_mission(), brake_mission(),
+                                         circle_mission(), return_home_mission()],
+                             ids=lambda m: m.mode)
+    def test_no_run_where_the_reference_predicts_a_clamp(self, mission):
+        plant = PlantModel(t_max=mission.duration,
+                           noise=NoiseSpec(sensor_sigma=0.02, disturbance_amp=0.35,
+                                           disturbance_freq=0.19, seed=3))
+        pids = [PidConfig(kp, ki, kd) for kp in (-1.5, 0.0, 1.0, 4.0)
+                for ki in (0.0, 0.4, 3.0, 12.0) for kd in (-1.2, -0.5, 0.05, 2.0)]
+        predicted = 0
+        for pid in [*pids, *GAINS.values(), PidConfig(1e200, 1, 1), PidConfig(-1e300, 0, 0)]:
+            if predicts_clamp(plant, pid, mission):
+                predicted += 1
+                assert simulate_linear(plant, pid, mission) is None, pid
+        assert 0 < predicted < len(pids)
+
+    def test_a_run_predicted_to_clamp_builds_no_inputs(self, monkeypatch):
+        built = []
+        real = plant_module._inputs
+        monkeypatch.setattr(plant_module, "_inputs",
+                            lambda plant, mission: built.append(mission) or real(plant, mission))
+        plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.02, seed=1))
+        assert predicts_clamp(plant, GAINS["clamped"], hold_mission())
+        assert simulate_linear(plant, GAINS["clamped"], hold_mission()) is None
+        assert built == []
+        assert simulate_linear(plant, STABLE, hold_mission()) is not None
+        assert built == [hold_mission()]
+
+    def test_the_step_map_is_built_once_per_run(self, monkeypatch):
+        built = []
+        real = plant_module._rk4_map
+        monkeypatch.setattr(plant_module, "_rk4_map",
+                            lambda plant, pid, dt: built.append(pid) or real(plant, pid, dt))
+        for pid in (STABLE, GAINS["clamped"]):
+            simulate_linear(PlantModel(), pid, hold_mission())
+        assert built == [STABLE, GAINS["clamped"]]
 
 
 def traced_peak_per_sample(run, plant, pid, mission, cold=False):

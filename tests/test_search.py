@@ -652,6 +652,16 @@ class TestBoundaryCsv:
         with pytest.raises(ValueError):
             boundary_from_csv(path, worked_space())
 
+    @pytest.mark.parametrize("row", ["1,0,all_valid,banana", "1,0.5,all_invalid,7"])
+    def test_rejects_an_i_save_on_an_edge_column(self, tmp_path, row):
+        # boundary_to_csv writes an edge column's i_save empty
+        path = tmp_path / "edge.csv"
+        path.write_text(f"p,d,status,i_save\n1,1,all_valid,\n{row}\n")
+        status = row.split(",")[2]
+        with pytest.raises(ValueError, match=rf"edge\.csv:3: i_save must be empty on the "
+                                             rf"{status} column p=1, d=0(\.5)?, got '"):
+            boundary_from_csv(path, worked_space())
+
     def test_rejects_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("p,d,i_save\n1,0,2\n")

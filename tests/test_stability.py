@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,30 @@ class TestRouthStable:
     def test_boundary_point_counts_unstable(self):
         # equality in the product condition is marginal, not stable
         assert not routh_stable(PidConfig(1, 4.0, 1), 1, 1)
+
+    def test_a_pid_config_gets_a_bool(self):
+        assert routh_stable(PidConfig(1, 0.5, 1), 1, 1) is True
+        assert routh_stable(PidConfig(1, 5, 1), 1, 1) is False
+
+
+GAIN = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300]),
+                 st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pids=st.lists(st.builds(PidConfig, GAIN, GAIN, GAIN), max_size=20),
+       a1=st.sampled_from([1.0, 0.0, -2.0, 1e300]), a2=st.sampled_from([1.0, 0.0, -2.0, 1e300]))
+def test_gain_arrays_get_the_verdict_of_each_pid(pids, a1, a2):
+    # the scalar verdicts on Python floats warn of nothing, and the arrays'
+    # overflow is silenced as RouthValidator.classify_many silences it
+    gains = tuple(np.array([pid[k] for pid in pids], dtype=float) for k in range(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            stable = routh_stable(gains, a1, a2)
+        want = [routh_stable(pid, a1, a2) for pid in pids]
+    assert stable.dtype == bool and stable.shape == (len(pids),)
+    assert stable.tolist() == want
 
 
 class TestCharacteristicRoots:

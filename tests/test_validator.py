@@ -1,6 +1,7 @@
 import math
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,15 @@ from hypothesis import strategies as st
 from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig, PlantModel,
                     RouthValidator, SimulationValidator, Verdict, brake_mission,
                     circle_mission, genetic_search, hill_climb, hold_mission,
-                    query_count, reset_query_count, return_home_mission,
-                    routh_stable, simulate)
+                    identify_boundary, query_count, reset_query_count,
+                    return_home_mission, routh_stable, simulate)
 from pidlab import validator as validator_module
-from pidlab.plant import sample_count, simulate_linear, step_map_power
+from pidlab.cli import load_config
+from pidlab.plant import sample_count, simulate_linear
 from pidlab.mtl import And, Atom, Eventually, Globally, Implies, atom_margin, mode_spec
-from pidlab.validator import LINEAR_LIMIT, LookupValidator, Validator
+from pidlab.validator import LookupValidator, Validator
 from test_mtl import formulas
+from test_plant import predicts_clamp
 
 
 @pytest.fixture(autouse=True)
@@ -639,9 +642,10 @@ class TestSimulationClassifyMany:
 
 
 class TestLinearRoute:
-    """Below BATCH_MIN new pids each run that the step map does not predict
-    to reach the clamp is built by simulate_linear and judged from it only
-    where its certificate holds; the verdicts are simulate's either way."""
+    """Below BATCH_MIN new pids each run is first asked of simulate_linear,
+    which builds none where the step map predicts the clamp, and judged from
+    the linear run only where its certificate holds; the verdicts are
+    simulate's either way."""
 
     PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.03, disturbance_amp=0.2,
                                        disturbance_freq=0.7))
@@ -678,17 +682,24 @@ class TestLinearRoute:
         assert freed_runs == {"simulate_linear": 0, "simulate": 3, "simulate_batch": 0}
         assert not verdict.valid and verdict == self.exact(v, pid)
 
-    def test_the_clamp_prediction_is_taken_once_per_pid(self, monkeypatch):
-        calls = []
-
-        def counted(plant, pid, mission):
-            calls.append(pid)
-            return step_map_power(plant, pid, mission)
-
-        monkeypatch.setattr(validator_module, "step_map_power", counted)
+    def test_every_run_is_first_asked_of_simulate_linear(self, freed_runs, sim_calls):
+        clamped = PidConfig(-5, 1, -3)
+        assert predicts_clamp(self.PLANT, clamped, SHORT_HOLD)
         v = SimulationValidator(self.PLANT, SHORT_HOLD, OracleConfig(repeats=3))
-        v.classify_many([self.PID, PidConfig(-5, 1, -3)])
-        assert calls == [self.PID, PidConfig(-5, 1, -3)]
+        v.classify_many([self.PID, clamped])
+        assert sim_calls == [self.PID] * 3 + [clamped] * 3
+        # the clamped pid's three runs build no linear run and are simulated
+        assert freed_runs == {"simulate_linear": 3, "simulate": 3, "simulate_batch": 0}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_the_benchmark_walk_keeps_its_routes(self, seed, freed_runs):
+        # the disturbed 40x40 hold plane that perfbench searches
+        app = load_config(Path(__file__).parents[1] / "perfbench" / "fixtures"
+                          / "disturbed_plane.ini")
+        v = SimulationValidator(app.plant, app.mission, replace(app.oracle, base_seed=seed))
+        identify_boundary(app.space, v)
+        assert query_count() == 124
+        assert freed_runs == {"simulate_linear": 94, "simulate": 30, "simulate_batch": 0}
 
     @pytest.mark.parametrize("cfg", [OracleConfig(repeats=3),
                                      OracleConfig(kind="online", window=150)],
@@ -711,9 +722,8 @@ class TestLinearRoute:
             assert got == [self.exact(v, pid) for pid in pids], mission.mode
             assert {verdict.valid for verdict in got} == {True, False}, mission.mode
         runs = len(missions) * len(pids) * cfg.repeats
-        clamped = cfg.repeats * sum(
-            not (np.abs(step_map_power(self.PLANT, pid, mission)) < LINEAR_LIMIT).all()
-            for mission in missions for pid in pids)
+        clamped = cfg.repeats * sum(predicts_clamp(self.PLANT, pid, mission)
+                                    for mission in missions for pid in pids)
         # every run not predicted to clamp starts linear; some near the clamp
         # or a threshold are simulated, as is every run predicted to clamp
         assert 0 < clamped < runs / 2
