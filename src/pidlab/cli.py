@@ -333,7 +333,7 @@ def _read_space(path, meta):
         return ParamSpace.from_dict(meta["space"])
     except KeyError as exc:
         raise ConfigError(f"{side}: 'space' has no key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{side}: bad 'space': {exc}") from exc
 
 
@@ -445,7 +445,7 @@ def cmd_plot(args):
     if a1 is None and "plant" in meta:
         try:
             a1, a2 = float(meta["plant"]["a1"]), float(meta["plant"]["a2"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{_sidecar(source)}: 'plant' needs numbers a1 and a2, "
                               f"got {meta['plant']!r}") from exc
     theory = None

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-SIGNALS = ("x", "v", "r", "e", "abs_e", "t", "mode")
+SIGNALS = ("x", "v", "r", "e", "abs_e", "t")
 COMPARATORS = ("<", "<=", ">", ">=", "=")
 
 # Samples (window starts x window offsets) per block of eval_online; fixes
@@ -75,7 +75,7 @@ class Prev:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.signal not in SIGNALS or self.signal == "mode":
+        if self.signal not in SIGNALS:
             raise ValueError(f"prev() not defined for signal {self.signal!r}")
         if math.isnan(self.offset):
             raise ValueError("prev() offset is NaN")
@@ -85,7 +85,7 @@ class Prev:
 class Atom:
     signal: str
     op: str
-    rhs: object  # float, str (mode name) or Prev
+    rhs: object  # float or Prev
     label: str | None = None
 
     def __post_init__(self):
@@ -93,12 +93,9 @@ class Atom:
             raise ValueError(f"unknown signal {self.signal!r}")
         if self.op not in COMPARATORS:
             raise ValueError(f"unknown comparator {self.op!r}")
-        if self.signal == "mode":
-            if self.op != "=" or not isinstance(self.rhs, str):
-                raise ValueError("mode atoms support only '=' against a mode name")
-        elif isinstance(self.rhs, str):
-            raise ValueError("string rhs is only valid for the mode signal")
-        elif isinstance(self.rhs, float) and math.isnan(self.rhs):
+        if isinstance(self.rhs, str):
+            raise ValueError(f"threshold for {self.signal!r} is a string, {self.rhs!r}")
+        if isinstance(self.rhs, float) and math.isnan(self.rhs):
             raise ValueError(f"threshold for {self.signal!r} is NaN")
 
 
@@ -171,8 +168,6 @@ def _compare(op, lhs, rhs):
 def _eval_atom(node, ctx):
     """Truth of an atom at every sample of the trace."""
     sig = ctx["sig"]
-    if node.signal == "mode":
-        return np.full(len(sig["t"]), ctx["mode"] == node.rhs)
     lhs = sig[node.signal]
     if isinstance(node.rhs, Prev):
         # Previous-sample atoms have no obligation at the very first sample.
@@ -278,8 +273,8 @@ def _context(traj, window, optimistic):
     column window - 1), whether past-horizon obligations are unresolved
     (online) rather than judged on the samples that exist (offline), and
     the per-atom cache filled by _atom_rows."""
-    return {"sig": _signals(traj), "mode": traj.mode, "dt": traj.dt,
-            "window": window, "optimistic": optimistic, "atoms": {}}
+    return {"sig": _signals(traj), "dt": traj.dt, "window": window,
+            "optimistic": optimistic, "atoms": {}}
 
 
 def _atoms(node):
@@ -296,7 +291,7 @@ def _atoms(node):
         yield from _atoms(node.child)
 
 
-# The signals that move with the state; t, r and mode do not.
+# The signals that move with the state; t and r do not.
 _STATE_SIGNALS = frozenset(("x", "v", "e", "abs_e"))
 
 
@@ -461,8 +456,8 @@ def circle_lap_spec(mission):
 #   formula = atom | (not f) | (and f f ...) | (or f f ...) | (=> f f)
 #           | (G f) | (G [lo hi] f) | (E f) | (E [lo hi] f)
 #   atom    = (CMP sig rhs)         CMP in < <= > >= =
-#   sig     = x | v | r | e | t | mode | (abs e)
-#   rhs     = number | modename | (prev sig) | (+ (prev sig) number)
+#   sig     = x | v | r | e | t | (abs e)
+#   rhs     = number | (prev sig) | (+ (prev sig) number)
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"[()\[\]]|[^\s()\[\]]+")
@@ -507,12 +502,9 @@ def parse_formula(text):
         return tok
 
     def rhs():
-        tok, at = take()
-        if tok != "(":
-            try:
-                return float(tok)
-            except ValueError:
-                return tok  # mode name
+        if peek()[0] != "(":
+            return number()
+        _, at = take()
         head, hat = take()
         if head == "prev":
             sig, off = signal(), 0.0

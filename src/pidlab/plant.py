@@ -35,8 +35,9 @@ RETURN_HOME = "return_home"
 
 
 class PidConfig(namedtuple("PidConfig", ("kp", "ki", "kd"))):
-    """One controller gain triple (kp, ki, kd): an immutable 3-tuple whose
-    constructor, _make, _replace and unpickling refuse a non-finite gain."""
+    """One controller gain triple (kp, ki, kd): an immutable 3-tuple of
+    Python floats whose constructor, _make, _replace and unpickling refuse a
+    non-finite gain."""
 
     __slots__ = ()
 
@@ -46,7 +47,7 @@ class PidConfig(namedtuple("PidConfig", ("kp", "ki", "kd"))):
             for name, value in (("kp", kp), ("ki", ki), ("kd", kd)):
                 if not math.isfinite(value):
                     raise ValueError(f"{name} must be finite, got {value!r}")
-        return tuple.__new__(cls, (kp, ki, kd))
+        return tuple.__new__(cls, (float(kp), float(ki), float(kd)))
 
     @classmethod
     def _make(cls, iterable):
@@ -279,7 +280,6 @@ class Trajectory:
     v: np.ndarray
     r: np.ndarray
     e: np.ndarray
-    mode: str
 
     def __len__(self):
         return len(self.t)
@@ -287,7 +287,7 @@ class Trajectory:
     def head(self, n):
         """The first n samples, as views of this run's arrays."""
         return Trajectory(self.dt, self.t[:n], self.x[:n], self.v[:n], self.r[:n],
-                          self.e[:n], self.mode)
+                          self.e[:n])
 
 
 def sample_count(plant, mission):
@@ -397,8 +397,9 @@ def simulate(plant, pid, mission, stops=(), decided=None):
     if ends and decided is None:
         raise ValueError("stops need a decided test")
 
-    # float(): numpy scalar gains would drag the whole loop onto numpy scalars
-    kp, ki, kd = float(pid.kp), float(pid.ki), float(pid.kd)
+    # float(): numpy scalar coefficients would drag the whole loop onto numpy
+    # scalars; a PidConfig's gains are floats already
+    kp, ki, kd = pid
     a1, a2 = float(plant.a1), float(plant.a2)
 
     xs = np.empty(n)
@@ -455,12 +456,12 @@ def simulate(plant, pid, mission, stops=(), decided=None):
         if end < n - 1:
             m = end + 1
             run = Trajectory(dt=dt, t=times[:m], x=xs[:m], v=vs[:m], r=r[:m],
-                             e=r[:m] - xs[:m], mode=mission.mode)
+                             e=r[:m] - xs[:m])
             if decided(run):
                 return run
         start = end
 
-    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs, mode=mission.mode)
+    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs)
 
 
 # Steps per chunk of simulate_linear's scan.
@@ -477,7 +478,7 @@ def _rk4_map(plant, pid, dt):
     the state response to one unit of each of (b0[1], b0[2], bm[1], bm[2],
     b1[1], b1[2]).
     """
-    kp, ki, kd = float(pid.kp), float(pid.ki), float(pid.kd)
+    kp, ki, kd = pid
     a1, a2 = float(plant.a1), float(plant.a2)
     eye = np.eye(3)
     h1 = dt * np.array([[0.0, 1.0, 0.0], [-(a1 + kp), -(a2 + kd), ki], [-1.0, 0.0, 0.0]])
@@ -532,7 +533,7 @@ def simulate_linear(plant, pid, mission):
     if xv is None:
         return None
     xs, vs = xv
-    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs, mode=mission.mode)
+    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs)
 
 
 def _linear_scan(steps, pid, m, resp):
@@ -548,7 +549,7 @@ def _linear_scan(steps, pid, m, resp):
     after step i.
     """
     n = len(steps[0]) + 1
-    kp, kd = float(pid.kp), float(pid.kd)
+    kp, _, kd = pid
     # Squared in extended precision where the platform has it: each float
     # squaring doubles the relative error of the square before it, and the
     # scan applies every square to all the steps after it.
@@ -617,7 +618,7 @@ def simulate_batch(plant, pids, mission):
     gains[0] = float(plant.a1)
     gains[1] = float(plant.a2)
     for row, name in ((2, "ki"), (3, "kp"), (4, "kd")):
-        gains[row] = np.fromiter((float(getattr(pid, name)) for pid in pids), float, m)
+        gains[row] = np.fromiter((getattr(pid, name) for pid in pids), float, m)
     # the step's scalar factors, as arrays: a ufunc takes an array operand
     # faster than a Python float
     half, full, two, sixth = (np.full((3, m), c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
@@ -680,5 +681,5 @@ def simulate_batch(plant, pids, mission):
             np.minimum(xv_now, high, out=xv_now)
             xv[k] = xv_now
 
-    return (Trajectory(dt=dt, t=times, x=x, v=v, r=r, e=r - x, mode=mission.mode)
+    return (Trajectory(dt=dt, t=times, x=x, v=v, r=r, e=r - x)
             for x, v in ((xv[:, 0, j], xv[:, 1, j]) for j in range(m)))

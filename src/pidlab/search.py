@@ -87,8 +87,10 @@ class Axis:
         if count > MAX_AXIS_POINTS:
             raise ValueError(f"{key}step {step!r} gives {count} points on {name}, more "
                              f"than the {MAX_AXIS_POINTS} an axis may have")
-        self.name, self.lo, self.step = name, lo, step
-        self.values = tuple(lo + k * step for k in range(count))
+        # Python floats, whatever number type the bounds came in; messages
+        # spell the bounds as given
+        self.name, self.lo, self.step = name, float(lo), float(step)
+        self.values = tuple(self.lo + k * self.step for k in range(count))
         self._index = {}
         for k, value in enumerate(self.values):
             text = csv_number(value)

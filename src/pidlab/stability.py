@@ -29,8 +29,10 @@ def routh_stable(pid, a1, a2):
 
     pid is a PidConfig, whose verdict is a bool, or a (kp, ki, kd) triple
     of float arrays, whose verdict is a bool array of their shape. All four
-    tests are taken for every entry, so numpy gains, arrays or scalars, warn
-    where the product overflows; callers silence that with np.errstate.
+    tests are taken for every entry, so arrays (and numpy scalar a1 or a2)
+    warn where the product overflows; callers silence that with
+    np.errstate. A PidConfig holds Python floats, which overflow to inf
+    silently.
     """
     c2, c1, c0 = characteristic_coeffs(pid, a1, a2)
     return (c1 > 0.0) & (c2 > 0.0) & (c0 > 0.0) & (c1 * c2 > c0)

@@ -77,6 +77,9 @@ NOT_A_KEY = [
 BAD_FORMULA = [
     ("inf bound", None, "\n[oracle]\nformula = (G [0 inf] (< (abs e) 2.0))\n"),
     ("prev mode", None, "\n[oracle]\nformula = (G (< x (prev mode)))\n"),
+    # there is no mode signal: a run flies one mission
+    ("mode atom", None,
+     "\n[oracle]\nformula = (G (=> (= mode circle) (< (abs e) 0.01)))\n"),
     ("nested 1000 deep", None,
      "\n[oracle]\nformula = " + "(not " * 999 + "(< x 1)" + ")" * 999 + "\n"),
 ]
@@ -390,6 +393,17 @@ class TestSearchCommand:
         assert flag in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("new", [case[2] for case in BAD_FORMULA],
+                             ids=[case[0] for case in BAD_FORMULA])
+    def test_refused_formula_exit_code(self, config, tmp_path, capsys, new):
+        text = BASE_CONFIG + new
+        config.write_text(text)
+        assert main(["search", "--config", str(config), "--algorithm", "boundary",
+                     "--out", str(tmp_path / "bl.csv")]) == 2
+        at = text.splitlines().index(new.strip().splitlines()[-1]) + 1
+        assert f"run.ini:{at}: [oracle] formula: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_unknown_algorithm_is_usage_error(self, config, tmp_path):
         assert main(["search", "--config", str(config), "--algorithm",
                      "simulated-annealing", "--out", str(tmp_path / "x.csv"),
@@ -534,6 +548,8 @@ MALFORMED_SIDECARS = [
      "'space' has no key 'p_max'"),
     ("space with a non-number", lambda meta: meta["space"].update(i_step="wide"),
      "bad 'space'"),
+    ("space with a number too large for a float",
+     lambda meta: meta["space"].update(p_min=10**400), "bad 'space'"),
     ("coverage without sampled", lambda meta: meta.update(coverage={"strided": [1, 1, 1]}),
      "'coverage' must be"),
     ("coverage with two strides", lambda meta: meta.update(coverage={"sampled": [1, 2]}),
@@ -569,7 +585,7 @@ class TestMalformedSidecars:
         assert not out.exists()
 
     @pytest.mark.parametrize("plant", [{"a2": 1.0}, {"a1": 1.0}, {"a1": "x", "a2": 1.0},
-                                       [1.0, 1.0]])
+                                       [1.0, 1.0], {"a1": 10**400, "a2": 1.0}])
     def test_plot_plant_without_coefficients(self, artifacts, tmp_path, capsys, plant):
         gt, bl = artifacts
         rewrite_sidecar(bl, lambda meta: meta.update(plant=plant))

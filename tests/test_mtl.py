@@ -2,6 +2,7 @@ import math
 import random
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +19,12 @@ from pidlab.mtl import (And, Atom, Eventually, Globally, Implies, MtlSyntaxError
 from pidlab.plant import Trajectory
 
 
-def make_traj(x, dt=1.0, v=None, r=None, mode="hold"):
+def make_traj(x, dt=1.0, v=None, r=None):
     x = np.asarray(x, dtype=float)
     n = len(x)
     v = np.zeros(n) if v is None else np.asarray(v, dtype=float)
     r = np.zeros(n) if r is None else np.asarray(r, dtype=float)
-    return Trajectory(dt=dt, t=np.arange(n) * dt, x=x, v=v, r=r, e=r - x,
-                      mode=mode)
+    return Trajectory(dt=dt, t=np.arange(n) * dt, x=x, v=v, r=r, e=r - x)
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +54,6 @@ def ref_sat(node, traj, i, h, optimistic, memo=None, positive=True):
 
 def _ref_sat(node, traj, i, h, optimistic, memo, positive):
     if isinstance(node, Atom):
-        if node.signal == "mode":
-            return traj.mode == node.rhs
         sig = _ref_signal(traj, node.signal)
         if isinstance(node.rhs, Prev):
             if i == 0:
@@ -113,12 +111,10 @@ def ref_online(node, traj, window):
 def _range_context(traj):
     return {"sig": {"x": traj.x, "v": traj.v, "r": traj.r, "e": traj.e,
                     "t": traj.t},
-            "mode": traj.mode, "dt": traj.dt}
+            "dt": traj.dt}
 
 
 def _signal_slice(ctx, name, j0, j1):
-    if name == "mode":
-        return None  # handled in _eval_atom
     arr = ctx["sig"].get(name)
     if arr is None and name == "abs_e":
         arr = np.abs(ctx["sig"]["e"])
@@ -128,9 +124,6 @@ def _signal_slice(ctx, name, j0, j1):
 
 def _eval_atom(node, ctx, j0, j1):
     m = j1 - j0 + 1
-    if node.signal == "mode":
-        hit = _compare("=", ctx["mode"], node.rhs)
-        return np.full(m, bool(hit))
     lhs = _signal_slice(ctx, node.signal, j0, j1)
     if isinstance(node.rhs, Prev):
         # Previous-sample atoms have no obligation at the very first sample.
@@ -246,7 +239,7 @@ def random_traj(rng, n):
     vals = lambda: np.round(np.array([rng.uniform(-3, 3) for _ in range(n)]), 2)
     x = vals()
     return Trajectory(dt=1.0, t=np.arange(n, dtype=float), x=x, v=vals(),
-                      r=x + vals() * 0.5, e=None, mode="hold")
+                      r=x + vals() * 0.5, e=None)
 
 
 def test_engine_matches_reference_semantics():
@@ -274,7 +267,8 @@ _atoms = st.one_of(
     st.builds(lambda sig, op, off: Atom(sig, op, Prev(sig, off)),
               st.sampled_from(["x", "e", "abs_e"]), st.sampled_from(["<=", ">"]),
               st.sampled_from([0.0, 0.5, -0.5])),
-    st.builds(Atom, st.just("mode"), st.just("="), st.sampled_from(["hold", "brake"])),
+    # true and false at every sample
+    st.builds(Atom, st.just("t"), st.sampled_from([">=", "<"]), st.just(0.0)),
 )
 # (0.5, 0.5) holds no sample at dt = 1: bounds round toward the interior.
 _BOUNDS = [(None, None), (0.0, 0.0), (0.0, 2.0), (1.0, 3.0), (0.5, 1.5),
@@ -306,8 +300,7 @@ def traces_and_windows(draw):
     vals = st.lists(st.sampled_from(_ATOM_CONSTS + (0.25, -1.0)), min_size=n, max_size=n)
     x, v, r = (np.array(draw(vals)) for _ in range(3))
     dt = draw(st.sampled_from([1.0, 0.5]))
-    traj = Trajectory(dt=dt, t=np.arange(n) * dt, x=x, v=v, r=r, e=r - x,
-                      mode=draw(st.sampled_from(["hold", "brake"])))
+    traj = Trajectory(dt=dt, t=np.arange(n) * dt, x=x, v=v, r=r, e=r - x)
     return traj, draw(st.integers(2, n + 3))
 
 
@@ -338,8 +331,7 @@ def extended(prefix, tail):
     n = len(prefix) + len(tail[0])
     x, v, r = (np.concatenate((getattr(prefix, name), more))
                for name, more in zip("xvr", tail))
-    return Trajectory(dt=prefix.dt, t=np.arange(n) * prefix.dt, x=x, v=v, r=r, e=r - x,
-                      mode=prefix.mode)
+    return Trajectory(dt=prefix.dt, t=np.arange(n) * prefix.dt, x=x, v=v, r=r, e=r - x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -482,7 +474,7 @@ def _tail(traj, t0):
     keep = traj.t >= t0
     return Trajectory(dt=traj.dt, t=traj.t[keep], x=traj.x[keep].copy(),
                       v=traj.v[keep].copy(), r=traj.r[keep].copy(),
-                      e=traj.e[keep].copy(), mode=traj.mode)
+                      e=traj.e[keep].copy())
 
 
 class TestOfflineSemantics:
@@ -533,10 +525,11 @@ class TestOfflineSemantics:
         assert eval_offline(Implies(f, f), traj)
         assert not eval_offline(Implies(t, f), traj)
 
-    def test_mode_atom(self):
-        traj = make_traj([0], mode="brake")
-        assert eval_offline(Atom("mode", "=", "brake"), traj)
-        assert not eval_offline(Atom("mode", "=", "hold"), traj)
+    def test_constant_atoms(self):
+        # a constant over the run, true or false at every sample
+        traj = make_traj([0, 1, 2])
+        assert eval_offline(Globally(Atom("t", ">=", 0.0)), traj)
+        assert not eval_offline(Eventually(Atom("t", "<", 0.0)), traj)
 
     @pytest.mark.parametrize("dt", [1.0, 0.01, 1e-300])
     @pytest.mark.parametrize("cls", [Globally, Eventually])
@@ -648,11 +641,11 @@ class TestModeSpecs:
         n = 6001
         v = np.where(np.arange(n) * 0.01 < 25.0, 1.0, 0.0)
         traj = Trajectory(dt=0.01, t=np.arange(n) * 0.01, x=np.zeros(n), v=v,
-                          r=np.zeros(n), e=np.zeros(n), mode="brake")
+                          r=np.zeros(n), e=np.zeros(n))
         assert eval_offline(mode_spec(m), traj)
         still_moving = Trajectory(dt=0.01, t=np.arange(n) * 0.01, x=np.zeros(n),
                                   v=np.full(n, 0.5), r=np.zeros(n),
-                                  e=np.zeros(n), mode="brake")
+                                  e=np.zeros(n))
         assert not eval_offline(mode_spec(m), still_moving)
 
     def test_brake_spec_simulated(self):
@@ -681,8 +674,7 @@ class TestModeSpecs:
         t = np.arange(n) * 0.01
         x = np.full(n, 3.0)
         r, _ = np.vectorize(lambda tt: __import__("pidlab").reference_at(m, tt))(t)
-        traj = Trajectory(dt=0.01, t=t, x=x, v=np.zeros(n), r=r, e=r - x,
-                          mode="return_home")
+        traj = Trajectory(dt=0.01, t=t, x=x, v=np.zeros(n), r=r, e=r - x)
         assert not eval_offline(mode_spec(m), traj)
 
     def test_unknown_mode_rejected(self):
@@ -723,9 +715,9 @@ class TestParser:
         assert f == Eventually(Atom("x", ">=", 1.0), t_lo=0.0, t_hi=5.0)
 
     def test_boolean_forms(self):
-        f = parse_formula("(and (not (< v 0)) (or (= mode hold) (= mode brake)))")
+        f = parse_formula("(and (not (< v 0)) (or (>= t 0) (< t 0)))")
         assert f == And((Not(Atom("v", "<", 0.0)),
-                         Or((Atom("mode", "=", "hold"), Atom("mode", "=", "brake")))))
+                         Or((Atom("t", ">=", 0.0), Atom("t", "<", 0.0)))))
 
     def test_prev_forms(self):
         assert parse_formula("(> x (prev x))") == Atom("x", ">", Prev("x"))
@@ -746,6 +738,36 @@ class TestParser:
     def test_rejects_malformed(self, text):
         with pytest.raises(MtlSyntaxError):
             parse_formula(text)
+
+    @pytest.mark.parametrize("text", ["(= mode hold)",
+                                      "(G (=> (= mode circle) (< (abs e) 0.01)))"])
+    def test_there_is_no_mode_signal(self, text):
+        # a run has one mission, so such an atom is a constant over the run;
+        # (>= t 0) and (< t 0) write the two constants
+        with pytest.raises(MtlSyntaxError, match="unknown signal 'mode'") as err:
+            parse_formula(text)
+        assert err.value.pos == text.index("mode")
+        assert "mode" not in mtl.SIGNALS
+        with pytest.raises(ValueError, match="unknown signal 'mode'"):
+            Atom("mode", "=", "hold")
+
+    def test_a_word_is_no_threshold(self):
+        with pytest.raises(MtlSyntaxError, match="expected a number, got 'hold'") as err:
+            parse_formula("(< x hold)")
+        assert err.value.pos == len("(< x ")
+        with pytest.raises(ValueError, match="string"):
+            Atom("x", "<", "hold")
+
+    def test_readme_grammar_matches_the_reader(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        grammar = re.search(r"## Spec syntax\n.*?```\n(.*?)```", readme, re.S).group(1)
+        sig = re.search(r"^sig\s*=(.*)$", grammar, re.M).group(1)
+        spelled = [alt.strip() for alt in sig.split("|")]
+        assert sorted("abs_e" if alt == "(abs e)" else alt for alt in spelled) == \
+            sorted(mtl.SIGNALS)
+        # the config section's example formula is one the reader takes
+        example = re.search(r"^formula = (.*)$", readme, re.M).group(1)
+        assert parse_formula(example)
 
     def test_error_carries_offset(self):
         with pytest.raises(MtlSyntaxError) as err:
@@ -781,7 +803,7 @@ _margin_atoms = st.one_of(
     st.builds(lambda sig, op, prev, off: Atom(sig, op, Prev(prev, off)),
               st.sampled_from(_ANY_SIGNAL), st.sampled_from(["<=", ">", "="]),
               st.sampled_from(_ANY_SIGNAL), st.sampled_from([0.0, 0.5, -0.25]) | st.floats(-2, 2)),
-    st.builds(Atom, st.just("mode"), st.just("="), st.sampled_from(["hold", "brake"])),
+    st.builds(Atom, st.just("t"), st.sampled_from([">=", "<"]), st.just(0.0)),
 )
 
 
@@ -832,14 +854,14 @@ def test_atom_margin_equals_the_per_atom_loop(f, n, seed, exact):
         x, v, r = (rng.choice(_ATOM_CONSTS + (0.25, -1.0), n) for _ in range(3))
     else:
         x, v, r = (rng.uniform(-3, 3, n) for _ in range(3))
-    traj = Trajectory(dt=0.5, t=np.arange(n) * 0.5, x=x, v=v, r=r, e=r - x, mode="hold")
+    traj = Trajectory(dt=0.5, t=np.arange(n) * 0.5, x=x, v=v, r=r, e=r - x)
     assert mtl.atom_margin(f, traj) == ref_margin(f, traj)
 
 
 def test_atom_margin_edge_cases():
     traj = make_traj([0.0, 0.3, 0.7], v=[0.0, 1.0, 2.0], r=[1.0, 1.0, 1.0])
     # no atom reads the state: nothing the state does changes a verdict
-    assert mtl.atom_margin(And((Atom("t", ">", 1.0), Atom("mode", "=", "hold"))),
+    assert mtl.atom_margin(And((Atom("t", ">", 1.0), Atom("r", "<", 2.0))),
                            traj) == math.inf
     assert mtl.atom_margin(Atom("x", "=", 0.3), traj) == 0.0
     assert mtl.atom_margin(Atom("v", "<", 0.4), traj) == pytest.approx(0.4)

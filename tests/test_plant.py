@@ -96,7 +96,7 @@ class TestConfigValidation:
         # are those of the gain triples
         assert hash(pid) == hash((pid.kp, pid.ki, pid.kd))
         # numpy scalar gains, the largest float64 too, pass the check
-        # without a warning
+        # without a warning and are stored as Python floats
         big = np.finfo(np.float64).max
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -104,6 +104,9 @@ class TestConfigValidation:
             assert pid._replace(ki=np.float64(big)).ki == big
             assert PidConfig._make(np.array([big, big, big])) == (big, big, big)
         assert pid == (big, -big, 0.5)
+        for made in (pid, pid._replace(ki=np.float64(big)), PidConfig._make(np.array([1, 2, 3])),
+                     PidConfig(1, 2, 3), pickle.loads(pickle.dumps(pid))):
+            assert [type(gain) for gain in made] == [float] * 3
         with pytest.raises(ValueError, match="^ki must be finite"):
             PidConfig(np.float64(1), np.float64("inf"), np.float64(1))
 
@@ -349,8 +352,7 @@ def loop_simulate(plant, pid, mission):
         vs[k + 1] = v
 
     r_full = r_half[::2].copy()
-    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r_full, e=r_full - xs,
-                      mode=mission.mode)
+    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r_full, e=r_full - xs)
 
 
 def short_missions(d=10.0):
@@ -366,7 +368,7 @@ def assert_same_trace(plant, pid, mission):
     got = simulate(plant, pid, mission)
     with np.errstate(all="ignore"):  # numpy scalars warn on a divergent run
         want = loop_simulate(plant, pid, mission)
-    assert got.dt == want.dt and got.mode == want.mode
+    assert got.dt == want.dt
     for name in "txvre":
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype == np.float64, name
@@ -445,7 +447,7 @@ class TestRunIsTheHeadOfTheLongerRun:
         short = simulate(plant, GAINS[gains], mission)
         head = simulate(plant, GAINS[gains], longer).head(len(short))
         assert len(short) == len(head) == sample_count(plant, mission)
-        assert (head.dt, head.mode) == (short.dt, short.mode)
+        assert head.dt == short.dt
         for name in "txvre":
             assert np.array_equal(getattr(head, name), getattr(short, name),
                                   equal_nan=True), name
@@ -482,7 +484,7 @@ class TestPausedRuns:
         ended = accept in pauses
         assert seen == [stop for stop in pauses if not ended or stop <= accept]
         assert len(got) == (accept if ended else n)
-        assert (got.dt, got.mode) == (want.dt, want.mode)
+        assert got.dt == want.dt
         for name in "txvre":
             assert np.array_equal(getattr(got, name), getattr(want, name)[:len(got)],
                                   equal_nan=True), name
@@ -504,7 +506,7 @@ def assert_batch_matches(plant, pids, mission):
     assert len(batch) == len(pids)
     for pid, got in zip(pids, batch):
         want = simulate(plant, pid, mission)
-        assert got.dt == want.dt and got.mode == want.mode
+        assert got.dt == want.dt
         assert len(got) == len(want) == sample_count(plant, mission)
         for name in "txvre":
             a, b = getattr(got, name), getattr(want, name)
@@ -609,7 +611,7 @@ def linear_error(plant, pid, mission):
     scale = max(np.abs(exact.x).max(), np.abs(exact.v).max())
     if not scale < CLAMP:
         return None
-    assert lin is not None and (lin.dt, lin.mode, len(lin)) == (exact.dt, exact.mode, len(exact))
+    assert lin is not None and (lin.dt, len(lin)) == (exact.dt, len(exact))
     assert np.array_equal(lin.t, exact.t) and np.array_equal(lin.r, exact.r)
     assert np.array_equal(lin.e, lin.r - lin.x)
     return max(np.abs(lin.x - exact.x).max(), np.abs(lin.v - exact.v).max()) / (1.0 + scale)

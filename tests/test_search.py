@@ -71,6 +71,14 @@ class TestParamSpace:
         assert (s.n_p, s.n_i, s.n_d) == (1, 40, 3)
         assert s.size() == 120
 
+    def test_numpy_bounds_give_float_gains(self):
+        bounds = [np.float64(b) for b in (0.5, 1.5, 0.5, 1, 3, 1, 0.1, 0.3, 0.1)]
+        s = ParamSpace(*bounds)
+        assert [type(g) for g in s.pid_at(1, 2, 2)] == [float] * 3
+        assert s.pid_at(1, 2, 2) == PidConfig(1.0, 3.0, 0.1 + 2 * 0.1)
+        # the fields stay as given, so the sidecar's space does not move
+        assert [type(v) for v in s.to_dict().values()] == [np.float64] * 9
+
     def test_count_handles_inexact_ranges(self):
         s = ParamSpace(0.1, 0.3, 0.1, 0.1, 0.3, 0.1, 0.1, 0.3, 0.1)
         assert s.n_i == 3  # 0.3 - 0.1 is slightly under 0.2 in floats

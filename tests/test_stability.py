@@ -38,6 +38,13 @@ class TestRouthStable:
         assert routh_stable(PidConfig(1, 0.5, 1), 1, 1) is True
         assert routh_stable(PidConfig(1, 5, 1), 1, 1) is False
 
+    def test_numpy_gains_do_not_warn(self):
+        # a PidConfig stores floats, whose product overflows to inf silently
+        pid = PidConfig(np.float64(-1e300), np.float64(1.0), np.float64(1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert routh_stable(pid, 1.0, 1.0) is False
+
 
 GAIN = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300]),
                  st.floats(-1e300, 1e300))
