@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import islice, repeat
 from operator import countOf
 
-from .search import ALL_INVALID, ALL_VALID, BOUNDARY, Axis, csv_number, grid_pid, read_csv
+from .search import (ALL_INVALID, ALL_VALID, BOUNDARY, Axis, csv_number, read_csv,
+                     refuse_row)
 
 VALID = "valid"
 INVALID = "invalid"
 
 # what a labels lookup returns for a cell the labels lack; None is a label
 _UNLABELED = object()
+# a grid CSV's label field to the label it reads as: None for any other field
+_LABELS = {VALID: VALID, INVALID: INVALID}
 
 
 @dataclass
@@ -32,14 +35,6 @@ class ClassifiedGrid:
     strides: tuple = (1, 1, 1)
 
 
-def _checked_strides(strides):
-    """strides as a tuple, refused unless it is three ints >= 1."""
-    strides = tuple(strides)
-    if len(strides) != 3 or not all(type(s) is int and s >= 1 for s in strides):
-        raise ValueError(f"strides must be three integers >= 1, got {strides!r}")
-    return strides
-
-
 def ground_truth(space, validator, *, strides=(1, 1, 1), workers=1):
     """Label grid configs by querying the oracle once each, in one
     classify_many call.
@@ -48,11 +43,10 @@ def ground_truth(space, validator, *, strides=(1, 1, 1), workers=1):
     each must be an int >= 1. workers must be 1: labeling runs in this
     process. The labels follow the space's index order.
     """
-    strides = _checked_strides(strides)
+    strides = tuple(strides)
+    pids = space.cells(strides)
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
-    pids = list(map(grid_pid, product(*(axis.values[::s]
-                                         for axis, s in zip(space.axes, strides)))))
     labels = dict(zip(pids, [VALID if verdict.valid else INVALID
                              for verdict in validator.classify_many(pids)]))
     return ClassifiedGrid(space=space, labels=labels, strides=strides)
@@ -68,6 +62,8 @@ def region_from_boundary(bl, space=None):
     """
     space = bl.space if space is None else space
     kp, ki, kd = space.axes
+    cells = space.cells()
+    n_i, n_d = space.n_i, space.n_d
     seen = set()
     region = set()
     for col in bl.columns:
@@ -77,13 +73,16 @@ def region_from_boundary(bl, space=None):
         if col.status == BOUNDARY and col.i_save is None:
             raise ValueError(f"boundary column p={col.p!r}, d={col.d!r} has no i_save")
         ip, id_ = kp.snap(col.p), kd.snap(col.d)
+        start = {ALL_VALID: n_i, ALL_INVALID: 0}.get(col.status)
+        if start is None:
+            start = ki.snap(col.i_save) + 1
+        if (ip, id_) in seen:
+            raise ValueError(f"column p={col.p!r}, d={col.d!r} is given twice")
         seen.add((ip, id_))
-        if col.status == ALL_VALID:
-            continue
-        start = 0 if col.status == ALL_INVALID else ki.snap(col.i_save) + 1
-        region.update(map(grid_pid, product((kp.values[ip],), ki.values[start:],
-                                            (kd.values[id_],))))
-    expect = space.n_p * space.n_d
+        # the column's cells are n_d apart in index order
+        base = ip * n_i * n_d + id_
+        region.update(cells[base + start * n_d:base + n_i * n_d:n_d])
+    expect = space.n_p * n_d
     if len(seen) != expect:
         raise ValueError(f"boundary line covers {len(seen)} of {expect} columns")
     return region
@@ -131,29 +130,24 @@ def compute_metrics(gt, region):
 def grid_to_csv(grid, path):
     """Write kp,ki,kd,label rows with 9 significant digits.
 
-    Rows follow the grid's index order. Each axis value is formatted once,
-    and the labels are placed on the grid through one float-to-index table
-    per axis; keys off the written grid are left out. The bytes are those
-    csv.writer writes, \r\n line ends included. A cell without a label, or
-    with a label other than valid or invalid, which grid_from_csv refuses,
-    raises ValueError naming the cell before the file is opened.
+    Rows follow the grid's index order: each axis value is formatted once,
+    and the labels are looked up for the space's cells of the grid's
+    strides, so keys off the written grid are left out. The bytes are those
+    csv.writer writes, \r\n line ends included. Strides other than three
+    ints >= 1, a cell without a label, or one with a label other than valid
+    or invalid, which grid_from_csv refuses, raise ValueError before the
+    file is opened; the cell is named.
     """
-    axes = [axis.values[::s] for axis, s in zip(grid.space.axes, grid.strides)]
-    p_at, i_at, d_at = ({v: k for k, v in enumerate(axis)} for axis in axes)
-    n_i, n_d = len(axes[1]), len(axes[2])
-    cells = [_UNLABELED] * (len(axes[0]) * n_i * n_d)
-    for pid, label in grid.labels.items():
-        ip, ii, id_ = p_at.get(pid.kp), i_at.get(pid.ki), d_at.get(pid.kd)
-        if ip is not None and ii is not None and id_ is not None:
-            cells[(ip * n_i + ii) * n_d + id_] = label
-    p_texts, i_texts, d_texts = ([csv_number(v) for v in axis] for axis in axes)
-    rows = iter(cells)
+    space, strides = grid.space, grid.strides
+    labels = map(grid.labels.get, space.cells(strides), repeat(_UNLABELED))
+    p_texts, i_texts, d_texts = ([csv_number(v) for v in axis.values[::s]]
+                                 for axis, s in zip(space.axes, strides))
     lines = ["kp,ki,kd,label\r\n"]
     for p_text in p_texts:
         for i_text in i_texts:
             head = f"{p_text},{i_text},"
             # d_texts leads, so zip takes no label past the row's last
-            for d_text, label in zip(d_texts, rows):
+            for d_text, label in zip(d_texts, labels):
                 if label != VALID and label != INVALID:
                     cell = f"cell kp={p_text}, ki={i_text}, kd={d_text}"
                     if label is _UNLABELED:
@@ -165,27 +159,67 @@ def grid_to_csv(grid, path):
         fh.writelines(lines)
 
 
-def grid_from_csv(path, space, strides=(1, 1, 1)):
-    """Read labels back, snapping each row onto the space grid.
+def _check_cell(axes, strides, kp, ki, kd, *label):
+    """Raise ValueError for a kp,ki,kd[,label] row that _read_cells
+    refuses, checking its label, kp, ki and kd in that order."""
+    if label and label[0] not in _LABELS:
+        raise ValueError(f"unknown label {label[0]!r}")
+    for axis, stride, text in zip(axes, strides, (kp, ki, kd)):
+        axis.index(text, stride)
 
-    Raises ValueError, naming the file and line, on an unknown label, a
-    value off the grid or off the sub-grid the strides pick, a short row or
-    a cell given twice, and before reading on strides other than three ints
-    >= 1.
+
+def _read_cells(path, space, strides, names):
+    """The cells that the rows of the kp,ki,kd[,label] CSV at path name on
+    the sub-grid of strides, chunk by chunk.
+
+    Yields (lines, columns, keys, labels) per read_csv chunk, keys and
+    labels for its rows before the first one refused: keys[k] is row k's
+    entry of space.cells(strides) and labels[k] its label, or labels is
+    None without a label column. Once a chunk with a refused row has been
+    taken, raises its refusal, naming the file and line: an unknown label,
+    or a value off the grid or off the sub-grid. Strides other than three
+    ints >= 1 raise before the file is opened.
     """
-    strides = _checked_strides(strides)
-    parse_p, parse_i, parse_d = map(Axis.parser, space.axes, strides)
+    cells = space.cells(strides)
+    axes = space.axes
+    parsers = list(map(Axis.parser, axes, strides))
+    _, n_i, n_d = (len(axis.values[::s]) for axis, s in zip(axes, strides))
+    for lines, columns in read_csv(path, names):
+        found = [parse(texts) for parse, texts in zip(parsers, columns)]
+        labels = list(map(_LABELS.get, columns[3])) if len(columns) > 3 else None
+        checks = found if labels is None else found + [labels]
+        refused = [col.index(None) for col in checks if None in col]
+        stop = min(refused, default=len(lines))
+        ip, ii, id_ = (col[:stop] for col in found) if refused else found
+        keys = [cells[(a * n_i + b) * n_d + c] for a, b, c in zip(ip, ii, id_)]
+        yield lines, columns, keys, labels
+        if refused:
+            refuse_row(path, lines[stop], _check_cell, axes, strides,
+                       *(col[stop] for col in columns))
+
+
+def grid_from_csv(path, space, strides=(1, 1, 1)):
+    """Read labels back, each row's cell an entry of space.cells(strides).
+
+    Raises ValueError, naming the file and line of the first row at fault,
+    on a short row, an unknown label, a value off the grid or off the
+    sub-grid the strides pick, or a cell given twice, and before reading on
+    strides other than three ints >= 1.
+    """
+    strides = tuple(strides)
     labels = {}
-
-    def cell(kp, ki, kd, label):
-        if label not in (VALID, INVALID):
-            raise ValueError(f"unknown label {label!r}")
+    for lines, (kp, ki, kd, _), keys, marks in _read_cells(path, space, strides,
+                                                           ("kp", "ki", "kd", "label")):
         n = len(labels)
-        labels[grid_pid((parse_p(kp), parse_i(ki), parse_d(kd)))] = label
-        if len(labels) == n:
-            raise ValueError(f"cell kp={kp}, ki={ki}, kd={kd} is given twice")
-
-    read_csv(path, ("kp", "ki", "kd", "label"), cell)
+        labels.update(zip(keys, marks))
+        if len(labels) - n < len(keys):
+            # the dict keeps the earlier chunks' keys first
+            seen = set(islice(labels, n))
+            for row, key in enumerate(keys):
+                if key in seen:
+                    raise ValueError(f"{path}:{lines[row]}: cell kp={kp[row]}, ki={ki[row]}, "
+                                     f"kd={kd[row]} is given twice")
+                seen.add(key)
     return ClassifiedGrid(space=space, labels=labels, strides=strides)
 
 
@@ -199,12 +233,12 @@ def configs_to_csv(configs, path):
 
 
 def configs_from_csv(path, space):
-    """Read a kp,ki,kd set back, snapping each row onto the space grid."""
-    parse_p, parse_i, parse_d = map(Axis.parser, space.axes)
+    """Read a kp,ki,kd set back, each config an entry of space.cells().
+
+    Raises ValueError, naming the file and line, on a short row or a value
+    off the grid; a config given twice is read once.
+    """
     configs = set()
-
-    def config(kp, ki, kd):
-        configs.add(grid_pid((parse_p(kp), parse_i(ki), parse_d(kd))))
-
-    read_csv(path, ("kp", "ki", "kd"), config)
+    for _, _, keys, _ in _read_cells(path, space, (1, 1, 1), ("kp", "ki", "kd")):
+        configs.update(keys)
     return configs

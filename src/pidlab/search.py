@@ -21,7 +21,7 @@ import random
 import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
-from operator import itemgetter
+from itertools import islice, product
 
 from .plant import PidConfig
 
@@ -67,6 +67,9 @@ class Axis:
     finer than 9 significant digits would merge cells. Each refusal leads
     with the config key at fault (p_step for kp), so a config error can
     point at its line.
+
+    The CSV readers go through index, which reads one field as a sub-grid
+    index, and parser, which reads a whole column of fields at once.
     """
 
     __slots__ = ("name", "lo", "step", "values", "_index")
@@ -118,27 +121,39 @@ class Axis:
             raise ValueError(f"{self.name}={value!r} is not on the grid")
         return idx
 
+    def index(self, text, stride=1):
+        """The sub-grid index k // stride of the axis value at index k that
+        the CSV field text names, read with float() and snap. Raises
+        ValueError when text names no value, or one whose index is not a
+        multiple of stride."""
+        k = self.snap(float(text))
+        if k % stride:
+            raise ValueError(f"{self.name}={text} is not on the sub-grid of stride {stride}")
+        return k // stride
+
     def parser(self, stride=1):
-        """A function from a CSV field to the axis value it names, refusing
-        one whose index is not a multiple of stride.
+        """A function from a column of CSV fields to the list of sub-grid
+        indices they name, as index gives them, with None for each field
+        that index refuses.
 
         The csv_number spelling of each value on the stride is one table
         lookup; the constructor has checked that each such spelling snaps
-        back onto its own index. Any other spelling (" 1", "1.0", "1e0") is
-        read with float() and snapped, so hand-edited CSVs still read.
+        back onto its own index. Any other spelling (" 1", "1.0", "1e0") goes
+        through index, so hand-edited CSVs still read.
         """
-        values = self.values
-        table = {text: values[k] for text, k in self._index.items() if k % stride == 0}
+        table = {text: k // stride for text, k in self._index.items() if k % stride == 0}
+        index = self.index
 
-        def parse(text):
-            value = table.get(text)
-            if value is None:
-                k = self.snap(float(text))
-                if k % stride:
-                    raise ValueError(f"{self.name}={text} is not on the sub-grid of "
-                                     f"stride {stride}")
-                value = values[k]
-            return value
+        def parse(texts):
+            found = list(map(table.get, texts))
+            if None in found:
+                for row, text in enumerate(texts):
+                    if found[row] is None:
+                        try:
+                            found[row] = index(text, stride)
+                        except ValueError:
+                            pass
+            return found
 
         return parse
 
@@ -164,6 +179,8 @@ class ParamSpace:
     n_p: int = field(init=False, repr=False, compare=False)
     n_i: int = field(init=False, repr=False, compare=False)
     n_d: int = field(init=False, repr=False, compare=False)
+    # cells' tuples, keyed by their strides
+    _cells: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         axes = tuple(Axis("k" + a, getattr(self, a + "_min"), getattr(self, a + "_max"),
@@ -171,6 +188,7 @@ class ParamSpace:
         object.__setattr__(self, "axes", axes)
         for a, axis in zip("pid", axes):
             object.__setattr__(self, "n_" + a, len(axis.values))
+        object.__setattr__(self, "_cells", {})
 
     def pid_at(self, ip, ii, id_):
         if not (0 <= ip < self.n_p and 0 <= ii < self.n_i and 0 <= id_ < self.n_d):
@@ -178,6 +196,26 @@ class ParamSpace:
                              f"{self.n_p}x{self.n_i}x{self.n_d} grid")
         kp, ki, kd = self.axes
         return grid_pid((kp.values[ip], ki.values[ii], kd.values[id_]))
+
+    def cells(self, strides=(1, 1, 1)):
+        """Every cell of the sub-grid that the index strides (sp, si, sd)
+        pick, indices 0, s, 2s, ... per axis, as a tuple of configs in index
+        order: sub-grid cell (ip, ii, id_) is at (ip * n_i + ii) * n_d + id_,
+        with n_i and n_d the sub-grid's counts, and equals
+        pid_at(ip * sp, ii * si, id_ * sd).
+
+        Built on the first call for its strides and kept, so every layer
+        that asks for the same (sub-)grid gets the same config objects.
+        Raises ValueError unless strides are three ints >= 1.
+        """
+        strides = tuple(strides)
+        if len(strides) != 3 or not all(type(s) is int and s >= 1 for s in strides):
+            raise ValueError(f"strides must be three integers >= 1, got {strides!r}")
+        cells = self._cells.get(strides)
+        if cells is None:
+            cells = self._cells[strides] = tuple(map(grid_pid, product(
+                *(axis.values[::s] for axis, s in zip(self.axes, strides)))))
+        return cells
 
     def size(self):
         return self.n_p * self.n_i * self.n_d
@@ -196,14 +234,21 @@ class ParamSpace:
 grid_pid = partial(tuple.__new__, PidConfig)
 
 
-def read_csv(path, names, handle):
-    """Call handle(*fields) for each data row of the CSV at path.
+# The data rows read_csv holds at once: 4,096 rows of a grid CSV take
+# about 1 MB as field strings.
+_CHUNK = 4096
 
-    fields are the row's values in the columns the header names, in the
-    order of names (at least two). Blank lines are skipped and fields
-    beyond the header's ignored. Raises ValueError naming the file when the
-    header lacks one of names, and the file and line when a row has fewer
-    fields than the header or handle raises ValueError.
+
+def read_csv(path, names):
+    """The data rows of the CSV at path, in chunks of up to _CHUNK rows.
+
+    Yields (lines, columns) per chunk: columns lists, for each of names in
+    order, the chunk's fields in the column the header gives that name, and
+    lines[k] is the file line that ends row k of the chunk.
+    Blank lines are skipped and fields beyond the header's ignored. Raises
+    ValueError naming the file when the header lacks one of names, and the
+    file and line at the first row with fewer fields than the header, once
+    the chunk of the rows before it has been taken.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -212,18 +257,38 @@ def read_csv(path, names, handle):
         at = {name: k for k, name in enumerate(header or ())}
         if not set(names) <= at.keys():
             raise ValueError(f"{path}: expected columns {sorted(names)}")
-        pick = itemgetter(*(at[name] for name in names))
+        picks = [at[name] for name in names]
         width = len(header)
-        for row in reader:
-            if len(row) < width:
-                if not row:
-                    continue
-                raise ValueError(f"{path}:{reader.line_num}: row has {len(row)} fields, "
-                                 f"the header {width}")
-            try:
-                handle(*pick(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+        while True:
+            start = reader.line_num
+            flat, lines = [], []
+            extend, append = flat.extend, lines.append
+            for row in islice(reader, _CHUNK):
+                if len(row) != width:
+                    if not row:
+                        continue
+                    if len(row) < width:
+                        if lines:
+                            yield lines, [flat[k::width] for k in picks]
+                        raise ValueError(f"{path}:{reader.line_num}: row has {len(row)} "
+                                         f"fields, the header {width}")
+                    del row[width:]
+                extend(row)
+                append(reader.line_num)
+            if lines:
+                yield lines, [flat[k::width] for k in picks]
+            if reader.line_num == start:
+                return
+
+
+def refuse_row(path, line, check, *fields):
+    """Raise the ValueError that check(*fields) raises for a row a reader
+    refused, naming the file and line."""
+    try:
+        check(*fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line}: {exc}") from exc
+    raise AssertionError(f"{path}:{line}: {check.__name__} accepts the refused row {fields!r}")
 
 
 @dataclass(frozen=True)
@@ -473,6 +538,24 @@ def boundary_to_csv(bl, path):
             writer.writerow([csv_number(c.p), csv_number(c.d), c.status, sv])
 
 
+_STATUSES = (BOUNDARY, ALL_VALID, ALL_INVALID)
+
+
+def _check_column(axes, p, d, status, i_save):
+    """Raise ValueError for a boundary CSV row that boundary_from_csv
+    refuses, checking its status, i_save, p and d in that order."""
+    if status not in _STATUSES:
+        raise ValueError(f"unknown column status {status!r}")
+    if status != BOUNDARY and i_save:
+        raise ValueError(f"i_save must be empty on the {status} column p={p}, d={d}, "
+                         f"got {i_save!r}")
+    kp, ki, kd = axes
+    kp.index(p)
+    kd.index(d)
+    if status == BOUNDARY:
+        ki.index(i_save)
+
+
 def boundary_from_csv(path, space):
     """Read a boundary CSV back, snapping values onto the given space.
 
@@ -480,22 +563,21 @@ def boundary_from_csv(path, space):
     value off the grid, an i_save on an edge column, a short row or a
     (p, d) column given twice.
     """
+    kp, ki, kd = space.axes
     parse_p, parse_i, parse_d = map(Axis.parser, space.axes)
     columns = []
     seen = set()
-
-    def column(p, d, status, i_save):
-        if status not in (BOUNDARY, ALL_VALID, ALL_INVALID):
-            raise ValueError(f"unknown column status {status!r}")
-        if status != BOUNDARY and i_save:
-            raise ValueError(f"i_save must be empty on the {status} column p={p}, d={d}, "
-                             f"got {i_save!r}")
-        col = ColumnRecord(parse_p(p), parse_d(d), status,
-                           parse_i(i_save) if status == BOUNDARY else None)
-        if (col.p, col.d) in seen:
-            raise ValueError(f"column p={p}, d={d} is given twice")
-        seen.add((col.p, col.d))
-        columns.append(col)
-
-    read_csv(path, ("p", "d", "status", "i_save"), column)
+    for lines, (p, d, status, i_save) in read_csv(path, ("p", "d", "status", "i_save")):
+        rows = zip(lines, p, d, status, i_save, parse_p(p), parse_d(d), parse_i(i_save))
+        for line, p_text, d_text, state, i_text, ip, id_, ii in rows:
+            if (ip is None or id_ is None or state not in _STATUSES
+                    or (ii is None if state == BOUNDARY else i_text)):
+                refuse_row(path, line, _check_column, space.axes, p_text, d_text, state,
+                           i_text)
+            if (ip, id_) in seen:
+                raise ValueError(f"{path}:{line}: column p={p_text}, d={d_text} is given "
+                                 "twice")
+            seen.add((ip, id_))
+            columns.append(ColumnRecord(kp.values[ip], kd.values[id_], state,
+                                        ki.values[ii] if state == BOUNDARY else None))
     return BoundaryLine(space=space, columns=columns)

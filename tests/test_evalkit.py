@@ -93,6 +93,15 @@ class TestRegionFromBoundary:
                            match=r"^boundary column p=1\.0, d=0\.5 has no i_save$"):
             region_from_boundary(BoundaryLine(space=s, columns=cols))
 
+    def test_rejects_a_column_given_twice(self):
+        # the repeat was accepted, and the region grew from 1 config to 4
+        s = ParamSpace(1, 1, 1, 0.5, 2, 0.5, 0, 0.5, 0.5)
+        line = identify_boundary(s, validator=RouthValidator(1, 1))
+        assert len(line.columns) == 2 and len(region_from_boundary(line)) == 1
+        line.columns.append(ColumnRecord(1.0, 0.0, ALL_INVALID, None))
+        with pytest.raises(ValueError, match=r"^column p=1\.0, d=0\.0 is given twice$"):
+            region_from_boundary(line)
+
 
 def synthetic_grid(n_bad, n_good):
     """A labeled grid with the requested number of invalid/valid configs."""
@@ -549,6 +558,20 @@ class TestCsvRoundTrips:
         del grid.labels[s.pid_at(0, 3, 1)]
         grid.labels[PidConfig(2.0, 0.4, 0.5)] = VALID  # off the grid: not written
         with pytest.raises(ValueError, match=r"^cell kp=1, ki=0\.4, kd=0\.5 has no label$"):
+            grid_to_csv(grid, tmp_path / "new.csv")
+        assert not (tmp_path / "new.csv").exists()
+
+    # each used to fail its own way: "slice step cannot be zero", a
+    # TypeError and an unpack error
+    @pytest.mark.parametrize("strides", [(0, 1, 1), (1.0, 1, 1), (1, 1), (-1, 1, 1),
+                                         (1, True, 1), (1, 1, 1, 1)])
+    def test_grid_writer_refuses_bad_strides_before_opening_the_file(self, tmp_path,
+                                                                     strides):
+        s = worked_space()
+        grid = ground_truth(s, validator=RouthValidator(1, 1))
+        grid.strides = strides
+        with pytest.raises(ValueError, match=r"^strides must be three integers >= 1, got "
+                                             + re.escape(repr(strides)) + "$"):
             grid_to_csv(grid, tmp_path / "new.csv")
         assert not (tmp_path / "new.csv").exists()
 
@@ -1049,11 +1072,17 @@ def build_signature(pids):
     return sorted((type(pid) is PidConfig, repr(pid), hash(pid)) for pid in pids)
 
 
+def is_cell_of(pids, cells):
+    """Whether every pid is one of the objects in cells, not only equal."""
+    ids = set(map(id, cells))
+    return all(id(pid) in ids for pid in pids)
+
+
 class TestGridBuildsEqualCheckedBuilds:
-    """pid_at, ground_truth, region_from_boundary, grid_from_csv and
-    configs_from_csv build their configs without PidConfig's finiteness
-    check; each config equals the checked PidConfig(...) of the same axis
-    values."""
+    """pid_at and cells build their configs without PidConfig's finiteness
+    check, and ground_truth, region_from_boundary, grid_from_csv and
+    configs_from_csv take theirs from cells; each config equals the checked
+    PidConfig(...) of the same axis values."""
 
     @settings(max_examples=60, deadline=None)
     @given(space=accepted_spaces(), strides=strides_3, seed=st.integers(0, 2**16))
@@ -1068,13 +1097,21 @@ class TestGridBuildsEqualCheckedBuilds:
         every = checked(grid_indices(space))
         assert (build_signature(space.pid_at(*idx) for idx in grid_indices(space))
                 == build_signature(every))
+        cells, sub_cells = space.cells(), space.cells(strides)
+        # in index order, and kept: a second call gives the same tuple
+        assert repr(list(cells)) == repr(every) and space.cells() is cells
+        assert repr(list(sub_cells)) == repr(checked(grid_indices(space, strides)))
+        assert space.cells(list(strides)) is sub_cells
+        assert build_signature(cells) == build_signature(every)
         gt = ground_truth(space, LookupValidator(lambda pid: rng.random() < 0.5),
                           strides=strides)
         sub_grid = build_signature(checked(grid_indices(space, strides)))
         assert build_signature(gt.labels) == sub_grid
+        assert is_cell_of(gt.labels, sub_cells)
         path = tmp_path_factory.mktemp("grid") / "grid.csv"
         grid_to_csv(gt, path)
-        assert build_signature(grid_from_csv(path, space, strides).labels) == sub_grid
+        back = grid_from_csv(path, space, strides).labels
+        assert build_signature(back) == sub_grid and is_cell_of(back, sub_cells)
         _, _, line = random_artifacts(space, rng)
         above = []
         for col in line.columns:
@@ -1083,7 +1120,10 @@ class TestGridBuildsEqualCheckedBuilds:
                 start = ki.snap(col.i_save) + 1
             above += [(kp.snap(col.p), ii, kd.snap(col.d))
                       for ii in range(start, space.n_i)]
-        assert build_signature(region_from_boundary(line)) == build_signature(checked(above))
+        region = region_from_boundary(line)
+        assert build_signature(region) == build_signature(checked(above))
+        assert is_cell_of(region, cells)
         configs = [pid for pid in every if rng.random() < 0.5]
         configs_to_csv(configs, path)
-        assert build_signature(configs_from_csv(path, space)) == build_signature(configs)
+        back = configs_from_csv(path, space)
+        assert build_signature(back) == build_signature(configs) and is_cell_of(back, cells)

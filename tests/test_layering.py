@@ -10,6 +10,10 @@ In pidlab.validator, every subclass of Validator implements classify_many,
 and only Validator (classify_many of one pid) and RouthValidator define
 classify.
 
+Only ParamSpace reads search.grid_pid: its pid_at builds one config and
+its cells one per grid cell, once per space, and every other layer takes its
+configs from them instead of building one per cell again.
+
 Every name a module imports is used in it, too; `__init__.py` is exempt,
 because its imports are the package's exports. And every private def, class
 or assignment at a module's top level is read somewhere in that module, so a
@@ -116,7 +120,61 @@ def uncalled_publics(sources):
             and not _private(node.name) and node.name not in read]
 
 
+def grid_pid_reads(source, filename):
+    """'filename:line: reads grid_pid outside ParamSpace' for each read of
+    grid_pid, as a name or an attribute, outside a class named ParamSpace:
+    a call, or a reference that another function calls (map(grid_pid, ...))."""
+    tree = ast.parse(source, filename)
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "ParamSpace"
+              for node in ast.walk(cls)}
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(getattr(node, "ctx", None), ast.Load) and id(node) not in inside
+                   and "grid_pid" in (getattr(node, "id", None), getattr(node, "attr", None)))
+    return [f"{filename}:{line}: reads grid_pid outside ParamSpace" for line in lines]
+
+
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_param_space_builds_grid_configs(path):
+    assert grid_pid_reads(path.read_text(), path.name) == []
+
+
+def test_grid_pid_reads_are_caught():
+    source = '''
+from .search import grid_pid
+
+grid_pid = partial(tuple.__new__, PidConfig)
+
+
+class ParamSpace:
+    def pid_at(self, ip, ii, id_):
+        return grid_pid((1.0, 2.0, 3.0))
+
+    def cells(self):
+        return tuple(map(grid_pid, self.values))
+
+
+def region(values):
+    return set(map(grid_pid, values))
+
+
+def one(search):
+    return search.grid_pid((1.0, 2.0, 3.0))
+
+
+class Reader:
+    build = grid_pid
+
+    def read(self):
+        return [self.build(v) for v in self.values]
+'''
+    assert grid_pid_reads(source, "m.py") == [
+        "m.py:16: reads grid_pid outside ParamSpace",
+        "m.py:20: reads grid_pid outside ParamSpace",
+        "m.py:24: reads grid_pid outside ParamSpace"]
 
 
 def test_every_public_def_has_a_caller():

@@ -153,11 +153,13 @@ class TestParamSpace:
                 assert axis.snap(float(csv_number(value))) == k
                 for text in (csv_number(value), repr(value)):
                     if k % stride == 0:
-                        assert repr(parse(text)) == repr(value)
+                        assert parse([text]) == [k // stride]
+                        assert axis.index(text, stride) == k // stride
                     else:
+                        assert parse([text]) == [None]
                         with pytest.raises(ValueError, match=f"^{axis.name}=.* is not on "
                                                              f"the sub-grid of stride {stride}$"):
-                            parse(text)
+                            axis.index(text, stride)
         assert ParamSpace.from_dict(s.to_dict()) == s
         assert list(s.to_dict()) == ["p_min", "p_max", "p_step", "i_min", "i_max", "i_step",
                                      "d_min", "d_max", "d_step"]
