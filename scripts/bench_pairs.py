@@ -10,7 +10,9 @@ give each checkout's src/pidlab size: its lines, and its code lines, which
 leave out docstrings, comments and blank lines. Before the pairs, each
 checkout runs the tier-1 suite once and tests/test_acceptance.py once
 (TEST_RUNS, with src on PYTHONPATH), and the wall time, exit code and last
-output line of each run go into the notes too. There are ten
+output line of each run go into the notes too, as does the step engine
+each checkout's simulate runs (ENGINE_PROBE): its compiled kernel, or the
+Python loop where none loads or the checkout has none. There are ten
 pairs, one per seed perfbench ships digests for: pair k runs CHANGE's
 BENCHMARK.json command with `--workload W --seed k --seconds S --trace 0`,
 S its run_seconds, in each checkout, the parent first in even pairs and
@@ -65,6 +67,16 @@ CLAIM_WINS = 9
 PYTEST = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 TEST_RUNS = {"tier-1": PYTEST, "tests/test_acceptance.py": [*PYTEST, "tests/test_acceptance.py"]}
 
+# Prints the step engine one simulate call of the checkout ran: plant._engine
+# is the compiled kernel's where one loaded, and a checkout from before the
+# kernel has no _engine.
+ENGINE_PROBE = """\
+from pidlab import plant
+plant.simulate(plant.PlantModel(), plant.PidConfig(1.0, 0.5, 1.0), plant.hold_mission())
+engine = getattr(plant, "_engine", None)
+print("Python loop" if engine in (None, getattr(plant, "_python_steps", None)) else "C kernel")
+"""
+
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
@@ -94,20 +106,36 @@ def run_one(checkout, command, workload, seed, seconds, trace=0):
     return json.loads(lines[-1])
 
 
+def src_env():
+    """The environment with src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return env
+
+
 def time_tests(checkout, side):
     """One note per TEST_RUNS entry: its wall time in checkout, its exit
     code and the last line it printed."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     notes = []
     for label, cmd in TEST_RUNS.items():
         start = time.perf_counter()
-        done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+        done = subprocess.run(cmd, cwd=checkout, env=src_env(), capture_output=True, text=True)
         wall = time.perf_counter() - start
         last = (done.stdout.strip().splitlines() or [""])[-1]
         notes.append(f"{label} in {side}: {wall:.1f} s wall, exit {done.returncode}, {last!r}")
         print(notes[-1], file=sys.stderr, flush=True)
     return notes
+
+
+def engine(checkout, side):
+    """One note: the step engine ENGINE_PROBE reports in checkout, or its
+    exit code where it fails."""
+    done = subprocess.run([sys.executable, "-c", ENGINE_PROBE], cwd=checkout, env=src_env(),
+                          capture_output=True, text=True)
+    last = (done.stdout.strip().splitlines() or [""])[-1]
+    note = f"engine in {side}: {last if done.returncode == 0 else f'probe exit {done.returncode}'}"
+    print(note, file=sys.stderr, flush=True)
+    return note
 
 
 def code_size(checkout, side):
@@ -230,6 +258,7 @@ def main(argv=None):
     checkouts = {"parent": args.parent, "change": args.change}
     sizes = [code_size(checkouts[side], side) for side in SIDES]
     tests = [note for side in SIDES for note in time_tests(checkouts[side], side)]
+    engines = [engine(checkouts[side], side) for side in SIDES]
     doc = {
         "change": args.change_text,
         "parent_commit": args.parent_commit or git_commit(args.parent) or "unknown",
@@ -249,7 +278,7 @@ def main(argv=None):
         "machine": {"vcpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
         **({"claim": None, "trace": None} if args.claim else {}),
-        "notes": [*args.note, *sizes, *tests],
+        "notes": [*args.note, *sizes, *engines, *tests],
         "workloads": {},
     }
     runs = {name: [] for name in names}

@@ -10,6 +10,7 @@ does not get amplified by finite differencing.
 from __future__ import annotations
 
 import math
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -390,6 +391,7 @@ def simulate(plant, pid, mission, stops=(), decided=None):
         to the duration: the first samples of a longer mission's run, bit for bit;
         or the prefix decided accepted, the same samples of this run, bit for bit.
     """
+    engine = _engine or _find_engine()
     dt, times, r, steps = _inputs(plant, mission)
     n = len(times)
     # the step count after each pause, then the run's last step
@@ -397,28 +399,46 @@ def simulate(plant, pid, mission, stops=(), decided=None):
     if ends and decided is None:
         raise ValueError("stops need a decided test")
 
-    # float(): numpy scalar coefficients would drag the whole loop onto numpy
-    # scalars; a PidConfig's gains are floats already
-    kp, ki, kd = pid
-    a1, a2 = float(plant.a1), float(plant.a2)
-
+    # float(): numpy scalar coefficients would drag the Python loop onto
+    # numpy scalars; a PidConfig's gains are floats already
+    coefficients = (*pid, float(plant.a1), float(plant.a2), dt, CLAMP)
     xs = np.empty(n)
     vs = np.empty(n)
-    xs[0] = vs[0] = x = v = q = 0.0
-    half, sixth = 0.5 * dt, dt / 6.0
+    xs[0] = vs[0] = 0.0
+    for end in engine(coefficients, steps, xs, vs, (*ends, n - 1)):
+        if end < n - 1:
+            m = end + 1
+            run = Trajectory(dt=dt, t=times[:m], x=xs[:m], v=vs[:m], r=r[:m],
+                             e=r[:m] - xs[:m])
+            if decided(run):
+                return run
 
-    # The loop reads and writes only Python floats, through memoryviews that
-    # do not copy the arrays: a float operation costs about a third of a
-    # numpy scalar's.
+    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs)
+
+
+def _python_steps(coefficients, steps, xs, vs, ends):
+    """simulate's RK4 loop: a generator that takes the run's steps up to
+    each end of ends in turn, writing sample k + 1 of xs and vs at step k,
+    and yields the end once it is there.
+
+    coefficients is (kp, ki, kd, a1, a2, dt, clamp), and steps _inputs'
+    ten step arrays. The loop reads and writes only Python floats, through
+    memoryviews that do not copy the arrays: a float operation costs about a
+    third of a numpy scalar's. _rk4.c takes the same operations in the same
+    order, so where it loads its runs are this loop's, bit for bit.
+    """
+    kp, ki, kd, a1, a2, dt, high = coefficients
+    low = -high
+    x = v = q = 0.0
+    half, sixth = 0.5 * dt, dt / 6.0
     xm = memoryview(xs)
     vm = memoryview(vs)
     views = [memoryview(step) for step in steps]
-    high, low = CLAMP, -CLAMP  # locals read faster than a global
     # Stage s's slope (dx, dv, dq) is (v, acc1, e1), (v2, acc2, e2),
-    # (v3, acc3, e3) and (vv, acc, e). (x, v, q) carry across the pauses
-    # in these locals, so the steps after a pause are the uninterrupted run's.
+    # (v3, acc3, e3) and (vv, acc, e). (x, v, q) carry across the ends in
+    # these locals, so the steps after one are the uninterrupted run's.
     start = 0
-    for end in (*ends, n - 1):
+    for end in ends:
         for k, (nk, r0, rd0, rm, rdm, r1, rd1, u0, um, u1) in enumerate(
                 zip(*(view[start:end] for view in views)), start + 1):
             # stage 1
@@ -453,15 +473,63 @@ def simulate(plant, pid, mission, stops=(), decided=None):
                 v = low
             xm[k] = x
             vm[k] = v
-        if end < n - 1:
-            m = end + 1
-            run = Trajectory(dt=dt, t=times[:m], x=xs[:m], v=vs[:m], r=r[:m],
-                             e=r[:m] - xs[:m])
-            if decided(run):
-                return run
+        yield end
         start = end
 
-    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs)
+
+# simulate's step engine, a generator function of _python_steps' signature:
+# None until the first run looks for the compiled one (kernel.load), then
+# that one where it loads and steps _CHECKS' runs bit for bit as
+# _python_steps does, else _python_steps. The platform decides; nothing
+# else selects it.
+_engine = None
+_engine_lock = threading.Lock()
+
+# The self-check's runs, (sensor noise sigma, sawtooth amp and freq, gains,
+# mission) each: noisy, sawtooth, clamped and NaN in turn, each paused once
+# at _CHECK_PAUSE steps. The noise is a fixed wave, not a draw, so that the
+# check imports no numpy.random into a program that draws no noise.
+_CHECKS = (
+    (0.05, 0.0, 0.0, PidConfig(1.0, 0.5, 1.0), circle_mission(settle_deadline=2.0, duration=4.0)),
+    (0.0, 0.5, 3.0, PidConfig(2.0, 1.0, 0.5), hold_mission(settle_deadline=2.0, duration=4.0)),
+    (0.02, 0.3, 0.7, PidConfig(-50.0, 100.0, -50.0),
+     return_home_mission(out_t=1.0, return_t=1.0, settle_deadline=3.0, duration=4.0)),
+    (0.0, 0.0, 0.0, PidConfig(1e6, 1e6, 1e6),
+     brake_mission(brake_at=1.0, brake_deadline=1.0, duration=4.0)),
+)
+_CHECK_PAUSE = 150
+
+
+def _find_engine():
+    """Set _engine on the first run, and return it."""
+    global _engine
+    with _engine_lock:
+        if _engine is None:
+            from . import kernel  # imports ctypes; importing pidlab does not
+
+            compiled = kernel.load()
+            _engine = compiled if compiled is not None and _agrees(compiled) else _python_steps
+    return _engine
+
+
+def _agrees(engine):
+    """Whether engine's runs of _CHECKS are _python_steps', bit for bit.
+    Their inputs come from _layout_of, so the layout _inputs keeps stays."""
+    plant = PlantModel()
+    for sigma, damp, dfreq, pid, mission in _CHECKS:
+        n = sample_count(plant, mission)
+        _, _, refs, dist = _layout_of(mission, plant.dt, n, damp, dfreq)
+        noise = sigma * np.sin(np.arange(n - 1.0) ** 2)
+        coefficients = (*pid, plant.a1, plant.a2, plant.dt, CLAMP)
+        runs = []
+        for run in (engine, _python_steps):
+            xs, vs = np.zeros(n), np.zeros(n)
+            for _ in run(coefficients, (noise, *refs, *dist), xs, vs, (_CHECK_PAUSE, n - 1)):
+                pass
+            runs.append(xs.tobytes() + vs.tobytes())
+        if runs[0] != runs[1]:
+            return False
+    return True
 
 
 # Steps per chunk of simulate_linear's scan.

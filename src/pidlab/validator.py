@@ -49,11 +49,16 @@ BATCH_BYTES = 32 * 2**20
 # Fewest new pids _verdicts simulates with simulate_batch. The one-at-a-time
 # route takes certified runs from simulate_linear and ends simulate's runs
 # early. On the 60 s disturbed hold (2 vCPUs, seed 3, fresh validators, 25,
-# 35 or 50 cells evenly spaced over the 40x40 plane, best and worst of nine
-# runs in three processes), 25 new pids took 0.14-0.18 s one at a time and
-# 0.25-0.32 s batched, 35 took 0.20-0.36 s and 0.25-0.31 s, and 50 took
-# 0.26-0.43 s and 0.27-0.44 s. The crossover lies near 50, but no workload
-# has between 20 and 49 new pids to show a retune.
+# 35, 50 or all 1,600 cells evenly spaced over the 40x40 plane, best and
+# worst of three runs), on simulate's Python loop 25 new pids took
+# 0.15-0.16 s one at a time and 0.15-0.21 s batched, 35 took 0.13-0.14 s
+# and 0.15 s, 50 took 0.18-0.19 s and 0.15 s, and 1,600 took 6.2 s and
+# 1.3 s. On its compiled kernel one at a time was the cheaper at every
+# size: 0.03-0.05 s for 25 to 50 against 0.14-0.19 s batched, and 1.29 s
+# for 1,600 against 1.32 s. The value stays: no workload has 20-49 new
+# pids, so any value up to the Python loop's crossover (35-50) routes them
+# all alike, and routing by engine would move label_hold_disturbed onto
+# the other route, a change to measure and claim on its own.
 BATCH_MIN = 20
 
 _lock = threading.Lock()

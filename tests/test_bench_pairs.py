@@ -90,18 +90,22 @@ def test_test_wall_times_are_taken_in_each_checkout_before_the_pairs(
                      ("parent", "tests/test_acceptance.py"),
                      ("change", "--continue-on-collection-errors"),
                      ("change", "tests/test_acceptance.py")]
-    assert all(cmd[0] == "bench" for _, cmd in calls[4:])
-    assert len(calls[4:]) == 2 * bench_pairs.PAIRS
+    assert [(where, cmd[-1]) for where, cmd in calls[4:6]] == [
+        ("parent", bench_pairs.ENGINE_PROBE), ("change", bench_pairs.ENGINE_PROBE)]
+    assert all(cmd[0] == "bench" for _, cmd in calls[6:])
+    assert len(calls[6:]) == 2 * bench_pairs.PAIRS
     notes = json.loads((tmp_path / "BENCH_5.json").read_text())["notes"]
     assert notes[0] == "given"
     # the checkouts hold no src/pidlab
     assert notes[1:3] == ["src/pidlab in parent: 0 lines, 0 code lines",
                           "src/pidlab in change: 0 lines, 0 code lines"]
-    assert [note.partition(":")[0] for note in notes[3:]] == [
+    assert notes[3:5] == ["engine in parent: 7 passed in 0.01s",
+                          "engine in change: 7 passed in 0.01s"]
+    assert [note.partition(":")[0] for note in notes[5:]] == [
         "tier-1 in parent", "tests/test_acceptance.py in parent",
         "tier-1 in change", "tests/test_acceptance.py in change"]
     assert all(re.fullmatch(r".*: \d+\.\d s wall, exit 0, '7 passed in 0.01s'", note)
-               for note in notes[3:])
+               for note in notes[5:])
 
 
 MODULE = '''"""A module docstring
@@ -214,3 +218,26 @@ def test_no_claim_runs_no_trace(bench_pairs, tmp_path, monkeypatch):
                              "--parent-commit", "abc"]) == 0
     assert set(traces) == {"0"}
     assert "trace" not in json.loads((tmp_path / "BENCH_7.json").read_text())
+
+
+def test_each_checkout_notes_the_engine_its_simulate_runs(bench_pairs, tmp_path):
+    """The probe, run for real: a checkout from before the compiled kernel
+    reports the Python loop, this one whichever engine loads here."""
+    here = Path(__file__).resolve().parent.parent
+    before = tmp_path / "before" / "src" / "pidlab"
+    before.mkdir(parents=True)
+    (before / "__init__.py").write_text("")
+    (before / "plant.py").write_text(
+        "class PlantModel: pass\n"
+        "def PidConfig(*gains): return gains\n"
+        "def hold_mission(): return None\n"
+        "def simulate(plant, pid, mission): return None\n")
+    assert bench_pairs.engine(tmp_path / "before", "parent") == "engine in parent: Python loop"
+    from pidlab import plant
+    plant.simulate(plant.PlantModel(), plant.PidConfig(1.0, 0.5, 1.0), plant.hold_mission())
+    loaded = "Python loop" if plant._engine is plant._python_steps else "C kernel"
+    assert bench_pairs.engine(here, "change") == f"engine in change: {loaded}"
+    broken = tmp_path / "broken"
+    (broken / "src" / "pidlab").mkdir(parents=True)
+    (broken / "src" / "pidlab" / "__init__.py").write_text("raise ImportError('broken')\n")
+    assert bench_pairs.engine(broken, "change") == "engine in change: probe exit 1"

@@ -189,7 +189,9 @@ def mangle(rows, space, reader, rng, chunk, mutations):
         elif len(row) == len(header):
             name = rng.choice(numeric)
             at = header.index(name)
-            if kind == "respell" and row[at]:
+            # a spelling takes a number; an earlier edit may have left "x"
+            # or "valid" here
+            if kind == "respell" and row[at] and row[at][-1].isdigit():
                 row[at] = rng.choice(list(SPELLINGS.values()))(row[at])
             elif kind == "off":
                 row[at] = off_value(axis_of[name], rng)

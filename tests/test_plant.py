@@ -382,6 +382,20 @@ GAINS = {"stable": STABLE, "unstable": PidConfig(1, 5, 1),
          "clamped": PidConfig(-50, 100, -50), "divergent": PidConfig(1e5, 1e5, 1e5)}
 
 
+@pytest.fixture(scope="class", params=["kernel", "python_loop"])
+def engine(request):
+    """Runs a class's tests once on simulate's compiled kernel and once on
+    its Python loop, by setting the engine simulate found in its place.
+    Class-scoped, because Hypothesis refuses function-scoped fixtures."""
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "python_loop":
+            patch.setattr(plant_module, "_engine", plant_module._python_steps)
+        elif plant_module._find_engine() is plant_module._python_steps:
+            pytest.skip("no compiled kernel loads here (tests/test_kernel.py says why)")
+        yield request.param
+
+
+@pytest.mark.usefixtures("engine")
 class TestBitIdenticalToTheNumpyScalarLoop:
     @pytest.mark.parametrize("dt", [0.01, 0.003, 0.007])
     @pytest.mark.parametrize("sigma", [0.0, 0.02])
@@ -424,6 +438,7 @@ class TestBitIdenticalToTheNumpyScalarLoop:
         assert_same_trace(plant, STABLE, mission)
 
 
+@pytest.mark.usefixtures("engine")
 class TestRunIsTheHeadOfTheLongerRun:
     """A run of a mission is, bit for bit, the first samples of the run of
     the mission ref_factor times longer, which compare_oracles relies on."""
@@ -453,6 +468,7 @@ class TestRunIsTheHeadOfTheLongerRun:
                                   equal_nan=True), name
 
 
+@pytest.mark.usefixtures("engine")
 class TestPausedRuns:
     """simulate paused at stops: a prefix it returns is, bit for bit, the
     first samples of the uninterrupted run, and a run that no pause ends
