@@ -512,6 +512,12 @@ def _find_engine():
     return _engine
 
 
+def compiled():
+    """Whether simulate runs the compiled kernel here; the first call looks
+    for it (kernel.load) as simulate's first run does."""
+    return (_engine or _find_engine()) is not _python_steps
+
+
 def _agrees(engine):
     """Whether engine's runs of _CHECKS are _python_steps', bit for bit.
     Their inputs come from _layout_of, so the layout _inputs keeps stays."""

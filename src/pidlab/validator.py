@@ -11,17 +11,25 @@ a config pays a query but no simulation.
 OracleConfig is the judge: check finds a run's first failing conjunct, and
 vote takes the majority over a query's runs. SimulationValidator.classify_many
 and compare_oracles judge their runs through SimulationValidator._verdicts,
-which builds each run once for every judge it is asked with. It batches
-BATCH_MIN new pids or more through simulate_batch, whose runs are
-bit-identical to simulate's, and runs fewer one at a time. There each run
-is first asked of plant.simulate_linear, which builds none where the run may
-reach the clamp. Its run is judged where LINEAR_TOL certifies it, and
-simulate builds the run elsewhere, so the verdicts are simulate's on every
-route. On the search pass of the disturbed 40x40 hold at seed 0, 248 of the
-399 runs are predicted to clamp: 225 distinct pids, of which 3 never reach
-it.
+which builds each run once for every judge it is asked with. Its route
+follows the engine simulate runs (plant.compiled). Where the compiled
+kernel runs, simulate builds every run of every new pid one at a time: a
+kernel run costs less than either shortcut of the Python loop's routes.
+On the disturbed 40x40 hold (2 vCPUs, seed 3, fresh validators, cells
+evenly spaced over the plane, best and worst of three), 50 new pids took
+0.026-0.027 s this way against 0.14 s through simulate_batch, and all
+1,600 took 0.84-0.85 s against 1.23-1.26 s batched and 1.12-1.14 s one at
+a time with the linear attempt. Where simulate runs its Python loop,
+_verdicts batches BATCH_MIN new pids or more through simulate_batch, whose
+runs are bit-identical to simulate's, and runs fewer one at a time. There
+each run is first asked of plant.simulate_linear, which builds none where
+the run may reach the clamp. Its run is judged where LINEAR_TOL certifies
+it, and simulate builds the run elsewhere, so the verdicts are simulate's
+on every route and engine. On the search pass of the disturbed 40x40 hold
+at seed 0, 248 of the 399 runs it asks are predicted to clamp: 225
+distinct pids, of which 3 never reach it.
 
-A run that simulate builds on this route ends once its verdict is decided
+A run that simulate builds one at a time ends once its verdict is decided
 (OracleConfig.decided). Its prefix is bit for bit the run's first samples,
 and only the first conjunct may end it, since violated_spec names the first
 failing conjunct in formula order, so verdicts and violated_spec are those
@@ -38,27 +46,25 @@ import numpy as np
 
 from .mtl import (And, atom_margin, eval_offline, eval_online, eval_prefix, mode_spec,
                   time_thresholds)
-from .plant import LINEAR_TOL, sample_count, simulate, simulate_batch, simulate_linear
+from .plant import (LINEAR_TOL, compiled, sample_count, simulate, simulate_batch,
+                    simulate_linear)
 from .stability import routh_stable
 
 # Largest x/v array one simulate_batch call of _verdicts may fill, at 16
 # bytes per sample per pid: about 350 pids of a 60 s run at dt 0.01, and
-# 35 of a 600 s one.
+# 35 of a 600 s one. Only the Python loop's route batches.
 BATCH_BYTES = 32 * 2**20
 
-# Fewest new pids _verdicts simulates with simulate_batch. The one-at-a-time
-# route takes certified runs from simulate_linear and ends simulate's runs
-# early. On the 60 s disturbed hold (2 vCPUs, seed 3, fresh validators, 25,
-# 35, 50 or all 1,600 cells evenly spaced over the 40x40 plane, best and
-# worst of three runs), on simulate's Python loop 25 new pids took
-# 0.15-0.16 s one at a time and 0.15-0.21 s batched, 35 took 0.13-0.14 s
-# and 0.15 s, 50 took 0.18-0.19 s and 0.15 s, and 1,600 took 6.2 s and
-# 1.3 s. On its compiled kernel one at a time was the cheaper at every
-# size: 0.03-0.05 s for 25 to 50 against 0.14-0.19 s batched, and 1.29 s
-# for 1,600 against 1.32 s. The value stays: no workload has 20-49 new
-# pids, so any value up to the Python loop's crossover (35-50) routes them
-# all alike, and routing by engine would move label_hold_disturbed onto
-# the other route, a change to measure and claim on its own.
+# Fewest new pids _verdicts simulates with simulate_batch where simulate
+# runs its Python loop; on the compiled kernel no count batches. Fewer run
+# one at a time, which takes certified runs from simulate_linear and ends
+# simulate's runs early. On the 60 s disturbed hold on the Python loop (2
+# vCPUs, seed 3, fresh validators, 25, 35, 50 or all 1,600 cells evenly
+# spaced over the 40x40 plane, best and worst of three runs), 25 new pids
+# took 0.09-0.11 s one at a time and 0.15 s batched, 35 took 0.13-0.17 s
+# and 0.15-0.17 s, 50 took 0.18-0.27 s and 0.15-0.17 s, and 1,600 took
+# 5.7-6.4 s and 1.25-1.30 s. The crossover lies between 35 and 50; no
+# workload has 20 to 49 new pids, so any value up to it routes them alike.
 BATCH_MIN = 20
 
 _lock = threading.Lock()
@@ -222,7 +228,9 @@ class SimulationValidator(Validator):
         samples, and votes on those checks. The runs are self.cfg's, so
         every judge's repeats and base_seed must be self.cfg's too.
 
-        Fewer than BATCH_MIN pids are run one at a time by _check_one, more
+        On the compiled kernel every pid is run one at a time by _check_one,
+        with no linear attempt. On the Python loop fewer than BATCH_MIN pids
+        are run one at a time, each first asked of simulate_linear, and more
         with simulate_batch, one seed at a time, in chunks of near-equal size
         whose x/v array fills at most BATCH_BYTES. Each run is checked and
         dropped before the next run or batch is built. A run that
@@ -241,7 +249,8 @@ class SimulationValidator(Validator):
         def vote(runs):  # runs: per run of pid, its checks, one per judge
             return tuple(cfg.vote(own) for (cfg, _), own in zip(judges, zip(*runs)))
 
-        if len(pids) < BATCH_MIN:
+        linear = not compiled()
+        if not linear or len(pids) < BATCH_MIN:
             # the sample count up to the first of simulate's sample times
             # past each threshold
             stops = np.searchsorted(np.arange(n) * float(self.plant.dt),
@@ -252,7 +261,7 @@ class SimulationValidator(Validator):
                            for cfg, m in judges)
 
             for pid in pids:
-                yield pid, vote([self._check_one(plant, pid, check, stops, decided)
+                yield pid, vote([self._check_one(plant, pid, check, stops, decided, linear)
                                  for plant in self._plants()])
             return
         width = max(1, BATCH_BYTES // (16 * n))
@@ -265,13 +274,18 @@ class SimulationValidator(Validator):
             for pid, checks in zip(chunk, zip(*by_seed)):
                 yield pid, vote(checks)
 
-    def _check_one(self, plant, pid, check, stops, decided):
-        """check of pid's run on plant: of simulate_linear's run where it
-        builds one and no atom of self.formula can tell it from simulate's,
-        else of simulate's, which pauses at stops and ends at the first
-        prefix decided accepts.
+    def _check_one(self, plant, pid, check, stops, decided, linear):
+        """check of pid's run on plant. Where linear, that is simulate_linear's
+        run where it builds one and no atom of self.formula can tell it from
+        simulate's. Else it is simulate's, which pauses at stops and ends at
+        the first prefix decided accepts.
+
+        _verdicts asks linear only of the Python loop: on the disturbed 60 s
+        hold (6,001 samples, 2 vCPUs) a linear run takes about 0.72 ms, a
+        tenth of a Python loop run (6.6-7.7 ms) but twice a kernel run
+        (0.33-0.48 ms).
         """
-        run = simulate_linear(plant, pid, self.mission)
+        run = simulate_linear(plant, pid, self.mission) if linear else None
         if run is not None:
             tol = LINEAR_TOL * (1.0 + max(np.abs(run.x).max(), np.abs(run.v).max()))
             if atom_margin(self.formula, run) > tol:

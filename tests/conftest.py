@@ -2,7 +2,24 @@ import weakref
 
 import pytest
 
+from pidlab import plant as plant_module
 from pidlab import validator as validator_module
+
+
+@pytest.fixture
+def python_engine(monkeypatch):
+    """Run the test on simulate's Python loop, as on a platform where no
+    compiled kernel loads: there the validator batches BATCH_MIN new pids
+    or more through simulate_batch and first asks each run of fewer of
+    simulate_linear, so the route counts a test pins hold on every machine."""
+    monkeypatch.setattr(plant_module, "_engine", plant_module._python_steps)
+
+
+@pytest.fixture
+def kernel_engine():
+    """Skip the test where simulate's compiled kernel does not load."""
+    if not plant_module.compiled():
+        pytest.skip("no compiled kernel loads here (tests/test_kernel.py says why)")
 
 
 @pytest.fixture

@@ -234,8 +234,7 @@ def test_each_checkout_notes_the_engine_its_simulate_runs(bench_pairs, tmp_path)
         "def simulate(plant, pid, mission): return None\n")
     assert bench_pairs.engine(tmp_path / "before", "parent") == "engine in parent: Python loop"
     from pidlab import plant
-    plant.simulate(plant.PlantModel(), plant.PidConfig(1.0, 0.5, 1.0), plant.hold_mission())
-    loaded = "Python loop" if plant._engine is plant._python_steps else "C kernel"
+    loaded = "C kernel" if plant.compiled() else "Python loop"
     assert bench_pairs.engine(here, "change") == f"engine in change: {loaded}"
     broken = tmp_path / "broken"
     (broken / "src" / "pidlab").mkdir(parents=True)

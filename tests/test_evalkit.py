@@ -14,6 +14,7 @@ from pidlab import (Metrics, NoiseSpec, OracleConfig, ParamSpace, PidConfig,
                     compute_metrics, ground_truth, hold_mission,
                     identify_boundary, query_count,
                     region_from_boundary, reset_query_count, routh_stable)
+from pidlab import plant as plant_module
 from pidlab import validator as validator_module
 from pidlab.plant import CLAMP
 from pidlab.evalkit import (INVALID, VALID, ClassifiedGrid, configs_from_csv,
@@ -261,6 +262,7 @@ class TestGroundTruth:
             ground_truth(s, validator=RouthValidator(1, 1)).labels
         assert batches == [s.size()]
 
+    @pytest.mark.usefixtures("python_engine")
     @pytest.mark.parametrize("cells", [3, validator_module.BATCH_MIN],
                              ids=["few-cells", "batch-min-cells"])
     def test_the_cell_count_picks_the_simulator(self, cells, monkeypatch):
@@ -326,6 +328,7 @@ class TestCompareOracles:
         assert (off1, ref1) == (True, True)
         assert (off2, ref2) == (False, False)
 
+    @pytest.mark.usefixtures("python_engine")
     @pytest.mark.parametrize("case,batched", [
         ("hold", False), ("circle_lap", False), ("hold", True), ("circle_lap", True)],
         ids=["hold", "circle_lap", "hold-batched-ref", "circle_lap-batched-ref"])
@@ -375,6 +378,32 @@ class TestCompareOracles:
             assert sims == [long_mission.duration] * cfg.repeats * len(configs)
             assert batches == []
 
+    @pytest.mark.usefixtures("kernel_engine")
+    @pytest.mark.parametrize("case", ["hold", "circle_lap"])
+    @pytest.mark.parametrize("count", [5, validator_module.BATCH_MIN])
+    def test_rows_equal_across_engines(self, case, count, monkeypatch):
+        # on the Python loop 5 configs take the linear route and BATCH_MIN
+        # one batch per seed; on the kernel both are simulated one at a time
+        plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.02, disturbance_amp=0.2,
+                                           disturbance_freq=0.7))
+        if case == "hold":
+            mission, formula = hold_mission(settle_deadline=5, duration=10), None
+        else:
+            mission = circle_mission(radius=1.0, freq=0.25, settle_deadline=4, duration=12)
+            formula = circle_lap_spec(mission)
+        configs = [PidConfig(p, i, d) for i in (1.0, 3.0, 0.1) for d in (1.2, 0.2)
+                   for p in (4.0, -5.0, 2.0, 0.5)][:count]
+        cfg = OracleConfig(repeats=3, base_seed=7)
+
+        def compare():
+            return compare_oracles(configs, mission, plant, window=80, cfg=cfg,
+                                   formula=formula, ref_factor=3)
+
+        kernel = compare()
+        monkeypatch.setattr(plant_module, "_engine", plant_module._python_steps)
+        assert kernel == compare()
+        assert {row[3] for row in kernel.rows} == {True, False}
+
     def test_empty_config_list(self):
         cmp = compare_oracles([], hold_mission(settle_deadline=5, duration=10),
                               PlantModel(), window=100, ref_factor=2)
@@ -397,6 +426,7 @@ class TestCompareOracles:
             compare_oracles([PidConfig(1, 0.5, 1)], hold_mission(), PlantModel(t_max=30),
                             window=100, ref_factor=2)
 
+    @pytest.mark.usefixtures("python_engine")
     @pytest.mark.parametrize("batch_min", [1, 100], ids=["batched", "one-at-a-time"])
     def test_no_run_outlives_its_checks(self, monkeypatch, freed_runs, batch_min):
         mission = hold_mission(settle_deadline=5, duration=10)
@@ -412,6 +442,7 @@ class TestCompareOracles:
                               if batch_min == 1 else
                               {"simulate_linear": 12, "simulate": 0, "simulate_batch": 0})
 
+    @pytest.mark.usefixtures("python_engine")
     @pytest.mark.parametrize("batch_min", [1, 100], ids=["batched", "one-at-a-time"])
     def test_one_validator_judges_every_verdict(self, monkeypatch, batch_min):
         built = []
@@ -430,6 +461,7 @@ class TestCompareOracles:
         assert built == [20]
         assert [row[1:] for row in cmp.rows] == [(True, True, True), (False, False, False)]
 
+    @pytest.mark.usefixtures("python_engine")
     def test_duplicate_configs_are_simulated_once(self, monkeypatch):
         a, b = PidConfig(1, 0.5, 1), PidConfig(1, 5, 1)
         mission = hold_mission(settle_deadline=5, duration=10)

@@ -94,6 +94,21 @@ def test_a_cold_build_installs_one_whole_library(loader):
     assert (cache / name).stat().st_mtime_ns == built
 
 
+def test_compiled_says_which_engine_simulate_runs(loader, tmp_path, monkeypatch):
+    # its first call looks for the engine, as simulate's first run would
+    assert plant_module.compiled() == HAS_CC
+    assert plant_module._engine is not None
+    runs, engine = first_runs()
+    assert (engine is not plant_module._python_steps) == HAS_CC
+    assert_python_bits(runs)
+    plant_module._engine = None
+    monkeypatch.setattr(kernel, "CACHE", tmp_path / "empty")
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    assert not plant_module.compiled()
+    assert plant_module._engine is plant_module._python_steps
+
+
 def test_no_compiler(loader, tmp_path, monkeypatch):
     cache, tmp = loader
     (tmp_path / "bin").mkdir()

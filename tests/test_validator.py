@@ -13,6 +13,7 @@ from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig, PlantModel,
                     circle_mission, genetic_search, hill_climb, hold_mission,
                     identify_boundary, query_count, reset_query_count,
                     return_home_mission, routh_stable, simulate)
+from pidlab import plant as plant_module
 from pidlab import validator as validator_module
 from pidlab.cli import load_config
 from pidlab.plant import sample_count, simulate_linear
@@ -270,6 +271,7 @@ class TestVerdictMemo:
     CFG = OracleConfig(repeats=3, base_seed=5)
     PIDS = (PidConfig(3, 1, 2), PidConfig(1, 5, 1), PidConfig(2, 1.2, 0.4))
 
+    @pytest.mark.usefixtures("python_engine")
     def test_one_simulation_per_run_of_each_distinct_pid(self, sim_calls):
         v = SimulationValidator(self.PLANT, SHORT_HOLD, self.CFG)
         for pid in self.PIDS + self.PIDS[::-1] + self.PIDS:
@@ -296,6 +298,7 @@ class TestVerdictMemo:
             assert again == first == fresh
             assert {verdict.valid for verdict in fresh} == {True, False}
 
+    @pytest.mark.usefixtures("python_engine")
     def test_given_runs_are_judged_without_simulating(self, sim_calls):
         # a judge with another kind or window but the same repeats and
         # base_seed votes on the runs the validator builds for its own cfg
@@ -314,6 +317,7 @@ class TestVerdictMemo:
         assert off._memo == {}
 
 
+@pytest.mark.usefixtures("python_engine")
 class TestBaselinesOnTheMemo:
     """The memo changes what a revisit costs, not what a searcher sees."""
 
@@ -492,6 +496,7 @@ def batch_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("python_engine")
 class TestSimulationClassifyMany:
     PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.08, disturbance_amp=0.1,
                                        disturbance_freq=0.2))
@@ -641,6 +646,7 @@ class TestSimulationClassifyMany:
         assert batch == [self.fresh().classify(pid) for pid in pids]
 
 
+@pytest.mark.usefixtures("python_engine")
 class TestLinearRoute:
     """Below BATCH_MIN new pids each run is first asked of simulate_linear,
     which builds none where the step map predicts the clamp, and judged from
@@ -851,3 +857,62 @@ class TestEarlyStop:
         # the whole-run judges; early_and_full compared all three
         assert [[verdict.valid for verdict in row[:2]] for _, row in verdicts] == [
             [False, False], [False, False], [True, True]]
+
+
+@pytest.mark.usefixtures("kernel_engine")
+class TestKernelRoute:
+    """Where simulate's compiled kernel loads, every new pid is simulated
+    one at a time, however many there are, with no simulate_batch and no
+    simulate_linear, and its runs end once decided; the verdicts are those
+    of the Python loop's batched route."""
+
+    PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.03, disturbance_amp=0.2,
+                                       disturbance_freq=0.7))
+    # valid, invalid, clamped and NaN runs on every mode
+    PIDS = [PidConfig(p, i, d) for p in (-5.0, 0.5, 2.0, 6.0)
+            for i in (0.1, 1.0, 4.0) for d in (-3.0, 0.4, 1.5)] + [PidConfig(1e5, 1e5, 1e5)]
+
+    def test_many_new_pids_take_neither_batch_nor_linear(self, freed_runs, sim_calls,
+                                                          batch_calls):
+        assert len(self.PIDS) >= validator_module.BATCH_MIN
+        v = SimulationValidator(self.PLANT, MODE_MISSIONS[0], OracleConfig(repeats=3))
+        v.classify_many(self.PIDS)
+        # freed_runs checked that no run outlived its check
+        assert sim_calls == [] and batch_calls == []
+        assert freed_runs == {"simulate_linear": 0, "simulate": 3 * len(self.PIDS),
+                              "simulate_batch": 0}
+
+    @pytest.mark.parametrize("cfg", [OracleConfig(base_seed=2), OracleConfig(repeats=3),
+                                     OracleConfig(kind="online", window=150)],
+                             ids=["offline", "offline-repeats-3", "online"])
+    def test_verdicts_equal_the_python_loops_batched_verdicts(self, cfg, batch_calls):
+        labels = set()
+        for mission in MODE_MISSIONS:
+            got = SimulationValidator(self.PLANT, mission, cfg).classify_many(self.PIDS)
+            assert batch_calls == []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(plant_module, "_engine", plant_module._python_steps)
+                want = SimulationValidator(self.PLANT, mission, cfg).classify_many(self.PIDS)
+            assert len(batch_calls) == cfg.repeats
+            del batch_calls[:]
+            # Verdicts compare valid, violated_spec and votes_valid
+            assert got == want, mission.mode
+            assert {verdict.valid for verdict in got} == {True, False}, mission.mode
+            labels |= {verdict.violated_spec for verdict in got}
+        assert labels == {None, "hold_tolerance", "brake_stop", "circle_tracking",
+                          "home_arrival"}
+
+
+@pytest.mark.parametrize("engine", ["python_engine", "kernel_engine"])
+def test_the_route_follows_the_engine(engine, request, freed_runs, batch_calls, sim_calls):
+    # 50 new pids: one batch on the Python loop, one simulate each on the kernel
+    request.getfixturevalue(engine)
+    pids = [PidConfig(4.0, 0.2 * k, kd) for k in range(1, 11) for kd in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    v = SimulationValidator(TestSimulationClassifyMany.PLANT, SHORT_HOLD, OracleConfig())
+    verdicts = v.classify_many(pids)
+    assert len(pids) == 50 and {verdict.valid for verdict in verdicts} == {True, False}
+    assert sim_calls == []
+    if engine == "python_engine":
+        assert batch_calls == [(0, pids)] and freed_runs["simulate"] == 0
+    else:
+        assert batch_calls == [] and freed_runs["simulate"] == 50
