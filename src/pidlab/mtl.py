@@ -187,11 +187,14 @@ def _offsets(node, dt):
 
 
 def _atom_rows(node, ctx):
-    """(window start, window offset) view of an atom over the whole trace."""
+    """(window start, window offset) view of an atom over the whole trace;
+    a window that spans the trace is its one row."""
     rows = ctx["atoms"].get(node)
     if rows is None:
-        rows = ctx["atoms"][node] = sliding_window_view(_eval_atom(node, ctx),
-                                                        ctx["window"])
+        sat = _eval_atom(node, ctx)
+        window = ctx["window"]
+        rows = ctx["atoms"][node] = (sat[np.newaxis] if window == len(sat)
+                                     else sliding_window_view(sat, window))
     return rows
 
 

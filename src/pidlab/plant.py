@@ -299,9 +299,10 @@ def sample_count(plant, mission):
     return int(math.floor(mission.duration / float(plant.dt) + 1e-9)) + 1
 
 
-# The seed-independent part of the last step layout _inputs built:
-# (key, (times, r, reference views, sawtooth)), every array read-only. It
-# lives here so that no engine's signature changes; its key is exact and
+# The last step layout _inputs built: (key, (times, r, reference views,
+# sawtooth), ((sensor sigma, seed), scaled noise draw)), every array
+# read-only; the draw is the last one taken, (None, None) before any. It
+# lives here so that no engine's signature changes; its keys are exact and
 # its arrays cannot be written, so no caller can see another's layout.
 _layout = None
 
@@ -320,9 +321,10 @@ def _inputs(plant, mission):
     sampling, and the sawtooth there (u0, um, u1); noise or sawtooth that is
     off is a broadcast 0.0. A run resumed at step k reads them from k on.
 
-    All but the noise draw are kept from one call to the next while dt, the
-    sample count, the mission and the sawtooth's amp and freq stay the same
-    floats, bit for bit; they are read-only. The noise is drawn per call.
+    They are kept from one call to the next while dt, the sample count, the
+    mission and the sawtooth's amp and freq stay the same floats, bit for
+    bit; they are read-only. The last noise draw is kept with them while
+    the sensor sigma and seed stay the same.
     """
     global _layout
     dt = float(plant.dt)
@@ -335,12 +337,19 @@ def _inputs(plant, mission):
     layout = _layout
     if layout is None or layout[0] != key:
         layout = _layout = None  # the old layout is freed before the new one is built
-        layout = _layout = key, _layout_of(mission, dt, n, damp, dfreq)
+        layout = _layout = key, _layout_of(mission, dt, n, damp, dfreq), (None, None)
     times, r, refs, dist = layout[1]
 
-    noise = np.broadcast_to(0.0, n - 1)
-    if spec.sensor_sigma > 0.0:
-        noise = spec.sensor_sigma * np.random.default_rng(spec.seed).standard_normal(n - 1)
+    sigma = spec.sensor_sigma
+    if sigma > 0.0:
+        drawn = (_exact(sigma), spec.seed)
+        kept, noise = layout[2]
+        if kept != drawn:
+            noise = sigma * np.random.default_rng(spec.seed).standard_normal(n - 1)
+            noise.flags.writeable = False
+            _layout = key, layout[1], (drawn, noise)
+    else:
+        noise = np.broadcast_to(0.0, n - 1)
     return dt, times, r, (noise, *refs, *dist)
 
 

@@ -33,13 +33,18 @@ A run that simulate builds one at a time ends once its verdict is decided
 (OracleConfig.decided). Its prefix is bit for bit the run's first samples,
 and only the first conjunct may end it, since violated_spec names the first
 failing conjunct in formula order, so verdicts and violated_spec are those
-of the whole run. The batched route runs every column whole.
+of the whole run. The prefix is not judged again: decided cuts a run
+short of a judge's samples only where that judge's check fails the first
+conjunct, so check, given those samples, names that conjunct with no
+evaluation. A judge whose samples the prefix holds checks it as any run.
+The batched route runs every column whole.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -124,12 +129,18 @@ class OracleConfig:
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
-    def check(self, formula, traj):
+    def check(self, formula, traj, samples=0):
         """(ok, label of the first failing conjunct) of formula over traj; an
-        unlabeled conjunct k is conjunct_k, and a formula not an And is one."""
+        unlabeled conjunct k is conjunct_k, and a formula not an And is one.
+
+        A traj shorter than samples is a run that simulate ended once
+        decided(formula, traj, samples) held, so it fails the first
+        conjunct, which is named with no evaluation.
+        """
+        cut = len(traj) < samples
         for k, part in enumerate(_conjuncts(formula)):
-            if not (eval_online(part, traj, self.window) if self.kind == "online"
-                    else eval_offline(part, traj)):
+            if cut or not (eval_online(part, traj, self.window) if self.kind == "online"
+                           else eval_offline(part, traj)):
                 return False, part.label or f"conjunct_{k}"
         return True, None
 
@@ -242,27 +253,26 @@ class SimulationValidator(Validator):
             return
         formula = self.formula
         n = sample_count(self.plant, self.mission)
+        sizes = [n if m is None else min(m, n) for _, m in judges]
 
         def check(run):  # no name holds run once every judge has checked it
-            return [cfg.check(formula, run if m is None else run.head(m)) for cfg, m in judges]
+            return [cfg.check(formula, run if m is None else run.head(m), samples)
+                    for (cfg, m), samples in zip(judges, sizes)]
 
         def vote(runs):  # runs: per run of pid, its checks, one per judge
             return tuple(cfg.vote(own) for (cfg, _), own in zip(judges, zip(*runs)))
 
         linear = not compiled()
         if not linear or len(pids) < BATCH_MIN:
-            # the sample count up to the first of simulate's sample times
-            # past each threshold
-            stops = np.searchsorted(np.arange(n) * float(self.plant.dt),
-                                    time_thresholds(_conjuncts(formula)[0]), side="right") + 1
+            stops = self._stops
 
             def decided(prefix):
-                return all(cfg.decided(formula, prefix, n if m is None else min(m, n))
-                           for cfg, m in judges)
+                return all(cfg.decided(formula, prefix, samples)
+                           for (cfg, _), samples in zip(judges, sizes))
 
             for pid in pids:
                 yield pid, vote([self._check_one(plant, pid, check, stops, decided, linear)
-                                 for plant in self._plants()])
+                                 for plant in self._plants])
             return
         width = max(1, BATCH_BYTES // (16 * n))
         chunks = -(-len(pids) // width)
@@ -270,7 +280,7 @@ class SimulationValidator(Validator):
             chunk = pids[k * len(pids) // chunks:(k + 1) * len(pids) // chunks]
             # no name holds a batch, so each is freed before the next seed's
             by_seed = [list(map(check, simulate_batch(plant, chunk, self.mission)))
-                       for plant in self._plants()]
+                       for plant in self._plants]
             for pid, checks in zip(chunk, zip(*by_seed)):
                 yield pid, vote(checks)
 
@@ -293,11 +303,22 @@ class SimulationValidator(Validator):
         run = None  # freed before simulate builds its own
         return check(simulate(plant, pid, self.mission, stops=stops, decided=decided))
 
+    @cached_property
     def _plants(self):
-        """The plant of each run of a query: run j has noise seed base_seed + j."""
-        for j in range(self.cfg.repeats):
-            yield replace(self.plant,
-                          noise=replace(self.plant.noise, seed=self.cfg.base_seed + j))
+        """The plant of each run of a query, built at the first query: run j
+        has noise seed base_seed + j."""
+        noise = self.plant.noise
+        return tuple(replace(self.plant, noise=replace(noise, seed=self.cfg.base_seed + j))
+                     for j in range(self.cfg.repeats))
+
+    @cached_property
+    def _stops(self):
+        """Where a run pauses, built at the first query: the sample count up
+        to the first of simulate's sample times past each threshold of the
+        formula's first conjunct."""
+        times = np.arange(sample_count(self.plant, self.mission)) * float(self.plant.dt)
+        return np.searchsorted(times, time_thresholds(_conjuncts(self.formula)[0]),
+                               side="right") + 1
 
 
 _ROUTH_STABLE = Verdict(valid=True, violated_spec=None, votes_valid=1)

@@ -3,6 +3,7 @@ import math
 import pickle
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -790,8 +791,8 @@ class TestInputMemory:
     simulate, and 73.7 and 105.7 for simulate_linear, whose scan adds one
     chunk's forcing and state arrays; copying the inputs into one dense
     (10, n - 1) table reads 128 and 165. A call that finds the layout kept
-    from the last one reads 24.0 and 32.0 (simulate_linear 25.7 and
-    33.7): x, v and e, plus the noise draw."""
+    from the last one, with its noise draw, reads 24.0 quiet and noisy
+    (simulate_linear 25.7): x, v and e."""
 
     @pytest.mark.parametrize("run", [simulate, simulate_linear], ids=lambda f: f.__name__)
     @MEMORY_CASES
@@ -852,7 +853,7 @@ class TestStepLayoutMemo:
         second = plant_module._inputs(PlantModel(noise=replace(self.NOISY, seed=6)), mission)
         assert all(a is b for a, b in zip((first[1], first[2], *first[3][1:]),
                                           (second[1], second[2], *second[3][1:])))
-        assert not np.array_equal(first[3][0], second[3][0])  # the noise is drawn per call
+        assert not np.array_equal(first[3][0], second[3][0])  # each seed has its own draw
         third = plant_module._inputs(PlantModel(noise=replace(self.NOISY, disturbance_amp=0.2)),
                                      mission)
         assert third[1] is not first[1] and third[3][7] is not first[3][7]
@@ -863,7 +864,52 @@ class TestStepLayoutMemo:
         run = simulate(plant, STABLE, mission)
         _, times, r, steps = plant_module._inputs(plant, mission)
         assert run.t is times and run.r is r
-        for array in (times, r, *steps[1:]):
+        for array in (times, r, *steps):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
         assert simulate(plant, STABLE, mission).t[0] == 0.0
+        if noise.sensor_sigma > 0.0:
+            assert plant_module._inputs(plant, mission)[3][0] is steps[0]
+
+
+class TestNoiseDrawMemo:
+    """The layout _inputs keeps holds the scaled noise draw of the (sensor
+    sigma, seed) it was last asked for, and drops it with the layout."""
+
+    NOISY = TestStepLayoutMemo.NOISY
+    MISSION = circle_mission(settle_deadline=2.0, duration=4.0)
+
+    @pytest.mark.parametrize("run", [simulate, simulate_linear, batch_of_one],
+                             ids=lambda f: f.__name__)
+    def test_seeds_taken_in_turn_equal_cold_draws(self, run, monkeypatch):
+        # seeds in turn, each replacing the last one's draw, and seeds taken
+        # twice in a row, then a sigma that differs from the last in its
+        # bits only, and an int sigma
+        noises = [replace(self.NOISY, seed=seed) for seed in (5, 6, 7, 5, 5, 6, 6, 7)]
+        noises += [replace(self.NOISY, sensor_sigma=sigma, seed=5)
+                   for sigma in (np.nextafter(0.02, 1.0), 0.02, 1, 1.0)]
+        plants = [PlantModel(noise=noise) for noise in noises]
+        warm = [run(plant, STABLE, self.MISSION) for plant in plants]
+        for plant, got in zip(plants, warm):
+            monkeypatch.setattr(plant_module, "_layout", None)
+            want = run(plant, STABLE, self.MISSION)
+            assert got.x.tobytes() == want.x.tobytes(), plant.noise
+            assert got.v.tobytes() == want.v.tobytes(), plant.noise
+
+    def test_the_last_draw_is_kept(self, monkeypatch):
+        monkeypatch.setattr(plant_module, "_layout", None)
+        sigma = self.NOISY.sensor_sigma.hex()
+        for seed in (5, 6, 5):
+            plant = PlantModel(noise=replace(self.NOISY, seed=seed))
+            draw = plant_module._inputs(plant, self.MISSION)[3][0]
+            kept, noise = plant_module._layout[2]
+            assert kept == (sigma, seed) and noise is draw
+            assert plant_module._inputs(plant, self.MISSION)[3][0] is draw
+
+    def test_the_draws_are_freed_with_the_layout(self, monkeypatch):
+        monkeypatch.setattr(plant_module, "_layout", None)
+        draw = weakref.ref(plant_module._inputs(PlantModel(noise=self.NOISY), self.MISSION)[3][0])
+        assert draw() is not None
+        plant_module._inputs(PlantModel(noise=self.NOISY), hold_mission())
+        assert draw() is None
+        assert plant_module._layout[2][0] == (self.NOISY.sensor_sigma.hex(), self.NOISY.seed)

@@ -19,7 +19,7 @@ from pidlab.cli import load_config
 from pidlab.plant import sample_count, simulate_linear
 from pidlab.mtl import And, Atom, Eventually, Globally, Implies, atom_margin, mode_spec
 from pidlab.validator import LookupValidator, Validator
-from test_mtl import formulas
+from test_mtl import formulas, traces_and_windows
 from test_plant import predicts_clamp
 
 
@@ -173,6 +173,35 @@ class TestDivergentGains:
                                        OracleConfig()).classify(pid).valid
 
 
+class TestADecidedPrefixFailsItsFirstConjunct:
+    """Where OracleConfig.decided reads a prefix shorter than its samples as
+    decided, check names the first conjunct, on the prefix and on the run
+    of those samples that starts with it, and so does check given those
+    samples, which evaluates nothing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=formulas(), rest=st.none() | formulas(), label=st.sampled_from([None, "first"]),
+           tw=traces_and_windows(), kind=st.sampled_from(["offline", "online", "repeats-3"]),
+           data=st.data())
+    def test_check_names_the_first_conjunct(self, first, rest, label, tw, kind, data):
+        run, window = tw
+        samples = len(run)
+        formula = first if rest is None else And((replace(first, label=label), rest))
+        k = data.draw(st.integers(1, samples - 1), label="prefix length")
+        # half the online windows fit in the prefix, where an alarm decides it
+        if kind == "online" and k > 2 and data.draw(st.booleans(), label="short window"):
+            window = data.draw(st.integers(2, k - 1), label="window")
+        cfg = {"offline": OracleConfig(), "online": OracleConfig(kind="online", window=window),
+               "repeats-3": OracleConfig(repeats=3, base_seed=2)}[kind]
+        prefix = run.head(k)
+        if cfg.decided(formula, prefix, samples):
+            head = formula.children[0] if isinstance(formula, And) else formula
+            want = (False, head.label or "conjunct_0")
+            assert cfg.check(formula, prefix) == want
+            assert cfg.check(formula, run) == want
+            assert cfg.check(formula, prefix, samples) == want
+
+
 class TestMajorityVoting:
     @pytest.fixture
     def make_stub(self, monkeypatch):
@@ -189,7 +218,7 @@ class TestMajorityVoting:
             # no run is linear, so every run is a scripted simulate call
             monkeypatch.setattr(validator_module, "simulate_linear", lambda *a, **k: None)
             monkeypatch.setattr(validator_module, "simulate", fake_simulate)
-            monkeypatch.setattr(OracleConfig, "check", lambda self, formula, k:
+            monkeypatch.setattr(OracleConfig, "check", lambda self, formula, k, samples=0:
                                 (True, None) if outcomes[k] else (False, "scripted"))
             return v, calls
         return make
@@ -557,8 +586,8 @@ class TestSimulationClassifyMany:
                             lambda plant, pid, mission, **kwargs: plant.noise.seed)
         monkeypatch.setattr(validator_module, "simulate_batch",
                             lambda plant, pids, mission: [plant.noise.seed] * len(pids))
-        monkeypatch.setattr(OracleConfig, "check",
-                            lambda self, formula, seed: (seed == 8, f"clause_{seed}"))
+        monkeypatch.setattr(OracleConfig, "check", lambda self, formula, seed, samples=0:
+                            (seed == 8, f"clause_{seed}"))
         v = self.fresh(OracleConfig(repeats=3, base_seed=7))
         assert v.classify_many(self.PIDS[:2]) == [v.classify(self.PIDS[2])] * 2
         assert v.classify(self.PIDS[2]).violated_spec == "clause_7"
@@ -660,7 +689,7 @@ class TestLinearRoute:
     def exact(self, v, pid):
         """The verdict from simulate and cfg.check alone, seed by seed."""
         return v.cfg.vote([v.cfg.check(v.formula, simulate(plant, pid, v.mission))
-                           for plant in v._plants()])
+                           for plant in v._plants])
 
     def test_a_threshold_at_a_samples_error_takes_simulate(self, freed_runs):
         run = simulate_linear(self.PLANT, self.PID, SHORT_HOLD)
@@ -881,6 +910,24 @@ class TestKernelRoute:
         assert sim_calls == [] and batch_calls == []
         assert freed_runs == {"simulate_linear": 0, "simulate": 3 * len(self.PIDS),
                               "simulate_batch": 0}
+
+    @pytest.mark.parametrize("pid,valid,offline", [(PidConfig(-5.0, 1.0, -3.0), False, 0),
+                                                   (PidConfig(4.0, 1.0, 3.0), True, 1)],
+                             ids=["decided-at-the-pause", "run-whole"])
+    def test_a_run_decided_at_the_pause_is_not_judged_again(self, monkeypatch, pid, valid,
+                                                             offline):
+        calls = {"eval_prefix": 0, "eval_offline": 0}
+        for name in calls:
+            def counting(*args, real=getattr(validator_module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(validator_module, name, counting)
+        v = SimulationValidator(self.PLANT, MODE_MISSIONS[0], OracleConfig())
+        verdict = v.classify(pid)
+        # the hold spec pauses the run once, just past its settle deadline
+        assert verdict.valid is valid
+        assert verdict.violated_spec == (None if valid else "hold_tolerance")
+        assert calls == {"eval_prefix": 1, "eval_offline": offline}
 
     @pytest.mark.parametrize("cfg", [OracleConfig(base_seed=2), OracleConfig(repeats=3),
                                      OracleConfig(kind="online", window=150)],
