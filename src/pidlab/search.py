@@ -19,9 +19,10 @@ import csv
 import math
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import islice, product
+from itertools import product
 
 from .plant import PidConfig
 
@@ -68,8 +69,8 @@ class Axis:
     with the config key at fault (p_step for kp), so a config error can
     point at its line.
 
-    The CSV readers go through index, which reads one field as a sub-grid
-    index, and parser, which reads a whole column of fields at once.
+    The CSV readers go through table, whose lookup reads one field as a
+    sub-grid index, a writer's spelling without a call to index.
     """
 
     __slots__ = ("name", "lo", "step", "values", "_index")
@@ -131,31 +132,29 @@ class Axis:
             raise ValueError(f"{self.name}={text} is not on the sub-grid of stride {stride}")
         return k // stride
 
-    def parser(self, stride=1):
-        """A function from a column of CSV fields to the list of sub-grid
-        indices they name, as index gives them, with None for each field
-        that index refuses.
+    def table(self, stride=1):
+        """The sub-grid index of each CSV field, as index gives it: a dict
+        from the csv_number spelling of each value on the stride to its
+        sub-grid index, which sends any other field to index.
 
-        The csv_number spelling of each value on the stride is one table
-        lookup; the constructor has checked that each such spelling snaps
-        back onto its own index. Any other spelling (" 1", "1.0", "1e0") goes
-        through index, so hand-edited CSVs still read.
+        A writer's spelling is one lookup; the constructor has checked that
+        each such spelling snaps back onto its own index. Any other spelling
+        (" 1", "1.0", "1e0") goes through index, so hand-edited CSVs still
+        read, and a field that index refuses raises its ValueError.
         """
-        table = {text: k // stride for text, k in self._index.items() if k % stride == 0}
-        index = self.index
+        table = _Spellings((text, k // stride) for text, k in self._index.items()
+                           if k % stride == 0)
+        table.index = partial(self.index, stride=stride)
+        return table
 
-        def parse(texts):
-            found = list(map(table.get, texts))
-            if None in found:
-                for row, text in enumerate(texts):
-                    if found[row] is None:
-                        try:
-                            found[row] = index(text, stride)
-                        except ValueError:
-                            pass
-            return found
 
-        return parse
+class _Spellings(dict):
+    """Axis.table's dict: a missing field is read by its index function."""
+
+    __slots__ = ("index",)
+
+    def __missing__(self, text):
+        return self.index(text)
 
 
 @dataclass(frozen=True)
@@ -234,61 +233,50 @@ class ParamSpace:
 grid_pid = partial(tuple.__new__, PidConfig)
 
 
-# The data rows read_csv holds at once: 4,096 rows of a grid CSV take
-# about 1 MB as field strings.
-_CHUNK = 4096
+@contextmanager
+def reading_csv(path, names):
+    """Open the CSV at path to read the columns names.
 
-
-def read_csv(path, names):
-    """The data rows of the CSV at path, in chunks of up to _CHUNK rows.
-
-    Yields (lines, columns) per chunk: columns lists, for each of names in
-    order, the chunk's fields in the column the header gives that name, and
-    lines[k] is the file line that ends row k of the chunk.
-    Blank lines are skipped and fields beyond the header's ignored. Raises
-    ValueError naming the file when the header lacks one of names, and the
-    file and line at the first row with fewer fields than the header, once
-    the chunk of the rows before it has been taken.
+    Yields (reader, picks, width): the file's csv.reader past its header,
+    the position in a row of each of names, in order, and the header's
+    field count. A ValueError that the with block raises comes out naming
+    the file and the reader's line, as does a line that csv.reader refuses
+    (a field longer than csv.field_size_limit()). Raises ValueError naming
+    the file when the header lacks one of names, or at a byte that the
+    file's encoding cannot decode; the decoder counts that byte within its
+    buffer, so no line is given.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        # the last of two equal column names wins, as with csv.DictReader
-        at = {name: k for k, name in enumerate(header or ())}
-        if not set(names) <= at.keys():
-            raise ValueError(f"{path}: expected columns {sorted(names)}")
-        picks = [at[name] for name in names]
-        width = len(header)
-        while True:
-            start = reader.line_num
-            flat, lines = [], []
-            extend, append = flat.extend, lines.append
-            for row in islice(reader, _CHUNK):
-                if len(row) != width:
-                    if not row:
-                        continue
-                    if len(row) < width:
-                        if lines:
-                            yield lines, [flat[k::width] for k in picks]
-                        raise ValueError(f"{path}:{reader.line_num}: row has {len(row)} "
-                                         f"fields, the header {width}")
-                    del row[width:]
-                extend(row)
-                append(reader.line_num)
-            if lines:
-                yield lines, [flat[k::width] for k in picks]
-            if reader.line_num == start:
+        try:
+            header = next(reader, ())
+            # the last of two equal column names wins, as with csv.DictReader
+            at = {name: k for k, name in enumerate(header)}
+            if set(names) <= at.keys():
+                yield reader, [at[name] for name in names], len(header)
                 return
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    raise ValueError(f"{path}: expected columns {sorted(names)}")
 
 
-def refuse_row(path, line, check, *fields):
-    """Raise the ValueError that check(*fields) raises for a row a reader
-    refused, naming the file and line."""
-    try:
-        check(*fields)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{line}: {exc}") from exc
-    raise AssertionError(f"{path}:{line}: {check.__name__} accepts the refused row {fields!r}")
+def short_row(row, width):
+    """The ValueError for a data row with fewer fields than the header."""
+    return ValueError(f"row has {len(row)} fields, the header {width}")
+
+
+def data_rows(reader, picks, width):
+    """The fields at picks of each row of reader, as reading_csv gives
+    them. Blank rows are skipped and fields beyond width ignored; a row
+    with fewer fields than width raises short_row's ValueError."""
+    for row in reader:
+        if len(row) < width:
+            if not row:
+                continue
+            raise short_row(row, width)
+        yield [row[k] for k in picks]
 
 
 @dataclass(frozen=True)
@@ -541,43 +529,29 @@ def boundary_to_csv(bl, path):
 _STATUSES = (BOUNDARY, ALL_VALID, ALL_INVALID)
 
 
-def _check_column(axes, p, d, status, i_save):
-    """Raise ValueError for a boundary CSV row that boundary_from_csv
-    refuses, checking its status, i_save, p and d in that order."""
-    if status not in _STATUSES:
-        raise ValueError(f"unknown column status {status!r}")
-    if status != BOUNDARY and i_save:
-        raise ValueError(f"i_save must be empty on the {status} column p={p}, d={d}, "
-                         f"got {i_save!r}")
-    kp, ki, kd = axes
-    kp.index(p)
-    kd.index(d)
-    if status == BOUNDARY:
-        ki.index(i_save)
-
-
 def boundary_from_csv(path, space):
     """Read a boundary CSV back, snapping values onto the given space.
 
-    Raises ValueError, naming the file and line, on an unknown status, a
-    value off the grid, an i_save on an edge column, a short row or a
-    (p, d) column given twice.
+    Raises ValueError, naming the file and line of the first row at fault,
+    on a short row, an unknown status, an i_save on an edge column, a value
+    off the grid (p, then d, then i_save) or a (p, d) column given twice,
+    checked in that order.
     """
     kp, ki, kd = space.axes
-    parse_p, parse_i, parse_d = map(Axis.parser, space.axes)
+    table_p, table_i, table_d = map(Axis.table, space.axes)
     columns = []
     seen = set()
-    for lines, (p, d, status, i_save) in read_csv(path, ("p", "d", "status", "i_save")):
-        rows = zip(lines, p, d, status, i_save, parse_p(p), parse_d(d), parse_i(i_save))
-        for line, p_text, d_text, state, i_text, ip, id_, ii in rows:
-            if (ip is None or id_ is None or state not in _STATUSES
-                    or (ii is None if state == BOUNDARY else i_text)):
-                refuse_row(path, line, _check_column, space.axes, p_text, d_text, state,
-                           i_text)
+    with reading_csv(path, ("p", "d", "status", "i_save")) as opened:
+        for p, d, status, i_save in data_rows(*opened):
+            if status not in _STATUSES:
+                raise ValueError(f"unknown column status {status!r}")
+            if status != BOUNDARY and i_save:
+                raise ValueError(f"i_save must be empty on the {status} column p={p}, "
+                                 f"d={d}, got {i_save!r}")
+            ip, id_ = table_p[p], table_d[d]
+            i_value = ki.values[table_i[i_save]] if status == BOUNDARY else None
             if (ip, id_) in seen:
-                raise ValueError(f"{path}:{line}: column p={p_text}, d={d_text} is given "
-                                 "twice")
+                raise ValueError(f"column p={p}, d={d} is given twice")
             seen.add((ip, id_))
-            columns.append(ColumnRecord(kp.values[ip], kd.values[id_], state,
-                                        ki.values[ii] if state == BOUNDARY else None))
+            columns.append(ColumnRecord(kp.values[ip], kd.values[id_], status, i_value))
     return BoundaryLine(space=space, columns=columns)

@@ -524,6 +524,20 @@ class TestEvalCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_a_field_past_the_csv_field_limit_is_refused(self, artifacts, tmp_path,
+                                                         capsys):
+        gt, bl = artifacts
+        lines = gt.read_text().splitlines(keepends=True)
+        gt.write_text(lines[0] + "1,0.5,0," + "x" * 140_000 + "\r\n")
+        out = tmp_path / "m.json"
+        # csv.Error once escaped both commands as a traceback
+        assert main(["eval", "--gt", str(gt), "--result", str(bl),
+                     "--out", str(out)]) == 2
+        assert "gt.csv:2: field larger than field limit" in capsys.readouterr().err
+        assert main(["plot", "--out", str(tmp_path / "x.svg"), "--grid", str(gt)]) == 2
+        assert "gt.csv:2: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_ground_truth_refused(self, artifacts, tmp_path, capsys, bad):
         gt, bl = artifacts

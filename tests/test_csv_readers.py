@@ -1,11 +1,11 @@
-"""The chunked CSV readers against the per-row readers they replaced.
+"""The CSV readers against reference per-row readers.
 
-The per_row_* functions below are the readers as they were before
-search.read_csv read in chunks: csv.reader row by row, one handle call per
-row and one parser call per field, each parser a table of the writers'
-spellings with float() and Axis.snap for any other. Every input, however
-it is mangled, must read to an equal result or fail with the same
-ValueError text.
+The readers read each file in one csv.reader row loop, each field through
+its axis's table. The per_row_* functions below are the readers in an
+earlier form: csv.reader row by row, one handle call per row and one
+parser call per field, each parser a table of the writers' spellings with
+float() and Axis.snap for any other. Every input, however it is mangled,
+must read to an equal result or fail with the same ValueError text.
 """
 
 import csv
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pidlab import ParamSpace, PidConfig, RouthValidator, ground_truth
-from pidlab import search
 from pidlab.evalkit import (INVALID, VALID, ClassifiedGrid, configs_from_csv,
                             configs_to_csv, grid_from_csv, grid_to_csv)
 from pidlab.search import (ALL_INVALID, ALL_VALID, BOUNDARY, BoundaryLine, ColumnRecord,
@@ -114,7 +113,7 @@ def per_row_boundary_from_csv(path, space):
     return BoundaryLine(space=space, columns=columns)
 
 
-# per reader: the chunked and the per-row read, and the CSV columns that
+# per reader: its read and the per-row reference read, and the CSV columns that
 # hold grid values and labels
 READERS = {
     "grid": (grid_from_csv, per_row_grid_from_csv, ("kp", "ki", "kd"), "label"),
@@ -233,8 +232,8 @@ def same_reads(path, space, reader, strides=(1, 1, 1)):
 
 @st.composite
 def plain_spaces(draw):
-    """Grids of 2 to 5 points per axis, so that a file spans a few chunks
-    of a few rows."""
+    """Grids of 2 to 5 points per axis, so that mangle's edits next to the
+    multiples of a small chunk land inside a file of a few rows."""
     axes = []
     for _ in range(3):
         lo = draw(st.sampled_from([0.0, -0.5, 0.1, 1e4 + 0.3]))
@@ -263,17 +262,16 @@ class TestChunkedReadersAgainstThePerRowReaders:
             rows = reorder(rows, rng)
         rows = mangle(rows, space, reader, rng, chunk, mutations)
         (d / "m.csv").write_bytes(serialize(rows, rng).encode())
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_CHUNK", chunk)
-            same_reads(d / "m.csv", space, reader, strides)
+        same_reads(d / "m.csv", space, reader, strides)
 
     @pytest.mark.parametrize("reader", READERS)
-    @pytest.mark.parametrize("row", [search._CHUNK - 1, search._CHUNK, search._CHUNK + 1])
+    @pytest.mark.parametrize("row", [4095, 4096, 4097])
     @pytest.mark.parametrize("kind", ["short", "label", "off", "respell", "twice", "blank",
                                       "extra"])
     def test_an_edit_next_to_a_chunk_edge(self, tmp_path, reader, row, kind):
-        # a grid of 11,160 cells, and a boundary of 4,900 columns: each
-        # fills more than one chunk
+        # rows 4,095-4,097 lay at the edge of an earlier reader's 4,096-row
+        # chunks; a grid of 11,160 cells and a boundary of 4,900 columns
+        # both reach past them
         if reader == "boundary":
             space = ParamSpace(0, 6.9, 0.1, 0.5, 1.0, 0.5, 0, 6.9, 0.1)
             columns = [ColumnRecord(kp, kd, BOUNDARY, 0.5) for kp in space.axes[0].values
@@ -317,12 +315,13 @@ ROUTH_GRID = ParamSpace(p_min=-0.5, p_max=4.0, p_step=0.5, i_min=0.1, i_max=12.0
 
 
 class TestReadMemory:
-    """grid_from_csv holds the fields of one chunk of rows at a time, or two
-    while it moves from one to the next. On routh_grid_3d's 73,200-cell
-    grid, with the space's cells built, the traced peak of a read was
-    measured at 2.64 MB above the 2.62 MB of labels it returns (1.66 MB
-    with 1,024-row chunks); reading the whole file into columns first
-    measured 25.2 MB above them."""
+    """grid_from_csv holds the fields of one row at a time. On
+    routh_grid_3d's 73,200-cell grid, with the space's cells built, the
+    traced peak of a read was measured at 1.35 MB above the 2.62 MB of
+    labels it returns: the last resize of the labels dict, which holds its
+    old table and the new one at once. The earlier reader of 4,096-row
+    chunks measured 2.64 MB above them, and reading the whole file into
+    columns first 25.2 MB."""
 
     def test_peak_above_the_labels_of_a_73200_cell_read(self, tmp_path):
         grid = ground_truth(ROUTH_GRID, RouthValidator(1.0, 1.0))

@@ -1076,6 +1076,29 @@ class TestCsvRejections:
             plain, loose = plain.columns, loose.columns
         assert loose == plain
 
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_field_past_the_csv_field_limit_names_the_file_and_line(self, tmp_path,
+                                                                      reader):
+        read, header, good = READERS[reader]
+        path = tmp_path / "long.csv"
+        limit = csv.field_size_limit()
+        write_rows(path, header, [good, good[:-1] + ["x" * (limit + 1)], good])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: field larger "
+                                             rf"than field limit \({limit}\)$"):
+            read(path, one_plane_space())
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_an_undecodable_byte_names_the_file(self, tmp_path, reader):
+        read, header, good = READERS[reader]
+        path = tmp_path / "bytes.csv"
+        write_rows(path, header, [good])
+        path.write_bytes(path.read_bytes() + b",".join(map(str.encode, good[:-1]))
+                         + b",\xff\n")
+        # no line: the decoder counts the byte within its buffer
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec "
+                                             r"can't decode byte 0xff in position \d+"):
+            read(path, one_plane_space())
+
     # the second spelling of a cell, and the line it is on
     @pytest.mark.parametrize("again,line", [(["1", "0.5", "0"], 3),
                                             (["1.0", "0.50", "0"], 4),

@@ -147,16 +147,20 @@ class TestParamSpace:
         except ValueError:
             return
         for axis in s.axes:
-            parse = axis.parser(stride)
+            table = axis.table(stride)
             for k, value in enumerate(axis.values):
                 assert axis.snap(value) == k
                 assert axis.snap(float(csv_number(value))) == k
+                # a writer's spelling is an entry of its stride's table
+                assert (csv_number(value) in table) == (k % stride == 0)
                 for text in (csv_number(value), repr(value)):
                     if k % stride == 0:
-                        assert parse([text]) == [k // stride]
+                        assert table[text] == k // stride
                         assert axis.index(text, stride) == k // stride
                     else:
-                        assert parse([text]) == [None]
+                        with pytest.raises(ValueError, match=f"^{axis.name}=.* is not on "
+                                                             f"the sub-grid of stride {stride}$"):
+                            table[text]
                         with pytest.raises(ValueError, match=f"^{axis.name}=.* is not on "
                                                              f"the sub-grid of stride {stride}$"):
                             axis.index(text, stride)
