@@ -17,4 +17,4 @@ from .stability import (characteristic_roots, roots_stable, routh_stable,
                         theoretical_boundary)
 from .validator import (LookupValidator, OracleComparison, OracleConfig,
                         RouthValidator, SimulationValidator, Validator, Verdict,
-                        compare_oracles, query_count, reset_query_count)
+                        compare_oracles, query_count)

@@ -13,10 +13,12 @@ import argparse
 import configparser
 import hashlib
 import inspect
+import io
 import json
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from operator import countOf
@@ -37,33 +39,28 @@ from .validator import OracleConfig, SimulationValidator, query_count
 ALGORITHMS = ("boundary", "boundary-dsoff", "random-fuzz", "hill-climb", "genetic")
 
 class ConfigError(Exception):
-    """Configuration problem, with a best-effort file:line anchor: the line of
-    key in section, or of the section's header when no key is given."""
+    """Configuration problem. An error in a run config's values names their
+    section, and the key where there is one; load_config prefixes it with
+    path:line, the line of the key or else of the section's header, or
+    with path alone where the file has no such line."""
 
-    def __init__(self, message, path=None, section=None, key=None):
-        self.path = path
-        line = _find_line(path, section, key) if path and section else None
-        if path is not None:
-            at = f"{path}:{line}" if line else str(path)
-            message = f"{at}: {message}"
+    def __init__(self, message, section=None, key=None):
+        self.section = section
+        self.key = key
         super().__init__(message)
 
 
-def _find_line(path, section, key):
+def _find_line(lines, section, key):
     current = None
-    try:
-        with open(path) as fh:
-            for lineno, text in enumerate(fh, start=1):
-                header = configparser.ConfigParser.SECTCRE.match(text.strip())
-                if header:
-                    current = header.group("header")
-                    if key is None and current == section:
-                        return lineno
-                elif (current == section  # configparser lower-cases keys
-                      and text.split("=")[0].split(":")[0].strip().lower() == key):
-                    return lineno
-    except OSError:
-        return None
+    for lineno, text in enumerate(lines, start=1):
+        header = configparser.ConfigParser.SECTCRE.match(text.strip())
+        if header:
+            current = header.group("header")
+            if key is None and current == section:
+                return lineno
+        elif (current == section  # configparser lower-cases keys
+              and text.split("=")[0].split(":")[0].strip().lower() == key):
+            return lineno
     return None
 
 
@@ -85,30 +82,29 @@ _SECTIONS = {
 }
 
 
-def _check_keys(cp, path, sections):
+def _check_keys(cp, sections):
     """Reject any section or key that sections does not list, and any
     [DEFAULT] entry, which every section would inherit."""
     for key in cp.defaults():
         raise ConfigError(f"[DEFAULT] {key}: the DEFAULT section takes no keys",
-                          path, "DEFAULT", key)
+                          "DEFAULT", key)
     for section in cp.sections():
         if section not in sections:
             raise ConfigError(f"[{section}] is not a config section; the sections are "
                               + ", ".join(f"[{name}]" for name in sections),
-                              path, section)
+                              section)
         for key in cp.options(section):
             if key not in sections[section]:
                 moved = (" (the oracle seeds each run from [oracle] base_seed)"
                          if (section, key) == ("noise", "seed") else "")
                 raise ConfigError(f"[{section}] {key} is not a config key{moved}; "
                                   f"[{section}] takes {', '.join(sections[section])}",
-                                  path, section, key)
+                                  section, key)
 
 
-def _get_float(cp, path, section, key):
+def _get_float(cp, section, key):
     if not cp.has_option(section, key):
-        raise ConfigError(f"[{section}] is missing required key '{key}'",
-                          path, section, key)
+        raise ConfigError(f"[{section}] is missing required key '{key}'", section, key)
     raw = cp.get(section, key)
     try:
         val = float(raw)
@@ -116,106 +112,107 @@ def _get_float(cp, path, section, key):
         val = math.nan
     if not math.isfinite(val):
         raise ConfigError(f"[{section}] {key} must be a finite number, got {raw!r}",
-                          path, section, key)
+                          section, key)
     return val
 
 
-def _get_int(cp, path, section, key):
-    val = _get_float(cp, path, section, key)
+def _get_int(cp, section, key):
+    val = _get_float(cp, section, key)
     if val != int(val):
-        raise ConfigError(f"[{section}] {key} must be an integer", path, section, key)
+        raise ConfigError(f"[{section}] {key} must be an integer", section, key)
     return int(val)
 
 
-def _floats(cp, path, section, keys):
+def _floats(cp, section, keys):
     """{key: value} of those of keys that section sets."""
-    return {key: _get_float(cp, path, section, key)
+    return {key: _get_float(cp, section, key)
             for key in keys if cp.has_option(section, key)}
 
 
-def _build(path, section, make, kwargs):
+def _build(section, make, kwargs):
     """make(**kwargs), its ValueError raised as a ConfigError at the line of
     the key that the message starts with, if it starts with one."""
     try:
         return make(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}", path, section,
-                          str(exc).partition(" ")[0]) from exc
+        raise ConfigError(f"[{section}] {exc}", section, str(exc).partition(" ")[0]) from exc
 
 
-class AppConfig:
-    def __init__(self, plant, mission, space, oracle, formula, strides):
-        self.plant = plant
-        self.mission = mission
-        self.space = space
-        self.oracle = oracle
-        self.formula = formula
-        self.strides = strides
+# A parsed run configuration; sha256 is that of the bytes parsed.
+AppConfig = namedtuple("AppConfig", "plant mission space oracle formula strides sha256")
 
 
 def load_config(path):
-    """Parse the INI-style run configuration. Raises ConfigError."""
+    """Parse the INI-style run configuration, read once: the bytes parsed
+    are the bytes hashed, and an error is placed at path:line from the
+    lines parsed. Raises ConfigError."""
     cp = configparser.ConfigParser()
     try:
-        with open(path) as fh:
-            cp.read_file(fh, source=str(path))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # decoded as open(path) decodes: the locale's encoding, universal newlines
+        lines = list(io.TextIOWrapper(io.BytesIO(data)))
+        cp.read_file(lines, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        return _parse(cp, hashlib.sha256(data).hexdigest())
+    except ConfigError as exc:
+        line = _find_line(lines, exc.section, exc.key)
+        raise ConfigError(f"{path}:{line}: {exc}" if line else f"{path}: {exc}") from exc
 
+
+def _parse(cp, sha256):
+    """The AppConfig of the parsed cp; a ConfigError names no file."""
     for section in ("plant", "mission", "space"):
         if not cp.has_section(section):
-            raise ConfigError(f"missing [{section}] section", path)
+            raise ConfigError(f"missing [{section}] section")
     mode = cp.get("mission", "mode", fallback=None)
     if mode not in MODES:
         raise ConfigError(f"[mission] mode must be one of {sorted(MODES)}, "
-                          f"got {mode!r}", path, "mission", "mode")
+                          f"got {mode!r}", "mission", "mode")
     builder = MODES[mode]
     mission_keys = tuple(inspect.signature(builder).parameters)
-    _check_keys(cp, path, {**_SECTIONS, "mission": _SECTIONS["mission"] + mission_keys})
+    _check_keys(cp, {**_SECTIONS, "mission": _SECTIONS["mission"] + mission_keys})
 
-    noise = _build(path, "noise", NoiseSpec,
-                   _floats(cp, path, "noise", _SECTIONS["noise"]))
-    plant = _build(path, "plant", PlantModel,
-                   dict(_floats(cp, path, "plant", _SECTIONS["plant"]), noise=noise))
-    mission = _build(path, "mission", builder, _floats(cp, path, "mission", mission_keys))
+    noise = _build("noise", NoiseSpec, _floats(cp, "noise", _SECTIONS["noise"]))
+    plant = _build("plant", PlantModel,
+                   dict(_floats(cp, "plant", _SECTIONS["plant"]), noise=noise))
+    mission = _build("mission", builder, _floats(cp, "mission", mission_keys))
     try:
         sample_count(plant, mission)  # simulate refuses a mission past t_max
     except ValueError as exc:
-        raise ConfigError(f"[mission] duration: {exc}", path, "mission",
-                          "duration") from exc
-    space = _build(path, "space", ParamSpace, {key: _get_float(cp, path, "space", key)
-                                               for key in _SECTIONS["space"]})
-    settings = {key: _get_int(cp, path, "oracle", key)
+        raise ConfigError(f"[mission] duration: {exc}", "mission", "duration") from exc
+    space = _build("space", ParamSpace, {key: _get_float(cp, "space", key)
+                                         for key in _SECTIONS["space"]})
+    settings = {key: _get_int(cp, "oracle", key)
                 for key in ("window", "repeats", "base_seed")
                 if cp.has_option("oracle", key)}
     if cp.has_option("oracle", "kind"):
         settings["kind"] = cp.get("oracle", "kind")
-    oracle = _build(path, "oracle", OracleConfig, settings)
+    oracle = _build("oracle", OracleConfig, settings)
     formula = None
     if cp.has_option("oracle", "formula"):
         try:
             formula = parse_formula(cp.get("oracle", "formula"))
         except MtlSyntaxError as exc:
-            raise ConfigError(f"[oracle] formula: {exc}", path, "oracle",
-                              "formula") from exc
-    return AppConfig(plant, mission, space, oracle, formula, _parse_strides(cp, path))
+            raise ConfigError(f"[oracle] formula: {exc}", "oracle", "formula") from exc
+    return AppConfig(plant, mission, space, oracle, formula, _parse_strides(cp), sha256)
 
 
-def _parse_strides(cp, path):
+def _parse_strides(cp):
     if not cp.has_option("search", "strides"):
         return (1, 1, 1)
     raw = cp.get("search", "strides")
     parts = raw.replace(",", " ").split()
     if len(parts) != 3 or not all(p.isdecimal() and int(p) >= 1 for p in parts):
         raise ConfigError(f"[search] strides must be three positive integers, "
-                          f"got {raw!r}", path, "search", "strides")
+                          f"got {raw!r}", "search", "strides")
     return tuple(int(p) for p in parts)
-
-
-def _config_sha(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _sidecar(path):
@@ -228,11 +225,11 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _base_meta(app, config_path, kind):
+def _base_meta(app, kind):
     return {
         "kind": kind,
         "tool": {"name": "pidlab", "version": __version__},
-        "config_sha256": _config_sha(config_path),
+        "config_sha256": app.sha256,
         "space": app.space.to_dict(),
         "plant": asdict(app.plant),
         "mission": asdict(app.mission),
@@ -254,7 +251,7 @@ def cmd_ground_truth(args):
                         strides=app.strides)
     wall = time.perf_counter() - t0
     grid_to_csv(grid, args.out)
-    meta = _base_meta(app, args.config, "classified_grid")
+    meta = _base_meta(app, "classified_grid")
     meta["coverage"] = ("exhaustive" if grid.strides == (1, 1, 1)
                         else {"sampled": list(grid.strides)})
     invalid = countOf(grid.labels.values(), INVALID)
@@ -298,7 +295,7 @@ def cmd_search(args):
         wall = time.perf_counter() - t0
         configs_to_csv(configs, args.out)
         summary = f"{len(configs)} invalid configs"
-    meta = _base_meta(app, args.config, "boundary_line" if walk else "config_set")
+    meta = _base_meta(app, "boundary_line" if walk else "config_set")
     meta["algorithm"] = algorithm
     meta["budget"] = budget
     meta["seed"] = seed
@@ -312,12 +309,12 @@ def cmd_search(args):
 
 def _load_meta(path):
     side = _sidecar(path)
-    if not side.exists():
-        raise ConfigError(f"missing metadata sidecar {side}")
     try:
         with open(side) as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except FileNotFoundError as exc:
+        raise ConfigError(f"missing metadata sidecar {side}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or no JSON
         raise ConfigError(f"cannot read {side}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ConfigError(f"{side}: expected a JSON object")
@@ -417,6 +414,9 @@ def cmd_plot(args):
                           f"{args.a2!r}")
     source = args.grid if args.grid is not None else args.boundary
     meta = _load_meta(source)
+    if None not in (args.grid, args.boundary) and \
+            _load_meta(args.boundary).get("space") != meta.get("space"):
+        raise ConfigError("grid and boundary were produced on different grids")
     space = _read_space(source, meta)
 
     p = args.p

@@ -43,6 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .plant import BRAKE, CIRCLE_TRACK, HOLD, RETURN_HOME
+
 SIGNALS = ("x", "v", "r", "e", "abs_e", "t")
 COMPARATORS = ("<", "<=", ">", ">=", "=")
 
@@ -399,24 +401,24 @@ def eval_online(formula, traj, window):
 def mode_spec(mission):
     """The misbehavior spec a mission's trajectory is checked against."""
     p = mission.params
-    if mission.mode == "hold":
+    if mission.mode == HOLD:
         return Globally(
             Implies(Atom("t", ">", p["settle_deadline"]),
                     Atom("abs_e", "<", p["hold_tol"])),
             label="hold_tolerance")
-    if mission.mode == "brake":
+    if mission.mode == BRAKE:
         after = p["brake_at"] + p["brake_deadline"]
         return Globally(
             Implies(Atom("t", ">", after),
                     And((Atom("v", "<", p["v_stop"]),
                          Atom("v", ">", -p["v_stop"])))),
             label="brake_stop")
-    if mission.mode == "circle_track":
+    if mission.mode == CIRCLE_TRACK:
         return Globally(
             Implies(Atom("t", ">", p["settle_deadline"]),
                     Atom("abs_e", "<", p["circle_tol"])),
             label="circle_tracking")
-    if mission.mode == "return_home":
+    if mission.mode == RETURN_HOME:
         ret_start = p["out_t"] + p["mono_margin"]
         ret_end = p["out_t"] + p["return_t"]
         return And((
@@ -439,7 +441,7 @@ def circle_lap_spec(mission):
     Violations of this spec span a whole lap, so an online monitor whose
     window is much shorter than the lap cannot resolve them.
     """
-    if mission.mode != "circle_track":
+    if mission.mode != CIRCLE_TRACK:
         raise ValueError("circle_lap_spec needs a circle_track mission")
     p = mission.params
     lap = 1.0 / p["freq"]

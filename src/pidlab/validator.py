@@ -87,12 +87,6 @@ def query_count():
         return _queries
 
 
-def reset_query_count():
-    global _queries
-    with _lock:
-        _queries = 0
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     """How validity is judged.

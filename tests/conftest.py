@@ -6,6 +6,12 @@ from pidlab import plant as plant_module
 from pidlab import validator as validator_module
 
 
+@pytest.fixture(autouse=True)
+def clean_counter(monkeypatch):
+    """Start each test with the oracle query count at 0."""
+    monkeypatch.setattr(validator_module, "_queries", 0)
+
+
 @pytest.fixture
 def python_engine(monkeypatch):
     """Run the test on simulate's Python loop, as on a platform where no

@@ -22,8 +22,7 @@ from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig,
                     compute_metrics, genetic_search, ground_truth, hill_climb,
                     hold_mission, circle_mission, identify_boundary,
                     query_count, random_fuzz, region_from_boundary,
-                    reset_query_count, roots_stable, routh_stable,
-                    theoretical_boundary)
+                    roots_stable, routh_stable, theoretical_boundary)
 from pidlab.mtl import circle_lap_spec
 from pidlab.validator import LookupValidator
 
@@ -63,9 +62,9 @@ def quiet_plane():
     t0 = time.perf_counter()
     oracle = SimulationValidator(QUIET_PLANT, HOLD, ORACLE)
     grid = ground_truth(QUIET_SPACE, oracle)
-    reset_query_count()
+    q0 = query_count()
     bl = identify_boundary(QUIET_SPACE, oracle)
-    return {"grid": grid, "bl": bl, "queries": query_count(),
+    return {"grid": grid, "bl": bl, "queries": query_count() - q0,
             "wall": time.perf_counter() - t0}
 
 
@@ -73,9 +72,9 @@ def quiet_plane():
 def noisy_plane():
     oracle = SimulationValidator(NOISY_PLANT, HOLD, ORACLE)
     grid = ground_truth(NOISY_SPACE, oracle)
-    reset_query_count()
+    q0 = query_count()
     bl = identify_boundary(NOISY_SPACE, oracle)
-    budget = query_count()
+    budget = query_count() - q0
     metrics = compute_metrics(grid, region_from_boundary(bl))
     return {"oracle": oracle, "grid": grid, "bl": bl, "budget": budget,
             "metrics": metrics}
@@ -157,9 +156,9 @@ def test_04_query_cost_is_linear_not_quadratic():
                    i_min=0.4, i_max=24.0, i_step=0.4,
                    d_min=0.02, d_max=1.2, d_step=0.02)
     assert (s.n_i, s.n_d) == (60, 60) and s.size() == 3600
-    reset_query_count()
+    q0 = query_count()
     identify_boundary(s, SimulationValidator(QUIET_PLANT, HOLD, ORACLE))
-    used = query_count()
+    used = query_count() - q0
     assert used <= 5 * (s.n_i + s.n_d), f"{used} queries"
     assert s.size() / used >= 6.0
 
@@ -290,13 +289,13 @@ def test_11_determinism_and_budget_honesty(noisy_plane, tmp_path):
                    d_min=0.0, d_max=1.0, d_step=0.5)
     oracle = RouthValidator(A1, A2)
     for fn in (random_fuzz, hill_climb, genetic_search):
-        reset_query_count()
+        q0 = query_count()
         first = fn(s, validator=oracle, budget=57, seed=11)
-        assert query_count() == 57, fn.__name__
+        assert query_count() - q0 == 57, fn.__name__
         assert fn(s, validator=oracle, budget=57, seed=11) == first
 
     tiny = ParamSpace(1.0, 1.0, 1.0, 0.5, 1.5, 0.5, 0.0, 0.5, 0.5)
-    reset_query_count()
+    q0 = query_count()
     random_fuzz(tiny, validator=LookupValidator(lambda pid: False),
                 budget=10_000, seed=0)
-    assert query_count() == tiny.size()
+    assert query_count() - q0 == tiny.size()

@@ -1,10 +1,15 @@
+import builtins
+import hashlib
+import io
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
 
 from pidlab import ParamSpace, compute_metrics, region_from_boundary
+from pidlab import cli
 from pidlab.cli import ConfigError, load_config, main
 from pidlab.evalkit import grid_from_csv
 from pidlab.search import boundary_from_csv
@@ -171,6 +176,7 @@ strides = 1 2 1
          "[space] p_step 1e-12 gives 1000000000001 points on kp"),
         (lambda t: t + "\n[oracle]\nwindow = 200\n", "window"),
         (lambda t: t + "\n[oracle]\nbase_seed = -1\n", "[oracle] base_seed must be >= 0"),
+        (lambda t: t + "\n[oracle]\nrepeats = 2.5\n", "[oracle] repeats must be an integer"),
         (lambda t: t + "\n[noise]\nsensor_sigma = -1\n",
          "[noise] sensor_sigma must be >= 0"),
         (lambda t: t.replace("t_max = 120", "t_max = 10"),
@@ -201,6 +207,7 @@ strides = 1 2 1
         for _, old, new in [("i_step", "i_step = 0.4", "i_step = fast"),
                             ("strides", None, "\n[search]\nstrides = 1 \u00b2 1\n"),
                             ("repeats", None, "\n[oracle]\nrepeats = 2\n"),
+                            ("repeats", None, "\n[oracle]\nrepeats = 2.5\n"),
                             ("base_seed", None, "\n[oracle]\nbase_seed = -1\n"),
                             ("t_max", "duration = 16", "duration = 160"),
                             ("i_step", "i_step = 0.4", "i_step = 0"),
@@ -240,6 +247,91 @@ strides = 1 2 1
         app = load_config(path)
         assert (app.mission.mode, app.oracle.kind) == ("hold", "offline")
         assert app.formula is not None
+
+    def test_configparsers_own_errors_keep_their_text(self, config):
+        config.write_text(BASE_CONFIG.replace("a2 = 1.0", "a2 = 1.0\nA1 = 2.0"))
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        # configparser names the file and line itself; no prefix is added
+        assert str(err.value) == (f"While reading from '{config}' [line  4]: "
+                                  "option 'a1' in section 'plant' already exists")
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The paths that open() and Path.open are called with from here on."""
+    paths = []
+    real = io.open
+
+    def counting(file, *args, **kwargs):
+        paths.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    monkeypatch.setattr(io, "open", counting)
+    return paths
+
+
+class TestReadOnce:
+    """A run config is read once: the bytes parsed are the bytes hashed, and
+    its errors are placed from the same lines."""
+
+    def test_a_run_opens_its_config_once(self, config, tmp_path, opened):
+        assert main(["ground-truth", "--config", str(config),
+                     "--out", str(tmp_path / "gt.csv")]) == 0
+        assert [os.fspath(path) for path in opened].count(str(config)) == 1
+
+    def test_an_error_opens_the_config_once(self, config, opened):
+        text = BASE_CONFIG + "\n[oracle]\nrepeat = 3\n"
+        config.write_text(text)
+        del opened[:]
+        with pytest.raises(ConfigError, match=rf"run\.ini:{len(text.splitlines())}: "):
+            load_config(config)
+        assert opened == [config]
+
+    def test_the_sidecar_hashes_the_bytes_parsed(self, config, tmp_path, monkeypatch):
+        parsed = config.read_bytes()
+        real = cli.ground_truth
+
+        def then_edit(*args, **kwargs):
+            grid = real(*args, **kwargs)
+            config.write_text(BASE_CONFIG.replace("i_max = 6.0", "i_max = 8.0"))
+            return grid
+
+        monkeypatch.setattr(cli, "ground_truth", then_edit)
+        assert main(["ground-truth", "--config", str(config),
+                     "--out", str(tmp_path / "gt.csv")]) == 0
+        assert config.read_bytes() != parsed
+        assert (read_json(tmp_path / "gt.json")["config_sha256"]
+                == hashlib.sha256(parsed).hexdigest())
+        assert load_config(config).sha256 == hashlib.sha256(config.read_bytes()).hexdigest()
+
+    def test_an_undecodable_config_is_a_config_error(self, config, tmp_path, capsys):
+        config.write_bytes(b"[plant]\na1 = 1\xff\n")
+        assert main(["ground-truth", "--config", str(config),
+                     "--out", str(tmp_path / "gt.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pidlab: {config}: ") and "0xff" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_an_undecodable_sidecar_is_a_config_error(self, artifacts, tmp_path, capsys):
+        gt, _ = artifacts
+        side = gt.with_suffix(".json")
+        side.write_bytes(b'{"kind": "\xff"}')
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--out", str(out), "--grid", str(gt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pidlab: cannot read {side}: ") and "0xff" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_universal_newlines_place_errors_as_before(self, config):
+        # a lone carriage return ends a line, as when open() read the file
+        text = BASE_CONFIG.replace("\n", "\r") + "\r[oracle]\rrepeat = 3\r"
+        config.write_bytes(text.encode())
+        with pytest.raises(ConfigError, match=rf"run\.ini:{text.count(chr(13))}: "):
+            load_config(config)
 
 
 class TestGroundTruthCommand:
@@ -489,6 +581,19 @@ class TestEvalCommand:
         assert main(["eval", "--gt", str(gt_path), "--result", str(bl_path),
                      "--out", str(tmp_path / "m.json")]) == 2
 
+    def test_an_empty_result_set_is_scored_with_a_note(self, artifacts, config, tmp_path,
+                                                       capsys):
+        gt, _ = artifacts
+        found = tmp_path / "fuzz.csv"
+        assert main(["search", "--config", str(config), "--algorithm", "random-fuzz",
+                     "--out", str(found), "--budget", "3"]) == 0
+        found.write_text(found.read_text().splitlines(keepends=True)[0])
+        out = tmp_path / "m.json"
+        assert main(["eval", "--gt", str(gt), "--result", str(found),
+                     "--out", str(out)]) == 0
+        assert f"{'note':>22}: empty_result_set" in capsys.readouterr().out
+        assert read_json(out)["flags"] == ["empty_result_set"]
+
     def test_truncated_ground_truth_refused(self, artifacts, tmp_path, capsys):
         gt, bl = artifacts
         lines = gt.read_text().splitlines(keepends=True)
@@ -610,6 +715,14 @@ class TestMalformedSidecars:
         assert main(["plot", "--out", str(out), "--boundary", str(bl),
                      "--a1", "1", "--a2", "1"]) == 0
 
+    def test_not_json(self, artifacts, tmp_path, capsys):
+        gt, bl = artifacts
+        gt.with_suffix(".json").write_text('{"kind": ')
+        assert main(["eval", "--gt", str(gt), "--result", str(bl),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert (f"cannot read {gt.with_suffix('.json')}: Expecting value"
+                in capsys.readouterr().err)
+
     def test_not_an_object(self, artifacts, tmp_path, capsys):
         gt, bl = artifacts
         gt.with_suffix(".json").write_text("[1, 2]")
@@ -696,16 +809,56 @@ class TestPlotCommand:
         assert "kp=-inf is not on the grid" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_grid_refused(self, artifacts, tmp_path):
+    def test_empty_grid_refused(self, artifacts, tmp_path, capsys):
         gt, _ = artifacts
         gt.write_text("kp,ki,kd,label\n")
         assert main(["plot", "--out", str(tmp_path / "x.svg"),
                      "--grid", str(gt)]) == 2
+        assert "holds 0 labels" in capsys.readouterr().err
+        # a sidecar that records no count lets the empty grid through to plot
+        rewrite_sidecar(gt, lambda meta: meta.pop("labeled"))
+        assert main(["plot", "--out", str(tmp_path / "x.svg"),
+                     "--grid", str(gt)]) == 2
+        assert f"{gt} contains no labeled configs" in capsys.readouterr().err
+
+    def test_malformed_boundary_refused(self, artifacts, tmp_path, capsys):
+        _, bl = artifacts
+        lines = bl.read_text().splitlines(keepends=True)
+        bl.write_text(lines[0] + "2,0.2\r\n")
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--out", str(out), "--boundary", str(bl)]) == 2
+        assert "bl.csv:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boundary_from_another_grid_refused(self, artifacts, config, tmp_path, capsys):
+        gt, _ = artifacts
+        wider = tmp_path / "wider.ini"
+        wider.write_text(BASE_CONFIG.replace("i_max = 6.0", "i_max = 8.0"))
+        bl = tmp_path / "wide.csv"
+        assert main(["search", "--config", str(wider), "--algorithm", "boundary",
+                     "--out", str(bl)]) == 0
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--out", str(out), "--grid", str(gt),
+                     "--boundary", str(bl)]) == 2
+        assert "grid and boundary were produced on different grids" in capsys.readouterr().err
+        assert not out.exists()
+        # as eval refuses the same pair
+        assert main(["eval", "--gt", str(gt), "--result", str(bl),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "were produced on different grids" in capsys.readouterr().err
 
 
 class TestArgumentHandling:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
+
+    def test_an_option_after_p_is_not_its_value(self, artifacts, tmp_path, capsys):
+        # only a word that float() reads is attached to --p as its value
+        gt, _ = artifacts
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--out", str(out), "--grid", str(gt), "--p", "-x"]) == 2
+        assert "argument --p: expected one argument" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-2", "two", "2"])
     def test_workers_below_one_is_usage_error(self, config, tmp_path, workers):

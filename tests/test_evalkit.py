@@ -13,7 +13,7 @@ from pidlab import (Metrics, NoiseSpec, OracleConfig, ParamSpace, PidConfig,
                     circle_lap_spec, circle_mission, compare_oracles,
                     compute_metrics, ground_truth, hold_mission,
                     identify_boundary, query_count,
-                    region_from_boundary, reset_query_count, routh_stable)
+                    region_from_boundary, routh_stable)
 from pidlab import plant as plant_module
 from pidlab import validator as validator_module
 from pidlab.plant import CLAMP
@@ -36,13 +36,6 @@ def grid_indices(space, strides=(1, 1, 1)):
     0, s, 2s, ... per axis), in index order."""
     return product(*(range(0, n, s) for n, s in zip((space.n_p, space.n_i, space.n_d),
                                                     strides)))
-
-
-@pytest.fixture(autouse=True)
-def clean_counter():
-    reset_query_count()
-    yield
-    reset_query_count()
 
 
 class TestRegionFromBoundary:
@@ -365,11 +358,11 @@ class TestCompareOracles:
                             or real_batch(*a))
         if batched:  # all verdicts of all configs come from one batch per seed
             monkeypatch.setattr(validator_module, "BATCH_MIN", 1)
-        reset_query_count()
+        q0 = query_count()
         cmp = compare_oracles(configs, mission, plant, window=window, cfg=cfg,
                               formula=formula, ref_factor=ref_factor)
         assert cmp.rows == expect
-        assert query_count() == 3 * len(configs)
+        assert query_count() - q0 == 3 * len(configs)
         # one reference-length run per seed and config, and no short run
         if batched:
             assert sims == []
@@ -414,7 +407,6 @@ class TestCompareOracles:
         sims = []
         for name in ("simulate_linear", "simulate"):
             monkeypatch.setattr(validator_module, name, lambda *a, **k: sims.append(a))
-        reset_query_count()
         with pytest.raises(ValueError, match="ref_factor must be >= 1"):
             compare_oracles([PidConfig(1, 0.5, 1)], hold_mission(settle_deadline=5, duration=10),
                             PlantModel(), window=100, ref_factor=ref_factor)
@@ -471,7 +463,6 @@ class TestCompareOracles:
         real = validator_module.simulate_linear
         monkeypatch.setattr(validator_module, "simulate_linear",
                             lambda *a, **k: sims.append((a[0].noise.seed, a[1])) or real(*a, **k))
-        reset_query_count()
         cmp = compare_oracles([a, b, a], mission, plant, window=100, cfg=cfg, ref_factor=2)
         assert query_count() == 9
         assert sims == [(seed, pid) for pid in (a, b) for seed in range(3)]

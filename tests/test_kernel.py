@@ -131,6 +131,39 @@ def test_a_compile_error(loader, tmp_path, monkeypatch):
     assert files(cache) == files(tmp) == []
 
 
+def test_no_kernel_source(loader, tmp_path, monkeypatch):
+    # as in a wheel built without its package data
+    cache, tmp = loader
+    monkeypatch.setattr(kernel, "SOURCE", tmp_path / "_rk4.c")
+    assert kernel.load() is None
+    runs, engine = first_runs()
+    assert engine is plant_module._python_steps and not plant_module.compiled()
+    assert_python_bits(runs)
+    assert files(cache) == files(tmp) == []
+
+
+@pytest.mark.parametrize("library", ["not a library", "no rk4_steps"])
+def test_a_library_that_does_not_load(loader, tmp_path, monkeypatch, library):
+    cache, tmp = loader
+    if library == "not a library":
+        # a compiler that writes its C source where the library should go:
+        # _build runs [*COMMAND, "-o", library, source]
+        monkeypatch.setattr(kernel, "COMMAND", (
+            sys.executable, "-c",
+            "import shutil, sys; shutil.copyfile(sys.argv[-1], sys.argv[-2])"))
+    elif not HAS_CC:
+        pytest.skip("no C compiler on PATH to build a library without rk4_steps")
+    else:
+        source = tmp_path / "_rk4.c"
+        source.write_text(kernel.SOURCE.read_text().replace("rk4_steps", "rk4_renamed"))
+        monkeypatch.setattr(kernel, "SOURCE", source)
+    assert kernel.load() is None
+    runs, engine = first_runs()
+    assert engine is plant_module._python_steps and not plant_module.compiled()
+    assert_python_bits(runs)
+    assert len(files(cache)) == 1 and files(tmp) == []
+
+
 @needs_cc
 def test_a_kernel_that_fails_the_self_check(loader, tmp_path, monkeypatch):
     cache, tmp = loader

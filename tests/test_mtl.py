@@ -477,7 +477,26 @@ def _tail(traj, t0):
                       e=traj.e[keep].copy())
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: Prev("q"), "prev() not defined for signal 'q'"),
+    (lambda: Atom("x", "!=", 1.0), "unknown comparator '!='"),
+    (lambda: Globally(Atom("x", "<", 1.0), t_lo=0.0),
+     "temporal bounds must be both set or both omitted"),
+], ids=["prev of no signal", "no such comparator", "t_lo without t_hi"])
+def test_constructors_refuse_what_no_evaluator_reads(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
 class TestOfflineSemantics:
+    def test_an_empty_trajectory_is_refused(self):
+        empty = make_traj([0.0, 1.0]).head(0)
+        f = Globally(Atom("x", "<", 1.0))
+        with pytest.raises(ValueError, match="empty trajectory"):
+            eval_offline(f, empty)
+        with pytest.raises(ValueError, match="empty trajectory"):
+            eval_online(f, empty, 2)
+
     def test_globally_all_samples(self):
         traj = make_traj([0, 1, 2, 3])
         assert eval_offline(Globally(Atom("x", "<", 4)), traj)
@@ -702,6 +721,11 @@ class TestCircleLapSpec:
     def test_needs_circle_mission(self):
         with pytest.raises(ValueError):
             circle_lap_spec(hold_mission())
+
+    def test_needs_one_whole_lap(self):
+        short = circle_mission(radius=1.0, freq=0.05, settle_deadline=4, duration=10)
+        with pytest.raises(ValueError, match="mission shorter than one lap"):
+            circle_lap_spec(short)
 
 
 class TestParser:

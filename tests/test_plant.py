@@ -15,7 +15,7 @@ from pidlab import (PidConfig, PlantModel, NoiseSpec, brake_mission,
                     circle_mission, hold_mission, reference_at,
                     return_home_mission, routh_stable, simulate)
 from pidlab import plant as plant_module
-from pidlab.plant import (CLAMP, LINEAR_LIMIT, Mission, Trajectory, sample_count,
+from pidlab.plant import (CLAMP, HOLD, LINEAR_LIMIT, Mission, Trajectory, sample_count,
                           simulate_batch, simulate_linear)
 
 
@@ -124,6 +124,10 @@ class TestConfigValidation:
     def test_mission_mode_checked(self):
         with pytest.raises(ValueError):
             Mission("zigzag", 60, {})
+
+    def test_mission_duration_must_be_positive(self):
+        with pytest.raises(ValueError, match="^duration must be > 0"):
+            Mission(HOLD, 0.0, {})
 
     def test_factories_check_windows(self):
         with pytest.raises(ValueError):

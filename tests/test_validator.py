@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig, PlantModel,
                     RouthValidator, SimulationValidator, Verdict, brake_mission,
                     circle_mission, genetic_search, hill_climb, hold_mission,
-                    identify_boundary, query_count, reset_query_count,
-                    return_home_mission, routh_stable, simulate)
+                    identify_boundary, query_count, return_home_mission, routh_stable,
+                    simulate)
 from pidlab import plant as plant_module
 from pidlab import validator as validator_module
 from pidlab.cli import load_config
@@ -21,13 +21,6 @@ from pidlab.mtl import And, Atom, Eventually, Globally, Implies, atom_margin, mo
 from pidlab.validator import LookupValidator, Validator
 from test_mtl import formulas, traces_and_windows
 from test_plant import predicts_clamp
-
-
-@pytest.fixture(autouse=True)
-def clean_counter():
-    reset_query_count()
-    yield
-    reset_query_count()
 
 
 class TestOracleConfig:
@@ -256,14 +249,6 @@ class TestQueryCounter:
         v.classify(PidConfig(1, 0.5, 1))
         assert query_count() == 1
 
-    def test_reset(self):
-        v = LookupValidator(lambda pid: True)
-        for _ in range(5):
-            v.classify(PidConfig(1, 1, 1))
-        assert query_count() == 5
-        reset_query_count()
-        assert query_count() == 0
-
     def test_thread_safety(self):
         v = LookupValidator(lambda pid: True)
         threads = [threading.Thread(target=lambda: [v.classify(PidConfig(1, 1, 1))
@@ -357,7 +342,6 @@ class TestBaselinesOnTheMemo:
     @pytest.mark.parametrize("fn", [hill_climb, genetic_search])
     def test_same_result_and_budget_with_fewer_simulations(self, fn, sim_calls):
         budget = 40
-        reset_query_count()
         memo = fn(self.SPACE, SimulationValidator(PlantModel(), SHORT_HOLD, OracleConfig()),
                   budget=budget, seed=3)
         assert query_count() == budget
