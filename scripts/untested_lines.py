@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Print the executable lines of src/pidlab that no test reaches.
 
-    python3 scripts/untested_lines.py [--package DIR] [PYTEST_ARG ...]
+    python3 scripts/untested_lines.py [PYTEST_ARG ...]
 
-Runs pytest in this process, with the PYTEST_ARGs passed through and DIR's
-parent (src) first on sys.path, under a sys.settrace tracer limited to the
-files under DIR (default src/pidlab): a frame of any other file gets no
-local tracer. Threads started under the tracer are traced too
+Run from the root of the repository. Runs pytest in this process, with the
+PYTEST_ARGs passed through and src first on sys.path, under a sys.settrace
+tracer limited to the files under src/pidlab: a frame of any other file
+gets no local tracer. Threads started under the tracer are traced too
 (threading.settrace). A line is executable when a code object compiled
 from its file lists it in co_lines(). For each file the script prints the
 executable lines that no traced frame reached, as ranges of consecutive
@@ -20,14 +20,13 @@ Under the tracer the tier-1 suite took 189 s, against 88 s without it
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import threading
 import types
 from pathlib import Path
 
-DEFAULT_PACKAGE = Path("src") / "pidlab"
+PACKAGE = Path("src") / "pidlab"
 
 
 def executable_lines(path):
@@ -42,13 +41,13 @@ def executable_lines(path):
     return lines
 
 
-def untested(package, pytest_args):
+def untested(pytest_args):
     """pytest's exit code and {path: (executable lines, those no test
-    reached)}, both sorted, for each .py file under package, over one traced
+    reached)}, both sorted, for each .py file under PACKAGE, over one traced
     in-process pytest run."""
     import pytest
 
-    package = package.resolve()
+    package = PACKAGE.resolve()
     paths = sorted(package.rglob("*.py"))
     reached = {str(path): set() for path in paths}
 
@@ -93,11 +92,7 @@ def ranges(missing, executable):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("--package", type=Path, default=DEFAULT_PACKAGE,
-                        help="the directory whose files are traced (default: src/pidlab)")
-    args, pytest_args = parser.parse_known_args(argv)
-    code, missing = untested(args.package, pytest_args)
+    code, missing = untested(sys.argv[1:] if argv is None else argv)
     total = count = 0
     for path, (executable, lines) in missing.items():
         total += len(executable)

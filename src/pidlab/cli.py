@@ -321,6 +321,12 @@ def _load_meta(path):
     return meta
 
 
+def _same_grid(meta, other, pair):
+    """Refuse two sidecars whose 'space' differs; pair names the two files."""
+    if meta.get("space") != other.get("space"):
+        raise ConfigError(f"{pair} were produced on different grids")
+
+
 def _read_space(path, meta):
     """The ParamSpace recorded in the sidecar of path."""
     side = _sidecar(path)
@@ -367,8 +373,7 @@ def cmd_eval(args):
     if kind not in ("boundary_line", "config_set"):
         raise ConfigError(f"--result {args.result}: its sidecar's kind is {kind!r}; "
                           "eval scores a 'boundary_line' or a 'config_set'")
-    if gt_meta.get("space") != rs_meta.get("space"):
-        raise ConfigError("ground truth and result were produced on different grids")
+    _same_grid(gt_meta, rs_meta, "ground truth and result")
     space = _read_space(args.gt, gt_meta)
     gt = _read_grid(args.gt, gt_meta, space)
 
@@ -414,9 +419,8 @@ def cmd_plot(args):
                           f"{args.a2!r}")
     source = args.grid if args.grid is not None else args.boundary
     meta = _load_meta(source)
-    if None not in (args.grid, args.boundary) and \
-            _load_meta(args.boundary).get("space") != meta.get("space"):
-        raise ConfigError("grid and boundary were produced on different grids")
+    if None not in (args.grid, args.boundary):
+        _same_grid(meta, _load_meta(args.boundary), "grid and boundary")
     space = _read_space(source, meta)
 
     p = args.p

@@ -20,7 +20,7 @@ def twice(f, x):
 TOY_TESTS = """\
 import threading
 
-from toy.signs import sign, twice
+from pidlab.signs import sign, twice
 
 
 def test_positive():
@@ -36,17 +36,17 @@ def test_in_a_thread():
 
 
 def test_reports_the_one_untested_line(tmp_path):
-    (tmp_path / "src" / "toy").mkdir(parents=True)
-    (tmp_path / "src" / "toy" / "signs.py").write_text(TOY)
+    (tmp_path / "src" / "pidlab").mkdir(parents=True)
+    (tmp_path / "src" / "pidlab" / "__init__.py").write_text("")
+    (tmp_path / "src" / "pidlab" / "signs.py").write_text(TOY)
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_signs.py").write_text(TOY_TESTS)
-    done = subprocess.run([sys.executable, str(SCRIPT), "--package", "src/toy",
-                           "-q", "-p", "no:cacheprovider", "tests"],
+    done = subprocess.run([sys.executable, str(SCRIPT), "-q", "-p", "no:cacheprovider", "tests"],
                           cwd=tmp_path, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
     report = done.stdout.splitlines()
     assert "2 passed" in report[-3]
-    assert report[-2:] == ["src/toy/signs.py: 4", "1 of 6 executable lines untested"]
+    assert report[-2:] == ["src/pidlab/signs.py: 4", "1 of 6 executable lines untested"]
 
 
 def test_ranges_join_consecutive_executable_lines():
