@@ -296,39 +296,6 @@ def _atoms(node):
         yield from _atoms(node.child)
 
 
-# The signals that move with the state; t and r do not.
-_STATE_SIGNALS = frozenset(("x", "v", "e", "abs_e"))
-
-
-def atom_margin(formula, traj):
-    """How far the trace's x and v may move, sample by sample, before an
-    atom of formula can change its truth value at some sample.
-
-    The smallest |lhs - rhs| over every sample of every atom with a side
-    on x, v, e or abs_e: the per-atom robustness of Donze & Maler (FORMATS
-    2010). A Prev atom counts half its gap, since both of its sides may
-    move. inf when no atom has such a side; nan when a gap is.
-    """
-    sig = _signals(traj)
-    margin = math.inf
-    for atom in set(_atoms(formula)):
-        rhs = atom.rhs
-        prev = isinstance(rhs, Prev)
-        if atom.signal not in _STATE_SIGNALS and not (prev and rhs.signal in _STATE_SIGNALS):
-            continue
-        lhs = sig[atom.signal]
-        if prev:
-            gap = np.abs(lhs[1:] - (sig[rhs.signal][:-1] + rhs.offset)) / 2.0
-        else:
-            gap = np.abs(lhs - np.float64(rhs))
-        if len(gap):
-            low = float(gap.min())
-            if math.isnan(low):
-                return low
-            margin = min(margin, low)
-    return margin
-
-
 def eval_offline(formula, traj):
     """Whole-trace verdict: does the trace satisfy the formula at time 0?
 

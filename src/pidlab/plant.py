@@ -21,14 +21,6 @@ import numpy as np
 # NaN passes the clamp, and the trajectory oracle classifies the run invalid.
 CLAMP = 1.0e6
 
-# A linear run stands in for simulate's where every spec atom stays more
-# than LINEAR_TOL * (1 + the run's largest |x| or |v|) from its threshold,
-# about 1,000 times the linear scan's error on unclamped runs (at most
-# 7.4e-13 over 600 random runs, 3e-12 over 300,000 undamped steps). A run that
-# comes within that distance of the clamp, LINEAR_LIMIT, is simulated.
-LINEAR_TOL = 1e-9
-LINEAR_LIMIT = (CLAMP - LINEAR_TOL) / (1.0 + LINEAR_TOL)
-
 HOLD = "hold"
 BRAKE = "brake"
 CIRCLE_TRACK = "circle_track"
@@ -545,131 +537,6 @@ def _agrees(engine):
         if runs[0] != runs[1]:
             return False
     return True
-
-
-# Steps per chunk of simulate_linear's scan.
-_SPAN = 4096
-
-
-def _rk4_map(plant, pid, dt):
-    """RK4's step on the unclamped closed loop as an exact affine map.
-
-    The loop is s' = A s + b(t) on s = (x, v, q) with
-    b = (0, kp * (r - noise) + kd * r' + u, r - noise), so one RK4 step with
-    b sampled at the step's start, middle (stages 2 and 3) and end is
-    s[k + 1] = M s[k] + N0 b0 + Nm bm + N1 b1. Returns (M, V) with V's rows
-    the state response to one unit of each of (b0[1], b0[2], bm[1], bm[2],
-    b1[1], b1[2]).
-    """
-    kp, ki, kd = pid
-    a1, a2 = float(plant.a1), float(plant.a2)
-    eye = np.eye(3)
-    h1 = dt * np.array([[0.0, 1.0, 0.0], [-(a1 + kp), -(a2 + kd), ki], [-1.0, 0.0, 0.0]])
-    with np.errstate(all="ignore"):  # huge finite gains overflow to inf and nan
-        h2 = h1 @ h1
-        h3 = h2 @ h1
-        m = eye + h1 + h2 / 2.0 + h3 / 6.0 + (h3 @ h1) / 24.0
-        n0 = dt / 6.0 * (eye + h1 + h2 / 2.0 + h3 / 4.0)
-        nm = dt / 6.0 * (4.0 * eye + 2.0 * h1 + h2 / 2.0)
-    n1 = dt / 6.0 * eye
-    return m, np.stack([n0[:, 1], n0[:, 2], nm[:, 1], nm[:, 2], n1[:, 1], n1[:, 2]])
-
-
-def _squares(m, count):
-    """[M, M^2, M^4, ...]: count matrices, each the square of the one
-    before. An unstable M's squares overflow; callers silence that."""
-    squares = [m]
-    while len(squares) < count:
-        squares.append(squares[-1] @ squares[-1])
-    return squares[:count]
-
-
-def simulate_linear(plant, pid, mission):
-    """simulate's run from RK4's exact linear map, or None where the run may
-    reach LINEAR_LIMIT.
-
-    Below the clamp each RK4 step is the affine map of _rk4_map, fed the
-    step inputs simulate loops over (the same reference, noise and sawtooth
-    floats), so the run is simulate's up to rounding: t and r are
-    simulate's, x and v may differ in their last bits, and a verdict on them
-    is simulate's only where no spec atom sits that close to its threshold
-    (mtl.atom_margin).
-
-    The clamp is predicted before any input is built: where M^(n - 1), the
-    unforced loop's state at the mission's end from each unit state, has an
-    entry not below LINEAR_LIMIT or not finite, the run is None and draws no
-    noise. M^(n - 1) is the float squares of M taken in the bits of n - 1,
-    about 2 log2(n) 3x3 products with no LAPACK call. Otherwise the run is
-    None once a sample's |x| or |v| reaches LINEAR_LIMIT or is not finite.
-    """
-    m, resp = _rk4_map(plant, pid, float(plant.dt))
-    power = np.eye(3)
-    count = sample_count(plant, mission) - 1
-    with np.errstate(all="ignore"):  # a diverging loop overflows to inf or nan
-        for bit, square in enumerate(_squares(m, count.bit_length())):
-            if count >> bit & 1:
-                power = power @ square
-    if not (np.abs(power) < LINEAR_LIMIT).all():
-        return None
-    dt, times, r, steps = _inputs(plant, mission)
-    xv = _linear_scan(steps, pid, m, resp)
-    if xv is None:
-        return None
-    xs, vs = xv
-    return Trajectory(dt=dt, t=times, x=xs, v=vs, r=r, e=r - xs)
-
-
-def _linear_scan(steps, pid, m, resp):
-    """x and v of the run on _inputs' steps from _rk4_map's (m, resp), or
-    None once a sample reaches LINEAR_LIMIT (see simulate_linear).
-
-    The scan takes _SPAN steps at a time, reading the steps' slices
-    [k0:k1], so its temporaries do not grow with the run, and stops at the
-    first chunk past the limit. Within a chunk, run[:, i] starts as step i's
-    own response V^T f[i], plus M s for the chunk's start state s at
-    i = 0; pass j of a doubling scan adds M^(2^j) run[:, i - 2^j] to every
-    run[:, i] that has one, so after the passes run[:, i] is the state
-    after step i.
-    """
-    n = len(steps[0]) + 1
-    kp, _, kd = pid
-    # Squared in extended precision where the platform has it: each float
-    # squaring doubles the relative error of the square before it, and the
-    # scan applies every square to all the steps after it.
-    with np.errstate(all="ignore"):
-        squares = [square.astype(float) for square in
-                   _squares(m.astype(np.longdouble), (_SPAN - 1).bit_length())]
-    xs = np.empty(n)
-    vs = np.empty(n)
-    xs[0] = vs[0] = 0.0
-    state = np.zeros(3)
-    noise = steps[0]
-    # (r, r', u) at the step's start, middle and end
-    points = tuple(zip(steps[1:7:2], steps[2:7:2], steps[7:]))
-    for k0 in range(0, n - 1, _SPAN):
-        k1 = min(k0 + _SPAN, n - 1)
-        # per step: kp * (r - noise) + kd * r' + u and r - noise at the
-        # step's start, middle and end
-        forcing = np.empty((6, k1 - k0))
-        with np.errstate(all="ignore"):  # an unstable map's powers overflow
-            for at, (ref, slope, u) in enumerate(points):
-                y = ref[k0:k1] - noise[k0:k1]
-                forcing[2 * at] = kp * y + kd * slope[k0:k1] + u[k0:k1]
-                forcing[2 * at + 1] = y
-            run = resp.T @ forcing
-            run[:, 0] += m @ state
-            for bit, square in enumerate(squares):
-                shift = 1 << bit
-                if shift >= k1 - k0:
-                    break
-                # the product is built before the add, so the overlap is safe
-                run[:, shift:] += square @ run[:, :-shift]
-        xs[k0 + 1:k1 + 1] = run[0]
-        vs[k0 + 1:k1 + 1] = run[1]
-        if not np.abs(run[:2]).max() < LINEAR_LIMIT:
-            return None
-        state = run[:, -1]
-    return xs, vs
 
 
 def simulate_batch(plant, pids, mission):

@@ -14,20 +14,15 @@ and compare_oracles judge their runs through SimulationValidator._verdicts,
 which builds each run once for every judge it is asked with. Its route
 follows the engine simulate runs (plant.compiled). Where the compiled
 kernel runs, simulate builds every run of every new pid one at a time: a
-kernel run costs less than either shortcut of the Python loop's routes.
-On the disturbed 40x40 hold (2 vCPUs, seed 3, fresh validators, cells
-evenly spaced over the plane, best and worst of three), 50 new pids took
-0.026-0.027 s this way against 0.14 s through simulate_batch, and all
-1,600 took 0.84-0.85 s against 1.23-1.26 s batched and 1.12-1.14 s one at
-a time with the linear attempt. Where simulate runs its Python loop,
-_verdicts batches BATCH_MIN new pids or more through simulate_batch, whose
-runs are bit-identical to simulate's, and runs fewer one at a time. There
-each run is first asked of plant.simulate_linear, which builds none where
-the run may reach the clamp. Its run is judged where LINEAR_TOL certifies
-it, and simulate builds the run elsewhere, so the verdicts are simulate's
-on every route and engine. On the search pass of the disturbed 40x40 hold
-at seed 0, 248 of the 399 runs it asks are predicted to clamp: 225
-distinct pids, of which 3 never reach it.
+kernel run costs less than a batched one. On the disturbed 40x40 hold (2
+vCPUs, seed 3, fresh validators, cells evenly spaced over the plane, best
+and worst of three), 50 new pids took 0.026-0.027 s this way against
+0.14 s through simulate_batch, and all 1,600 took 0.84-0.85 s against
+1.23-1.26 s batched. Where simulate runs its Python loop, _verdicts
+batches BATCH_MIN new pids or more through simulate_batch and runs fewer
+one at a time. simulate_batch's runs are bit-identical to simulate's, so
+every run a check sees, and every verdict, is simulate's on every route
+and engine.
 
 A run that simulate builds one at a time ends once its verdict is decided
 (OracleConfig.decided). Its prefix is bit for bit the run's first samples,
@@ -49,10 +44,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .mtl import (And, atom_margin, eval_offline, eval_online, eval_prefix, mode_spec,
-                  time_thresholds)
-from .plant import (LINEAR_TOL, compiled, sample_count, simulate, simulate_batch,
-                    simulate_linear)
+from .mtl import And, eval_offline, eval_online, eval_prefix, mode_spec, time_thresholds
+from .plant import compiled, sample_count, simulate, simulate_batch
 from .stability import routh_stable
 
 # Largest x/v array one simulate_batch call of _verdicts may fill, at 16
@@ -62,14 +55,16 @@ BATCH_BYTES = 32 * 2**20
 
 # Fewest new pids _verdicts simulates with simulate_batch where simulate
 # runs its Python loop; on the compiled kernel no count batches. Fewer run
-# one at a time, which takes certified runs from simulate_linear and ends
-# simulate's runs early. On the 60 s disturbed hold on the Python loop (2
-# vCPUs, seed 3, fresh validators, 25, 35, 50 or all 1,600 cells evenly
-# spaced over the 40x40 plane, best and worst of three runs), 25 new pids
-# took 0.09-0.11 s one at a time and 0.15 s batched, 35 took 0.13-0.17 s
-# and 0.15-0.17 s, 50 took 0.18-0.27 s and 0.15-0.17 s, and 1,600 took
-# 5.7-6.4 s and 1.25-1.30 s. The crossover lies between 35 and 50; no
-# workload has 20 to 49 new pids, so any value up to it routes them alike.
+# one at a time, where simulate ends each run once it is decided. On the
+# 60 s disturbed hold on the Python loop (2 vCPUs, seed 3, fresh
+# validators, 20, 25, 30, 35, 50 or all 1,600 cells evenly spaced over the
+# 40x40 plane, the two routes interleaved, best and worst of three runs),
+# 20 new pids took 0.22 s one at a time and 0.28-0.29 s batched, 25 took
+# 0.27-0.28 s and 0.28-0.29 s, 30 took 0.29-0.31 s and 0.27-0.29 s, 35
+# took 0.34 s and 0.26-0.27 s, 50 took 0.32-0.49 s and 0.15-0.27 s, and
+# 1,600 took 11.1-14.5 s and 1.3-1.6 s. The crossover lies between 25 and
+# 30; no workload has 20 to 29 new pids, so any value up to it routes them
+# alike.
 BATCH_MIN = 20
 
 _lock = threading.Lock()
@@ -233,13 +228,12 @@ class SimulationValidator(Validator):
         samples, and votes on those checks. The runs are self.cfg's, so
         every judge's repeats and base_seed must be self.cfg's too.
 
-        On the compiled kernel every pid is run one at a time by _check_one,
-        with no linear attempt. On the Python loop fewer than BATCH_MIN pids
-        are run one at a time, each first asked of simulate_linear, and more
-        with simulate_batch, one seed at a time, in chunks of near-equal size
-        whose x/v array fills at most BATCH_BYTES. Each run is checked and
-        dropped before the next run or batch is built. A run that
-        _check_one simulates pauses at the first sample past each time that
+        On the compiled kernel every pid is run one at a time by simulate.
+        On the Python loop fewer than BATCH_MIN pids are run one at a time,
+        and more with simulate_batch, one seed at a time, in chunks of
+        near-equal size whose x/v array fills at most BATCH_BYTES. Each run
+        is checked and dropped before the next run or batch is built. A run
+        built one at a time pauses at the first sample past each time that
         a t atom of the formula's first conjunct compares against, and ends
         there once every judge's check is decided (OracleConfig.decided).
         """
@@ -256,8 +250,7 @@ class SimulationValidator(Validator):
         def vote(runs):  # runs: per run of pid, its checks, one per judge
             return tuple(cfg.vote(own) for (cfg, _), own in zip(judges, zip(*runs)))
 
-        linear = not compiled()
-        if not linear or len(pids) < BATCH_MIN:
+        if compiled() or len(pids) < BATCH_MIN:
             stops = self._stops
 
             def decided(prefix):
@@ -265,7 +258,8 @@ class SimulationValidator(Validator):
                            for (cfg, _), samples in zip(judges, sizes))
 
             for pid in pids:
-                yield pid, vote([self._check_one(plant, pid, check, stops, decided, linear)
+                yield pid, vote([check(simulate(plant, pid, self.mission, stops=stops,
+                                                decided=decided))
                                  for plant in self._plants])
             return
         width = max(1, BATCH_BYTES // (16 * n))
@@ -277,25 +271,6 @@ class SimulationValidator(Validator):
                        for plant in self._plants]
             for pid, checks in zip(chunk, zip(*by_seed)):
                 yield pid, vote(checks)
-
-    def _check_one(self, plant, pid, check, stops, decided, linear):
-        """check of pid's run on plant. Where linear, that is simulate_linear's
-        run where it builds one and no atom of self.formula can tell it from
-        simulate's. Else it is simulate's, which pauses at stops and ends at
-        the first prefix decided accepts.
-
-        _verdicts asks linear only of the Python loop: on the disturbed 60 s
-        hold (6,001 samples, 2 vCPUs) a linear run takes about 0.72 ms, a
-        tenth of a Python loop run (6.6-7.7 ms) but twice a kernel run
-        (0.33-0.48 ms).
-        """
-        run = simulate_linear(plant, pid, self.mission) if linear else None
-        if run is not None:
-            tol = LINEAR_TOL * (1.0 + max(np.abs(run.x).max(), np.abs(run.v).max()))
-            if atom_margin(self.formula, run) > tol:
-                return check(run)
-        run = None  # freed before simulate builds its own
-        return check(simulate(plant, pid, self.mission, stops=stops, decided=decided))
 
     @cached_property
     def _plants(self):

@@ -16,8 +16,8 @@ def clean_counter(monkeypatch):
 def python_engine(monkeypatch):
     """Run the test on simulate's Python loop, as on a platform where no
     compiled kernel loads: there the validator batches BATCH_MIN new pids
-    or more through simulate_batch and first asks each run of fewer of
-    simulate_linear, so the route counts a test pins hold on every machine."""
+    or more through simulate_batch and runs fewer one at a time on
+    simulate, so the route counts a test pins hold on every machine."""
     monkeypatch.setattr(plant_module, "_engine", plant_module._python_steps)
 
 
@@ -32,28 +32,16 @@ def kernel_engine():
 def freed_runs(monkeypatch):
     """Check that no earlier run is alive when the validator builds a run.
 
-    Each simulate_linear, simulate and simulate_batch call asserts that
-    every trajectory built before it, linear or simulated, and every
-    earlier batch's x/v array, has been freed: a rejected linear run too,
-    before simulate builds the run again.
-    Returns, by name, the number of calls of each that built a run or a
-    batch: a simulate_linear call that returns None builds none.
+    Each simulate and simulate_batch call asserts that every trajectory
+    built before it, and every earlier batch's x/v array, has been freed.
+    Returns, by name, the number of calls of each.
     """
     refs = []
-    calls = {"simulate_linear": 0, "simulate": 0, "simulate_batch": 0}
-    real_linear = validator_module.simulate_linear
+    calls = {"simulate": 0, "simulate_batch": 0}
     real, real_batch = validator_module.simulate, validator_module.simulate_batch
 
     def alive():
         return sum(ref() is not None for ref in refs)
-
-    def simulate_linear(plant, pid, mission, **kwargs):
-        assert alive() == 0, "an earlier run is still alive"
-        traj = real_linear(plant, pid, mission, **kwargs)
-        if traj is not None:
-            calls["simulate_linear"] += 1
-            refs.append(weakref.ref(traj.x))
-        return traj
 
     def simulate(plant, pid, mission, **kwargs):
         assert alive() == 0, "an earlier run is still alive"
@@ -69,7 +57,6 @@ def freed_runs(monkeypatch):
             refs.append(weakref.ref(traj.x.base))
             yield traj
 
-    monkeypatch.setattr(validator_module, "simulate_linear", simulate_linear)
     monkeypatch.setattr(validator_module, "simulate", simulate)
     monkeypatch.setattr(validator_module, "simulate_batch", simulate_batch)
     return calls

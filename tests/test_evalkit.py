@@ -260,9 +260,9 @@ class TestGroundTruth:
                              ids=["few-cells", "batch-min-cells"])
     def test_the_cell_count_picks_the_simulator(self, cells, monkeypatch):
         sims, batches = [], []
-        linear, simulate_batch = validator_module.simulate_linear, validator_module.simulate_batch
-        monkeypatch.setattr(validator_module, "simulate_linear",
-                            lambda *a, **k: sims.append(a[1]) or linear(*a, **k))
+        simulate, simulate_batch = validator_module.simulate, validator_module.simulate_batch
+        monkeypatch.setattr(validator_module, "simulate",
+                            lambda *a, **k: sims.append(a[1]) or simulate(*a, **k))
         monkeypatch.setattr(validator_module, "simulate_batch",
                             lambda *a: batches.append(list(a[1])) or simulate_batch(*a))
         s = ParamSpace(3.0, 3.0, 1.0, 1.0, 1.0 * cells, 1.0, 2.0, 2.0, 1.0)
@@ -285,7 +285,7 @@ class TestGroundTruth:
         gt = ground_truth(s, v)
         assert set(gt.labels.values()) == {VALID, INVALID}
         sims = []
-        for name in ("simulate_linear", "simulate", "simulate_batch"):
+        for name in ("simulate", "simulate_batch"):
             monkeypatch.setattr(validator_module, name, lambda *a, **k: sims.append(a))
         n = query_count()
         bl = identify_boundary(s, v)
@@ -350,8 +350,8 @@ class TestCompareOracles:
         assert any(row[1] != row[2] for row in expect) == (case == "circle_lap")
 
         sims, batches = [], []
-        real, real_batch = validator_module.simulate_linear, validator_module.simulate_batch
-        monkeypatch.setattr(validator_module, "simulate_linear",
+        real, real_batch = validator_module.simulate, validator_module.simulate_batch
+        monkeypatch.setattr(validator_module, "simulate",
                             lambda *a, **k: sims.append(a[2].duration) or real(*a, **k))
         monkeypatch.setattr(validator_module, "simulate_batch",
                             lambda *a: batches.append((a[2].duration, len(a[1])))
@@ -375,8 +375,8 @@ class TestCompareOracles:
     @pytest.mark.parametrize("case", ["hold", "circle_lap"])
     @pytest.mark.parametrize("count", [5, validator_module.BATCH_MIN])
     def test_rows_equal_across_engines(self, case, count, monkeypatch):
-        # on the Python loop 5 configs take the linear route and BATCH_MIN
-        # one batch per seed; on the kernel both are simulated one at a time
+        # on the Python loop 5 configs are simulated one at a time and
+        # BATCH_MIN in one batch per seed; on the kernel both one at a time
         plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.02, disturbance_amp=0.2,
                                            disturbance_freq=0.7))
         if case == "hold":
@@ -405,8 +405,7 @@ class TestCompareOracles:
     @pytest.mark.parametrize("ref_factor", [0.5, 0, -2, float("nan")])
     def test_a_reference_shorter_than_the_run_is_refused(self, ref_factor, monkeypatch):
         sims = []
-        for name in ("simulate_linear", "simulate"):
-            monkeypatch.setattr(validator_module, name, lambda *a, **k: sims.append(a))
+        monkeypatch.setattr(validator_module, "simulate", lambda *a, **k: sims.append(a))
         with pytest.raises(ValueError, match="ref_factor must be >= 1"):
             compare_oracles([PidConfig(1, 0.5, 1)], hold_mission(settle_deadline=5, duration=10),
                             PlantModel(), window=100, ref_factor=ref_factor)
@@ -430,9 +429,8 @@ class TestCompareOracles:
                    PidConfig(2, 1, 0.4)]
         compare_oracles(configs, mission, plant, window=100, cfg=OracleConfig(repeats=3),
                         ref_factor=2)
-        assert freed_runs == ({"simulate_linear": 0, "simulate": 0, "simulate_batch": 6}
-                              if batch_min == 1 else
-                              {"simulate_linear": 12, "simulate": 0, "simulate_batch": 0})
+        assert freed_runs == ({"simulate": 0, "simulate_batch": 6} if batch_min == 1
+                              else {"simulate": 12, "simulate_batch": 0})
 
     @pytest.mark.usefixtures("python_engine")
     @pytest.mark.parametrize("batch_min", [1, 100], ids=["batched", "one-at-a-time"])
@@ -453,15 +451,14 @@ class TestCompareOracles:
         assert built == [20]
         assert [row[1:] for row in cmp.rows] == [(True, True, True), (False, False, False)]
 
-    @pytest.mark.usefixtures("python_engine")
     def test_duplicate_configs_are_simulated_once(self, monkeypatch):
         a, b = PidConfig(1, 0.5, 1), PidConfig(1, 5, 1)
         mission = hold_mission(settle_deadline=5, duration=10)
         plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.02))
         cfg = OracleConfig(repeats=3)
         sims = []
-        real = validator_module.simulate_linear
-        monkeypatch.setattr(validator_module, "simulate_linear",
+        real = validator_module.simulate
+        monkeypatch.setattr(validator_module, "simulate",
                             lambda *a, **k: sims.append((a[0].noise.seed, a[1])) or real(*a, **k))
         cmp = compare_oracles([a, b, a], mission, plant, window=100, cfg=cfg, ref_factor=2)
         assert query_count() == 9

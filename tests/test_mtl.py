@@ -816,12 +816,11 @@ class TestParser:
 
 
 # ---------------------------------------------------------------------------
-# atom_margin against a per-atom, per-sample loop
+# Formulas over every signal, for the parser properties below
 # ---------------------------------------------------------------------------
 
-_STATE = ("x", "v", "e", "abs_e")
-_ANY_SIGNAL = _STATE + ("r", "t")
-_margin_atoms = st.one_of(
+_ANY_SIGNAL = ("x", "v", "e", "abs_e", "r", "t")
+_any_signal_atoms = st.one_of(
     st.builds(Atom, st.sampled_from(_ANY_SIGNAL), st.sampled_from(["<", "<=", ">", ">=", "="]),
               st.sampled_from(_ATOM_CONSTS) | st.floats(-3, 3)),
     st.builds(lambda sig, op, prev, off: Atom(sig, op, Prev(prev, off)),
@@ -832,71 +831,21 @@ _margin_atoms = st.one_of(
 
 
 @st.composite
-def margin_formulas(draw, depth=3):
+def any_signal_formulas(draw, depth=3):
+    """Formulas whose atoms read any signal, t and r included, against a
+    constant or against any signal one sample back plus an offset."""
     kind = draw(st.sampled_from(["atom", "temporal", "boolean"]) if depth else st.just("atom"))
     if kind == "atom":
-        return draw(_margin_atoms)
+        return draw(_any_signal_atoms)
     if kind == "temporal":
         cls = draw(st.sampled_from([Globally, Eventually]))
         lo, hi = draw(st.sampled_from(_BOUNDS))
-        return cls(draw(margin_formulas(depth - 1)), t_lo=lo, t_hi=hi)
+        return cls(draw(any_signal_formulas(depth - 1)), t_lo=lo, t_hi=hi)
     op = draw(st.sampled_from([Not, And, Or, Implies]))
     if op is Not:
-        return Not(draw(margin_formulas(depth - 1)))
-    a, b = draw(margin_formulas(depth - 1)), draw(margin_formulas(depth - 1))
+        return Not(draw(any_signal_formulas(depth - 1)))
+    a, b = draw(any_signal_formulas(depth - 1)), draw(any_signal_formulas(depth - 1))
     return Implies(a, b) if op is Implies else op((a, b))
-
-
-def ref_margin(f, traj):
-    """The smallest |lhs - rhs| over every sample of every atom of f with a
-    side on a state signal, Prev atoms at half their gap; inf if none."""
-    if isinstance(f, Atom):
-        prev = isinstance(f.rhs, Prev)
-        if f.signal not in _STATE and not (prev and f.rhs.signal in _STATE):
-            return math.inf
-        lhs = _ref_signal(traj, f.signal)
-        if prev:
-            rhs = _ref_signal(traj, f.rhs.signal)
-            gaps = [abs(lhs[k] - (rhs[k - 1] + f.rhs.offset)) / 2.0
-                    for k in range(1, len(traj))]
-        else:
-            gaps = [abs(lhs[k] - f.rhs) for k in range(len(traj))]
-        return min(gaps, default=math.inf)
-    if isinstance(f, (And, Or)):
-        return min(ref_margin(c, traj) for c in f.children)
-    if isinstance(f, Implies):
-        return min(ref_margin(f.lhs, traj), ref_margin(f.rhs, traj))
-    return ref_margin(f.child, traj)
-
-
-@settings(max_examples=200, deadline=None)
-@given(f=margin_formulas(), n=st.integers(1, 30), seed=st.integers(0, 2**16),
-       exact=st.booleans())
-def test_atom_margin_equals_the_per_atom_loop(f, n, seed, exact):
-    rng = np.random.default_rng(seed)
-    if exact:  # samples on the atoms' constants, so gaps of 0 are common
-        x, v, r = (rng.choice(_ATOM_CONSTS + (0.25, -1.0), n) for _ in range(3))
-    else:
-        x, v, r = (rng.uniform(-3, 3, n) for _ in range(3))
-    traj = Trajectory(dt=0.5, t=np.arange(n) * 0.5, x=x, v=v, r=r, e=r - x)
-    assert mtl.atom_margin(f, traj) == ref_margin(f, traj)
-
-
-def test_atom_margin_edge_cases():
-    traj = make_traj([0.0, 0.3, 0.7], v=[0.0, 1.0, 2.0], r=[1.0, 1.0, 1.0])
-    # no atom reads the state: nothing the state does changes a verdict
-    assert mtl.atom_margin(And((Atom("t", ">", 1.0), Atom("r", "<", 2.0))),
-                           traj) == math.inf
-    assert mtl.atom_margin(Atom("x", "=", 0.3), traj) == 0.0
-    assert mtl.atom_margin(Atom("v", "<", 0.4), traj) == pytest.approx(0.4)
-    # e = r - x = (1, 0.7, 0.3); the Prev atom's gaps are |0.7 - 1.1|, |0.3 - 0.8|
-    assert mtl.atom_margin(Atom("abs_e", "<=", Prev("abs_e", 0.1)), traj) == \
-        pytest.approx(0.2)
-    # a Prev atom counts half its gap even where one side moves: t = (0, 1, 2)
-    # against x one sample back, (0, 0.3), gaps 1 and 1.7
-    assert mtl.atom_margin(Atom("t", ">", Prev("x")), traj) == 0.5
-    nan = make_traj([0.0, float("nan")])
-    assert math.isnan(mtl.atom_margin(Atom("x", "<", 5.0), nan))
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +874,7 @@ def formula_text(f):
 
 
 @settings(max_examples=300, deadline=None)
-@given(f=formulas() | margin_formulas())
+@given(f=formulas() | any_signal_formulas())
 def test_every_tree_round_trips_through_its_text(f):
     assert parse_formula(formula_text(f)) == f
 
@@ -937,7 +886,7 @@ _EDITS = st.tuples(st.sampled_from(["delete", "swap", "replace", "insert"]),
 
 
 @settings(max_examples=500, deadline=None)
-@given(f=formulas() | margin_formulas(), edits=st.lists(_EDITS, min_size=1, max_size=2))
+@given(f=formulas() | any_signal_formulas(), edits=st.lists(_EDITS, min_size=1, max_size=2))
 @example(f=Atom("x", "<", Prev("x")), edits=[("replace", 5, 0, "mode")])
 def test_edited_text_parses_or_fails_with_an_offset(f, edits):
     """One or two token edits (edit, position, other position, new token) of

@@ -15,8 +15,7 @@ from pidlab import (PidConfig, PlantModel, NoiseSpec, brake_mission,
                     circle_mission, hold_mission, reference_at,
                     return_home_mission, routh_stable, simulate)
 from pidlab import plant as plant_module
-from pidlab.plant import (CLAMP, HOLD, LINEAR_LIMIT, Mission, Trajectory, sample_count,
-                          simulate_batch, simulate_linear)
+from pidlab.plant import CLAMP, HOLD, Mission, Trajectory, sample_count, simulate_batch
 
 
 STABLE = PidConfig(1, 0.5, 1)
@@ -381,8 +380,6 @@ def assert_same_trace(plant, pid, mission):
     return got
 
 
-SPAN = plant_module._SPAN  # steps per chunk of simulate_linear's scan
-
 GAINS = {"stable": STABLE, "unstable": PidConfig(1, 5, 1),
          "clamped": PidConfig(-50, 100, -50), "divergent": PidConfig(1e5, 1e5, 1e5)}
 
@@ -596,174 +593,6 @@ class TestSimulateBatch:
         assert first.e.base is None and second.e.base is None
 
 
-def step_map_power(plant, pid, mission):
-    """M^(n - 1), for M the RK4 step map of _rk4_map and n the mission's
-    sample count, from M's float squares taken in the bits of n - 1, low bit
-    first; where the loop diverges it overflows to inf or nan silently.
-    The clamp prediction simulate_linear makes, kept here as a reference."""
-    m, _ = plant_module._rk4_map(plant, pid, float(plant.dt))
-    power = np.eye(3)
-    steps = sample_count(plant, mission) - 1
-    with np.errstate(all="ignore"):
-        while steps:
-            if steps & 1:
-                power = power @ m
-            steps >>= 1
-            if steps:
-                m = m @ m
-    return power
-
-
-def predicts_clamp(plant, pid, mission):
-    """Whether step_map_power has an entry not below LINEAR_LIMIT or not finite."""
-    return not (np.abs(step_map_power(plant, pid, mission)) < LINEAR_LIMIT).all()
-
-
-def linear_error(plant, pid, mission):
-    """(largest |x_lin - x_rk4| and |v_lin - v_rk4|) / (1 + largest |x|, |v|)
-    of simulate's run, with the two runs' t and r checked equal; None when
-    the step map predicts a clamp, where simulate_linear is checked to build
-    no run, or when simulate's run reaches the clamp."""
-    lin = simulate_linear(plant, pid, mission)
-    if predicts_clamp(plant, pid, mission):
-        assert lin is None
-        return None
-    exact = simulate(plant, pid, mission)
-    scale = max(np.abs(exact.x).max(), np.abs(exact.v).max())
-    if not scale < CLAMP:
-        return None
-    assert lin is not None and (lin.dt, len(lin)) == (exact.dt, len(exact))
-    assert np.array_equal(lin.t, exact.t) and np.array_equal(lin.r, exact.r)
-    assert np.array_equal(lin.e, lin.r - lin.x)
-    return max(np.abs(lin.x - exact.x).max(), np.abs(lin.v - exact.v).max()) / (1.0 + scale)
-
-
-class TestSimulateLinear:
-    """simulate_linear is simulate's run, up to rounding, wherever that run
-    stays below the clamp."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(mode=st.integers(0, 3), kp=st.floats(-2, 10), ki=st.floats(-1, 10),
-           kd=st.floats(-1, 5), dt=st.floats(0.002, 0.1), duration=st.floats(1.0, 60.0),
-           sigma=st.sampled_from([0.0, 0.05]), freq=st.floats(0.01, 50.0),
-           seed=st.integers(0, 2**16))
-    def test_error_bound_on_unclamped_runs(self, mode, kp, ki, kd, dt, duration, sigma,
-                                           freq, seed):
-        plant = PlantModel(dt=dt, t_max=max(duration, 10 * dt),
-                           noise=NoiseSpec(sensor_sigma=sigma, disturbance_amp=0.4,
-                                           disturbance_freq=freq, seed=seed))
-        error = linear_error(plant, PidConfig(kp, ki, kd), short_missions(duration)[mode])
-        assert error is None or error <= 1e-11
-
-    def test_error_bound_on_a_600s_circle(self):
-        plant = PlantModel(t_max=600.0, noise=NoiseSpec(sensor_sigma=0.02, disturbance_amp=0.1,
-                                                        disturbance_freq=0.3, seed=4))
-        mission = circle_mission(radius=1.0, freq=0.05, duration=600.0)
-        for pid in (PidConfig(1.0, 0.3, 0.6), PidConfig(0.2, 0.05, 0.2), PidConfig(4.0, 1.0, 2.5)):
-            assert linear_error(plant, pid, mission) <= 1e-11
-
-    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(
-        sensor_sigma=0.02, disturbance_amp=0.3, disturbance_freq=0.7, seed=5)],
-        ids=["quiet", "noisy"])
-    @pytest.mark.parametrize("steps, pid", [
-        (0, STABLE), (1, STABLE), (SPAN - 1, STABLE), (SPAN, STABLE), (SPAN + 1, STABLE),
-        (2 * SPAN + 1, STABLE), (2 * SPAN + 1, GAINS["unstable"])],
-        ids=["0", "1", "span-1", "span", "span+1", "2span+1", "2span+1-unstable"])
-    def test_error_bound_at_chunk_edges(self, steps, pid, noise):
-        # the scan takes SPAN steps per chunk; the unstable run grows to
-        # about 600 over its 8,193 steps, short of the clamp
-        dt = 0.01
-        duration = (steps + 0.5) * dt
-        plant = PlantModel(dt=dt, t_max=max(duration, 10 * dt), noise=noise)
-        mission = hold_mission(settle_deadline=duration / 2, duration=duration)
-        assert sample_count(plant, mission) == steps + 1
-        error = linear_error(plant, pid, mission)
-        assert error is not None and error <= 1e-11
-
-    @pytest.mark.parametrize("pid", [GAINS["clamped"], GAINS["divergent"],
-                                     PidConfig(1e200, 1, 1), PidConfig(-1e300, 0, 0)],
-                             ids=["clamped", "divergent", "huge", "huge-negative"])
-    def test_a_run_that_reaches_the_limit_is_none(self, pid):
-        # huge gains overflow the step map without a warning (an error here)
-        assert simulate_linear(PlantModel(), pid, hold_mission()) is None
-
-    @pytest.mark.parametrize("duration", [20.0, 2.5 * SPAN * 0.01],
-                             ids=["one-chunk", "three-chunks"])
-    def test_the_limit_stops_the_scan(self, duration, monkeypatch):
-        # the setpoint of 10 lifts the run ten times above the step map's
-        # entries, so the prediction passes and the scan meets the limit
-        plant = PlantModel(t_max=duration)
-        mission = hold_mission(setpoint=10.0, settle_deadline=10.0, duration=duration)
-        run = simulate(plant, GAINS["unstable"], mission)
-        size = np.maximum(np.abs(run.x), np.abs(run.v))
-        peak = size.max()
-        assert 10.0 < peak < CLAMP
-        assert np.abs(step_map_power(plant, GAINS["unstable"], mission)).max() < peak * 0.2
-        # the samples before the last chunk stay below the limit, so the
-        # scan first passes it in its last chunk
-        assert size[:(len(run) - 2) // SPAN * SPAN + 1].max() < peak * 0.99
-        monkeypatch.setattr(plant_module, "LINEAR_LIMIT", peak * 0.99)
-        assert simulate_linear(plant, GAINS["unstable"], mission) is None
-        monkeypatch.setattr(plant_module, "LINEAR_LIMIT", peak * 1.01)
-        assert simulate_linear(plant, GAINS["unstable"], mission)
-
-
-class TestClampPrediction:
-    """simulate_linear builds no run where the step map, raised to the
-    run's step count, predicts a clamp (step_map_power, the reference)."""
-
-    @pytest.mark.parametrize("pid", [STABLE, PidConfig(1, 5, 1), PidConfig(-5, 1, -3)])
-    @pytest.mark.parametrize("dt, duration", [(0.01, 60.0), (0.007, 10.0), (0.05, 0.5)])
-    def test_the_reference_equals_the_matrix_power(self, pid, dt, duration):
-        plant = PlantModel(dt=dt, t_max=max(duration, 10 * dt))
-        mission = hold_mission(settle_deadline=duration / 2, duration=duration)
-        m, _ = plant_module._rk4_map(plant, pid, dt)
-        want = np.linalg.matrix_power(m, sample_count(plant, mission) - 1)
-        assert np.allclose(step_map_power(plant, pid, mission), want, rtol=1e-9, atol=0.0)
-
-    def test_a_diverging_loop_overflows_silently(self):
-        power = step_map_power(PlantModel(), PidConfig(1e5, 1e5, 1e5), hold_mission())
-        assert not np.isfinite(power).all()
-        assert np.isfinite(step_map_power(PlantModel(), STABLE, hold_mission())).all()
-
-    @pytest.mark.parametrize("mission", [hold_mission(), brake_mission(),
-                                         circle_mission(), return_home_mission()],
-                             ids=lambda m: m.mode)
-    def test_no_run_where_the_reference_predicts_a_clamp(self, mission):
-        plant = PlantModel(t_max=mission.duration,
-                           noise=NoiseSpec(sensor_sigma=0.02, disturbance_amp=0.35,
-                                           disturbance_freq=0.19, seed=3))
-        pids = [PidConfig(kp, ki, kd) for kp in (-1.5, 0.0, 1.0, 4.0)
-                for ki in (0.0, 0.4, 3.0, 12.0) for kd in (-1.2, -0.5, 0.05, 2.0)]
-        predicted = 0
-        for pid in [*pids, *GAINS.values(), PidConfig(1e200, 1, 1), PidConfig(-1e300, 0, 0)]:
-            if predicts_clamp(plant, pid, mission):
-                predicted += 1
-                assert simulate_linear(plant, pid, mission) is None, pid
-        assert 0 < predicted < len(pids)
-
-    def test_a_run_predicted_to_clamp_builds_no_inputs(self, monkeypatch):
-        built = []
-        real = plant_module._inputs
-        monkeypatch.setattr(plant_module, "_inputs",
-                            lambda plant, mission: built.append(mission) or real(plant, mission))
-        plant = PlantModel(noise=NoiseSpec(sensor_sigma=0.02, seed=1))
-        assert predicts_clamp(plant, GAINS["clamped"], hold_mission())
-        assert simulate_linear(plant, GAINS["clamped"], hold_mission()) is None
-        assert built == []
-        assert simulate_linear(plant, STABLE, hold_mission()) is not None
-        assert built == [hold_mission()]
-
-    def test_the_step_map_is_built_once_per_run(self, monkeypatch):
-        built = []
-        real = plant_module._rk4_map
-        monkeypatch.setattr(plant_module, "_rk4_map",
-                            lambda plant, pid, dt: built.append(pid) or real(plant, pid, dt))
-        for pid in (STABLE, GAINS["clamped"]):
-            simulate_linear(PlantModel(), pid, hold_mission())
-        assert built == [STABLE, GAINS["clamped"]]
-
-
 def traced_peak_per_sample(run, plant, pid, mission, cold=False):
     """The traced peak of one call of run, in bytes per sample of the run;
     cold drops the kept step layout first, so the call builds its own."""
@@ -790,27 +619,23 @@ MEMORY_CASES = pytest.mark.parametrize("noise, bound", [
 
 class TestInputMemory:
     """The step inputs are views of the half-step reference, and noise or
-    sawtooth that is off takes no memory. A call that builds the layout
-    was measured at 72.1 bytes per sample quiet and 104.1 noisy for
-    simulate, and 73.7 and 105.7 for simulate_linear, whose scan adds one
-    chunk's forcing and state arrays; copying the inputs into one dense
-    (10, n - 1) table reads 128 and 165. A call that finds the layout kept
-    from the last one, with its noise draw, reads 24.0 quiet and noisy
-    (simulate_linear 25.7): x, v and e."""
+    sawtooth that is off takes no memory. A simulate call that builds the
+    layout was measured at 72.1 bytes per sample quiet and 104.1 noisy;
+    copying the inputs into one dense (10, n - 1) table reads 128 and 165.
+    A call that finds the layout kept from the last one, with its noise
+    draw, reads 24.0 quiet and noisy: x, v and e."""
 
-    @pytest.mark.parametrize("run", [simulate, simulate_linear], ids=lambda f: f.__name__)
     @MEMORY_CASES
-    def test_peak_per_sample_of_a_600s_circle(self, run, noise, bound):
+    def test_peak_per_sample_of_a_600s_circle(self, noise, bound):
         plant = PlantModel(t_max=600.0, noise=noise)
         mission = circle_mission(radius=1.0, freq=0.05, duration=600.0)
-        assert traced_peak_per_sample(run, plant, STABLE, mission) <= bound
+        assert traced_peak_per_sample(simulate, plant, STABLE, mission) <= bound
 
-    @pytest.mark.parametrize("run", [simulate, simulate_linear], ids=lambda f: f.__name__)
     @MEMORY_CASES
-    def test_peak_per_sample_of_a_600s_circle_that_builds_its_layout(self, run, noise, bound):
+    def test_peak_per_sample_of_a_600s_circle_that_builds_its_layout(self, noise, bound):
         plant = PlantModel(t_max=600.0, noise=noise)
         mission = circle_mission(radius=1.0, freq=0.05, duration=600.0)
-        assert traced_peak_per_sample(run, plant, STABLE, mission, cold=True) <= bound
+        assert traced_peak_per_sample(simulate, plant, STABLE, mission, cold=True) <= bound
 
 
 def batch_of_one(plant, pid, mission):
@@ -832,8 +657,7 @@ class TestStepLayoutMemo:
         return [(PlantModel(dt=dt, noise=noise), mission)
                 for dt in (0.01, 0.007) for mission in missions for noise in noises]
 
-    @pytest.mark.parametrize("run", [simulate, simulate_linear, batch_of_one],
-                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("run", [simulate, batch_of_one], ids=lambda f: f.__name__)
     def test_runs_taken_in_turn_equal_cold_builds(self, run, monkeypatch):
         cases = self.cases()
         warm = [run(plant, STABLE, mission) for plant, mission in cases + cases[::-1]]
@@ -883,8 +707,7 @@ class TestNoiseDrawMemo:
     NOISY = TestStepLayoutMemo.NOISY
     MISSION = circle_mission(settle_deadline=2.0, duration=4.0)
 
-    @pytest.mark.parametrize("run", [simulate, simulate_linear, batch_of_one],
-                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("run", [simulate, batch_of_one], ids=lambda f: f.__name__)
     def test_seeds_taken_in_turn_equal_cold_draws(self, run, monkeypatch):
         # seeds in turn, each replacing the last one's draw, and seeds taken
         # twice in a row, then a sigma that differs from the last in its

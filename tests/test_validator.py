@@ -16,11 +16,10 @@ from pidlab import (NoiseSpec, OracleConfig, ParamSpace, PidConfig, PlantModel,
 from pidlab import plant as plant_module
 from pidlab import validator as validator_module
 from pidlab.cli import load_config
-from pidlab.plant import sample_count, simulate_linear
-from pidlab.mtl import And, Atom, Eventually, Globally, Implies, atom_margin, mode_spec
+from pidlab.plant import sample_count
+from pidlab.mtl import And, Atom, Eventually, Globally, Implies, mode_spec
 from pidlab.validator import LookupValidator, Validator
 from test_mtl import formulas, traces_and_windows
-from test_plant import predicts_clamp
 
 
 class TestOracleConfig:
@@ -208,8 +207,6 @@ class TestMajorityVoting:
                 calls.append(plant.noise.seed)
                 return len(calls) - 1  # stands in for the trajectory of run k
 
-            # no run is linear, so every run is a scripted simulate call
-            monkeypatch.setattr(validator_module, "simulate_linear", lambda *a, **k: None)
             monkeypatch.setattr(validator_module, "simulate", fake_simulate)
             monkeypatch.setattr(OracleConfig, "check", lambda self, formula, k, samples=0:
                                 (True, None) if outcomes[k] else (False, "scripted"))
@@ -266,16 +263,16 @@ SHORT_HOLD = hold_mission(settle_deadline=4.0, duration=8.0)
 
 @pytest.fixture
 def sim_calls(monkeypatch):
-    """The pid of each run validator builds one at a time, in call order:
-    every such run starts as a validator.simulate_linear call."""
+    """The pid of each validator.simulate call, in call order: one per run
+    that the validator builds one at a time."""
     calls = []
-    real = validator_module.simulate_linear
+    real = validator_module.simulate
 
     def counting(plant, pid, mission, **kwargs):
         calls.append(pid)
         return real(plant, pid, mission, **kwargs)
 
-    monkeypatch.setattr(validator_module, "simulate_linear", counting)
+    monkeypatch.setattr(validator_module, "simulate", counting)
     return calls
 
 
@@ -285,7 +282,6 @@ class TestVerdictMemo:
     CFG = OracleConfig(repeats=3, base_seed=5)
     PIDS = (PidConfig(3, 1, 2), PidConfig(1, 5, 1), PidConfig(2, 1.2, 0.4))
 
-    @pytest.mark.usefixtures("python_engine")
     def test_one_simulation_per_run_of_each_distinct_pid(self, sim_calls):
         v = SimulationValidator(self.PLANT, SHORT_HOLD, self.CFG)
         for pid in self.PIDS + self.PIDS[::-1] + self.PIDS:
@@ -312,7 +308,6 @@ class TestVerdictMemo:
             assert again == first == fresh
             assert {verdict.valid for verdict in fresh} == {True, False}
 
-    @pytest.mark.usefixtures("python_engine")
     def test_given_runs_are_judged_without_simulating(self, sim_calls):
         # a judge with another kind or window but the same repeats and
         # base_seed votes on the runs the validator builds for its own cfg
@@ -331,7 +326,6 @@ class TestVerdictMemo:
         assert off._memo == {}
 
 
-@pytest.mark.usefixtures("python_engine")
 class TestBaselinesOnTheMemo:
     """The memo changes what a revisit costs, not what a searcher sees."""
 
@@ -565,7 +559,6 @@ class TestSimulationClassifyMany:
     def test_the_first_failing_run_names_the_clause(self, monkeypatch):
         # each run stands in for its trajectory by its seed, and fails a
         # clause of its own
-        monkeypatch.setattr(validator_module, "simulate_linear", lambda *a, **k: None)
         monkeypatch.setattr(validator_module, "simulate",
                             lambda plant, pid, mission, **kwargs: plant.noise.seed)
         monkeypatch.setattr(validator_module, "simulate_batch",
@@ -629,9 +622,8 @@ class TestSimulationClassifyMany:
         monkeypatch.setattr(validator_module, "BATCH_MIN", batch_min)
         self.fresh(OracleConfig(repeats=3)).classify_many(self.PIDS[:6])
         # three chunks of two pids, or eighteen runs one at a time
-        assert freed_runs == ({"simulate_linear": 0, "simulate": 0, "simulate_batch": 9}
-                              if batch_min == 1 else
-                              {"simulate_linear": 18, "simulate": 0, "simulate_batch": 0})
+        assert freed_runs == ({"simulate": 0, "simulate_batch": 9} if batch_min == 1
+                              else {"simulate": 18, "simulate_batch": 0})
 
     def test_nothing_new_simulates_nothing(self, monkeypatch, batch_calls, sim_calls):
         monkeypatch.setattr(validator_module, "BATCH_MIN", 1)
@@ -659,97 +651,6 @@ class TestSimulationClassifyMany:
         assert batch == [self.fresh().classify(pid) for pid in pids]
 
 
-@pytest.mark.usefixtures("python_engine")
-class TestLinearRoute:
-    """Below BATCH_MIN new pids each run is first asked of simulate_linear,
-    which builds none where the step map predicts the clamp, and judged from
-    the linear run only where its certificate holds; the verdicts are
-    simulate's either way."""
-
-    PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.03, disturbance_amp=0.2,
-                                       disturbance_freq=0.7))
-    PID = PidConfig(1.0, 0.5, 1.0)
-
-    def exact(self, v, pid):
-        """The verdict from simulate and cfg.check alone, seed by seed."""
-        return v.cfg.vote([v.cfg.check(v.formula, simulate(plant, pid, v.mission))
-                           for plant in v._plants])
-
-    def test_a_threshold_at_a_samples_error_takes_simulate(self, freed_runs):
-        run = simulate_linear(self.PLANT, self.PID, SHORT_HOLD)
-        settled = np.abs(run.e)[run.t > SHORT_HOLD.params["settle_deadline"]]
-        mission = hold_mission(hold_tol=float(settled.max()), settle_deadline=4.0,
-                               duration=8.0)
-        v = SimulationValidator(self.PLANT, mission, OracleConfig())
-        assert atom_margin(v.formula, run) == 0.0
-        del run
-        verdict = v.classify(self.PID)
-        assert freed_runs == {"simulate_linear": 1, "simulate": 1, "simulate_batch": 0}
-        assert verdict == self.exact(v, self.PID)
-        # a threshold just off every sample's error is judged from the linear run
-        mission = replace(mission, params={**mission.params, "hold_tol": 1.01 * settled.max()})
-        SimulationValidator(self.PLANT, mission, OracleConfig()).classify(self.PID)
-        assert freed_runs == {"simulate_linear": 2, "simulate": 1, "simulate_batch": 0}
-
-    @pytest.mark.parametrize("pid", [PidConfig(-5, 1, -3), PidConfig(1e5, 1e5, 1e5),
-                                     PidConfig(1e200, 1, 1), PidConfig(-1e300, 0, 0)],
-                             ids=["clamped", "nan", "huge", "huge-negative"])
-    def test_a_diverging_pid_takes_simulate(self, pid, freed_runs):
-        # the huge gains overflow the step map itself, without a warning
-        v = SimulationValidator(self.PLANT, SHORT_HOLD, OracleConfig(repeats=3))
-        verdict = v.classify(pid)
-        assert freed_runs == {"simulate_linear": 0, "simulate": 3, "simulate_batch": 0}
-        assert not verdict.valid and verdict == self.exact(v, pid)
-
-    def test_every_run_is_first_asked_of_simulate_linear(self, freed_runs, sim_calls):
-        clamped = PidConfig(-5, 1, -3)
-        assert predicts_clamp(self.PLANT, clamped, SHORT_HOLD)
-        v = SimulationValidator(self.PLANT, SHORT_HOLD, OracleConfig(repeats=3))
-        v.classify_many([self.PID, clamped])
-        assert sim_calls == [self.PID] * 3 + [clamped] * 3
-        # the clamped pid's three runs build no linear run and are simulated
-        assert freed_runs == {"simulate_linear": 3, "simulate": 3, "simulate_batch": 0}
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_the_benchmark_walk_keeps_its_routes(self, seed, freed_runs):
-        # the disturbed 40x40 hold plane that perfbench searches
-        app = load_config(Path(__file__).parents[1] / "perfbench" / "fixtures"
-                          / "disturbed_plane.ini")
-        v = SimulationValidator(app.plant, app.mission, replace(app.oracle, base_seed=seed))
-        identify_boundary(app.space, v)
-        assert query_count() == 124
-        assert freed_runs == {"simulate_linear": 94, "simulate": 30, "simulate_batch": 0}
-
-    @pytest.mark.parametrize("cfg", [OracleConfig(repeats=3),
-                                     OracleConfig(kind="online", window=150)],
-                             ids=["offline-repeats-3", "online"])
-    def test_verdicts_equal_simulate_on_every_mode(self, cfg, freed_runs):
-        pids = [PidConfig(p, i, d) for p in (-5.0, 0.5, 2.0, 6.0)
-                for i in (0.1, 1.0, 4.0) for d in (-3.0, 0.4, 1.5)]
-        assert len(pids) >= validator_module.BATCH_MIN
-        missions = [hold_mission(hold_tol=0.1, settle_deadline=6.0, duration=12.0),
-                    brake_mission(brake_at=4.0, brake_deadline=4.0, v_stop=0.1, duration=12.0),
-                    circle_mission(radius=1.0, freq=0.2, circle_tol=0.3, settle_deadline=6.0,
-                                   duration=12.0),
-                    return_home_mission(out_dist=2.0, out_t=3.0, return_t=3.0,
-                                        home_radius=0.3, settle_deadline=9.0,
-                                        mono_margin=1.0, duration=12.0)]
-        for mission in missions:
-            v = SimulationValidator(self.PLANT, mission, cfg)
-            got = [verdict for k in range(0, len(pids), 9)
-                   for verdict in v.classify_many(pids[k:k + 9])]
-            assert got == [self.exact(v, pid) for pid in pids], mission.mode
-            assert {verdict.valid for verdict in got} == {True, False}, mission.mode
-        runs = len(missions) * len(pids) * cfg.repeats
-        clamped = cfg.repeats * sum(predicts_clamp(self.PLANT, pid, mission)
-                                    for mission in missions for pid in pids)
-        # every run not predicted to clamp starts linear; some near the clamp
-        # or a threshold are simulated, as is every run predicted to clamp
-        assert 0 < clamped < runs / 2
-        assert freed_runs["simulate_linear"] == runs - clamped
-        assert clamped <= freed_runs["simulate"] < runs / 2
-
-
 # The four modes on a 12 s mission, each spec deciding well before the end
 MODE_MISSIONS = [
     hold_mission(hold_tol=0.1, settle_deadline=6.0, duration=12.0),
@@ -761,7 +662,7 @@ MODE_MISSIONS = [
 
 def early_and_full(v, pids, judges):
     """(verdicts, run lengths) of v._verdicts with every run simulated and
-    paused as _check_one asks, then the verdicts of the same runs built
+    paused as _verdicts asks, then the verdicts of the same runs built
     whole."""
     real = validator_module.simulate
     lengths = []
@@ -772,7 +673,6 @@ def early_and_full(v, pids, judges):
         return run
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(validator_module, "simulate_linear", lambda *a, **k: None)
         mp.setattr(validator_module, "simulate", paused)
         early = list(v._verdicts(pids, judges))
         mp.setattr(validator_module, "simulate",
@@ -782,9 +682,9 @@ def early_and_full(v, pids, judges):
 
 
 class TestEarlyStop:
-    """A run that _check_one simulates ends at the first pause where every
-    judge's check is decided, and its verdicts (valid, violated_spec and
-    votes_valid) are those of the whole run."""
+    """A run that _verdicts simulates one at a time ends at the first pause
+    where every judge's check is decided, and its verdicts (valid,
+    violated_spec and votes_valid) are those of the whole run."""
 
     PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.03, disturbance_amp=0.2,
                                        disturbance_freq=0.7))
@@ -858,26 +758,36 @@ class TestEarlyStop:
     # each mission with the first sample count past its spec's deadline
     @pytest.mark.parametrize("mission,stop", zip(MODE_MISSIONS, (602, 802, 602, 902)),
                              ids=[mission.mode for mission in MODE_MISSIONS])
-    def test_runs_bound_for_the_clamp_stop_early_on_every_mode(self, mission, stop):
+    def test_runs_bound_for_the_clamp_stop_early_on_every_mode(self, mission, stop,
+                                                               monkeypatch):
         v = SimulationValidator(self.PLANT, mission, OracleConfig(repeats=3))
         judges = ((v.cfg, None), (replace(v.cfg, kind="online", window=150), None),
                   (v.cfg, 600))
-        pids = [PidConfig(-5.0, 1.0, -3.0), PidConfig(1e5, 1e5, 1e5), PidConfig(4.0, 1.0, 3.0)]
-        verdicts, lengths = early_and_full(v, pids, judges)
-        # a spec's first conjunct fails just past its deadline on both runs
-        # that diverge, and every run of the valid pid is simulated whole
-        assert lengths == [stop] * 6 + [sample_count(self.PLANT, mission)] * 3
-        # the whole-run judges; early_and_full compared all three
-        assert [[verdict.valid for verdict in row[:2]] for _, row in verdicts] == [
-            [False, False], [False, False], [True, True]]
+        # clamped, NaN, and huge gains that overflow to inf and nan without
+        # a warning (an error here); then a valid pid
+        diverging = [PidConfig(-5.0, 1.0, -3.0), PidConfig(1e5, 1e5, 1e5),
+                     PidConfig(1e200, 1.0, 1.0), PidConfig(-1e300, 0.0, 0.0)]
+        pids = [*diverging, PidConfig(4.0, 1.0, 3.0)]
+        # the platform's engine, then the Python loop's one-at-a-time route
+        for engine in (plant_module._engine, plant_module._python_steps):
+            monkeypatch.setattr(plant_module, "_engine", engine)
+            verdicts, lengths = early_and_full(v, pids, judges)
+            # a spec's first conjunct fails just past its deadline on every
+            # run that diverges, and every run of the valid pid is simulated
+            # whole
+            assert lengths == ([stop] * 3 * len(diverging)
+                               + [sample_count(self.PLANT, mission)] * 3)
+            # the whole-run judges; early_and_full compared all three
+            assert [[verdict.valid for verdict in row[:2]] for _, row in verdicts] == [
+                [False, False]] * len(diverging) + [[True, True]]
 
 
 @pytest.mark.usefixtures("kernel_engine")
 class TestKernelRoute:
     """Where simulate's compiled kernel loads, every new pid is simulated
-    one at a time, however many there are, with no simulate_batch and no
-    simulate_linear, and its runs end once decided; the verdicts are those
-    of the Python loop's batched route."""
+    one at a time, however many there are, with no simulate_batch, and its
+    runs end once decided; the verdicts are those of the Python loop's
+    batched route."""
 
     PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.03, disturbance_amp=0.2,
                                        disturbance_freq=0.7))
@@ -885,15 +795,14 @@ class TestKernelRoute:
     PIDS = [PidConfig(p, i, d) for p in (-5.0, 0.5, 2.0, 6.0)
             for i in (0.1, 1.0, 4.0) for d in (-3.0, 0.4, 1.5)] + [PidConfig(1e5, 1e5, 1e5)]
 
-    def test_many_new_pids_take_neither_batch_nor_linear(self, freed_runs, sim_calls,
-                                                          batch_calls):
+    def test_many_new_pids_take_no_batch(self, freed_runs, sim_calls, batch_calls):
         assert len(self.PIDS) >= validator_module.BATCH_MIN
         v = SimulationValidator(self.PLANT, MODE_MISSIONS[0], OracleConfig(repeats=3))
         v.classify_many(self.PIDS)
         # freed_runs checked that no run outlived its check
-        assert sim_calls == [] and batch_calls == []
-        assert freed_runs == {"simulate_linear": 0, "simulate": 3 * len(self.PIDS),
-                              "simulate_batch": 0}
+        assert sim_calls == [pid for pid in self.PIDS for _ in range(3)]
+        assert batch_calls == []
+        assert freed_runs == {"simulate": 3 * len(self.PIDS), "simulate_batch": 0}
 
     @pytest.mark.parametrize("pid,valid,offline", [(PidConfig(-5.0, 1.0, -3.0), False, 0),
                                                    (PidConfig(4.0, 1.0, 3.0), True, 1)],
@@ -935,15 +844,29 @@ class TestKernelRoute:
 
 
 @pytest.mark.parametrize("engine", ["python_engine", "kernel_engine"])
-def test_the_route_follows_the_engine(engine, request, freed_runs, batch_calls, sim_calls):
+def test_the_route_follows_the_engine(engine, request, freed_runs, batch_calls):
     # 50 new pids: one batch on the Python loop, one simulate each on the kernel
     request.getfixturevalue(engine)
     pids = [PidConfig(4.0, 0.2 * k, kd) for k in range(1, 11) for kd in (0.5, 1.0, 1.5, 2.0, 3.0)]
     v = SimulationValidator(TestSimulationClassifyMany.PLANT, SHORT_HOLD, OracleConfig())
     verdicts = v.classify_many(pids)
     assert len(pids) == 50 and {verdict.valid for verdict in verdicts} == {True, False}
-    assert sim_calls == []
     if engine == "python_engine":
         assert batch_calls == [(0, pids)] and freed_runs["simulate"] == 0
     else:
         assert batch_calls == [] and freed_runs["simulate"] == 50
+
+
+@pytest.mark.parametrize("engine", ["python_engine", "kernel_engine"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_the_benchmark_walk_runs_one_pid_at_a_time(engine, seed, request, freed_runs):
+    # the disturbed 40x40 hold plane that perfbench searches: the walk asks
+    # one new pid per query, fewer than BATCH_MIN, so on either engine every
+    # query is one simulate call
+    request.getfixturevalue(engine)
+    app = load_config(Path(__file__).parents[1] / "perfbench" / "fixtures"
+                      / "disturbed_plane.ini")
+    v = SimulationValidator(app.plant, app.mission, replace(app.oracle, base_seed=seed))
+    identify_boundary(app.space, v)
+    assert query_count() == 124
+    assert freed_runs == {"simulate": 124, "simulate_batch": 0}
