@@ -782,6 +782,86 @@ class TestEarlyStop:
                 [False, False]] * len(diverging) + [[True, True]]
 
 
+# The routes _verdicts takes, as (engine fixture, BATCH_MIN): the Python
+# loop one pid at a time or batched, and the compiled kernel, which runs
+# every pid one at a time whatever BATCH_MIN says
+ROUTES = {"one-at-a-time": ("python_engine", 100), "batched": ("python_engine", 1),
+          "kernel": ("kernel_engine", 1)}
+
+
+@pytest.fixture(params=list(ROUTES))
+def route(request, monkeypatch):
+    """Send the test's new pids down one of _verdicts' routes; returns its name."""
+    engine, batch_min = ROUTES[request.param]
+    request.getfixturevalue(engine)
+    monkeypatch.setattr(validator_module, "BATCH_MIN", batch_min)
+    return request.param
+
+
+class TestEveryRouteIsSimulate:
+    """Every run a check sees on every route is bit for bit simulate's, so
+    each verdict is the one simulate and cfg.check give, seed by seed: no
+    verdict rests on a tolerance."""
+
+    PLANT = PlantModel(noise=NoiseSpec(sensor_sigma=0.03, disturbance_amp=0.2,
+                                       disturbance_freq=0.7))
+    PID = PidConfig(1.0, 0.5, 1.0)
+
+    def exact(self, v, pid):
+        """The verdict from simulate and cfg.check alone, seed by seed."""
+        return v.cfg.vote([v.cfg.check(v.formula, simulate(plant, pid, v.mission))
+                           for plant in v._plants])
+
+    def calls(self, route, runs, batches):
+        """freed_runs' counts for runs one at a time, or batches batched."""
+        if route == "batched":
+            return {"simulate": 0, "simulate_batch": batches}
+        return {"simulate": runs, "simulate_batch": 0}
+
+    def test_a_threshold_at_a_samples_error(self, route, freed_runs):
+        # hold_tol at the largest settled error fails the strict bound on
+        # that sample; the next float up passes it
+        run = simulate(self.PLANT, self.PID, SHORT_HOLD)
+        settled = np.abs(run.e)[run.t > SHORT_HOLD.params["settle_deadline"]].max()
+        verdicts = []
+        for tol in (settled, np.nextafter(settled, 1.0)):
+            mission = hold_mission(hold_tol=float(tol), settle_deadline=4.0, duration=8.0)
+            v = SimulationValidator(self.PLANT, mission, OracleConfig())
+            verdicts.append(v.classify(self.PID))
+            assert verdicts[-1] == self.exact(v, self.PID)
+        assert [verdict.valid for verdict in verdicts] == [False, True]
+        assert freed_runs == self.calls(route, 2, 2)
+
+    @pytest.mark.parametrize("pid", [PidConfig(-5, 1, -3), PidConfig(1e5, 1e5, 1e5),
+                                     PidConfig(1e200, 1, 1), PidConfig(-1e300, 0, 0),
+                                     PidConfig(0, 1e300, 0), PidConfig(1, 0, -1e300)],
+                             ids=["clamped", "nan", "huge", "huge-negative", "huge-integral",
+                                  "huge-derivative"])
+    def test_a_diverging_pid(self, pid, route, freed_runs):
+        # the huge gains overflow to inf and nan without a warning (an
+        # error here)
+        v = SimulationValidator(self.PLANT, SHORT_HOLD, OracleConfig(repeats=3))
+        verdict = v.classify(pid)
+        assert freed_runs == self.calls(route, 3, 3)
+        assert not verdict.valid and verdict == self.exact(v, pid)
+
+    @pytest.mark.parametrize("mission", MODE_MISSIONS, ids=lambda mission: mission.mode)
+    @pytest.mark.parametrize("cfg", [OracleConfig(base_seed=2), OracleConfig(repeats=3),
+                                     OracleConfig(kind="online", window=150)],
+                             ids=["offline", "offline-repeats-3", "online"])
+    def test_verdicts_equal_simulate_on_every_mode(self, cfg, mission, route, freed_runs):
+        pids = [PidConfig(p, i, d) for p in (-5.0, 0.5, 2.0, 6.0)
+                for i in (0.1, 1.0, 4.0) for d in (-3.0, 0.4, 1.5)]
+        v = SimulationValidator(self.PLANT, mission, cfg)
+        got = [verdict for k in range(0, len(pids), 9)
+               for verdict in v.classify_many(pids[k:k + 9])]
+        # four chunks of nine new pids, each batched seed by seed or run
+        # one at a time
+        assert freed_runs == self.calls(route, len(pids) * cfg.repeats, 4 * cfg.repeats)
+        assert got == [self.exact(v, pid) for pid in pids]
+        assert {verdict.valid for verdict in got} == {True, False}
+
+
 @pytest.mark.usefixtures("kernel_engine")
 class TestKernelRoute:
     """Where simulate's compiled kernel loads, every new pid is simulated
